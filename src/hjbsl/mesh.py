@@ -15,6 +15,8 @@ from .errors import BadParams, LocationFailure, OutsideDomain, RegularityViolati
 from .geometry import TOL_BOUNDARY, Disk, Domain, Interval, RectWithHole, as_point
 
 BARY_TOL = 1e-10
+# (point, candidate simplex) pairs per batched barycentric evaluation
+LOCATE_CHUNK = 16384
 
 TAG_INTERIOR = 0
 TAG_OBLIQUE = 1
@@ -38,8 +40,15 @@ class Mesh:
     shape_constant: float
     domain: Domain | None = None
     _bary_mats: np.ndarray = field(default=None, repr=False)
-    _cells: dict = field(default=None, repr=False)
+    # grid-bucket index: row c of _cell_table lists, in ascending order, the
+    # simplices whose bounding box meets grid cell c, padded to a common
+    # length of at least one more with the index of the miss sentinel (the
+    # last of _bary_mats).  Cells are _cell_size wide, counted from
+    # _cell_origin and flattened with _cell_strides.
     _cell_size: float = field(default=None, repr=False)
+    _cell_origin: np.ndarray = field(default=None, repr=False)
+    _cell_strides: np.ndarray = field(default=None, repr=False)
+    _cell_table: np.ndarray = field(default=None, repr=False)
     _boundary_edges: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -67,23 +76,37 @@ class Mesh:
         verts = self.vertices[self.simplices]          # (m, d+1, d)
         mats = np.concatenate([verts.transpose(0, 2, 1),
                                np.ones((len(self.simplices), 1, d + 1))], axis=1)
-        self._bary_mats = np.linalg.inv(mats)          # (m, d+1, d+1)
+        # (m+1, d+1, d+1); the last is the miss sentinel, which puts every
+        # point inside with barycentrics (0, ..., 0, 1)
+        sentinel = np.zeros((1, d + 1, d + 1))
+        sentinel[0, d, d] = 1.0
+        self._bary_mats = np.concatenate([np.linalg.inv(mats), sentinel])
 
     def _build_cells(self):
         h = max(2.0 * self.mesh_size, 1e-12)
-        self._cell_size = h
-        cells: dict = {}
         verts = self.vertices[self.simplices]
         lo = np.floor(verts.min(axis=1) / h).astype(int)
         hi = np.floor(verts.max(axis=1) / h).astype(int)
-        for t in range(len(self.simplices)):
-            ranges = [range(lo[t, k], hi[t, k] + 1) for k in range(self.dim)]
-            idx = [()]
-            for r in ranges:
-                idx = [c + (i,) for c in idx for i in r]
-            for c in idx:
-                cells.setdefault(c, []).append(t)
-        self._cells = cells
+        span = hi - lo + 1
+        # every (simplex, cell) pair of a bounding box, simplex-major
+        offsets = np.stack(np.meshgrid(*[np.arange(k) for k in span.max(axis=0)],
+                                       indexing="ij"), axis=-1).reshape(-1, self.dim)
+        simplex, k = np.nonzero(np.all(offsets[None] < span[:, None], axis=2))
+        origin = lo.min(axis=0)
+        shape = hi.max(axis=0) - origin + 1
+        strides = np.cumprod(np.append(1, shape[:0:-1]))[::-1]
+        flat = (lo[simplex] + offsets[k] - origin) @ strides
+        # a stable sort keeps each cell's simplices in ascending order
+        order = np.argsort(flat, kind="stable")
+        flat, simplex = flat[order], simplex[order]
+        count = np.bincount(flat, minlength=int(np.prod(shape)))
+        start = np.cumsum(count) - count
+        table = np.full((len(count), int(count.max()) + 1), len(self.simplices))
+        table[flat, np.arange(len(flat)) - start[flat]] = simplex
+        self._cell_size = h
+        self._cell_origin = origin
+        self._cell_strides = strides
+        self._cell_table = table
 
     def _build_boundary_edges(self):
         faces: dict = {}
@@ -97,33 +120,81 @@ class Mesh:
 
     # -- queries --------------------------------------------------------------
 
+    def _cell_candidates(self, points):
+        """Candidate rows (m, K) of the points' grid cells.
+
+        A point off the grid lies outside every simplex's bounding box, so
+        any row serves it: the flat index is clipped into the table instead
+        of each coordinate.
+        """
+        c = np.floor(points / self._cell_size).astype(int) - self._cell_origin
+        return self._cell_table.take(c @ self._cell_strides, axis=0, mode="clip")
+
     def _candidates(self, x):
-        c = tuple(int(math.floor(xi / self._cell_size)) for xi in x)
-        return self._cells.get(c, None)
+        row = self._cell_candidates(as_point(x)[None, :])[0]
+        row = row[row < len(self.simplices)]
+        return row if len(row) else None
+
+    def _locate_in_cells(self, points):
+        """First candidate simplex in ascending index whose barycentrics are
+        all >= -BARY_TOL, for each row of points; simplex -1 on a miss.
+
+        The candidate gather is processed in chunks of at most
+        LOCATE_CHUNK (point, candidate) pairs to bound the temporaries.
+        """
+        m = len(points)
+        cand = self._cell_candidates(points)
+        rhs = np.ones((m, 1, self.dim + 1, 1))
+        rhs[:, 0, :-1, 0] = points
+        simplex = np.empty(m, dtype=int)
+        bary = np.empty((m, self.dim + 1))
+        rows = max(1, LOCATE_CHUNK // cand.shape[1])
+        for c0 in range(0, m, rows):
+            sl = slice(c0, c0 + rows)
+            lam = (self._bary_mats[cand[sl]] @ rhs[sl])[..., 0]
+            pick = np.arange(len(lam)), (lam.min(axis=2) >= -BARY_TOL).argmax(axis=1)
+            simplex[sl] = cand[sl][pick]
+            lam = np.maximum(lam[pick], 0.0)
+            bary[sl] = lam / lam.sum(axis=1, keepdims=True)
+        simplex[simplex == len(self.simplices)] = -1
+        return simplex, bary
+
+    def _scan(self, x) -> Location | None:
+        """Lowest-index simplex of the whole mesh containing x."""
+        lam = self._bary_mats[:-1] @ np.append(x, 1.0)
+        hits = np.flatnonzero(lam.min(axis=1) >= -BARY_TOL)
+        if len(hits) == 0:
+            return None
+        lam = np.clip(lam[hits[0]], 0.0, None)
+        return Location(simplex=int(hits[0]), bary=lam / lam.sum())
+
+    def locate_many(self, points):
+        """Containing simplex and barycentrics of p_dx(x) for each row x.
+
+        points is (m, dim) and lies in the closed domain.  Ties on shared
+        faces go to the lowest simplex index.  Points with no grid-cell hit
+        fall back to a full scan, then to the nearest boundary-face point.
+        Returns (simplex (m,), bary (m, dim+1)).
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        simplex, bary = self._locate_in_cells(points)
+        for j in np.flatnonzero(simplex < 0):
+            loc = self.try_locate(points[j])
+            if loc is None:
+                q = self._nearest_boundary_point(points[j])
+                loc = self._scan(q)
+                if loc is None:
+                    raise LocationFailure(f"projection {q!r} not inside the mesh")
+            simplex[j], bary[j] = loc.simplex, loc.bary
+        return simplex, bary
 
     def try_locate(self, x) -> Location | None:
+        """Location of one point in the mesh polygon, or None off it."""
         x = as_point(x)
-        rhs = np.append(x, 1.0)
-        cand = self._candidates(x)
-        pools = [cand] if cand is not None else []
-        pools.append(range(len(self.simplices)))
-        seen_fallback = False
-        for pool in pools:
-            if seen_fallback:
-                break
-            seen_fallback = pool is pools[-1]
-            best = None
-            for t in sorted(pool):
-                lam = self._bary_mats[t] @ rhs
-                if lam.min() >= -BARY_TOL:
-                    best = t, lam
-                    break
-            if best is not None:
-                t, lam = best
-                lam = np.clip(lam, 0.0, None)
-                lam /= lam.sum()
-                return Location(simplex=t, bary=lam)
-        return None
+        simplex, bary = self._locate_in_cells(x[None, :])
+        if simplex[0] < 0:
+            return self._scan(x)
+        return Location(simplex=int(simplex[0]), bary=bary[0])
 
     def locate(self, x) -> Location:
         loc = self.try_locate(x)
@@ -131,31 +202,34 @@ class Mesh:
             raise LocationFailure(f"point {x!r} not inside the mesh")
         return loc
 
+    def _check_in_domain(self, x):
+        if self.domain is not None and not self.domain.signed_distance(x) <= TOL_BOUNDARY:
+            raise OutsideDomain(f"point {x!r} outside the closed domain")
+
+    def _nearest_boundary_point(self, x) -> np.ndarray:
+        if self.dim == 1:
+            return np.clip(x, self.vertices.min(), self.vertices.max())
+        a = self.vertices[self._boundary_edges[:, 0]]
+        ab = self.vertices[self._boundary_edges[:, 1]] - a
+        t = np.clip(np.sum((x - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
+        q = a + t[:, None] * ab
+        return q[np.argmin(np.linalg.norm(x - q, axis=1))]
+
     def project(self, x) -> np.ndarray:
         """Projection onto the polyhedral domain (identity on it)."""
         x = as_point(x)
-        if self.domain is not None and self.domain.signed_distance(x) > TOL_BOUNDARY:
-            raise OutsideDomain(f"point {x!r} outside the closed domain")
+        self._check_in_domain(x)
         if self.try_locate(x) is not None:
             return x
-        if self.dim == 1:
-            return np.clip(x, self.vertices.min(), self.vertices.max())
-        best, bp = np.inf, None
-        for e in self._boundary_edges:
-            a, b = self.vertices[e[0]], self.vertices[e[1]]
-            ab = b - a
-            t = float(np.dot(x - a, ab) / np.dot(ab, ab))
-            q = a + min(max(t, 0.0), 1.0) * ab
-            d = float(np.linalg.norm(x - q))
-            if d < best:
-                best, bp = d, q
-        return bp
+        return self._nearest_boundary_point(x)
 
     def interpolation_weights(self, x):
         """Vertex indices and P1 weights at p_dx(x); weights are a convex
         combination summing to one."""
-        loc = self.locate(self.project(x))
-        return self.simplices[loc.simplex], loc.bary
+        x = as_point(x)
+        self._check_in_domain(x)
+        simplex, bary = self.locate_many(x[None, :])
+        return self.simplices[simplex[0]], bary[0]
 
     def interpolate(self, nodal, x) -> float:
         nodal = np.asarray(nodal, dtype=float)

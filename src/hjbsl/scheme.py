@@ -14,9 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParams, NoCrossing, OutsideTube, Unstable
-from .geometry import TOL_BOUNDARY, Domain, ObliqueField, as_point, oblique_projection
+from .errors import BadParams, LocationFailure, NoCrossing, OutsideTube, Unstable
+from .geometry import Domain, ObliqueField, as_point, oblique_projection
 from .mesh import Mesh
+
+# tolerance on the unit sum of each branch's interpolation weights
+WEIGHT_TOL = 1e-12
 
 
 @dataclass
@@ -254,7 +257,7 @@ class NodeTable:
     weights: np.ndarray     # (n, 2*Ns, dim+1) interpolation weights
     const: np.ndarray       # (n, 2*Ns) additive constants (dirichlet data)
     refl: list              # (i, s, d_tilde, p) tuples for oblique exits
-    exit_any: np.ndarray    # (n,) some characteristic exits
+    dt: float
     a: object = None
     b: object = None
 
@@ -267,10 +270,18 @@ class NodeTable:
         if f_cache is None:
             f_cache = np.array([float(problem.f(t, x, self.a))
                                 for x in mesh.vertices])
-        dt_f = f_cache
-        return contrib.mean(axis=1) + self._dt * dt_f, f_cache
+        return contrib.mean(axis=1) + self.dt * f_cache, f_cache
 
-    _dt: float = 0.0
+
+def check_weights(weights: np.ndarray):
+    """Raise LocationFailure unless every row of weights (..., dim+1) is a
+    convex combination: entries >= 0 summing to 1 within WEIGHT_TOL."""
+    if weights.size == 0:
+        return
+    bad = (weights.min(axis=-1) < 0.0) | (np.abs(weights.sum(axis=-1) - 1.0) > WEIGHT_TOL)
+    if bad.any():
+        raise LocationFailure(f"{int(bad.sum())} interpolation weight rows are "
+                              f"not convex combinations")
 
 
 def build_node_table(problem: Problem, mesh: Mesh, a, b, dt: float,
@@ -278,30 +289,30 @@ def build_node_table(problem: Problem, mesh: Mesh, a, b, dt: float,
     n = mesh.n_vertices
     S = 2 * problem.n_sigma
     nv = mesh.dim + 1
-    verts = np.zeros((n, S, nv), dtype=int)
-    weights = np.zeros((n, S, nv))
     const = np.zeros((n, S))
+    landing = np.zeros((n, S, mesh.dim))
+    located = np.zeros((n, S), dtype=bool)
     refl = []
-    exit_any = np.zeros(n, dtype=bool)
     for i, x in enumerate(mesh.vertices):
         ys = discrete_characteristics(problem, t, x, a, dt)
         for s, y in enumerate(ys):
             rp = _classify(problem, x, y, b, dt, c_bar, t=t)
-            if rp.exited:
-                exit_any[i] = True
             if rp.dirichlet:
                 const[i, s] = rp.value
                 continue
-            assert problem.domain.signed_distance(rp.y_tilde) <= TOL_BOUNDARY
-            vv, ww = mesh.interpolation_weights(rp.y_tilde)
-            verts[i, s] = vv
-            weights[i, s] = ww
+            # _classify returns non-Dirichlet points inside the closed domain
+            landing[i, s] = rp.y_tilde
+            located[i, s] = True
             if rp.exited:
                 refl.append((i, s, rp.d_tilde, rp.p))
-    table = NodeTable(verts=verts, weights=weights, const=const, refl=refl,
-                      exit_any=exit_any, a=a, b=b)
-    table._dt = dt
-    return table
+    simplex, bary = mesh.locate_many(landing[located])
+    verts = np.zeros((n, S, nv), dtype=int)
+    weights = np.zeros((n, S, nv))
+    verts[located] = mesh.simplices[simplex]
+    weights[located] = bary
+    check_weights(weights[located])
+    return NodeTable(verts=verts, weights=weights, const=const, refl=refl,
+                     dt=dt, a=a, b=b)
 
 
 @dataclass

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjbsl.errors import BadParams, OutsideDomain
 from hjbsl.geometry import Disk, signed_distance
@@ -187,3 +189,71 @@ def test_mesh_io_roundtrip(tmp_path):
     bad.write_text("nope 1 2 3\n")
     with pytest.raises(BadParams):
         read_mesh(bad)
+
+
+LOC_MESHES = {
+    "interval": build_interval_mesh(0.0, 1.0, 0.1),
+    "disk": build_disk_mesh((0.0, 0.0), 1.0, 0.25),
+    "rect": build_rect_with_hole_mesh(dx=0.2, **RECT),
+}
+
+
+def _off_polygon(name, u, delta):
+    """A point of the closed domain up to delta outside the mesh polygon."""
+    if name == "interval":
+        return [1.0 + delta] if u < 0.5 else [-delta]
+    if name == "disk":
+        th = 2.0 * math.pi * u
+        return [(1.0 + delta) * math.cos(th), (1.0 + delta) * math.sin(th)]
+    return [1.0 + delta, -0.5 + u]
+
+
+def _lowest_simplex_with(mesh, verts):
+    return min(t for t, s in enumerate(mesh.simplices) if set(verts) <= set(s))
+
+
+@pytest.mark.parametrize("name", sorted(LOC_MESHES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_locate_many_matches_one_point(name, data):
+    m = LOC_MESHES[name]
+    lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
+    coord = st.tuples(*[st.floats(float(a), float(b)) for a, b in zip(lo, hi)])
+    interior = [p for p in data.draw(st.lists(coord, max_size=20))
+                if m.domain.signed_distance(np.array(p)) <= 0.0]
+    vertex_ids = data.draw(st.lists(st.integers(0, m.n_vertices - 1), max_size=8))
+    edges = [m.simplices[t, list(ij)] for t, ij in data.draw(st.lists(
+        st.tuples(st.integers(0, len(m.simplices) - 1),
+                  st.sampled_from([(0, 1), (0, m.dim), (m.dim - 1, m.dim)])),
+        max_size=8))]
+    off = [_off_polygon(name, u, d) for u, d in data.draw(st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1e-10)), max_size=4))]
+    pts = np.array(interior + [m.vertices[v] for v in vertex_ids]
+                   + [0.5 * (m.vertices[a] + m.vertices[b]) for a, b in edges]
+                   + off, dtype=float).reshape(-1, m.dim)
+
+    simplex, bary = m.locate_many(pts)
+    assert simplex.shape == (len(pts),) and bary.shape == (len(pts), m.dim + 1)
+    assert np.all(bary >= 0.0)
+    assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    for x, t, lam in zip(pts, simplex, bary):
+        ref = m.try_locate(x) or m.locate(m.project(x))
+        assert t == ref.simplex
+        assert np.max(np.abs(lam - ref.bary)) <= 1e-12
+    # shared vertices and faces resolve to the lowest simplex index
+    n_in = len(interior)
+    for v, t in zip(vertex_ids, simplex[n_in:]):
+        assert t == _lowest_simplex_with(m, [v])
+    for (a, b), t in zip(edges, simplex[n_in + len(vertex_ids):]):
+        assert t == _lowest_simplex_with(m, [a, b])
+
+
+def test_locate_many_batches_beyond_one_chunk(monkeypatch):
+    m = LOC_MESHES["disk"]
+    pts = m.barycenters()
+    whole = m.locate_many(pts)
+    monkeypatch.setattr("hjbsl.mesh.LOCATE_CHUNK", 1)
+    one_by_one = m.locate_many(pts)
+    assert np.array_equal(whole[0], np.arange(len(m.simplices)))
+    assert np.array_equal(whole[0], one_by_one[0])
+    assert np.array_equal(whole[1], one_by_one[1])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjbsl.errors import BadParams, NoCrossing, OutsideTube, Unstable
+from hjbsl.errors import BadParams, LocationFailure, NoCrossing, OutsideTube, Unstable
 from hjbsl.geometry import Disk, Interval, NormalField, RectWithHole
 from hjbsl.mesh import build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import make_test1, make_test3
@@ -14,6 +14,8 @@ from hjbsl.scheme import (
     SchemeParams,
     apply_S,
     apply_S_control,
+    build_node_table,
+    check_weights,
     consistency_residual,
     dirichlet_extension,
     discrete_characteristics,
@@ -297,3 +299,27 @@ def test_commutation_property(c, i):
     s0 = apply_S(bench.problem, mesh, U, 0, i, params)
     s1 = apply_S(bench.problem, mesh, U + c, 0, i, params)
     assert s1 == pytest.approx(s0 + c, abs=1e-12)
+
+
+def test_check_weights_rejects_non_convex_rows():
+    good = np.array([[[0.25, 0.75], [1.0, 0.0]]])
+    check_weights(good)
+    check_weights(np.zeros((0, 3)))
+    for bad in ([[0.5, 0.5 + 1e-9]], [[-1e-3, 1.0 + 1e-3]], [[0.0, 0.0]]):
+        with pytest.raises(LocationFailure):
+            check_weights(np.array(bad))
+
+
+def test_build_node_table_rejects_bad_weights(monkeypatch):
+    pr = interval_problem(sigma=0.3, mu=0.2)
+    mesh = build_interval_mesh(0.0, 1.0, 0.25)
+    table = build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0)
+    assert table.dt == 0.1
+    assert np.allclose(table.weights.sum(axis=2), 1.0)
+
+    def bad_locate(points):
+        return np.zeros(len(points), dtype=int), np.full((len(points), 2), 0.6)
+
+    monkeypatch.setattr(mesh, "locate_many", bad_locate)
+    with pytest.raises(LocationFailure):
+        build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0)
