@@ -68,7 +68,6 @@ from .scheme import (
     apply_S,
     apply_S_control,
     consistency_residual,
-    dirichlet_extension,
     discrete_characteristics,
     reflect,
     sweep,

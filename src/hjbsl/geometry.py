@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     BadParams,
     NoConvergence,
+    NoCrossing,
     NotOnBoundary,
     OutOfLayer,
     OutsideTube,
@@ -22,19 +23,43 @@ TOL_BOUNDARY = 1e-9
 TOL_PROJ = 1e-12
 MAX_NEWTON_ITER = 50
 
+# outward normals of the RectWithHole faces 0-3
+_RECT_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+_EYE2 = np.eye(2)
+
 
 def as_point(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def as_rows(X, dim: int) -> np.ndarray:
+    return np.asarray(X, dtype=float).reshape(-1, dim)
+
+
+def row_dots(U, V) -> np.ndarray:
+    """Dot product of each pair of rows, bit-equal to np.dot on that pair
+    (an elementwise product and sum can differ in the last bit)."""
+    return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
+def row_norms(V) -> np.ndarray:
+    """Euclidean norm of each row, bit-equal to np.linalg.norm of that row."""
+    return np.sqrt(row_dots(V, V))
+
+
 @dataclass
 class ObliqueProjection:
-    """Solution of x = p + d * gamma_b(p) with p on the boundary."""
+    """Solution of x = p + d * gamma_b(p) with p on the boundary.
+
+    gamma is the field gamma_b(p).  oblique_projection_many returns one
+    of these with a leading row axis on every field.
+    """
 
     p: np.ndarray
     d: float
     residual: float
     iterations: int
+    gamma: np.ndarray = None
 
 
 class Domain:
@@ -65,6 +90,52 @@ class Domain:
     def contains(self, x, tol: float = TOL_BOUNDARY) -> bool:
         return self.signed_distance(x) <= tol
 
+    # Row-batched forms.  The defaults loop over the one-point methods, so a
+    # user-defined domain needs only those; the built-in domains override
+    # them with numpy.
+
+    def signed_distance_many(self, X) -> np.ndarray:
+        """signed_distance of each row of X (m, dim)."""
+        return np.array([self.signed_distance(x) for x in as_rows(X, self.dim)],
+                        dtype=float)
+
+    def boundary_kind_many(self, P):
+        """(dirichlet (m,) bool, value (m,)) for each boundary row of P;
+        value is the exit datum on Dirichlet rows and 0 elsewhere."""
+        kinds = [self.boundary_kind(p) for p in as_rows(P, self.dim)]
+        dirichlet = np.array([k == "dirichlet" for k, _ in kinds], dtype=bool)
+        value = np.array([float(v) if k == "dirichlet" else 0.0 for k, v in kinds])
+        return dirichlet, value
+
+    def first_crossing_many(self, X, Y) -> np.ndarray:
+        """First boundary crossing of each segment X[j] -> Y[j], X[j] in the
+        closed domain; NoCrossing if a segment does not leave it.
+
+        The default scans 32 equal steps for a point outside, then bisects
+        60 times; it returns the outer end of the last bracket.
+        """
+        X, Y = as_rows(X, self.dim), as_rows(Y, self.dim)
+        return np.array([self._scan_crossing(x, y) for x, y in zip(X, Y)]
+                        ).reshape(-1, self.dim)
+
+    def _scan_crossing(self, x, y, n_scan: int = 32, n_bisect: int = 60):
+        lo = 0.0
+        hi = None
+        for t in np.linspace(0.0, 1.0, n_scan + 1)[1:]:
+            if self.signed_distance(x + t * (y - x)) > 0.0:
+                hi = t
+                break
+            lo = t
+        if hi is None:
+            raise NoCrossing("segment endpoint is not outside the domain")
+        for _ in range(n_bisect):
+            mid = 0.5 * (lo + hi)
+            if self.signed_distance(x + mid * (y - x)) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return x + hi * (y - x)
+
     def _check_on_boundary(self, p):
         if abs(self.signed_distance(p)) > TOL_BOUNDARY:
             raise NotOnBoundary(f"point {p!r} is not on the boundary")
@@ -85,6 +156,16 @@ class Interval(Domain):
     def signed_distance(self, x) -> float:
         x0 = float(as_point(x)[0])
         return max(self.a - x0, x0 - self.b)
+
+    def signed_distance_many(self, X) -> np.ndarray:
+        x = as_rows(X, 1)[:, 0]
+        return np.maximum(self.a - x, x - self.b)
+
+    def first_crossing_many(self, X, Y) -> np.ndarray:
+        Y = as_rows(Y, 1)
+        if not np.all(self.signed_distance_many(Y) > 0.0):
+            raise NoCrossing("segment endpoint is not outside the domain")
+        return np.where(Y > self.b, self.b, self.a)
 
     def outward_normal(self, p) -> np.ndarray:
         self._check_on_boundary(p)
@@ -113,6 +194,21 @@ class Disk(Domain):
 
     def signed_distance(self, x) -> float:
         return float(np.linalg.norm(as_point(x) - self.center)) - self.radius
+
+    def signed_distance_many(self, X) -> np.ndarray:
+        return row_norms(as_rows(X, 2) - self.center) - self.radius
+
+    def first_crossing_many(self, X, Y) -> np.ndarray:
+        X, Y = as_rows(X, 2), as_rows(Y, 2)
+        if not np.all(self.signed_distance_many(Y) > 0.0):
+            raise NoCrossing("segment endpoint is not outside the domain")
+        # larger root of |v + t w| = r; c <= 0 since X is in the closed disk
+        v, w = X - self.center, Y - X
+        a = np.sum(w * w, axis=1)
+        b = np.sum(v * w, axis=1)
+        c = np.sum(v * v, axis=1) - self.radius ** 2
+        t = (-b + np.sqrt(np.maximum(b * b - a * c, 0.0))) / a
+        return X + np.clip(t, 0.0, 1.0)[:, None] * w
 
     def outward_normal(self, p) -> np.ndarray:
         self._check_on_boundary(p)
@@ -181,30 +277,73 @@ class RectWithHole(Domain):
         x = as_point(x)
         return max(self._rect_sd(x), self._hole_sd(x))
 
-    def _face_projections(self, x):
-        """Candidate (distance, face_index, point) per boundary face."""
+    def signed_distance_many(self, X) -> np.ndarray:
+        X = as_rows(X, 2)
         xmin, xmax, ymin, ymax = self.bounds
-        x = as_point(x)
-        cands = []
-        for idx, p in enumerate([
-            np.array([xmin, min(max(x[1], ymin), ymax)]),
-            np.array([xmax, min(max(x[1], ymin), ymax)]),
-            np.array([min(max(x[0], xmin), xmax), ymin]),
-            np.array([min(max(x[0], xmin), xmax), ymax]),
-        ]):
-            cands.append((float(np.linalg.norm(x - p)), idx, p))
-        v = x - self.hole_center
-        r = np.linalg.norm(v)
-        if r > 0:
-            p = self.hole_center + self.hole_radius * v / r
-            cands.append((float(abs(r - self.hole_radius)), 4, p))
-        return cands
+        dx = np.maximum(xmin - X[:, 0], X[:, 0] - xmax)
+        dy = np.maximum(ymin - X[:, 1], X[:, 1] - ymax)
+        rect = np.where((dx <= 0.0) & (dy <= 0.0), np.maximum(dx, dy),
+                        np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0)))
+        hole = self.hole_radius - row_norms(X - self.hole_center)
+        return np.maximum(rect, hole)
+
+    def first_crossing_many(self, X, Y) -> np.ndarray:
+        """Closed form: the smallest parameter in [0, 1) at which a segment
+        leaves a face's half-plane or enters the hole."""
+        X, Y = as_rows(X, 2), as_rows(Y, 2)
+        xmin, xmax, ymin, ymax = self.bounds
+        w = Y - X
+        t = np.full((len(X), 5), np.inf)
+        for face, (axis, bound, sign) in enumerate(
+                [(0, xmin, -1.0), (0, xmax, 1.0), (1, ymin, -1.0), (1, ymax, 1.0)]):
+            out = sign * w[:, axis] > 0.0
+            t[out, face] = (bound - X[out, axis]) / w[out, axis]
+        # nearer root of |v + s w| = r for a segment heading into the hole;
+        # c/(-b + sqrt(disc)) is that root without cancellation
+        v = X - self.hole_center
+        a = np.sum(w * w, axis=1)
+        b = np.sum(v * w, axis=1)
+        c = np.sum(v * v, axis=1) - self.hole_radius ** 2
+        disc = b * b - a * c
+        enters = (b < 0.0) & (disc > 0.0)
+        t[enters, 4] = c[enters] / (-b[enters] + np.sqrt(disc[enters]))
+        face = np.argmin(t, axis=1)
+        s = np.maximum(t[np.arange(len(X)), face], 0.0)
+        if not (s < 1.0).all():
+            raise NoCrossing("segment does not leave the domain")
+        q = X + s[:, None] * w
+        # put face crossings exactly on their face line
+        for k, (axis, bound) in enumerate([(0, xmin), (0, xmax), (1, ymin), (1, ymax)]):
+            q[face == k, axis] = bound
+        return q
+
+    def _faces(self, X):
+        """Distance (m, 5) from each row of X to each face, and the foot
+        points (m, 5, 2); the hole's distance is inf at its center."""
+        xmin, xmax, ymin, ymax = self.bounds
+        m = len(X)
+        cx = np.minimum(np.maximum(X[:, 0], xmin), xmax)
+        cy = np.minimum(np.maximum(X[:, 1], ymin), ymax)
+        feet = np.empty((m, 5, 2))
+        feet[:, 0, 0], feet[:, 0, 1] = xmin, cy
+        feet[:, 1, 0], feet[:, 1, 1] = xmax, cy
+        feet[:, 2, 0], feet[:, 2, 1] = cx, ymin
+        feet[:, 3, 0], feet[:, 3, 1] = cx, ymax
+        v = X - self.hole_center
+        r = row_norms(v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            feet[:, 4] = self.hole_center + self.hole_radius * v / r[:, None]
+        dist = np.empty((m, 5))
+        dist[:, :4] = row_norms((X[:, None, :] - feet[:, :4]).reshape(-1, 2)).reshape(m, 4)
+        dist[:, 4] = np.where(r > 0, np.abs(r - self.hole_radius), np.inf)
+        return dist, feet
 
     def nearest_face(self, x):
-        cands = self._face_projections(x)
-        # stable sort keeps the smaller face index on ties
-        cands.sort(key=lambda c: (c[0], c[1]))
-        return cands[0]
+        """(distance, face index, foot point) of the nearest face; ties go
+        to the smaller face index."""
+        dist, feet = self._faces(as_point(x)[None, :])
+        face = int(dist[0].argmin())
+        return float(dist[0, face]), face, feet[0, face]
 
     def nearest_point_projection(self, x) -> np.ndarray:
         if abs(self.signed_distance(x)) >= self.tube_radius:
@@ -214,14 +353,8 @@ class RectWithHole(Domain):
     def outward_normal(self, p) -> np.ndarray:
         self._check_on_boundary(p)
         face = self.nearest_face(p)[1]
-        if face == 0:
-            return np.array([-1.0, 0.0])
-        if face == 1:
-            return np.array([1.0, 0.0])
-        if face == 2:
-            return np.array([0.0, -1.0])
-        if face == 3:
-            return np.array([0.0, 1.0])
+        if face < 4:
+            return _RECT_NORMALS[face].copy()
         v = as_point(p) - self.hole_center
         # outward from the domain points into the hole
         return -v / np.linalg.norm(v)
@@ -235,6 +368,16 @@ class RectWithHole(Domain):
         if abs(p[0] - xmax) <= TOL_BOUNDARY and abs(p[1]) <= hw:
             return ("dirichlet", self.dirichlet_values[1])
         return ("oblique", None)
+
+    def boundary_kind_many(self, P):
+        P = as_rows(P, 2)
+        xmin, xmax, _, _ = self.bounds
+        door = np.abs(P[:, 1]) <= self.dirichlet_half_width + TOL_BOUNDARY
+        left = door & (np.abs(P[:, 0] - xmin) <= TOL_BOUNDARY)
+        right = door & ~left & (np.abs(P[:, 0] - xmax) <= TOL_BOUNDARY)
+        value = np.where(left, float(self.dirichlet_values[0]),
+                         np.where(right, float(self.dirichlet_values[1]), 0.0))
+        return left | right, value
 
 
 class ObliqueField:
@@ -291,11 +434,13 @@ def nearest_point_projection(domain: Domain, x) -> np.ndarray:
     return domain.nearest_point_projection(x)
 
 
-def _check_tube(domain: Domain, x, r_max):
+def _check_tube(domain: Domain, X, r_max):
     r = domain.tube_radius if r_max is None else r_max
-    if r is not None and not math.isinf(r) and abs(domain.signed_distance(x)) >= r:
-        raise OutsideTube(f"|signed_distance|={abs(domain.signed_distance(x)):.3g} "
-                          f"outside the tube of radius {r:.3g}")
+    if r is not None and not math.isinf(r):
+        dist = np.abs(domain.signed_distance_many(X))
+        if np.any(dist >= r):
+            raise OutsideTube(f"|signed_distance|={dist.max():.3g} "
+                              f"outside the tube of radius {r:.3g}")
 
 
 def oblique_projection(domain: Domain, gamma: ObliqueField, b, x,
@@ -308,91 +453,133 @@ def oblique_projection(domain: Domain, gamma: ObliqueField, b, x,
     r_max=math.inf to skip the tube precondition (the reflection step does
     this; large time steps can push characteristics beyond the nominal tube).
     """
-    x = as_point(x)
-    _check_tube(domain, x, r_max)
+    pr = oblique_projection_many(domain, gamma, b, as_point(x)[None, :],
+                                 r_max=r_max, tol=tol, max_iter=max_iter)
+    return ObliqueProjection(p=pr.p[0], d=float(pr.d[0]),
+                             residual=float(pr.residual[0]),
+                             iterations=int(pr.iterations[0]), gamma=pr.gamma[0])
+
+
+def oblique_projection_many(domain: Domain, gamma: ObliqueField, b, X,
+                            r_max: float | None = None,
+                            tol: float = TOL_PROJ,
+                            max_iter: int = MAX_NEWTON_ITER) -> ObliqueProjection:
+    """oblique_projection of each row of X (m, dim), with a leading row axis
+    on every field.  The closed forms run batched; other fields on the disk
+    take the Newton path one row at a time.  An error on any row raises."""
+    X = as_rows(X, domain.dim)
+    _check_tube(domain, X, r_max)
     if isinstance(domain, Interval):
-        e = domain.a if abs(x[0] - domain.a) <= abs(x[0] - domain.b) else domain.b
-        g = -1.0 if e == domain.a else 1.0
-        d = (x[0] - e) / g
-        return ObliqueProjection(p=np.array([e]), d=float(d), residual=0.0, iterations=0)
+        return _interval_projection(domain, X)
     if isinstance(domain, RectWithHole):
         if not isinstance(gamma, NormalField):
             raise BadParams("rect_with_hole supports the normal field only")
-        return _rect_hole_normal_projection(domain, x)
+        return _rect_hole_normal_projection(domain, X)
     if isinstance(domain, Disk):
         if isinstance(gamma, NormalField):
-            v = x - domain.center
-            r = np.linalg.norm(v)
-            if r == 0.0:
-                raise OutsideTube("center has no radial projection")
-            p = domain.center + domain.radius * v / r
-            return ObliqueProjection(p=p, d=float(r - domain.radius),
-                                     residual=0.0, iterations=0)
+            return _disk_normal_projection(domain, X)
         if isinstance(gamma, RotatedNormalField):
-            return _disk_rotated_projection(domain, gamma.angle, x)
-        return oblique_projection_newton(domain, gamma, b, x, tol=tol, max_iter=max_iter)
+            return _disk_rotated_projection(domain, gamma, X)
+        rows = [oblique_projection_newton(domain, gamma, b, x, tol=tol, max_iter=max_iter)
+                for x in X]
+        return ObliqueProjection(
+            p=np.array([r.p for r in rows]).reshape(-1, 2),
+            d=np.array([r.d for r in rows], dtype=float),
+            residual=np.array([r.residual for r in rows], dtype=float),
+            iterations=np.array([r.iterations for r in rows], dtype=int),
+            gamma=np.array([r.gamma for r in rows]).reshape(-1, 2))
     raise BadParams(f"unsupported domain kind {domain.kind!r}")
 
 
-def _rect_hole_normal_projection(domain: RectWithHole, x) -> ObliqueProjection:
-    """Piecewise projection along the face normals of a rect-with-hole."""
-    xmin, xmax, ymin, ymax = domain.bounds
-    hv = x - domain.hole_center
-    hr = np.linalg.norm(hv)
-    if hr < domain.hole_radius and hr > 0:
-        p = domain.hole_center + domain.hole_radius * hv / hr
-        return ObliqueProjection(p=p, d=float(domain.hole_radius - hr),
-                                 residual=0.0, iterations=0)
-    # signed per-face excess; positive means beyond the face
-    excess = [xmin - x[0], x[0] - xmax, ymin - x[1], x[1] - ymax]
-    outside = [i for i, e in enumerate(excess) if e > 0.0]
-    if outside:
-        # corner wedge: tie toward the smaller face index
-        face = min(outside)
-    else:
-        # inside the domain: project along the normal of the nearest face
-        face = domain.nearest_face(x)[1]
-        if face == 4:
-            p = domain.hole_center + domain.hole_radius * hv / hr
-            n = -hv / hr
-            d = float(np.dot(x - p, n))
-            return ObliqueProjection(p=p, d=d, residual=0.0, iterations=0)
-    if face == 0:
-        p = np.array([xmin, min(max(x[1], ymin), ymax)])
-    elif face == 1:
-        p = np.array([xmax, min(max(x[1], ymin), ymax)])
-    elif face == 2:
-        p = np.array([min(max(x[0], xmin), xmax), ymin])
-    else:
-        p = np.array([min(max(x[0], xmin), xmax), ymax])
-    n = [np.array([-1.0, 0.0]), np.array([1.0, 0.0]),
-         np.array([0.0, -1.0]), np.array([0.0, 1.0])][face]
-    d = float(np.dot(x - p, n))
-    res = float(np.linalg.norm(x - p - d * n))
-    return ObliqueProjection(p=p, d=d, residual=res, iterations=0)
+def _closed_form(p, d, residual, gamma) -> ObliqueProjection:
+    return ObliqueProjection(p=p, d=d, residual=residual,
+                             iterations=np.zeros(len(d), dtype=int), gamma=gamma)
 
 
-def _disk_rotated_projection(domain: Disk, angle: float, x) -> ObliqueProjection:
+def _interval_projection(domain: Interval, X) -> ObliqueProjection:
+    left = (np.abs(X - domain.a) <= np.abs(X - domain.b))[:, 0]
+    # (endpoint, outward normal) of the nearer end, ties to a
+    end = np.array([[domain.b, 1.0], [domain.a, -1.0]])[left.astype(np.intp)]
+    p, g = end[:, :1], end[:, 1:]
+    return _closed_form(p, ((X - p) / g)[:, 0], np.zeros(len(X)), g)
+
+
+def _disk_normal_projection(domain: Disk, X) -> ObliqueProjection:
+    v = X - domain.center
+    r = row_norms(v)
+    if (r == 0.0).any():
+        raise OutsideTube("center has no radial projection")
+    p = domain.center + domain.radius * v / r[:, None]
+    return _closed_form(p, r - domain.radius, np.zeros(len(r)),
+                        (p - domain.center) / domain.radius)
+
+
+def _disk_rotated_projection(domain: Disk, gamma: RotatedNormalField,
+                             X) -> ObliqueProjection:
     """Closed-form solve for gamma = normal rotated by a fixed angle.
 
     With rho = |x - c| / r the algebraic distance solves
     d^2 + 2 d cos(angle) + 1 = rho^2.
     """
-    v = x - domain.center
-    rho = np.linalg.norm(v) / domain.radius
-    ca = math.cos(angle)
+    v = X - domain.center
+    rho = row_norms(v) / domain.radius
+    ca = math.cos(gamma.angle)
     disc = ca * ca - 1.0 + rho * rho
-    if disc < 0.0:
+    if (disc < 0.0).any():
         raise OutsideTube("point too deep inside for the rotated projection")
-    d = domain.radius * (-ca + math.sqrt(disc))
-    c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, s], [-s, c]])
-    m = np.eye(2) + (d / domain.radius) * rot
-    u = np.linalg.solve(m, v)
+    d = domain.radius * (-ca + np.sqrt(disc))
+    rot = gamma._rot
+    u = np.linalg.solve(_EYE2 + (d / domain.radius)[:, None, None] * rot,
+                        v[..., None])[..., 0]
     p = domain.center + u
-    gp = rot @ (u / domain.radius)
-    res = float(np.linalg.norm(x - p - d * gp))
-    return ObliqueProjection(p=p, d=float(d), residual=res, iterations=0)
+    gp = (rot @ (u / domain.radius)[..., None])[..., 0]
+    res = row_norms(X - p - d[:, None] * gp)
+    gamma_p = (rot @ ((p - domain.center) / domain.radius)[..., None])[..., 0]
+    return _closed_form(p, d, res, gamma_p)
+
+
+def _rect_hole_normal_projection(domain: RectWithHole, X) -> ObliqueProjection:
+    """Piecewise projection along the face normals of a rect-with-hole.
+
+    Inside the hole: radially onto its circle.  Beyond a face: onto the
+    first such face (corner wedges tie toward the smaller index).  Otherwise
+    (inside the domain): along the normal of the nearest face.
+    """
+    xmin, xmax, ymin, ymax = domain.bounds
+    hc, radius = domain.hole_center, domain.hole_radius
+    beyond = np.column_stack([xmin - X[:, 0], X[:, 0] - xmax,
+                              ymin - X[:, 1], X[:, 1] - ymax]) > 0.0
+    face = beyond.argmax(axis=1)
+    inside = ~beyond.any(axis=1)
+    if inside.any():
+        face[inside] = domain._faces(X[inside])[0].argmin(axis=1)
+    hv = X - hc
+    hr = row_norms(hv)
+    in_hole = (hr < radius) & (hr > 0)
+    face[in_hole] = 4
+    hole = face == 4
+    # foot on face k: the point clamped into the rectangle, then put on the face
+    p = np.column_stack([np.minimum(np.maximum(X[:, 0], xmin), xmax),
+                         np.minimum(np.maximum(X[:, 1], ymin), ymax)])
+    for k, (axis, bound) in enumerate([(0, xmin), (0, xmax), (1, ymin), (1, ymax)]):
+        p[face == k, axis] = bound
+    n = _RECT_NORMALS[np.minimum(face, 3)]
+    if hole.any():
+        p[hole] = hc + radius * hv[hole] / hr[hole, None]
+        n[hole] = -hv[hole] / hr[hole, None]
+    d = row_dots(X - p, n)
+    d[in_hole] = radius - hr[in_hole]
+    res = row_norms(X - p - d[:, None] * n)
+    res[hole] = 0.0
+    # the field at p is the normal of p's nearest face, as outward_normal
+    # gives it: a foot on two face lines (a corner) takes the smaller index
+    on = np.column_stack([p[:, 0] == xmin, p[:, 0] == xmax,
+                          p[:, 1] == ymin, p[:, 1] == ymax])
+    g = _RECT_NORMALS[on.argmax(axis=1)]
+    if hole.any():
+        v = p[hole] - hc
+        g[hole] = -v / row_norms(v)[:, None]
+    return _closed_form(p, d, res, g)
 
 
 def oblique_projection_newton(domain: Disk, gamma: ObliqueField, b, x,
@@ -417,7 +604,8 @@ def oblique_projection_newton(domain: Disk, gamma: ObliqueField, b, x,
         res = np.linalg.norm(g0)
         if res <= tol:
             p = domain.boundary_point(theta)
-            return ObliqueProjection(p=p, d=float(lam), residual=float(res), iterations=it)
+            return ObliqueProjection(p=p, d=float(lam), residual=float(res),
+                                     iterations=it, gamma=as_point(gamma(p, b)))
         col0 = (G(theta + h, lam) - G(theta - h, lam)) / (2 * h)
         col1 = gamma(domain.boundary_point(theta), b)
         try:

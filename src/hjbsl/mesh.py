@@ -109,14 +109,14 @@ class Mesh:
         self._cell_table = table
 
     def _build_boundary_edges(self):
-        faces: dict = {}
+        """Faces of exactly one simplex, in order of first occurrence
+        (simplex-major, then the omitted vertex), each sorted."""
         d = self.dim
-        for t, simp in enumerate(self.simplices):
-            for k in range(d + 1):
-                f = tuple(sorted(v for j, v in enumerate(simp) if j != k))
-                faces[f] = faces.get(f, 0) + 1
-        self._boundary_edges = np.array(
-            [f for f, cnt in faces.items() if cnt == 1], dtype=int)
+        faces = np.sort(np.stack([np.delete(self.simplices, k, axis=1)
+                                  for k in range(d + 1)], axis=1).reshape(-1, d), axis=1)
+        key = np.ravel_multi_index(faces.T, (self.n_vertices,) * d)
+        _, first, count = np.unique(key, return_index=True, return_counts=True)
+        self._boundary_edges = faces[np.sort(first[count == 1])]
 
     # -- queries --------------------------------------------------------------
 
@@ -284,10 +284,9 @@ def _mesh_metrics(vertices, simplices):
 
 def _tags_from_domain(domain: Domain, vertices) -> np.ndarray:
     tags = np.full(len(vertices), TAG_INTERIOR, dtype=int)
-    for i, v in enumerate(vertices):
-        if abs(domain.signed_distance(v)) <= TOL_BOUNDARY:
-            kind, _ = domain.boundary_kind(v)
-            tags[i] = TAG_DIRICHLET if kind == "dirichlet" else TAG_OBLIQUE
+    on = np.flatnonzero(np.abs(domain.signed_distance_many(vertices)) <= TOL_BOUNDARY)
+    dirichlet, _ = domain.boundary_kind_many(vertices[on])
+    tags[on] = np.where(dirichlet, TAG_DIRICHLET, TAG_OBLIQUE)
     return tags
 
 

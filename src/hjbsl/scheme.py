@@ -14,12 +14,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParams, LocationFailure, NoCrossing, OutsideTube, Unstable
-from .geometry import Domain, ObliqueField, as_point, oblique_projection
+from .errors import BadParams, LocationFailure, OutsideTube, Unstable
+from .geometry import (
+    TOL_BOUNDARY,
+    Domain,
+    ObliqueField,
+    as_point,
+    oblique_projection,
+    oblique_projection_many,
+)
 from .mesh import Mesh
 
 # tolerance on the unit sum of each branch's interpolation weights
 WEIGHT_TOL = 1e-12
+PULLED_OUTSIDE = ("reflected point left the domain; dt too large "
+                  "for the drift/diffusion magnitudes")
 
 
 @dataclass
@@ -96,54 +105,32 @@ def step_time(problem: Problem, t_end: float, k: int, dt: float) -> float:
     return t_end - (k + 1) * dt
 
 
-def check_lipschitz(problem: Problem, bound: float = 1e3, n_samples: int = 200,
-                    seed: int = 0) -> float:
-    """Largest sampled difference quotient of mu and sigma in x."""
-    rng = np.random.default_rng(seed)
-    dom = problem.domain
-    if dom.dim == 1:
-        lo, hi = dom.a, dom.b
-        pts = rng.uniform(lo, hi, size=(n_samples, 1))
-    else:
-        # rejection sample the bounding box
-        probe = as_point(getattr(dom, "center", getattr(dom, "hole_center", 0.0)))
-        r = getattr(dom, "radius", 1.0)
-        pts = []
-        while len(pts) < n_samples:
-            x = probe + rng.uniform(-2 * r, 2 * r, size=dom.dim)
-            if dom.contains(x):
-                pts.append(x)
-        pts = np.array(pts)
-    worst = 0.0
-    for a in problem.controls_a:
-        for i in range(0, len(pts) - 1, 2):
-            x, y = pts[i], pts[i + 1]
-            h = np.linalg.norm(x - y)
-            if h < 1e-12:
-                continue
-            dmu = np.linalg.norm(as_point(problem.mu(0.0, x, a))
-                                 - as_point(problem.mu(0.0, y, a)))
-            dsg = np.linalg.norm(np.atleast_2d(problem.sigma(0.0, x, a))
-                                 - np.atleast_2d(problem.sigma(0.0, y, a)))
-            worst = max(worst, dmu / h, dsg / h)
-    if worst > bound:
-        raise BadParams(f"sampled Lipschitz quotient {worst:.3g} exceeds {bound:.3g}")
-    return worst
-
-
 def discrete_characteristics(problem: Problem, t: float, x, a, dt: float) -> np.ndarray:
     """Points y^{+,1}, y^{-,1}, ..., y^{+,Ns}, y^{-,Ns} in fixed order."""
     x = as_point(x)
     mu = as_point(problem.mu(t, x, a))
-    sg = np.atleast_2d(np.asarray(problem.sigma(t, x, a), dtype=float))
-    if sg.shape != (problem.domain.dim, problem.n_sigma):
-        sg = sg.reshape(problem.domain.dim, problem.n_sigma)
-    base = x + dt * mu
-    root = math.sqrt(problem.n_sigma * dt)
-    out = np.empty((2 * problem.n_sigma, problem.domain.dim))
-    for l in range(problem.n_sigma):
-        out[2 * l] = base + root * sg[:, l]
-        out[2 * l + 1] = base - root * sg[:, l]
+    sg = np.asarray(problem.sigma(t, x, a), dtype=float).reshape(
+        problem.domain.dim, problem.n_sigma)
+    return _branches(x + dt * mu, sg, math.sqrt(problem.n_sigma * dt))
+
+
+def _characteristics(problem: Problem, t: float, X, a, dt: float) -> np.ndarray:
+    """discrete_characteristics of each row of X, as an (n, 2*Ns, dim)
+    array; mu and sigma are called once per row."""
+    dim, ns = problem.domain.dim, problem.n_sigma
+    mu = np.array([as_point(problem.mu(t, x, a)) for x in X]).reshape(-1, dim)
+    sg = np.array([np.asarray(problem.sigma(t, x, a), dtype=float).reshape(dim, ns)
+                   for x in X]).reshape(-1, dim, ns)
+    return _branches(X + dt * mu, sg, math.sqrt(ns * dt))
+
+
+def _branches(base, sg, root: float) -> np.ndarray:
+    """base +- root * sigma_l for each column l, interleaved; base is
+    (..., dim) and sg (..., dim, Ns)."""
+    step = root * np.swapaxes(sg, -1, -2)
+    out = np.empty(step.shape[:-2] + (2 * step.shape[-2], step.shape[-1]))
+    out[..., 0::2, :] = base[..., None, :] + step
+    out[..., 1::2, :] = base[..., None, :] - step
     return out
 
 
@@ -151,70 +138,76 @@ def reflect(problem: Problem, b, y, dt: float, c_bar: float,
             t: float = 0.0) -> ReflectedPoint:
     """Pull an exited characteristic back inside along gamma_b."""
     y = as_point(y)
-    dom = problem.domain
-    if dom.contains(y):
+    if problem.domain.contains(y):
         return ReflectedPoint(y_tilde=y, d_tilde=0.0, g_tilde=0.0, exited=False)
+    return _pull_back(problem, b, y, dt, c_bar, t)
+
+
+def _pull_back(problem: Problem, b, y, dt: float, c_bar: float,
+               t: float) -> ReflectedPoint:
+    """Reflection of a characteristic y already known to be outside."""
     # the nominal tube radius can be exceeded by coarse steps; rely on the
-    # containment assertion on the pulled-back point instead
-    proj = oblique_projection(dom, problem.gamma, b, y, r_max=math.inf)
+    # containment check on the pulled-back point instead
+    proj = oblique_projection(problem.domain, problem.gamma, b, y, r_max=math.inf)
     push = c_bar * math.sqrt(dt)
-    gp = problem.gamma(proj.p, b)
-    y_tilde = proj.p - push * gp
-    if not dom.contains(y_tilde):
-        raise OutsideTube("reflected point left the domain; dt too large "
-                          "for the drift/diffusion magnitudes")
-    d_tilde = proj.d + push
-    g_tilde = float(problem.g(t, proj.p, b))
-    return ReflectedPoint(y_tilde=y_tilde, d_tilde=d_tilde, g_tilde=g_tilde,
-                          exited=True, p=proj.p)
-
-
-def _first_crossing(domain: Domain, x, y, n_scan: int = 32,
-                    n_bisect: int = 60) -> np.ndarray:
-    """First boundary crossing of the segment x -> y (x inside, y outside)."""
-    x, y = as_point(x), as_point(y)
-    ts = np.linspace(0.0, 1.0, n_scan + 1)
-    lo = 0.0
-    hi = None
-    for t in ts[1:]:
-        if domain.signed_distance(x + t * (y - x)) > 0.0:
-            hi = t
-            break
-        lo = t
-    if hi is None:
-        raise NoCrossing("segment endpoint is not outside the domain")
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        if domain.signed_distance(x + mid * (y - x)) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return x + hi * (y - x)
-
-
-def dirichlet_extension(problem: Problem, mesh: Mesh, next_values, segment, b) -> float:
-    """Exit datum at the first Dirichlet crossing of segment = (x_i, y)."""
-    x, y = segment
-    q = _first_crossing(problem.domain, x, y)
-    kind, value = problem.domain.boundary_kind(q)
-    if kind != "dirichlet":
-        raise NoCrossing("first crossing is on an oblique-tagged piece")
-    return float(value)
+    y_tilde = proj.p - push * proj.gamma
+    if not problem.domain.contains(y_tilde):
+        raise OutsideTube(PULLED_OUTSIDE)
+    return ReflectedPoint(y_tilde=y_tilde, d_tilde=proj.d + push,
+                          g_tilde=float(problem.g(t, proj.p, b)), exited=True,
+                          p=proj.p)
 
 
 def _classify(problem: Problem, x, y, b, dt: float, c_bar: float,
               t: float = 0.0) -> ReflectedPoint:
     """Route an exited characteristic to reflection or Dirichlet imposition."""
     y = as_point(y)
-    if problem.domain.contains(y):
+    dom = problem.domain
+    if dom.contains(y):
         return ReflectedPoint(y_tilde=y, d_tilde=0.0, g_tilde=0.0, exited=False)
-    if problem.domain.has_dirichlet:
-        q = _first_crossing(problem.domain, x, y)
-        kind, value = problem.domain.boundary_kind(q)
+    if dom.has_dirichlet:
+        q = dom.first_crossing_many(as_point(x)[None, :], y[None, :])[0]
+        kind, value = dom.boundary_kind(q)
         if kind == "dirichlet":
-            return ReflectedPoint(y_tilde=as_point(q), d_tilde=0.0, g_tilde=0.0,
+            return ReflectedPoint(y_tilde=q, d_tilde=0.0, g_tilde=0.0,
                                   exited=True, dirichlet=True, value=float(value))
-    return reflect(problem, b, y, dt, c_bar, t=t)
+    return _pull_back(problem, b, y, dt, c_bar, t)
+
+
+def _classify_many(problem: Problem, X, Y, b, dt: float,
+                   c_bar: float) -> ReflectedPoint:
+    """_classify of each row pair (X[j], Y[j]) in one batched pass.
+
+    Returns a ReflectedPoint whose fields carry a leading row axis: p is
+    set on reflected rows (zero elsewhere) and g_tilde is None, since the
+    boundary cost depends on the step's time.
+    """
+    dom = problem.domain
+    m = len(Y)
+    exited = ~(dom.signed_distance_many(Y) <= TOL_BOUNDARY)
+    y_tilde = np.array(Y, dtype=float)
+    d_tilde = np.zeros(m)
+    p = np.zeros_like(y_tilde)
+    dirichlet = np.zeros(m, dtype=bool)
+    value = np.zeros(m)
+    rows = np.flatnonzero(exited)
+    if dom.has_dirichlet and len(rows):
+        q = dom.first_crossing_many(X[rows], Y[rows])
+        hit, data = dom.boundary_kind_many(q)
+        dirichlet[rows[hit]] = True
+        value[rows[hit]] = data[hit]
+        y_tilde[rows[hit]] = q[hit]
+        rows = rows[~hit]
+    if len(rows):
+        proj = oblique_projection_many(dom, problem.gamma, b, Y[rows], r_max=math.inf)
+        push = c_bar * math.sqrt(dt)
+        y_tilde[rows] = proj.p - push * proj.gamma
+        if not np.all(dom.signed_distance_many(y_tilde[rows]) <= TOL_BOUNDARY):
+            raise OutsideTube(PULLED_OUTSIDE)
+        d_tilde[rows] = proj.d + push
+        p[rows] = proj.p
+    return ReflectedPoint(y_tilde=y_tilde, d_tilde=d_tilde, g_tilde=None,
+                          exited=exited, p=p, dirichlet=dirichlet, value=value)
 
 
 def apply_S_control(problem: Problem, mesh: Mesh, next_values, k: int,
@@ -251,12 +244,15 @@ class NodeTable:
     """Precomputed geometry of all characteristics for one control pair.
 
     Valid for every step when the dynamics handles are time-independent.
+    Branch (i, s) has the flat index i*2*Ns + s.
     """
 
     verts: np.ndarray       # (n, 2*Ns, dim+1) vertex indices
     weights: np.ndarray     # (n, 2*Ns, dim+1) interpolation weights
     const: np.ndarray       # (n, 2*Ns) additive constants (dirichlet data)
-    refl: list              # (i, s, d_tilde, p) tuples for oblique exits
+    refl: np.ndarray        # (r,) flat branch indices of the oblique exits
+    refl_d: np.ndarray      # (r,) their algebraic crossing distances d_tilde
+    refl_p: np.ndarray      # (r, dim) their boundary projection points
     dt: float
     a: object = None
     b: object = None
@@ -265,8 +261,9 @@ class NodeTable:
               f_cache: np.ndarray = None):
         """S[next_values](a, b) at every node, plus the f array used."""
         contrib = (next_values[self.verts] * self.weights).sum(axis=2) + self.const
-        for i, s, d_tilde, p in self.refl:
-            contrib[i, s] += d_tilde * float(problem.g(t, p, self.b))
+        if len(self.refl):
+            g = np.array([float(problem.g(t, p, self.b)) for p in self.refl_p])
+            contrib.reshape(-1)[self.refl] += self.refl_d * g
         if f_cache is None:
             f_cache = np.array([float(problem.f(t, x, self.a))
                                 for x in mesh.vertices])
@@ -286,33 +283,24 @@ def check_weights(weights: np.ndarray):
 
 def build_node_table(problem: Problem, mesh: Mesh, a, b, dt: float,
                      c_bar: float, t: float) -> NodeTable:
-    n = mesh.n_vertices
+    n, dim = mesh.n_vertices, mesh.dim
     S = 2 * problem.n_sigma
-    nv = mesh.dim + 1
-    const = np.zeros((n, S))
-    landing = np.zeros((n, S, mesh.dim))
-    located = np.zeros((n, S), dtype=bool)
-    refl = []
-    for i, x in enumerate(mesh.vertices):
-        ys = discrete_characteristics(problem, t, x, a, dt)
-        for s, y in enumerate(ys):
-            rp = _classify(problem, x, y, b, dt, c_bar, t=t)
-            if rp.dirichlet:
-                const[i, s] = rp.value
-                continue
-            # _classify returns non-Dirichlet points inside the closed domain
-            landing[i, s] = rp.y_tilde
-            located[i, s] = True
-            if rp.exited:
-                refl.append((i, s, rp.d_tilde, rp.p))
-    simplex, bary = mesh.locate_many(landing[located])
-    verts = np.zeros((n, S, nv), dtype=int)
-    weights = np.zeros((n, S, nv))
+    X = np.repeat(mesh.vertices, S, axis=0)
+    Y = _characteristics(problem, t, mesh.vertices, a, dt).reshape(-1, dim)
+    rp = _classify_many(problem, X, Y, b, dt, c_bar)
+    # non-Dirichlet branches land in the closed domain
+    located = ~rp.dirichlet
+    simplex, bary = mesh.locate_many(rp.y_tilde[located])
+    verts = np.zeros((n * S, dim + 1), dtype=int)
+    weights = np.zeros((n * S, dim + 1))
     verts[located] = mesh.simplices[simplex]
     weights[located] = bary
     check_weights(weights[located])
-    return NodeTable(verts=verts, weights=weights, const=const, refl=refl,
-                     dt=dt, a=a, b=b)
+    refl = np.flatnonzero(rp.exited & located)
+    return NodeTable(verts=verts.reshape(n, S, dim + 1),
+                     weights=weights.reshape(n, S, dim + 1),
+                     const=rp.value.reshape(n, S), refl=refl,
+                     refl_d=rp.d_tilde[refl], refl_p=rp.p[refl], dt=dt, a=a, b=b)
 
 
 @dataclass

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hjbsl.errors import BadParams, NotOnBoundary, OutOfLayer, OutsideTube
+from hjbsl.errors import BadParams, NoCrossing, NotOnBoundary, OutOfLayer, OutsideTube
 from hjbsl.geometry import (
+    TOL_BOUNDARY,
     Disk,
+    Domain,
     FunctionField,
     Interval,
     NormalField,
@@ -206,3 +208,144 @@ def test_disk_normal_projection_reconstructs(r, th):
     x = np.array([r * math.cos(th), r * math.sin(th)])
     pr = oblique_projection(DISK, NormalField(DISK), None, x, r_max=math.inf)
     assert np.linalg.norm(x - pr.p - pr.d * outward_normal(DISK, pr.p)) <= 1e-10
+
+
+# -- row-batched forms against the one-point loops of the Domain base class --
+
+RECT = RectWithHole()
+BATCHED = {"interval": UNIT, "disk": DISK, "rect": RECT}
+
+
+def _boundary_point(name, u, v):
+    """A boundary point and its outward normal, from u, v in [0, 1]."""
+    if name == "interval":
+        return (np.array([0.0]), np.array([-1.0])) if u < 0.5 else \
+            (np.array([1.0]), np.array([1.0]))
+    if name == "disk":
+        n = np.array([math.cos(2 * math.pi * u), math.sin(2 * math.pi * u)])
+        return n, n
+    xmin, xmax, ymin, ymax = RECT.bounds
+    face = min(int(5 * u), 4)
+    if face == 4:
+        n = np.array([math.cos(2 * math.pi * v), math.sin(2 * math.pi * v)])
+        return RECT.hole_center + RECT.hole_radius * n, -n
+    return [(np.array([xmin, ymin + v * (ymax - ymin)]), np.array([-1.0, 0.0])),
+            (np.array([xmax, ymin + v * (ymax - ymin)]), np.array([1.0, 0.0])),
+            (np.array([xmin + v * (xmax - xmin), ymin]), np.array([0.0, -1.0])),
+            (np.array([xmin + v * (xmax - xmin), ymax]), np.array([0.0, 1.0]))][face]
+
+
+def _box(name):
+    if name == "interval":
+        return [(-0.5, 1.5)]
+    if name == "disk":
+        return [(-1.5, 1.5)] * 2
+    return [(-1.3, 1.3), (-0.8, 0.8)]
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_signed_distance_many_matches_one_point(name, data):
+    dom = BATCHED[name]
+    random = data.draw(st.lists(st.tuples(*[st.floats(a, b) for a, b in _box(name)]),
+                                max_size=20))
+    near = []
+    for u, v, off in data.draw(st.lists(st.tuples(unit, unit, st.sampled_from(
+            [0.0, 1e-10, -1e-10])), max_size=20)):
+        p, n = _boundary_point(name, u, v)
+        near.append(p + off * n)
+    X = np.array(random + near, dtype=float).reshape(-1, dom.dim)
+    got = dom.signed_distance_many(X)
+    ref = Domain.signed_distance_many(dom, X)
+    assert got.shape == ref.shape == (len(X),)
+    # the rect corner regions use np.hypot where the one-point form uses
+    # math.hypot; they can differ in the last bit
+    assert np.all(np.abs(got - ref) <= 1e-15)
+    assert np.array_equal(got <= TOL_BOUNDARY, ref <= TOL_BOUNDARY)
+
+
+@given(st.lists(st.tuples(unit, unit, st.sampled_from([0.0, 1e-10, -1e-10])),
+                min_size=1, max_size=20),
+       st.lists(st.floats(-0.25, 0.25), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_boundary_kind_many_matches_one_point(rows, door_ys):
+    P = [_boundary_point("rect", u, v)[0] + np.array([0.0, off]) for u, v, off in rows]
+    # points around the door edges y = +-0.2
+    P += [np.array([x, y]) for y in door_ys for x in RECT.bounds[:2]]
+    P += [np.array([RECT.bounds[0], s * (0.2 + e)])
+          for s in (-1.0, 1.0) for e in (-2e-9, 0.0, 5e-10, 2e-9)]
+    P = np.array(P)
+    got = RECT.boundary_kind_many(P)
+    ref = Domain.boundary_kind_many(RECT, P)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def _scan_is_exact(dom, X, Y):
+    """False when a segment crosses the hole along a chord shorter than two
+    scan steps, which the scan-plus-bisection reference may step over."""
+    if dom is not RECT:
+        return True
+    w = Y - X
+    v = X - RECT.hole_center
+    a, b = np.sum(w * w, axis=1), np.sum(v * w, axis=1)
+    disc = b * b - a * (np.sum(v * v, axis=1) - RECT.hole_radius ** 2)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.clip((-b - root) / a, 0.0, 1.0)
+    hi = np.clip((-b + root) / a, 0.0, 1.0)
+    chord = np.where(disc > 0.0, hi - lo, 0.0)
+    return not np.any((chord > 0.0) & (chord < 2.0 / 32))
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_first_crossing_many_matches_scan(name, data):
+    """Segments of length <= 0.1 from the closed domain: through a boundary
+    point at up to 80 degrees off its normal, and in random directions."""
+    dom = BATCHED[name]
+    X, Y = [], []
+    for u, v, ang, a, c in data.draw(st.lists(st.tuples(
+            unit, unit, st.floats(-1.4, 1.4), st.floats(0.0, 0.05),
+            st.floats(1e-4, 0.05)), min_size=1, max_size=12)):
+        p, n = _boundary_point(name, u, v)
+        if dom.dim == 2:
+            n = np.array([[math.cos(ang), -math.sin(ang)],
+                          [math.sin(ang), math.cos(ang)]]) @ n
+        X.append(p - a * n)
+        Y.append(p + c * n)
+    for x, th, length in data.draw(st.lists(st.tuples(
+            st.tuples(*[st.floats(lo, hi) for lo, hi in _box(name)]),
+            st.floats(0.0, 2 * math.pi), st.floats(1e-3, 0.1)), max_size=8)):
+        d = np.array([math.cos(th), math.sin(th)][:dom.dim])
+        X.append(np.array(x))
+        Y.append(np.array(x) + length * d)
+    X, Y = np.array(X).reshape(-1, dom.dim), np.array(Y).reshape(-1, dom.dim)
+    keep = dom.signed_distance_many(X) <= 0.0
+    X, Y = X[keep], Y[keep]
+    assume(len(X) and _scan_is_exact(dom, X, Y))
+    for x, y in zip(X, Y):
+        try:
+            ref = Domain.first_crossing_many(dom, x[None], y[None])[0]
+        except NoCrossing:
+            with pytest.raises(NoCrossing):
+                dom.first_crossing_many(x[None], y[None])
+            continue
+        got = dom.first_crossing_many(x[None], y[None])[0]
+        if np.max(np.abs(got - ref)) > 1e-9:
+            # allowed only where the segment runs along the boundary between
+            # the two points (a grazing or tangent exit), so that rounding
+            # decides which of its points the scan sees outside
+            between = np.linspace(got, ref, 17)
+            assert np.max(np.abs(dom.signed_distance_many(between))) <= 1e-12
+        assert dom.boundary_kind(got) == dom.boundary_kind(ref)
+    crossing = dom.signed_distance_many(Y) > 0.0
+    if crossing.any():
+        # whole batch at once gives the same rows
+        many = dom.first_crossing_many(X[crossing], Y[crossing])
+        rows = [dom.first_crossing_many(x[None], y[None])[0]
+                for x, y in zip(X[crossing], Y[crossing])]
+        assert np.array_equal(many, np.array(rows))

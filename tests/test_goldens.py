@@ -27,6 +27,9 @@ CASES = {
     "test2_neumann": ("test2_neumann", 0.0, 0.25, 0.25),
     "test2_oblique": ("test2_oblique", 0.0, 0.25, 0.25),
     "test3_exit": ("test3_exit", 0.0, 0.2, 0.1),
+    # the rect_exit and disk_oblique benchmark workload configurations
+    "test3_exit_dx01": ("test3_exit", 0.0, 0.1, 0.05),
+    "test2_oblique_dx0125": ("test2_oblique", 0.0, 0.125, 0.125),
 }
 
 

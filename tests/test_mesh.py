@@ -257,3 +257,21 @@ def test_locate_many_batches_beyond_one_chunk(monkeypatch):
     assert np.array_equal(whole[0], np.arange(len(m.simplices)))
     assert np.array_equal(whole[0], one_by_one[0])
     assert np.array_equal(whole[1], one_by_one[1])
+
+
+@pytest.mark.parametrize("name", sorted(LOC_MESHES))
+def test_boundary_edges_and_tags_match_face_count(name):
+    m = LOC_MESHES[name]
+    # reference: count every face in a dict, keep the faces seen once in
+    # order of first occurrence
+    faces = {}
+    for simp in m.simplices:
+        for k in range(m.dim + 1):
+            f = tuple(sorted(int(v) for j, v in enumerate(simp) if j != k))
+            faces[f] = faces.get(f, 0) + 1
+    expected = np.array([f for f, cnt in faces.items() if cnt == 1], dtype=int)
+    assert np.array_equal(m._boundary_edges, expected)
+    tags = [0 if abs(m.domain.signed_distance(v)) > 1e-9
+            else 2 if m.domain.boundary_kind(v)[0] == "dirichlet" else 1
+            for v in m.vertices]
+    assert np.array_equal(m.boundary_tags, tags)

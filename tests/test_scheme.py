@@ -2,22 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hjbsl.errors import BadParams, LocationFailure, NoCrossing, OutsideTube, Unstable
-from hjbsl.geometry import Disk, Interval, NormalField, RectWithHole
-from hjbsl.mesh import build_interval_mesh, build_rect_with_hole_mesh
+from hjbsl.geometry import (
+    Disk,
+    FunctionField,
+    Interval,
+    NormalField,
+    RectWithHole,
+    RotatedNormalField,
+)
+from hjbsl.mesh import build_interval_mesh
 from hjbsl.problems import make_test1, make_test3
 from hjbsl.scheme import (
     Problem,
     SchemeParams,
     apply_S,
+    _classify,
+    _classify_many,
     apply_S_control,
     build_node_table,
     check_weights,
     consistency_residual,
-    dirichlet_extension,
     discrete_characteristics,
     n_steps,
     reflect,
@@ -228,26 +236,27 @@ def test_sweep_rejects_dt_larger_than_horizon():
         sweep(pr, mesh, SchemeParams(dt=2.0, c_bar=0.3))
 
 
-def test_dirichlet_extension_routing():
-    bench = make_test3()
-    pr = bench.problem
-    mesh = build_rect_with_hole_mesh(pr.domain.bounds, pr.domain.hole_center,
-                                     pr.domain.hole_radius, 0.2)
-    zero = np.zeros(mesh.n_vertices)
-    left = dirichlet_extension(pr, mesh, zero,
-                               (np.array([-0.9, 0.0]), np.array([-1.1, 0.0])),
-                               0.0)
-    assert left == 0.0
-    right = dirichlet_extension(pr, mesh, zero,
-                                (np.array([0.9, 0.0]), np.array([1.1, 0.0])),
-                                0.0)
-    assert right == 0.2
+def test_dirichlet_routing_by_first_crossing():
+    pr = make_test3().problem
+    dom = pr.domain
+
+    def first(x, y):
+        return dom.first_crossing_many(np.array([x]), np.array([y]))[0]
+
+    # left and right doors take their exit data
+    for x, y, value in [([-0.9, 0.0], [-1.1, 0.0], 0.0), ([0.9, 0.0], [1.1, 0.0], 0.2)]:
+        assert dom.boundary_kind(first(x, y)) == ("dirichlet", value)
+        rp = _classify(pr, np.array(x), np.array(y), 0.0, 0.01, 0.25)
+        assert rp.exited and rp.dirichlet and rp.value == value
+    # a crossing of the oblique top face is reflected, not imposed
+    assert dom.boundary_kind(first([0.0, 0.4], [0.0, 0.6]))[0] == "oblique"
+    rp = _classify(pr, np.array([0.0, 0.4]), np.array([0.0, 0.6]), 0.0, 0.01, 0.25)
+    assert rp.exited and not rp.dirichlet
+    # segments that end inside or on the boundary do not cross
     with pytest.raises(NoCrossing):
-        dirichlet_extension(pr, mesh, zero,
-                            (np.array([0.0, 0.4]), np.array([0.0, 0.6])), 0.0)
+        first([0.0, 0.0], [0.0, 0.2])
     with pytest.raises(NoCrossing):
-        dirichlet_extension(pr, mesh, zero,
-                            (np.array([0.0, 0.0]), np.array([0.0, 0.2])), 0.0)
+        first([0.0, 0.0], [0.0, 0.5])
 
 
 def test_consistency_affine_exact():
@@ -323,3 +332,111 @@ def test_build_node_table_rejects_bad_weights(monkeypatch):
     monkeypatch.setattr(mesh, "locate_many", bad_locate)
     with pytest.raises(LocationFailure):
         build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0)
+
+
+# -- batched classification against the one-point _classify --
+
+def _problem_on(dom, gamma):
+    return Problem(domain=dom, T=1.0, n_sigma=1,
+                   sigma=lambda t, x, a: np.zeros((dom.dim, 1)),
+                   mu=lambda t, x, a: np.zeros(dom.dim),
+                   f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
+                   psi=lambda x: 0.0, gamma=gamma,
+                   controls_a=[0.0], controls_b=[0.0])
+
+
+_DISK = Disk((0.0, 0.0), 1.0)
+_ROT = RotatedNormalField(_DISK, math.pi / 6)
+_RECT = RectWithHole()
+CLASSIFY_CASES = {
+    "interval": _problem_on(Interval(0.0, 1.0), NormalField(Interval(0.0, 1.0))),
+    "disk_normal": _problem_on(_DISK, NormalField(_DISK)),
+    "disk_rotated": _problem_on(_DISK, _ROT),
+    "disk_newton": _problem_on(_DISK, FunctionField(lambda p, b: _ROT(p, b))),
+    "rect": _problem_on(_RECT, NormalField(_RECT)),
+}
+
+
+def _start_point(dom, u, v):
+    """A point of the closed domain, mostly within 0.1 of the boundary."""
+    if dom.dim == 1:
+        return np.array([0.1 * u if v < 0.5 else 1.0 - 0.1 * u])
+    if isinstance(dom, Disk):
+        r = 1.0 - 0.1 * u
+        return np.array([r * math.cos(2 * math.pi * v), r * math.sin(2 * math.pi * v)])
+    # a quarter each within 0.1 of the left and right faces, where the doors are
+    x = -1.0 + 0.4 * u if u < 0.25 else 1.0 - 0.4 * (1.0 - u) if u > 0.75 else -1.0 + 2.0 * u
+    return np.array([x, -0.5 + v])
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
+@given(rows=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                               st.floats(0.0, 2 * math.pi), st.floats(0.0, 0.15)),
+                     min_size=1, max_size=25))
+@settings(max_examples=40, deadline=None)
+def test_classify_many_matches_classify(name, rows):
+    pr = CLASSIFY_CASES[name]
+    dom = pr.domain
+    dt, c_bar = 0.01, 0.25
+    X, Y = [], []
+    for u, v, th, length in rows:
+        x = _start_point(dom, u, v)
+        if dom.signed_distance(x) > 0.0:
+            continue
+        X.append(x)
+        Y.append(x + length * np.array([math.cos(th), math.sin(th)])[:dom.dim])
+    assume(X)
+    X, Y = np.array(X), np.array(Y)
+    try:
+        ref = [_classify(pr, x, y, 0.0, dt, c_bar) for x, y in zip(X, Y)]
+    except OutsideTube:
+        with pytest.raises(OutsideTube):
+            _classify_many(pr, X, Y, 0.0, dt, c_bar)
+        return
+    got = _classify_many(pr, X, Y, 0.0, dt, c_bar)
+    for j, rp in enumerate(ref):
+        assert got.exited[j] == rp.exited
+        assert got.dirichlet[j] == rp.dirichlet
+        assert got.value[j] == rp.value
+        assert np.max(np.abs(got.y_tilde[j] - rp.y_tilde)) <= 1e-12
+        assert abs(got.d_tilde[j] - rp.d_tilde) <= 1e-12
+        if rp.exited and not rp.dirichlet:
+            assert np.max(np.abs(got.p[j] - rp.p)) <= 1e-12
+
+
+class _Counting:
+    """Counts the scalar signed_distance calls of a built-in domain."""
+
+    calls = 0
+
+    def signed_distance(self, x):
+        self.calls += 1
+        return super().signed_distance(x)
+
+
+class _CountingDisk(_Counting, Disk):
+    pass
+
+
+class _CountingRect(_Counting, RectWithHole):
+    pass
+
+
+@pytest.mark.parametrize("dom, field, y", [
+    (_CountingDisk(), lambda d: RotatedNormalField(d, math.pi / 6), [1.05, 0.1]),
+    (_CountingRect(), NormalField, [0.3, 0.52]),
+], ids=["disk", "rect"])
+def test_oblique_exit_costs_two_signed_distances(dom, field, y):
+    pr = _problem_on(dom, field(dom))
+    x = np.array(y) * 0.9
+    dom.calls = 0
+    assert not _classify(pr, x, x, 0.0, 0.01, 0.25).exited
+    assert dom.calls == 1
+    dom.calls = 0
+    rp = _classify(pr, x, np.array(y), 0.0, 0.01, 0.25)
+    assert rp.exited and not rp.dirichlet
+    # contains(y) and contains(y_tilde); no second test of y
+    assert dom.calls == 2
+    dom.calls = 0
+    assert reflect(pr, 0.0, np.array(y), 0.01, 0.25).exited
+    assert dom.calls == 2
