@@ -8,7 +8,6 @@ from .errors import (
     LocationFailure,
     NoConvergence,
     NoCrossing,
-    NotFitted,
     NotOnBoundary,
     OutOfLayer,
     OutsideDomain,
@@ -28,10 +27,7 @@ from .geometry import (
     RectWithHole,
     RotatedNormalField,
     layer_distance,
-    nearest_point_projection,
     oblique_projection,
-    outward_normal,
-    signed_distance,
 )
 from .mesh import (
     Location,
@@ -39,9 +35,6 @@ from .mesh import (
     build_disk_mesh,
     build_interval_mesh,
     build_rect_with_hole_mesh,
-    interpolate,
-    locate,
-    project_to_mesh,
     read_mesh,
     write_mesh,
 )
@@ -62,16 +55,12 @@ from .problems import (
 )
 from .scheme import (
     Problem,
-    ReflectedPoint,
     SchemeParams,
     ValueFunction,
     apply_S,
     apply_S_control,
     consistency_residual,
-    discrete_characteristics,
-    reflect,
     sweep,
 )
-from .solver import SemiLagrangianSolver
 
 __version__ = "0.1.0"

@@ -27,6 +27,8 @@ from .problems import Benchmark, get_benchmark
 from .scheme import SchemeParams, ValueFunction, sweep
 
 CSV_COLUMNS = ["dx", "dt", "e_inf", "e_1", "p_inf", "p_1", "max_u", "wall_seconds"]
+# the keys save_config writes and load_config reads
+STUDY_KEYS = {"benchmark", "eps", "dx_ladder", "dt_rule", "c_bar", "n_a"}
 
 
 @dataclass
@@ -37,8 +39,6 @@ class StudyConfig:
     dt_rule: str = "dx"          # dx | dx/2
     c_bar: float = None          # benchmark default when None
     n_a: int = 16
-    n_b: int = 1
-    seed: int = 0
     out: str = None
 
     def __post_init__(self):
@@ -111,7 +111,7 @@ def run_study(config: StudyConfig) -> ErrorReport:
         start = time.perf_counter()
         try:
             mesh = build_mesh_for(bench, dx)
-            vf = sweep(bench.problem, mesh, SchemeParams(dt=dt, c_bar=c_bar, dx=dx))
+            vf = sweep(bench.problem, mesh, SchemeParams(dt=dt, c_bar=c_bar))
         except HJBError as exc:
             raise type(exc)(f"level dx={dx:g}: {exc}") from exc
         e_inf, e_1 = solution_errors(vf, bench.problem.exact_solution)
@@ -174,8 +174,6 @@ def save_config(config: StudyConfig, path):
         "dt_rule": config.dt_rule,
         "c_bar": "" if config.c_bar is None else repr(config.c_bar),
         "n_a": str(config.n_a),
-        "n_b": str(config.n_b),
-        "seed": str(config.seed),
     }
     with open(path, "w", encoding="ascii") as fh:
         cp.write(fh)
@@ -186,6 +184,9 @@ def load_config(path) -> StudyConfig:
     if not cp.read(path):
         raise ConfigError(f"cannot read config {path}")
     s = cp["study"]
+    unknown = sorted(set(s) - STUDY_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown [study] keys in {path}: {', '.join(unknown)}")
     c_bar = s.get("c_bar", "")
     return StudyConfig(
         benchmark=s["benchmark"],
@@ -194,8 +195,6 @@ def load_config(path) -> StudyConfig:
         dt_rule=s.get("dt_rule", "dx"),
         c_bar=None if not c_bar else float(c_bar),
         n_a=int(s.get("n_a", "16")),
-        n_b=int(s.get("n_b", "1")),
-        seed=int(s.get("seed", "0")),
     )
 
 
@@ -204,8 +203,6 @@ def _add_common(p):
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--cbar", type=float, default=None)
     p.add_argument("--na", type=int, default=16)
-    p.add_argument("--nb", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
 
@@ -218,7 +215,7 @@ def _config_from_args(args) -> StudyConfig:
         benchmark=args.benchmark, eps=args.eps,
         dx_ladder=[float(v) for v in args.dx_ladder.split(",")],
         dt_rule=args.dt_rule, c_bar=args.cbar,
-        n_a=args.na, n_b=args.nb, seed=args.seed, out=args.out)
+        n_a=args.na, out=args.out)
 
 
 def main(argv=None) -> int:
@@ -258,8 +255,7 @@ def main(argv=None) -> int:
             c_bar = bench.c_bar if args.cbar is None else args.cbar
             dt = args.dt if args.dt is not None else args.dx
             mesh = build_mesh_for(bench, args.dx)
-            vf = sweep(bench.problem, mesh,
-                       SchemeParams(dt=dt, c_bar=c_bar, dx=args.dx))
+            vf = sweep(bench.problem, mesh, SchemeParams(dt=dt, c_bar=c_bar))
             idx = args.time_index
             if idx < 0:
                 idx += len(vf.values)

@@ -51,7 +51,3 @@ class TooLarge(HJBError):
 
 class ConfigError(HJBError):
     """Invalid study configuration."""
-
-
-class NotFitted(HJBError):
-    """Solver used before fit()."""

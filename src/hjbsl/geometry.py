@@ -87,9 +87,6 @@ class Domain:
         or ('dirichlet', value)."""
         return ("oblique", None)
 
-    def contains(self, x, tol: float = TOL_BOUNDARY) -> bool:
-        return self.signed_distance(x) <= tol
-
     # Row-batched forms.  The defaults loop over the one-point methods, so a
     # user-defined domain needs only those; the built-in domains override
     # them with numpy.
@@ -420,18 +417,6 @@ class FunctionField(ObliqueField):
 
     def __call__(self, p, b) -> np.ndarray:
         return as_point(self.fn(p, b))
-
-
-def signed_distance(domain: Domain, x) -> float:
-    return domain.signed_distance(x)
-
-
-def outward_normal(domain: Domain, p) -> np.ndarray:
-    return domain.outward_normal(p)
-
-
-def nearest_point_projection(domain: Domain, x) -> np.ndarray:
-    return domain.nearest_point_projection(x)
 
 
 def _check_tube(domain: Domain, X, r_max):

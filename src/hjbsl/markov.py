@@ -5,9 +5,11 @@ Policies assign to each (step, vertex) a pair of indices into the
 discretized control lists.  The chain moves by drawing one of the 2*N_sigma
 characteristic branches uniformly and then one of the simplex vertices of
 the landing point with its barycentric weight; Dirichlet exits absorb.
+Every row of the chain is a row of build_node_table.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,14 +19,13 @@ import numpy as np
 from .errors import BadParams, TooLarge
 from .mesh import Mesh
 from .scheme import (
+    NodeTable,
     Problem,
     SchemeParams,
-    _classify,
-    discrete_characteristics,
+    build_node_table,
     n_steps,
     step_time,
 )
-
 
 @dataclass
 class TransitionLaw:
@@ -38,23 +39,78 @@ class TransitionLaw:
 
 
 @dataclass
-class _Branch:
-    """One characteristic branch of the chain at a fixed (i, a, b)."""
+class _Walk:
+    """One chain row as Python lists, for the Monte Carlo loop.
 
-    verts: np.ndarray = None
-    weights: np.ndarray = None
-    d_tilde: float = 0.0
-    p: np.ndarray = None          # boundary point for the crossing cost
-    exited: bool = False
-    dirichlet: bool = False
-    value: float = 0.0
+    Slot q = s*width + v of the flattened (branch, simplex vertex) grid
+    leads to verts[q]; it is drawn when a uniform draw times total falls
+    below cuts[q] and not below cuts[q-1].  A Dirichlet branch puts its
+    whole mass on its first slot and absorbs with value[s]; an oblique exit
+    pays refl_d[s] * g(t, refl_p[s], b).
+    """
+
+    layer: bool              # some branch exits
+    cuts: list
+    total: float
+    width: int
+    verts: list
+    dirichlet: list
+    value: list
+    refl_d: list
+    refl_p: np.ndarray
+
+
+class _Rows:
+    """One control pair's rows over all mesh vertices, copied from
+    build_node_table tables as the chain reaches them; built marks the rows
+    copied so far.  Reflections are dense here: refl_d[j, s] is 0 off the
+    oblique exits."""
+
+    def __init__(self, n: int, S: int, dim: int):
+        self.built = np.zeros(n, dtype=bool)
+        self.verts = np.zeros((n, S, dim + 1), dtype=int)
+        self.weights = np.zeros((n, S, dim + 1))
+        self.const = np.zeros((n, S))
+        self.dirichlet = np.zeros((n, S), dtype=bool)
+        self.refl_d = np.zeros((n, S))
+        self.refl_p = np.zeros((n, S, dim))
+
+    def fill(self, part: NodeTable):
+        J = part.nodes
+        self.verts[J], self.weights[J] = part.verts, part.weights
+        self.const[J], self.dirichlet[J] = part.const, part.dirichlet
+        r, s = np.divmod(part.refl, self.const.shape[1])
+        self.refl_d[J[r], s] = part.refl_d
+        self.refl_p[J[r], s] = part.refl_p
+        self.built[J] = True
+
+    def table(self, J: np.ndarray, dt: float, a, b) -> NodeTable:
+        """The rows of the vertices J as a NodeTable."""
+        refl_d = self.refl_d[J].reshape(-1)
+        refl = np.flatnonzero(refl_d)
+        return NodeTable(nodes=J, verts=self.verts[J], weights=self.weights[J],
+                         const=self.const[J], dirichlet=self.dirichlet[J], refl=refl,
+                         refl_d=refl_d[refl],
+                         refl_p=self.refl_p[J].reshape(len(refl_d), -1)[refl],
+                         dt=dt, a=a, b=b)
+
+    def walk(self, j: int) -> _Walk:
+        mass = self.weights[j].copy()
+        mass[self.dirichlet[j], 0] = 1.0
+        cum = np.cumsum(mass.ravel())
+        return _Walk(layer=bool(self.dirichlet[j].any() or self.refl_d[j].any()),
+                     cuts=cum[:-1].tolist(), total=float(cum[-1]), width=mass.shape[1],
+                     verts=self.verts[j].ravel().tolist(),
+                     dirichlet=self.dirichlet[j].tolist(), value=self.const[j].tolist(),
+                     refl_d=self.refl_d[j].tolist(), refl_p=self.refl_p[j])
 
 
 class _ChainModel:
-    """Caches branch geometry per (vertex, control pair).
-
-    Only valid when the dynamics handles are time-independent, which holds
-    for every oracle instance used here (asserted by the caller's data).
+    """The chain's rows per (vertex, control pair), taken from
+    build_node_table as the chain reaches them, the missing rows of one
+    request in one call.  Rows are built at the step's time and shared
+    across steps only when the dynamics are time-independent, as in the
+    sweep.
     """
 
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
@@ -62,42 +118,47 @@ class _ChainModel:
         self.mesh = mesh
         self.params = params
         self.N = n_steps(problem.T, params.dt)
-        self.t_end = self.N * params.dt
-        self._cache = {}
+        self.S = 2 * problem.n_sigma
+        self.times = [step_time(problem, m, params.dt) for m in range(self.N)]
+        self._rows = {}       # (step or None, ia, ib) -> _Rows
+        self._walks = {}      # (step or None, ia, ib, vertex) -> _Walk
 
-    def time(self, m: int) -> float:
-        return step_time(self.problem, self.t_end, m, self.params.dt)
+    def _key(self, m: int, ia: int, ib: int) -> tuple:
+        return (None if self.problem.time_independent_dynamics else m, ia, ib)
 
-    def branches(self, i: int, ia: int, ib: int) -> list:
-        key = (i, ia, ib)
-        if key in self._cache:
-            return self._cache[key]
-        pr, mesh = self.problem, self.mesh
-        a = pr.controls_a[ia]
-        b = pr.controls_b[ib]
-        x = mesh.vertices[i]
-        t = self.time(0)
+    def rows(self, m: int, ia: int, ib: int, nodes: np.ndarray) -> _Rows:
+        """Pair (ia, ib)'s rows at step m, with those of nodes built."""
+        key = self._key(m, ia, ib)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = _Rows(self.mesh.n_vertices, self.S, self.mesh.dim)
+        missing = nodes[~rows.built[nodes]]
+        if len(missing):
+            pr, params = self.problem, self.params
+            rows.fill(build_node_table(pr, self.mesh, pr.controls_a[ia],
+                                       pr.controls_b[ib], params.dt, params.c_bar,
+                                       self.times[m], missing))
+        return rows
+
+    def walk(self, m: int, ia: int, ib: int, j: int) -> _Walk:
+        key = self._key(m, ia, ib) + (j,)
+        w = self._walks.get(key)
+        if w is None:
+            w = self._walks[key] = self.rows(m, ia, ib, np.array([j])).walk(j)
+        return w
+
+    def tables(self, m: int, policy, nodes: np.ndarray) -> list:
+        """nodes grouped by their control pair at step m, one table each."""
+        pr = self.problem
+        groups = {}
+        for j in nodes.tolist():
+            groups.setdefault(tuple(_policy_at(policy, m, j)), []).append(j)
         out = []
-        for y in discrete_characteristics(pr, t, x, a, self.params.dt):
-            rp = _classify(pr, x, y, b, self.params.dt, self.params.c_bar, t=t)
-            br = _Branch(exited=rp.exited, dirichlet=rp.dirichlet, value=rp.value)
-            if not rp.dirichlet:
-                br.verts, br.weights = mesh.interpolation_weights(rp.y_tilde)
-                br.d_tilde = rp.d_tilde
-                br.p = rp.p
-            out.append(br)
-        self._cache[key] = out
+        for (ia, ib), J in groups.items():
+            J = np.array(J)
+            out.append(self.rows(m, ia, ib, J).table(
+                J, self.params.dt, pr.controls_a[ia], pr.controls_b[ib]))
         return out
-
-    def boundary_cost(self, m: int, i: int, ia: int, ib: int) -> float:
-        """Expected crossing cost h at step m (Dirichlet data excluded)."""
-        t = self.time(m)
-        b = self.problem.controls_b[ib]
-        acc = 0.0
-        for br in self.branches(i, ia, ib):
-            if br.exited and not br.dirichlet:
-                acc += br.d_tilde * float(self.problem.g(t, br.p, b))
-        return acc / (2 * self.problem.n_sigma)
 
 
 def _policy_at(policy, m: int, i: int):
@@ -108,25 +169,17 @@ def _policy_at(policy, m: int, i: int):
 
 def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
                    params: SchemeParams) -> TransitionLaw:
-    """p_{k,i,j}(a,b) = (1/2Ns) sum_s psi_j(y_tilde^s).
+    """p_{k,i,j}(a,b) = (1/2Ns) sum_s psi_j(y_tilde^s) over its support.
 
     Rows are probability distributions; Dirichlet-absorbed branches make
     the row substochastic by their mass.
     """
-    N = n_steps(problem.T, params.dt)
-    t = step_time(problem, N * params.dt, k, params.dt)
-    x = mesh.vertices[i]
-    acc = {}
-    for y in discrete_characteristics(problem, t, x, a, params.dt):
-        rp = _classify(problem, x, y, b, params.dt, params.c_bar, t=t)
-        if rp.dirichlet:
-            continue
-        vv, ww = mesh.interpolation_weights(rp.y_tilde)
-        for j, w in zip(vv, ww):
-            acc[int(j)] = acc.get(int(j), 0.0) + float(w)
-    idx = np.array(sorted(acc), dtype=int)
-    pr = np.array([acc[j] for j in idx]) / (2 * problem.n_sigma)
-    return TransitionLaw(indices=idx, probs=pr)
+    t = step_time(problem, k, params.dt)
+    table = build_node_table(problem, mesh, a, b, params.dt, params.c_bar, t, [i])
+    probs = np.bincount(table.verts.ravel(), weights=table.weights.ravel(),
+                        minlength=mesh.n_vertices) / (2 * problem.n_sigma)
+    idx = np.flatnonzero(probs)
+    return TransitionLaw(indices=idx, probs=probs[idx])
 
 
 def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
@@ -150,65 +203,47 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
 
 
 def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
-    pr, mesh, params = model.problem, model.mesh, model.params
-    dt = params.dt
-    rho = np.zeros(mesh.n_vertices)
+    pr, mesh = model.problem, model.mesh
+    n = mesh.n_vertices
+    rho = np.zeros(n)
     rho[i] = 1.0
     total = 0.0
     for m in range(k, model.N):
-        t = model.time(m)
-        nxt = np.zeros_like(rho)
-        for j in np.nonzero(rho)[0]:
-            w = rho[j]
-            ia, ib = _policy_at(policy, m, j)
-            a = pr.controls_a[ia]
-            total += w * (dt * float(pr.f(t, mesh.vertices[j], a))
-                          + model.boundary_cost(m, j, ia, ib))
-            inv = 1.0 / (2 * pr.n_sigma)
-            for br in model.branches(j, ia, ib):
-                if br.dirichlet:
-                    total += w * inv * br.value
-                    continue
-                for jj, bw in zip(br.verts, br.weights):
-                    nxt[jj] += w * inv * float(bw)
-        rho = nxt
-    for j in np.nonzero(rho)[0]:
-        total += rho[j] * float(pr.psi(mesh.vertices[j]))
-    return float(total)
+        nxt = np.zeros(n)
+        for table in model.tables(m, policy, np.flatnonzero(rho)):
+            w = rho[table.nodes]
+            # the expected one-step cost is the operator applied to zero
+            total += float(w @ table.apply(pr, mesh, np.zeros(n), model.times[m])[0])
+            nxt += np.bincount(table.verts.ravel(),
+                               weights=(w[:, None, None] * table.weights).ravel(),
+                               minlength=n)
+        rho = nxt / model.S
+    J = np.flatnonzero(rho)
+    return float(total + rho[J] @ np.array([float(pr.psi(x)) for x in mesh.vertices[J]]))
 
 
 def _simulate_path(model: _ChainModel, policy, k: int, i: int,
                    seed: int, path: int):
     """One chain trajectory; returns (cost, boundary-layer step count)."""
     rng = np.random.Generator(np.random.Philox(key=[seed, path]))
-    pr, mesh, params = model.problem, model.mesh, model.params
-    dt = params.dt
+    pr, mesh = model.problem, model.mesh
+    dt = model.params.dt
     state = i
     cost = 0.0
     layer_steps = 0
     for m in range(k, model.N):
-        t = model.time(m)
+        t = model.times[m]
         ia, ib = _policy_at(policy, m, state)
-        a = pr.controls_a[ia]
-        b = pr.controls_b[ib]
-        branches = model.branches(state, ia, ib)
-        if any(br.exited for br in branches):
-            layer_steps += 1
-        cost += dt * float(pr.f(t, mesh.vertices[state], a))
-        br = branches[rng.integers(0, len(branches))]
-        if br.dirichlet:
-            return cost + br.value, layer_steps
-        if br.exited:
-            cost += br.d_tilde * float(pr.g(t, br.p, b))
-        u = rng.random()
-        cum = 0.0
-        nxt = int(br.verts[-1])
-        for jj, w in zip(br.verts, br.weights):
-            cum += float(w)
-            if u < cum:
-                nxt = int(jj)
-                break
-        state = nxt
+        w = model.walk(m, ia, ib, state)
+        layer_steps += w.layer
+        cost += dt * float(pr.f(t, mesh.vertices[state], pr.controls_a[ia]))
+        q = bisect.bisect(w.cuts, rng.random() * w.total)
+        s = q // w.width
+        if w.dirichlet[s]:
+            return cost + w.value[s], layer_steps
+        if w.refl_d[s]:
+            cost += w.refl_d[s] * float(pr.g(t, w.refl_p[s], pr.controls_b[ib]))
+        state = w.verts[q]
     return cost + float(pr.psi(mesh.vertices[state])), layer_steps
 
 
@@ -234,24 +269,13 @@ def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams,
 
 def _policy_values(model: _ChainModel, policy) -> np.ndarray:
     """J_{0,i} for all i under one fixed policy (backward evaluation)."""
-    pr, mesh, params = model.problem, model.mesh, model.params
-    dt = params.dt
+    pr, mesh = model.problem, model.mesh
+    nodes = np.arange(mesh.n_vertices)
     J = np.array([float(pr.psi(x)) for x in mesh.vertices])
     for m in range(model.N - 1, -1, -1):
-        t = model.time(m)
         new = np.empty_like(J)
-        inv = 1.0 / (2 * pr.n_sigma)
-        for j in range(mesh.n_vertices):
-            ia, ib = _policy_at(policy, m, j)
-            a = pr.controls_a[ia]
-            acc = dt * float(pr.f(t, mesh.vertices[j], a))
-            acc += model.boundary_cost(m, j, ia, ib)
-            for br in model.branches(j, ia, ib):
-                if br.dirichlet:
-                    acc += inv * br.value
-                else:
-                    acc += inv * float(np.dot(J[br.verts], br.weights))
-            new[j] = acc
+        for table in model.tables(m, policy, nodes):
+            new[table.nodes] = table.apply(pr, mesh, J, model.times[m])[0]
         J = new
     return J
 

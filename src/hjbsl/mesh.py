@@ -248,18 +248,6 @@ class Mesh:
         return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
 
 
-def project_to_mesh(mesh: Mesh, x) -> np.ndarray:
-    return mesh.project(x)
-
-
-def locate(mesh: Mesh, x) -> Location:
-    return mesh.locate(x)
-
-
-def interpolate(mesh: Mesh, nodal, x) -> float:
-    return mesh.interpolate(nodal, x)
-
-
 def _mesh_metrics(vertices, simplices):
     verts = vertices[simplices]
     m, k, d = verts.shape

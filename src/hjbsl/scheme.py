@@ -10,7 +10,7 @@ first-order imposition).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .geometry import (
     Domain,
     ObliqueField,
     as_point,
-    oblique_projection,
     oblique_projection_many,
 )
 from .mesh import Mesh
@@ -70,7 +69,6 @@ class Problem:
 class SchemeParams:
     dt: float
     c_bar: float
-    dx: float = None          # reporting only
     blowup_guard: float = None
 
     def __post_init__(self):
@@ -80,107 +78,63 @@ class SchemeParams:
 
 @dataclass
 class ReflectedPoint:
+    """Classification of a batch of characteristics, one row each.
+
+    exited rows left the domain.  Dirichlet rows stop at their first
+    boundary crossing y_tilde and take the exit datum value; the other
+    exited rows are pulled back to y_tilde, past their boundary projection
+    point p by c_bar*sqrt(dt), with crossing distance d_tilde.
+    """
+
     y_tilde: np.ndarray
-    d_tilde: float
-    g_tilde: float
-    exited: bool
-    p: np.ndarray = None          # boundary projection point when exited
-    dirichlet: bool = False
-    value: float = 0.0            # exit datum for dirichlet exits
+    d_tilde: np.ndarray
+    exited: np.ndarray
+    p: np.ndarray
+    dirichlet: np.ndarray
+    value: np.ndarray
 
 
 def n_steps(T: float, dt: float) -> int:
     return int(math.floor(T / dt + 1e-9))
 
 
-def step_time(problem: Problem, t_end: float, k: int, dt: float) -> float:
+def step_time(problem: Problem, k: int, dt: float) -> float:
     """Physical time at which step k samples the data handles.
 
     Step k advances the solution across the physical slab
     [k*dt, (k+1)*dt] (backward) or [t_end-(k+1)*dt, t_end-k*dt]
-    (forward); data is evaluated at the left endpoint in both cases.
+    (forward, t_end = n_steps*dt); data is evaluated at the left endpoint
+    in both cases.
     """
     if problem.orientation == "backward":
         return k * dt
-    return t_end - (k + 1) * dt
-
-
-def discrete_characteristics(problem: Problem, t: float, x, a, dt: float) -> np.ndarray:
-    """Points y^{+,1}, y^{-,1}, ..., y^{+,Ns}, y^{-,Ns} in fixed order."""
-    x = as_point(x)
-    mu = as_point(problem.mu(t, x, a))
-    sg = np.asarray(problem.sigma(t, x, a), dtype=float).reshape(
-        problem.domain.dim, problem.n_sigma)
-    return _branches(x + dt * mu, sg, math.sqrt(problem.n_sigma * dt))
+    return n_steps(problem.T, dt) * dt - (k + 1) * dt
 
 
 def _characteristics(problem: Problem, t: float, X, a, dt: float) -> np.ndarray:
-    """discrete_characteristics of each row of X, as an (n, 2*Ns, dim)
-    array; mu and sigma are called once per row."""
+    """Points y^{+,1}, y^{-,1}, ..., y^{+,Ns}, y^{-,Ns} of each row of X in
+    fixed order, as an (n, 2*Ns, dim) array; mu and sigma are called once
+    per row."""
     dim, ns = problem.domain.dim, problem.n_sigma
     mu = np.array([as_point(problem.mu(t, x, a)) for x in X]).reshape(-1, dim)
     sg = np.array([np.asarray(problem.sigma(t, x, a), dtype=float).reshape(dim, ns)
                    for x in X]).reshape(-1, dim, ns)
-    return _branches(X + dt * mu, sg, math.sqrt(ns * dt))
-
-
-def _branches(base, sg, root: float) -> np.ndarray:
-    """base +- root * sigma_l for each column l, interleaved; base is
-    (..., dim) and sg (..., dim, Ns)."""
-    step = root * np.swapaxes(sg, -1, -2)
-    out = np.empty(step.shape[:-2] + (2 * step.shape[-2], step.shape[-1]))
-    out[..., 0::2, :] = base[..., None, :] + step
-    out[..., 1::2, :] = base[..., None, :] - step
+    base = X + dt * mu
+    # base +- sqrt(Ns*dt) * sigma_l for each column l, interleaved
+    step = math.sqrt(ns * dt) * np.swapaxes(sg, -1, -2)
+    out = np.empty((len(base), 2 * ns, dim))
+    out[:, 0::2] = base[:, None, :] + step
+    out[:, 1::2] = base[:, None, :] - step
     return out
-
-
-def reflect(problem: Problem, b, y, dt: float, c_bar: float,
-            t: float = 0.0) -> ReflectedPoint:
-    """Pull an exited characteristic back inside along gamma_b."""
-    y = as_point(y)
-    if problem.domain.contains(y):
-        return ReflectedPoint(y_tilde=y, d_tilde=0.0, g_tilde=0.0, exited=False)
-    return _pull_back(problem, b, y, dt, c_bar, t)
-
-
-def _pull_back(problem: Problem, b, y, dt: float, c_bar: float,
-               t: float) -> ReflectedPoint:
-    """Reflection of a characteristic y already known to be outside."""
-    # the nominal tube radius can be exceeded by coarse steps; rely on the
-    # containment check on the pulled-back point instead
-    proj = oblique_projection(problem.domain, problem.gamma, b, y, r_max=math.inf)
-    push = c_bar * math.sqrt(dt)
-    y_tilde = proj.p - push * proj.gamma
-    if not problem.domain.contains(y_tilde):
-        raise OutsideTube(PULLED_OUTSIDE)
-    return ReflectedPoint(y_tilde=y_tilde, d_tilde=proj.d + push,
-                          g_tilde=float(problem.g(t, proj.p, b)), exited=True,
-                          p=proj.p)
-
-
-def _classify(problem: Problem, x, y, b, dt: float, c_bar: float,
-              t: float = 0.0) -> ReflectedPoint:
-    """Route an exited characteristic to reflection or Dirichlet imposition."""
-    y = as_point(y)
-    dom = problem.domain
-    if dom.contains(y):
-        return ReflectedPoint(y_tilde=y, d_tilde=0.0, g_tilde=0.0, exited=False)
-    if dom.has_dirichlet:
-        q = dom.first_crossing_many(as_point(x)[None, :], y[None, :])[0]
-        kind, value = dom.boundary_kind(q)
-        if kind == "dirichlet":
-            return ReflectedPoint(y_tilde=q, d_tilde=0.0, g_tilde=0.0,
-                                  exited=True, dirichlet=True, value=float(value))
-    return _pull_back(problem, b, y, dt, c_bar, t)
 
 
 def _classify_many(problem: Problem, X, Y, b, dt: float,
                    c_bar: float) -> ReflectedPoint:
-    """_classify of each row pair (X[j], Y[j]) in one batched pass.
+    """Route each characteristic Y[j] from its vertex X[j] to the interior,
+    a Dirichlet exit or a reflection, in one batched pass.
 
-    Returns a ReflectedPoint whose fields carry a leading row axis: p is
-    set on reflected rows (zero elsewhere) and g_tilde is None, since the
-    boundary cost depends on the step's time.
+    p is set on reflected rows and zero elsewhere; the boundary cost
+    g(t, p, b) is left to the caller, since it depends on the step's time.
     """
     dom = problem.domain
     m = len(Y)
@@ -199,6 +153,8 @@ def _classify_many(problem: Problem, X, Y, b, dt: float,
         y_tilde[rows[hit]] = q[hit]
         rows = rows[~hit]
     if len(rows):
+        # the nominal tube radius can be exceeded by coarse steps; rely on
+        # the containment check on the pulled-back points instead
         proj = oblique_projection_many(dom, problem.gamma, b, Y[rows], r_max=math.inf)
         push = c_bar * math.sqrt(dt)
         y_tilde[rows] = proj.p - push * proj.gamma
@@ -206,25 +162,16 @@ def _classify_many(problem: Problem, X, Y, b, dt: float,
             raise OutsideTube(PULLED_OUTSIDE)
         d_tilde[rows] = proj.d + push
         p[rows] = proj.p
-    return ReflectedPoint(y_tilde=y_tilde, d_tilde=d_tilde, g_tilde=None,
-                          exited=exited, p=p, dirichlet=dirichlet, value=value)
+    return ReflectedPoint(y_tilde=y_tilde, d_tilde=d_tilde, exited=exited, p=p,
+                          dirichlet=dirichlet, value=value)
 
 
 def apply_S_control(problem: Problem, mesh: Mesh, next_values, k: int,
                     i: int, a, b, params: SchemeParams) -> float:
-    """One-step operator S_{k,i}[Phi](a,b) (scalar reference path)."""
-    dt = params.dt
-    N = n_steps(problem.T, dt)
-    t = step_time(problem, N * dt, k, dt)
-    x = mesh.vertices[i]
-    acc = 0.0
-    for y in discrete_characteristics(problem, t, x, a, dt):
-        rp = _classify(problem, x, y, b, dt, params.c_bar, t=t)
-        if rp.dirichlet:
-            acc += rp.value
-        else:
-            acc += mesh.interpolate(next_values, rp.y_tilde) + rp.d_tilde * rp.g_tilde
-    return acc / (2 * problem.n_sigma) + dt * float(problem.f(t, x, a))
+    """One-step operator S_{k,i}[Phi](a,b): row i of NodeTable.apply."""
+    t = step_time(problem, k, params.dt)
+    table = build_node_table(problem, mesh, a, b, params.dt, params.c_bar, t, [i])
+    return float(table.apply(problem, mesh, next_values, t)[0][0])
 
 
 def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
@@ -241,15 +188,20 @@ def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
 
 @dataclass
 class NodeTable:
-    """Precomputed geometry of all characteristics for one control pair.
+    """Classified, located characteristics of one control pair at the
+    vertices nodes; row r belongs to vertex nodes[r] and holds its 2*Ns
+    branches.
 
     Valid for every step when the dynamics handles are time-independent.
-    Branch (i, s) has the flat index i*2*Ns + s.
+    Branch (r, s) has the flat index r*2*Ns + s.  A Dirichlet branch has
+    zero weights and its exit datum in const.
     """
 
+    nodes: np.ndarray       # (n,) vertex index of each row
     verts: np.ndarray       # (n, 2*Ns, dim+1) vertex indices
     weights: np.ndarray     # (n, 2*Ns, dim+1) interpolation weights
     const: np.ndarray       # (n, 2*Ns) additive constants (dirichlet data)
+    dirichlet: np.ndarray   # (n, 2*Ns) Dirichlet exits
     refl: np.ndarray        # (r,) flat branch indices of the oblique exits
     refl_d: np.ndarray      # (r,) their algebraic crossing distances d_tilde
     refl_p: np.ndarray      # (r, dim) their boundary projection points
@@ -259,14 +211,14 @@ class NodeTable:
 
     def apply(self, problem: Problem, mesh: Mesh, next_values, t: float,
               f_cache: np.ndarray = None):
-        """S[next_values](a, b) at every node, plus the f array used."""
+        """S[next_values](a, b) at every row, plus the f array used."""
         contrib = (next_values[self.verts] * self.weights).sum(axis=2) + self.const
         if len(self.refl):
             g = np.array([float(problem.g(t, p, self.b)) for p in self.refl_p])
             contrib.reshape(-1)[self.refl] += self.refl_d * g
         if f_cache is None:
             f_cache = np.array([float(problem.f(t, x, self.a))
-                                for x in mesh.vertices])
+                                for x in mesh.vertices[self.nodes]])
         return contrib.mean(axis=1) + self.dt * f_cache, f_cache
 
 
@@ -282,11 +234,16 @@ def check_weights(weights: np.ndarray):
 
 
 def build_node_table(problem: Problem, mesh: Mesh, a, b, dt: float,
-                     c_bar: float, t: float) -> NodeTable:
-    n, dim = mesh.n_vertices, mesh.dim
+                     c_bar: float, t: float, nodes) -> NodeTable:
+    """The only path from characteristics to classified, located branches:
+    the rows of pair (a, b) at time t for the vertex indices nodes, formed,
+    classified and located in one batched pass."""
+    nodes = np.asarray(nodes, dtype=int)
+    n, dim = len(nodes), mesh.dim
     S = 2 * problem.n_sigma
-    X = np.repeat(mesh.vertices, S, axis=0)
-    Y = _characteristics(problem, t, mesh.vertices, a, dt).reshape(-1, dim)
+    V = mesh.vertices[nodes]
+    X = np.repeat(V, S, axis=0)
+    Y = _characteristics(problem, t, V, a, dt).reshape(-1, dim)
     rp = _classify_many(problem, X, Y, b, dt, c_bar)
     # non-Dirichlet branches land in the closed domain
     located = ~rp.dirichlet
@@ -297,10 +254,11 @@ def build_node_table(problem: Problem, mesh: Mesh, a, b, dt: float,
     weights[located] = bary
     check_weights(weights[located])
     refl = np.flatnonzero(rp.exited & located)
-    return NodeTable(verts=verts.reshape(n, S, dim + 1),
+    return NodeTable(nodes=nodes, verts=verts.reshape(n, S, dim + 1),
                      weights=weights.reshape(n, S, dim + 1),
-                     const=rp.value.reshape(n, S), refl=refl,
-                     refl_d=rp.d_tilde[refl], refl_p=rp.p[refl], dt=dt, a=a, b=b)
+                     const=rp.value.reshape(n, S), dirichlet=rp.dirichlet.reshape(n, S),
+                     refl=refl, refl_d=rp.d_tilde[refl], refl_p=rp.p[refl],
+                     dt=dt, a=a, b=b)
 
 
 @dataclass
@@ -331,23 +289,23 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     N = n_steps(problem.T, dt)
     if N < 1:
         raise BadParams("dt larger than the horizon")
-    t_end = N * dt
     n = mesh.n_vertices
+    nodes = np.arange(n)
     W = np.empty((N + 1, n))
     W[N] = [float(problem.psi(x)) for x in mesh.vertices]
     pairs = [(a, b) for a in problem.controls_a for b in problem.controls_b]
     tables = None
     if problem.time_independent_dynamics:
-        t0 = step_time(problem, t_end, N - 1, dt)
-        tables = [build_node_table(problem, mesh, a, b, dt, c_bar, t0)
+        t0 = step_time(problem, N - 1, dt)
+        tables = [build_node_table(problem, mesh, a, b, dt, c_bar, t0, nodes)
                   for a, b in pairs]
     f_caches = [None] * len(pairs)
     max_psi = float(np.max(np.abs(W[N])))
     max_f = 0.0
     for k in range(N - 1, -1, -1):
-        t = step_time(problem, t_end, k, dt)
+        t = step_time(problem, k, dt)
         if tables is None:
-            step_tables = [build_node_table(problem, mesh, a, b, dt, c_bar, t)
+            step_tables = [build_node_table(problem, mesh, a, b, dt, c_bar, t, nodes)
                            for a, b in pairs]
         else:
             step_tables = tables
@@ -378,12 +336,12 @@ def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,
     function.  Interior probes return S[phi] - phi(x) + dt*H_a; boundary
     probes additionally remove the reconstructed crossing term, leaving
     O(dt^{3/2} + dx^2) in both cases.  Pass mesh=None to evaluate phi
-    exactly (isolates the dt order).
+    exactly (isolates the dt order).  A Dirichlet exit contributes its
+    datum, as in the sweep.
     """
     phi_v, phi_g, phi_h = phi
     dt = params.dt
-    N = n_steps(problem.T, dt)
-    t = step_time(problem, N * dt, k, dt)
+    t = step_time(problem, k, dt)
     x = as_point(x)
     if mesh is not None:
         nodal = np.array([phi_v(xi) for xi in mesh.vertices])
@@ -391,23 +349,26 @@ def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,
     else:
         interp = lambda z: float(phi_v(z))
     ns = problem.n_sigma
-    sg = np.atleast_2d(np.asarray(problem.sigma(t, x, a), dtype=float))
-    sg = sg.reshape(problem.domain.dim, ns)
+    sg = np.asarray(problem.sigma(t, x, a), dtype=float).reshape(problem.domain.dim, ns)
     grad = as_point(phi_g(x))
     hess = np.atleast_2d(phi_h(x))
-    acc = 0.0
+    Y = _characteristics(problem, t, x[None, :], a, dt)[0]
+    rp = _classify_many(problem, np.repeat(x[None, :], len(Y), axis=0), Y, b,
+                        dt, params.c_bar)
+    acc = float(rp.value[rp.dirichlet].sum())
     crossing = 0.0
-    for s, y in enumerate(discrete_characteristics(problem, t, x, a, dt)):
-        rp = reflect(problem, b, y, dt, params.c_bar, t=t)
-        acc += interp(rp.y_tilde) + rp.d_tilde * rp.g_tilde
-        if rp.exited:
-            gt = as_point(problem.gamma(rp.p, b))
-            l_term = float(np.dot(gt, grad)) - rp.g_tilde
+    for s in np.flatnonzero(~rp.dirichlet):
+        acc += interp(rp.y_tilde[s])
+        if rp.exited[s]:
+            d = rp.d_tilde[s]
+            g = float(problem.g(t, rp.p[s], b))
+            acc += d * g
+            gt = as_point(problem.gamma(rp.p[s], b))
+            l_term = float(np.dot(gt, grad)) - g
             sign = -1.0 if s % 2 == 0 else 1.0   # -/+ for the +/- branch
-            k_term = (rp.d_tilde / (2.0 * math.sqrt(dt))
-                      * float(gt @ hess @ gt)
+            k_term = (d / (2.0 * math.sqrt(dt)) * float(gt @ hess @ gt)
                       + sign * math.sqrt(ns) * float(gt @ hess @ sg[:, s // 2]))
-            crossing += rp.d_tilde * (l_term - math.sqrt(dt) * k_term)
+            crossing += d * (l_term - math.sqrt(dt) * k_term)
     S = acc / (2 * ns) + dt * float(problem.f(t, x, a))
     mu = as_point(problem.mu(t, x, a))
     H = (-0.5 * float(np.trace(sg @ sg.T @ hess)) - float(np.dot(mu, grad))

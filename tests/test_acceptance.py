@@ -5,7 +5,7 @@ import numpy as np
 
 from hjbsl.cli import StudyConfig, run_study
 from hjbsl.geometry import Disk, RotatedNormalField, layer_distance, \
-    oblique_projection, signed_distance
+    oblique_projection
 from hjbsl.markov import estimate_sojourn, dp_oracle, transition_law
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, \
     build_rect_with_hole_mesh
@@ -137,7 +137,7 @@ def test_criterion_5c_projection_and_layer():
         th = rng.uniform(0.0, 2.0 * math.pi)
         x = np.array([r * math.cos(th), r * math.sin(th)])
         worst_layer = max(worst_layer, abs(
-            abs(signed_distance(disk, x)) + layer_distance(disk, delta, x)
+            abs(disk.signed_distance(x)) + layer_distance(disk, delta, x)
             - delta))
     _check(f"criterion 5c: projection residual {worst_res:.1e} <= 1e-10, "
            f"layer identity {worst_layer:.1e} <= 1e-12",

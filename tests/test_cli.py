@@ -84,6 +84,28 @@ def test_study_replay_determinism(tmp_path):
     assert csv_rows(cfg) == csv_rows(replay)
 
 
+def test_load_config_rejects_unread_keys(tmp_path):
+    cfg = StudyConfig(benchmark="test1_eps", dx_ladder=[0.1])
+    save_config(cfg, tmp_path / "study.cfg")
+    text = (tmp_path / "study.cfg").read_text()
+    for key in ("n_b = 2", "seed = 3"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace("[study]\n", f"[study]\n{key}\n"))
+        with pytest.raises(ConfigError):
+            load_config(bad)
+        assert main(["study", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", [["study", "--dx-ladder", "0.1"],
+                                     ["solve", "--dx", "0.25"]])
+@pytest.mark.parametrize("option", ["--nb", "--seed"])
+def test_removed_no_op_options_are_rejected(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + [option, "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_dump_solution(tmp_path):
     bench = get_benchmark("test1_eps")
     mesh = build_mesh_for(bench, 0.25)

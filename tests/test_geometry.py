@@ -16,11 +16,8 @@ from hjbsl.geometry import (
     RectWithHole,
     RotatedNormalField,
     layer_distance,
-    nearest_point_projection,
     oblique_projection,
     oblique_projection_newton,
-    outward_normal,
-    signed_distance,
 )
 
 DISK = Disk((0.0, 0.0), 1.0)
@@ -28,26 +25,26 @@ UNIT = Interval(0.0, 1.0)
 
 
 def test_signed_distance_examples():
-    assert signed_distance(DISK, (0.0, 0.0)) == pytest.approx(-1.0)
-    assert signed_distance(DISK, (1.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
-    assert signed_distance(UNIT, 1.25) == pytest.approx(0.25)
+    assert DISK.signed_distance((0.0, 0.0)) == pytest.approx(-1.0)
+    assert DISK.signed_distance((1.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
+    assert UNIT.signed_distance(1.25) == pytest.approx(0.25)
 
 
 def test_outward_normal_examples():
-    assert np.allclose(outward_normal(DISK, (0.0, 1.0)), [0.0, 1.0])
-    assert np.allclose(outward_normal(UNIT, 0.0), [-1.0])
+    assert np.allclose(DISK.outward_normal((0.0, 1.0)), [0.0, 1.0])
+    assert np.allclose(UNIT.outward_normal(0.0), [-1.0])
     s = math.sqrt(2.0) / 2.0
-    assert np.allclose(outward_normal(DISK, (s, s)), [s, s])
+    assert np.allclose(DISK.outward_normal((s, s)), [s, s])
     with pytest.raises(NotOnBoundary):
-        outward_normal(DISK, (0.5, 0.0))
+        DISK.outward_normal((0.5, 0.0))
 
 
 def test_nearest_point_projection_examples():
-    assert np.allclose(nearest_point_projection(DISK, (0.0, 0.6)), [0.0, 1.0])
-    assert np.allclose(nearest_point_projection(DISK, (1.2, 0.0)), [1.0, 0.0])
-    assert np.allclose(nearest_point_projection(UNIT, 0.1), [0.0])
+    assert np.allclose(DISK.nearest_point_projection((0.0, 0.6)), [0.0, 1.0])
+    assert np.allclose(DISK.nearest_point_projection((1.2, 0.0)), [1.0, 0.0])
+    assert np.allclose(UNIT.nearest_point_projection(0.1), [0.0])
     with pytest.raises(OutsideTube):
-        nearest_point_projection(DISK, (2.0, 0.0))
+        DISK.nearest_point_projection((2.0, 0.0))
 
 
 def test_oblique_projection_normal_disk():
@@ -107,8 +104,8 @@ def test_normal_field_reduces_to_nearest_point():
         th = rng.uniform(0.0, 2.0 * math.pi)
         x = np.array([r * math.cos(th), r * math.sin(th)])
         pr = oblique_projection(DISK, gam, None, x)
-        assert np.allclose(pr.p, nearest_point_projection(DISK, x), atol=1e-9)
-        assert pr.d == pytest.approx(signed_distance(DISK, x), abs=1e-9)
+        assert np.allclose(pr.p, DISK.nearest_point_projection(x), atol=1e-9)
+        assert pr.d == pytest.approx(DISK.signed_distance(x), abs=1e-9)
 
 
 def test_tube_residuals_bulk():
@@ -123,7 +120,7 @@ def test_tube_residuals_bulk():
         pr = oblique_projection(DISK, gam, None, x)
         worst_res = max(worst_res,
                         np.linalg.norm(x - pr.p - pr.d * gam(pr.p, None)))
-        worst_bnd = max(worst_bnd, abs(signed_distance(DISK, pr.p)))
+        worst_bnd = max(worst_bnd, abs(DISK.signed_distance(pr.p)))
     assert worst_res <= 1e-10
     assert worst_bnd <= 1e-10
 
@@ -140,7 +137,7 @@ def test_algebraic_distance_controlled_by_distance():
             r = rng.uniform(0.6, 1.4)
             th = rng.uniform(0.0, 2.0 * math.pi)
             x = np.array([r * math.cos(th), r * math.sin(th)])
-            dist = abs(signed_distance(DISK, x))
+            dist = abs(DISK.signed_distance(x))
             if dist < 1e-6:
                 continue
             out.append(abs(oblique_projection(DISK, gam, None, x).d) / dist)
@@ -167,7 +164,7 @@ def test_layer_identity():
         r = rng.uniform(1.0 - delta, 1.0)
         th = rng.uniform(0.0, 2.0 * math.pi)
         x = np.array([r * math.cos(th), r * math.sin(th)])
-        d_bnd = abs(signed_distance(DISK, x))
+        d_bnd = abs(DISK.signed_distance(x))
         assert d_bnd + layer_distance(DISK, delta, x) == pytest.approx(
             delta, abs=1e-12)
 
@@ -197,8 +194,8 @@ def test_rotated_field_example():
 @given(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))
 @settings(max_examples=200, deadline=None)
 def test_interval_distance_lipschitz(x, y):
-    dx = signed_distance(UNIT, x)
-    dy = signed_distance(UNIT, y)
+    dx = UNIT.signed_distance(x)
+    dy = UNIT.signed_distance(y)
     assert abs(dx - dy) <= abs(x - y) + 1e-12
 
 
@@ -207,7 +204,7 @@ def test_interval_distance_lipschitz(x, y):
 def test_disk_normal_projection_reconstructs(r, th):
     x = np.array([r * math.cos(th), r * math.sin(th)])
     pr = oblique_projection(DISK, NormalField(DISK), None, x, r_max=math.inf)
-    assert np.linalg.norm(x - pr.p - pr.d * outward_normal(DISK, pr.p)) <= 1e-10
+    assert np.linalg.norm(x - pr.p - pr.d * DISK.outward_normal(pr.p)) <= 1e-10
 
 
 # -- row-batched forms against the one-point loops of the Domain base class --

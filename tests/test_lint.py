@@ -15,3 +15,24 @@ def test_no_assert_statements_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in src/hjbsl: {found}"
+
+
+def test_no_unused_imports_in_library():
+    # __init__.py imports to re-export; every other module uses what it imports
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert not found, f"unused imports in src/hjbsl: {found}"

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from hjbsl.errors import BadParams, TooLarge
-from hjbsl.geometry import Interval, NormalField
+from hjbsl.geometry import TOL_BOUNDARY, Interval, NormalField
 from hjbsl.markov import (
     dp_oracle,
     estimate_sojourn,
     policy_cost,
     transition_law,
 )
-from hjbsl.mesh import build_interval_mesh
-from hjbsl.problems import make_test1
+from hjbsl.mesh import build_interval_mesh, build_rect_with_hole_mesh
+from hjbsl.problems import make_test1, make_test3
 from hjbsl.scheme import Problem, SchemeParams, sweep
 
 
@@ -61,6 +61,31 @@ def test_transition_four_quarter_entries():
     assert np.allclose(law.probs, 0.25)
 
 
+def test_transition_row_at_door_loses_dirichlet_mass():
+    bench = make_test3()
+    pr, dom = bench.problem, bench.problem.domain
+    mesh = build_rect_with_hole_mesh(dom.bounds, dom.hole_center,
+                                     dom.hole_radius, 0.1)
+    i = int(np.argmin(np.linalg.norm(mesh.vertices - [-1.0, 0.0], axis=1)))
+    x = mesh.vertices[i]
+    dt = 0.05
+    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
+    partial = False
+    for a in pr.controls_a:
+        # the branches, and those whose first crossing is on a door, by hand
+        base = x + dt * pr.mu(0.0, x, a)
+        cols = np.sqrt(pr.n_sigma * dt) * pr.sigma(0.0, x, a).T
+        ys = [base + sign * c for c in cols for sign in (1.0, -1.0)]
+        absorbed = sum(dom.signed_distance(y) > TOL_BOUNDARY
+                       and dom.boundary_kind(dom._scan_crossing(x, y))[0] == "dirichlet"
+                       for y in ys)
+        law = transition_law(pr, mesh, 0, i, a, 0.0, params)
+        assert np.all(law.probs > 0.0)
+        assert law.sum() == pytest.approx(1.0 - absorbed / len(ys), abs=1e-12)
+        partial = partial or 0 < absorbed < len(ys)
+    assert partial
+
+
 def test_policy_cost_constant_terminal():
     pr = interval_problem(sigma=0.2, psi=lambda x: 3.0)
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
@@ -88,6 +113,24 @@ def test_policy_cost_matches_sweep_singleton():
     for i in range(mesh.n_vertices):
         got = policy_cost(bench.problem, mesh, TRIVIAL_POLICY, 0, i, params)
         assert got == pytest.approx(vf.values[0][i], abs=1e-12)
+
+
+def test_policy_cost_time_dependent_dynamics():
+    # the drift changes sign at t = 0.5; rows must be built at each step's time
+    dom = Interval(0.0, 1.0)
+    pr = Problem(domain=dom, T=1.0, n_sigma=1,
+                 sigma=lambda t, x, a: np.array([[0.1]]),
+                 mu=lambda t, x, a: np.array([0.5 - t]),
+                 f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
+                 psi=lambda x: float(np.atleast_1d(x)[0]),
+                 gamma=NormalField(dom), controls_a=[0.0], controls_b=[0.0])
+    mesh = build_interval_mesh(0.0, 1.0, 0.125)
+    params = SchemeParams(dt=0.25, c_bar=0.2)
+    vf = sweep(pr, mesh, params)
+    got = [policy_cost(pr, mesh, TRIVIAL_POLICY, 0, i, params)
+           for i in range(mesh.n_vertices)]
+    assert vf.values[0][2] == pytest.approx(0.375, abs=1e-12)
+    assert np.max(np.abs(np.array(got) - vf.values[0])) <= 1e-12
 
 
 def _tiny_instances():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjbsl.errors import BadParams, OutsideDomain
-from hjbsl.geometry import Disk, signed_distance
+from hjbsl.geometry import Disk
 from hjbsl.mesh import (
     TAG_DIRICHLET,
     build_disk_mesh,
@@ -67,7 +67,7 @@ def test_boundary_vertices_on_boundary():
     for m in (build_disk_mesh((0.0, 0.0), 1.0, 0.25),
               build_rect_with_hole_mesh(dx=0.1, **RECT)):
         for i in np.nonzero(m.boundary_tags > 0)[0]:
-            assert abs(signed_distance(m.domain, m.vertices[i])) <= 1e-9
+            assert abs(m.domain.signed_distance(m.vertices[i])) <= 1e-9
 
 
 def test_at_most_one_boundary_face_per_simplex():

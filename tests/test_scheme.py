@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hjbsl.errors import BadParams, LocationFailure, NoCrossing, OutsideTube, Unstable
 from hjbsl.geometry import (
+    TOL_BOUNDARY,
     Disk,
     FunctionField,
     Interval,
@@ -14,21 +16,19 @@ from hjbsl.geometry import (
     RectWithHole,
     RotatedNormalField,
 )
-from hjbsl.mesh import build_interval_mesh
-from hjbsl.problems import make_test1, make_test3
+from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
+from hjbsl.problems import make_test1, make_test2, make_test3
 from hjbsl.scheme import (
     Problem,
     SchemeParams,
-    apply_S,
-    _classify,
+    _characteristics,
     _classify_many,
+    apply_S,
     apply_S_control,
     build_node_table,
     check_weights,
     consistency_residual,
-    discrete_characteristics,
     n_steps,
-    reflect,
     sweep,
 )
 
@@ -49,15 +49,26 @@ def interval_problem(sigma=0.0, mu=0.0, f=None, g=None, psi=None, T=1.0,
     )
 
 
+def characteristics(pr, x, dt):
+    return _characteristics(pr, 0.0, np.array([x], dtype=float), 0.0, dt)[0]
+
+
+def classify(pr, x, y, dt, c_bar):
+    """_classify_many of one characteristic, as a row of each field."""
+    rp = _classify_many(pr, np.array([x], dtype=float), np.array([y], dtype=float),
+                        0.0, dt, c_bar)
+    return {k: v[0] for k, v in vars(rp).items()}
+
+
 def test_characteristics_zero_dynamics():
     pr = interval_problem()
-    ys = discrete_characteristics(pr, 0.0, np.array([0.4]), 0.0, 0.01)
+    ys = characteristics(pr, [0.4], 0.01)
     assert np.allclose(ys, 0.4)
 
 
 def test_characteristics_hand_value():
     pr = interval_problem(sigma=math.sqrt(0.1), mu=-1.0)
-    ys = discrete_characteristics(pr, 0.0, np.array([0.5]), 0.0, 0.01)
+    ys = characteristics(pr, [0.5], 0.01)
     assert ys[0, 0] == pytest.approx(0.49 + 0.0316228, abs=1e-6)
     assert ys[1, 0] == pytest.approx(0.49 - 0.0316228, abs=1e-6)
 
@@ -71,7 +82,7 @@ def test_characteristics_mean_property():
                  psi=lambda x: 0.0, gamma=NormalField(dom),
                  controls_a=[0.0], controls_b=[0.0])
     x = np.array([0.1, 0.2])
-    ys = discrete_characteristics(pr, 0.0, x, 0.0, 0.04)
+    ys = characteristics(pr, x, 0.04)
     assert np.allclose(ys.mean(axis=0), x + 0.04 * np.array([0.5, -0.25]))
 
 
@@ -83,10 +94,10 @@ def test_reflect_inside_is_identity():
                  f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
                  psi=lambda x: 0.0, gamma=NormalField(dom),
                  controls_a=[0.0], controls_b=[0.0])
-    rp = reflect(pr, 0.0, np.array([0.2, 0.1]), 0.04, 0.25)
-    assert not rp.exited
-    assert np.allclose(rp.y_tilde, [0.2, 0.1])
-    assert rp.d_tilde == 0.0 and rp.g_tilde == 0.0
+    rp = classify(pr, [0.2, 0.0], [0.2, 0.1], 0.04, 0.25)
+    assert not rp["exited"] and not rp["dirichlet"]
+    assert np.allclose(rp["y_tilde"], [0.2, 0.1])
+    assert rp["d_tilde"] == 0.0
 
 
 def test_reflect_disk_example():
@@ -98,30 +109,30 @@ def test_reflect_disk_example():
                  psi=lambda x: 0.0, gamma=NormalField(dom),
                  controls_a=[0.0], controls_b=[0.0])
     y = np.array([1.2, 0.0])
-    rp = reflect(pr, 0.0, y, 0.04, 0.25)
-    assert rp.exited
-    assert np.allclose(rp.p, [1.0, 0.0])
-    assert rp.d_tilde == pytest.approx(0.25)
+    rp = classify(pr, [0.9, 0.0], y, 0.04, 0.25)
+    assert rp["exited"] and not rp["dirichlet"]
+    assert np.allclose(rp["p"], [1.0, 0.0])
+    assert rp["d_tilde"] == pytest.approx(0.25)
     # pull-back identity: y_tilde = y - d_tilde * gamma(p)
-    assert np.allclose(rp.y_tilde, y - rp.d_tilde * np.array([1.0, 0.0]),
+    assert np.allclose(rp["y_tilde"], y - rp["d_tilde"] * np.array([1.0, 0.0]),
                        atol=1e-10)
-    assert np.allclose(rp.y_tilde, [0.95, 0.0])
-    assert rp.g_tilde == 7.0
+    assert np.allclose(rp["y_tilde"], [0.95, 0.0])
 
 
 def test_reflect_interval_example():
-    pr = interval_problem(g=lambda t, p, b: 5.0)
-    rp = reflect(pr, 0.0, np.array([1.02]), 0.01, 0.5)
-    assert rp.d_tilde == pytest.approx(0.07)
-    assert rp.y_tilde[0] == pytest.approx(0.95)
-    assert rp.g_tilde == 5.0
+    pr = interval_problem()
+    rp = classify(pr, [0.99], [1.02], 0.01, 0.5)
+    assert rp["exited"] and not rp["dirichlet"]
+    assert rp["d_tilde"] == pytest.approx(0.07)
+    assert rp["y_tilde"][0] == pytest.approx(0.95)
+    assert rp["p"][0] == 1.0
 
 
 def test_reflect_outside_tube():
     pr = interval_problem()
     # pull-back would overshoot the whole interval
     with pytest.raises(OutsideTube):
-        reflect(pr, 0.0, np.array([1.5]), 16.0, 0.5)
+        classify(pr, [0.9], [1.5], 16.0, 0.5)
 
 
 def test_apply_S_control_zero_and_constant():
@@ -246,12 +257,13 @@ def test_dirichlet_routing_by_first_crossing():
     # left and right doors take their exit data
     for x, y, value in [([-0.9, 0.0], [-1.1, 0.0], 0.0), ([0.9, 0.0], [1.1, 0.0], 0.2)]:
         assert dom.boundary_kind(first(x, y)) == ("dirichlet", value)
-        rp = _classify(pr, np.array(x), np.array(y), 0.0, 0.01, 0.25)
-        assert rp.exited and rp.dirichlet and rp.value == value
+        rp = classify(pr, x, y, 0.01, 0.25)
+        assert rp["exited"] and rp["dirichlet"] and rp["value"] == value
+        assert np.allclose(rp["y_tilde"], first(x, y))
     # a crossing of the oblique top face is reflected, not imposed
     assert dom.boundary_kind(first([0.0, 0.4], [0.0, 0.6]))[0] == "oblique"
-    rp = _classify(pr, np.array([0.0, 0.4]), np.array([0.0, 0.6]), 0.0, 0.01, 0.25)
-    assert rp.exited and not rp.dirichlet
+    rp = classify(pr, [0.0, 0.4], [0.0, 0.6], 0.01, 0.25)
+    assert rp["exited"] and not rp["dirichlet"]
     # segments that end inside or on the boundary do not cross
     with pytest.raises(NoCrossing):
         first([0.0, 0.0], [0.0, 0.2])
@@ -322,7 +334,8 @@ def test_check_weights_rejects_non_convex_rows():
 def test_build_node_table_rejects_bad_weights(monkeypatch):
     pr = interval_problem(sigma=0.3, mu=0.2)
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
-    table = build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0)
+    nodes = np.arange(mesh.n_vertices)
+    table = build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0, nodes)
     assert table.dt == 0.1
     assert np.allclose(table.weights.sum(axis=2), 1.0)
 
@@ -331,10 +344,10 @@ def test_build_node_table_rejects_bad_weights(monkeypatch):
 
     monkeypatch.setattr(mesh, "locate_many", bad_locate)
     with pytest.raises(LocationFailure):
-        build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0)
+        build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0, nodes)
 
 
-# -- batched classification against the one-point _classify --
+# -- batched classification against the scalar routing rules --
 
 def _problem_on(dom, gamma):
     return Problem(domain=dom, T=1.0, n_sigma=1,
@@ -375,9 +388,12 @@ def _start_point(dom, u, v):
                      min_size=1, max_size=25))
 @settings(max_examples=40, deadline=None)
 def test_classify_many_matches_classify(name, rows):
+    """Each row of _classify_many against the scalar signed_distance,
+    first crossing scan, boundary_kind and oblique field of its own."""
     pr = CLASSIFY_CASES[name]
     dom = pr.domain
     dt, c_bar = 0.01, 0.25
+    push = c_bar * math.sqrt(dt)
     X, Y = [], []
     for u, v, th, length in rows:
         x = _start_point(dom, u, v)
@@ -387,21 +403,32 @@ def test_classify_many_matches_classify(name, rows):
         Y.append(x + length * np.array([math.cos(th), math.sin(th)])[:dom.dim])
     assume(X)
     X, Y = np.array(X), np.array(Y)
-    try:
-        ref = [_classify(pr, x, y, 0.0, dt, c_bar) for x, y in zip(X, Y)]
-    except OutsideTube:
-        with pytest.raises(OutsideTube):
-            _classify_many(pr, X, Y, 0.0, dt, c_bar)
-        return
     got = _classify_many(pr, X, Y, 0.0, dt, c_bar)
-    for j, rp in enumerate(ref):
-        assert got.exited[j] == rp.exited
-        assert got.dirichlet[j] == rp.dirichlet
-        assert got.value[j] == rp.value
-        assert np.max(np.abs(got.y_tilde[j] - rp.y_tilde)) <= 1e-12
-        assert abs(got.d_tilde[j] - rp.d_tilde) <= 1e-12
-        if rp.exited and not rp.dirichlet:
-            assert np.max(np.abs(got.p[j] - rp.p)) <= 1e-12
+    for j, (x, y) in enumerate(zip(X, Y)):
+        exited = dom.signed_distance(y) > TOL_BOUNDARY
+        assert got.exited[j] == exited
+        if not exited:
+            assert np.array_equal(got.y_tilde[j], y)
+            assert got.d_tilde[j] == 0.0 and not got.dirichlet[j]
+            continue
+        kind, value = ("oblique", None)
+        if dom.has_dirichlet:
+            q = dom._scan_crossing(x, y)
+            kind, value = dom.boundary_kind(q)
+        assert got.dirichlet[j] == (kind == "dirichlet")
+        if got.dirichlet[j]:
+            assert got.value[j] == value
+            assert np.max(np.abs(got.y_tilde[j] - q)) <= 1e-9
+            assert got.d_tilde[j] == 0.0
+            continue
+        p = got.p[j]
+        gam = pr.gamma(p, 0.0)
+        assert abs(dom.signed_distance(p)) <= TOL_BOUNDARY
+        assert got.d_tilde[j] > push
+        # the algebraic distance along the field and the pull-back past p
+        assert abs(np.dot(y - p, gam) - (got.d_tilde[j] - push)) <= 1e-10
+        assert np.max(np.abs(got.y_tilde[j] - (p - push * gam))) <= 1e-12
+        assert dom.signed_distance(got.y_tilde[j]) <= TOL_BOUNDARY
 
 
 class _Counting:
@@ -422,21 +449,81 @@ class _CountingRect(_Counting, RectWithHole):
     pass
 
 
-@pytest.mark.parametrize("dom, field, y", [
-    (_CountingDisk(), lambda d: RotatedNormalField(d, math.pi / 6), [1.05, 0.1]),
-    (_CountingRect(), NormalField, [0.3, 0.52]),
+@pytest.mark.parametrize("dom, field, mesh", [
+    (_CountingDisk(), lambda d: RotatedNormalField(d, math.pi / 6),
+     lambda: build_disk_mesh((0.0, 0.0), 1.0, 0.25)),
+    (_CountingRect(), NormalField,
+     lambda: build_rect_with_hole_mesh((-1.0, 1.0, -0.5, 0.5), (-0.5, 0.0), 0.2, 0.2)),
 ], ids=["disk", "rect"])
-def test_oblique_exit_costs_two_signed_distances(dom, field, y):
-    pr = _problem_on(dom, field(dom))
-    x = np.array(y) * 0.9
+def test_build_node_table_makes_no_scalar_signed_distance_calls(dom, field, mesh):
+    mesh = mesh()
+    pr = Problem(domain=dom, T=1.0, n_sigma=2,
+                 sigma=lambda t, x, a: 0.3 * np.eye(2), mu=lambda t, x, a: a,
+                 f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
+                 psi=lambda x: 0.0, gamma=field(dom),
+                 controls_a=[np.array([1.0, 0.0])], controls_b=[0.0])
     dom.calls = 0
-    assert not _classify(pr, x, x, 0.0, 0.01, 0.25).exited
-    assert dom.calls == 1
-    dom.calls = 0
-    rp = _classify(pr, x, np.array(y), 0.0, 0.01, 0.25)
-    assert rp.exited and not rp.dirichlet
-    # contains(y) and contains(y_tilde); no second test of y
-    assert dom.calls == 2
-    dom.calls = 0
-    assert reflect(pr, 0.0, np.array(y), 0.01, 0.25).exited
-    assert dom.calls == 2
+    table = build_node_table(pr, mesh, np.array([1.0, 0.0]), 0.0, 0.05, 0.25, 0.0,
+                             np.arange(mesh.n_vertices))
+    # exits of both kinds were classified
+    assert len(table.refl)
+    assert table.dirichlet.any() == dom.has_dirichlet
+    assert dom.calls == 0
+
+
+# -- one pipeline: every reader takes build_node_table rows --
+
+def _pipeline_cases():
+    t1 = make_test1(0.05)
+    t2 = make_test2("oblique", n_a=4)
+    t3 = make_test3(n_a=4)
+    d3 = t3.problem.domain
+    return {
+        "interval": (t1, build_interval_mesh(0.0, 1.0, 0.05), 0.1),
+        "disk_rotated": (t2, build_disk_mesh((0.0, 0.0), 1.0, 0.25), 0.125),
+        "rect_hole": (t3, build_rect_with_hole_mesh(
+            d3.bounds, d3.hole_center, d3.hole_radius, 0.2), 0.05),
+    }
+
+
+PIPELINE_CASES = _pipeline_cases()
+
+
+def _reflections(table):
+    """{(vertex, branch): (d_tilde, p)} of a table's oblique exits."""
+    rows, branches = np.divmod(table.refl, table.const.shape[1])
+    return {(int(table.nodes[r]), int(s)): (d, tuple(p))
+            for r, s, d, p in zip(rows, branches, table.refl_d, table.refl_p)}
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
+def test_build_node_table_subset_equals_full_rows(name):
+    bench, mesh, dt = PIPELINE_CASES[name]
+    pr = bench.problem
+    rng = np.random.default_rng(4)
+    nodes = rng.choice(mesh.n_vertices, size=mesh.n_vertices // 2, replace=False)
+    reflections = dirichlet = 0
+    for a in pr.controls_a:
+        full = build_node_table(pr, mesh, a, 0.0, dt, bench.c_bar, 0.0,
+                                np.arange(mesh.n_vertices))
+        part = build_node_table(pr, mesh, a, 0.0, dt, bench.c_bar, 0.0, nodes)
+        assert np.array_equal(part.nodes, nodes)
+        for field in ("verts", "weights", "const", "dirichlet"):
+            assert np.array_equal(getattr(part, field), getattr(full, field)[nodes]), field
+        sub = {k: v for k, v in _reflections(full).items() if k[0] in set(nodes.tolist())}
+        assert _reflections(part) == sub
+        reflections += len(part.refl)
+        dirichlet += np.count_nonzero(part.dirichlet)
+    assert reflections > 0
+    assert (dirichlet > 0) == pr.domain.has_dirichlet
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
+def test_apply_S_equals_one_step_sweep(name):
+    bench, mesh, dt = PIPELINE_CASES[name]
+    pr = dataclasses.replace(bench.problem, T=dt)
+    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
+    vf = sweep(pr, mesh, params)
+    psi = np.array([pr.psi(x) for x in mesh.vertices])
+    got = [apply_S(pr, mesh, psi, 0, i, params) for i in range(mesh.n_vertices)]
+    assert np.max(np.abs(np.array(got) - vf.values[vf.report_index])) <= 1e-12
