@@ -24,7 +24,7 @@ from .mesh import (
     build_rect_with_hole_mesh,
 )
 from .problems import Benchmark, get_benchmark
-from .scheme import SchemeParams, ValueFunction, sweep
+from .scheme import SchemeParams, ValueFunction, check_shape, sweep
 
 CSV_COLUMNS = ["dx", "dt", "e_inf", "e_1", "p_inf", "p_1", "max_u", "wall_seconds"]
 # the keys save_config writes and load_config reads
@@ -87,15 +87,16 @@ def solution_errors(vf: ValueFunction, exact) -> tuple:
     idx = vf.report_index
     t = vf.times[idx]
     U = vf.values[idx]
-    diff = np.array([U[i] - exact(t, x) for i, x in enumerate(mesh.vertices)])
+    diff = U - check_shape("exact_solution", exact(t, mesh.vertices), (mesh.n_vertices,))
     e_inf = float(np.max(np.abs(diff)))
     if mesh.dim == 1:
         e_1 = float(mesh.mesh_size * np.sum(np.abs(diff)))
     else:
         bcs = mesh.barycenters()
-        areas = mesh.simplex_measures()
-        vals = np.array([mesh.interpolate(U, x) - exact(t, x) for x in bcs])
-        e_1 = float(np.sum(areas * np.abs(vals)))
+        # the P1 value at a barycenter is the mean of its simplex's vertex values
+        vals = U[mesh.simplices].mean(axis=1) - check_shape(
+            "exact_solution", exact(t, bcs), (len(bcs),))
+        e_1 = float(np.sum(mesh.simplex_measures() * np.abs(vals)))
     return e_inf, e_1
 
 
@@ -181,21 +182,33 @@ def save_config(config: StudyConfig, path):
 
 def load_config(path) -> StudyConfig:
     cp = configparser.ConfigParser()
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not found:
         raise ConfigError(f"cannot read config {path}")
+    if not cp.has_section("study"):
+        raise ConfigError(f"no [study] section in {path}")
     s = cp["study"]
     unknown = sorted(set(s) - STUDY_KEYS)
     if unknown:
         raise ConfigError(f"unknown [study] keys in {path}: {', '.join(unknown)}")
+    missing = sorted({"benchmark", "dx_ladder"} - set(s))
+    if missing:
+        raise ConfigError(f"missing [study] keys in {path}: {', '.join(missing)}")
     c_bar = s.get("c_bar", "")
-    return StudyConfig(
-        benchmark=s["benchmark"],
-        eps=float(s.get("eps", "0")),
-        dx_ladder=[float(v) for v in s["dx_ladder"].split()],
-        dt_rule=s.get("dt_rule", "dx"),
-        c_bar=None if not c_bar else float(c_bar),
-        n_a=int(s.get("n_a", "16")),
-    )
+    try:
+        numbers = dict(
+            eps=float(s.get("eps", "0")),
+            dx_ladder=[float(v) for v in s["dx_ladder"].split()],
+            c_bar=None if not c_bar else float(c_bar),
+            n_a=int(s.get("n_a", "16")),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad number in [study] of {path}: {exc}") from exc
+    return StudyConfig(benchmark=s["benchmark"], dt_rule=s.get("dt_rule", "dx"),
+                       **numbers)
 
 
 def _add_common(p):

@@ -294,7 +294,10 @@ class RectWithHole(Domain):
         for face, (axis, bound, sign) in enumerate(
                 [(0, xmin, -1.0), (0, xmax, 1.0), (1, ymin, -1.0), (1, ymax, 1.0)]):
             out = sign * w[:, axis] > 0.0
-            t[out, face] = (bound - X[out, axis]) / w[out, axis]
+            # a subnormal step toward a face overflows to inf: that parameter
+            # lies beyond the segment, so the face is not crossed
+            with np.errstate(over="ignore"):
+                t[out, face] = (bound - X[out, axis]) / w[out, axis]
         # nearer root of |v + s w| = r for a segment heading into the hole;
         # c/(-b + sqrt(disc)) is that root without cancellation
         v = X - self.hole_center

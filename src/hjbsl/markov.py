@@ -9,7 +9,6 @@ Every row of the chain is a row of build_node_table.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,6 +22,8 @@ from .scheme import (
     Problem,
     SchemeParams,
     build_node_table,
+    check_shape,
+    check_time_independent_dynamics,
     n_steps,
     step_time,
 )
@@ -38,79 +39,61 @@ class TransitionLaw:
         return float(self.probs.sum())
 
 
-@dataclass
-class _Walk:
-    """One chain row as Python lists, for the Monte Carlo loop.
+class _Rows:
+    """Every control pair's rows over all mesh vertices at one step key,
+    copied from build_node_table tables as the chain reaches them; [c, j]
+    is the row of vertex j under pair code c = ia*len(controls_b) + ib, and
+    built marks the rows copied so far.  Reflections are dense here:
+    refl_d[c, j, s] is 0 off the oblique exits.
 
-    Slot q = s*width + v of the flattened (branch, simplex vertex) grid
-    leads to verts[q]; it is drawn when a uniform draw times total falls
-    below cuts[q] and not below cuts[q-1].  A Dirichlet branch puts its
-    whole mass on its first slot and absorbs with value[s]; an oblique exit
-    pays refl_d[s] * g(t, refl_p[s], b).
+    For the Monte Carlo draw, slot q = s*(dim+1) + v of a row's flattened
+    (branch, simplex vertex) grid is drawn when a uniform draw times
+    cum[c, j, -1] falls below cum[c, j, q] and not below cum[c, j, q-1]; a
+    Dirichlet branch puts its whole mass on its first slot.  layer marks
+    the rows with an exiting branch.
     """
 
-    layer: bool              # some branch exits
-    cuts: list
-    total: float
-    width: int
-    verts: list
-    dirichlet: list
-    value: list
-    refl_d: list
-    refl_p: np.ndarray
+    def __init__(self, P: int, n: int, S: int, dim: int):
+        self.built = np.zeros((P, n), dtype=bool)
+        self.verts = np.zeros((P, n, S, dim + 1), dtype=int)
+        self.weights = np.zeros((P, n, S, dim + 1))
+        self.const = np.zeros((P, n, S))
+        self.dirichlet = np.zeros((P, n, S), dtype=bool)
+        self.refl_d = np.zeros((P, n, S))
+        self.refl_p = np.zeros((P, n, S, dim))
+        self.cum = np.zeros((P, n, S * (dim + 1)))
+        self.layer = np.zeros((P, n), dtype=bool)
 
-
-class _Rows:
-    """One control pair's rows over all mesh vertices, copied from
-    build_node_table tables as the chain reaches them; built marks the rows
-    copied so far.  Reflections are dense here: refl_d[j, s] is 0 off the
-    oblique exits."""
-
-    def __init__(self, n: int, S: int, dim: int):
-        self.built = np.zeros(n, dtype=bool)
-        self.verts = np.zeros((n, S, dim + 1), dtype=int)
-        self.weights = np.zeros((n, S, dim + 1))
-        self.const = np.zeros((n, S))
-        self.dirichlet = np.zeros((n, S), dtype=bool)
-        self.refl_d = np.zeros((n, S))
-        self.refl_p = np.zeros((n, S, dim))
-
-    def fill(self, part: NodeTable):
+    def fill(self, c: int, part: NodeTable):
         J = part.nodes
-        self.verts[J], self.weights[J] = part.verts, part.weights
-        self.const[J], self.dirichlet[J] = part.const, part.dirichlet
-        r, s = np.divmod(part.refl, self.const.shape[1])
-        self.refl_d[J[r], s] = part.refl_d
-        self.refl_p[J[r], s] = part.refl_p
-        self.built[J] = True
+        self.verts[c, J], self.weights[c, J] = part.verts, part.weights
+        self.const[c, J], self.dirichlet[c, J] = part.const, part.dirichlet
+        r, s = np.divmod(part.refl, self.const.shape[2])
+        self.refl_d[c, J[r], s] = part.refl_d
+        self.refl_p[c, J[r], s] = part.refl_p
+        mass = part.weights.copy()
+        mass[part.dirichlet, 0] = 1.0
+        self.cum[c, J] = np.cumsum(mass.reshape(len(J), -1), axis=1)
+        self.layer[c, J] = part.dirichlet.any(axis=1) | self.refl_d[c, J].any(axis=1)
+        self.built[c, J] = True
 
-    def table(self, J: np.ndarray, dt: float, a, b) -> NodeTable:
-        """The rows of the vertices J as a NodeTable."""
-        refl_d = self.refl_d[J].reshape(-1)
+    def table(self, c: int, J: np.ndarray, dt: float, a, b) -> NodeTable:
+        """Pair c's rows of the vertices J as a NodeTable."""
+        refl_d = self.refl_d[c, J].reshape(-1)
         refl = np.flatnonzero(refl_d)
-        return NodeTable(nodes=J, verts=self.verts[J], weights=self.weights[J],
-                         const=self.const[J], dirichlet=self.dirichlet[J], refl=refl,
-                         refl_d=refl_d[refl],
-                         refl_p=self.refl_p[J].reshape(len(refl_d), -1)[refl],
+        return NodeTable(nodes=J, verts=self.verts[c, J], weights=self.weights[c, J],
+                         const=self.const[c, J], dirichlet=self.dirichlet[c, J],
+                         refl=refl, refl_d=refl_d[refl],
+                         refl_p=self.refl_p[c, J].reshape(len(refl_d), -1)[refl],
                          dt=dt, a=a, b=b)
-
-    def walk(self, j: int) -> _Walk:
-        mass = self.weights[j].copy()
-        mass[self.dirichlet[j], 0] = 1.0
-        cum = np.cumsum(mass.ravel())
-        return _Walk(layer=bool(self.dirichlet[j].any() or self.refl_d[j].any()),
-                     cuts=cum[:-1].tolist(), total=float(cum[-1]), width=mass.shape[1],
-                     verts=self.verts[j].ravel().tolist(),
-                     dirichlet=self.dirichlet[j].tolist(), value=self.const[j].tolist(),
-                     refl_d=self.refl_d[j].tolist(), refl_p=self.refl_p[j])
 
 
 class _ChainModel:
     """The chain's rows per (vertex, control pair), taken from
     build_node_table as the chain reaches them, the missing rows of one
-    request in one call.  Rows are built at the step's time and shared
-    across steps only when the dynamics are time-independent, as in the
-    sweep.
+    request in one call per pair, and psi at every vertex.  Rows are built
+    at the step's time and shared across steps only when the dynamics are
+    time-independent, as in the sweep.
     """
 
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
@@ -119,45 +102,48 @@ class _ChainModel:
         self.params = params
         self.N = n_steps(problem.T, params.dt)
         self.S = 2 * problem.n_sigma
+        self.nb = len(problem.controls_b)
         self.times = [step_time(problem, m, params.dt) for m in range(self.N)]
-        self._rows = {}       # (step or None, ia, ib) -> _Rows
-        self._walks = {}      # (step or None, ia, ib, vertex) -> _Walk
+        if problem.time_independent_dynamics:
+            check_time_independent_dynamics(problem, mesh, params.dt)
+        self.psi = check_shape("psi", problem.psi(mesh.vertices), (mesh.n_vertices,))
+        self._rows = {}       # step, or None when shared by all steps -> _Rows
 
-    def _key(self, m: int, ia: int, ib: int) -> tuple:
-        return (None if self.problem.time_independent_dynamics else m, ia, ib)
+    def code(self, m: int, policy, nodes) -> np.ndarray:
+        """The pair code of each vertex of nodes under policy at step m."""
+        return np.array([ia * self.nb + ib
+                         for ia, ib in (_policy_at(policy, m, j) for j in nodes)],
+                        dtype=int)
 
-    def rows(self, m: int, ia: int, ib: int, nodes: np.ndarray) -> _Rows:
-        """Pair (ia, ib)'s rows at step m, with those of nodes built."""
-        key = self._key(m, ia, ib)
+    def rows(self, m: int, codes: np.ndarray, nodes: np.ndarray) -> _Rows:
+        """The rows at step m, with row [codes[r], nodes[r]] built for each
+        r; one build_node_table call per pair with missing rows."""
+        pr, params, mesh = self.problem, self.params, self.mesh
+        key = None if pr.time_independent_dynamics else m
         rows = self._rows.get(key)
         if rows is None:
-            rows = self._rows[key] = _Rows(self.mesh.n_vertices, self.S, self.mesh.dim)
-        missing = nodes[~rows.built[nodes]]
-        if len(missing):
-            pr, params = self.problem, self.params
-            rows.fill(build_node_table(pr, self.mesh, pr.controls_a[ia],
-                                       pr.controls_b[ib], params.dt, params.c_bar,
-                                       self.times[m], missing))
+            rows = self._rows[key] = _Rows(len(pr.controls_a) * self.nb,
+                                           mesh.n_vertices, self.S, mesh.dim)
+        missing = ~rows.built[codes, nodes]
+        for c in np.unique(codes[missing]).tolist():
+            ia, ib = divmod(c, self.nb)
+            rows.fill(c, build_node_table(pr, mesh, pr.controls_a[ia], pr.controls_b[ib],
+                                          params.dt, params.c_bar, self.times[m],
+                                          np.unique(nodes[missing & (codes == c)])))
         return rows
 
-    def walk(self, m: int, ia: int, ib: int, j: int) -> _Walk:
-        key = self._key(m, ia, ib) + (j,)
-        w = self._walks.get(key)
-        if w is None:
-            w = self._walks[key] = self.rows(m, ia, ib, np.array([j])).walk(j)
-        return w
-
     def tables(self, m: int, policy, nodes: np.ndarray) -> list:
-        """nodes grouped by their control pair at step m, one table each."""
+        """nodes grouped by their control pair at step m, one table each, in
+        the order the pairs first occur."""
         pr = self.problem
-        groups = {}
-        for j in nodes.tolist():
-            groups.setdefault(tuple(_policy_at(policy, m, j)), []).append(j)
+        codes = self.code(m, policy, nodes.tolist())
+        rows = self.rows(m, codes, nodes)
+        _, first = np.unique(codes, return_index=True)
         out = []
-        for (ia, ib), J in groups.items():
-            J = np.array(J)
-            out.append(self.rows(m, ia, ib, J).table(
-                J, self.params.dt, pr.controls_a[ia], pr.controls_b[ib]))
+        for c in codes[np.sort(first)].tolist():
+            ia, ib = divmod(c, self.nb)
+            out.append(rows.table(c, nodes[codes == c], self.params.dt,
+                                  pr.controls_a[ia], pr.controls_b[ib]))
         return out
 
 
@@ -196,8 +182,7 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
     if mode == "monte_carlo":
         if not n_paths or n_paths <= 0:
             raise BadParams("n_paths must be positive")
-        vals = np.array([_simulate_path(model, policy, k, i, seed, path)[0]
-                         for path in range(n_paths)])
+        vals = _simulate_paths(model, policy, k, i, seed, n_paths)[0]
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     raise BadParams(f"unknown mode {mode!r}")
 
@@ -219,32 +204,62 @@ def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
                                minlength=n)
         rho = nxt / model.S
     J = np.flatnonzero(rho)
-    return float(total + rho[J] @ np.array([float(pr.psi(x)) for x in mesh.vertices[J]]))
+    return float(total + rho[J] @ model.psi[J])
 
 
-def _simulate_path(model: _ChainModel, policy, k: int, i: int,
-                   seed: int, path: int):
-    """One chain trajectory; returns (cost, boundary-layer step count)."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, path]))
-    pr, mesh = model.problem, model.mesh
-    dt = model.params.dt
-    state = i
-    cost = 0.0
-    layer_steps = 0
+def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
+                    n_paths: int):
+    """n_paths chain trajectories from vertex i at step k, advanced together
+    one step at a time; returns (costs, boundary-layer step counts).
+
+    Path p draws from its own Philox(key=[seed, p]) stream, one uniform per
+    step while it lives, as when it is simulated alone.  Each step builds
+    the live states' missing rows with one build_node_table call per
+    control pair and makes one f call per control a over the live states
+    and one g call per control b over the drawn reflections.
+    """
+    pr, mesh, nb = model.problem, model.mesh, model.nb
+    dt, width = model.params.dt, mesh.dim + 1
+    steps = model.N - k
+    draws = np.array([np.random.Generator(np.random.Philox(key=[seed, p])).random(steps)
+                      for p in range(n_paths)]).reshape(n_paths, steps)
+    state = np.full(n_paths, i)
+    cost = np.zeros(n_paths)
+    layer = np.zeros(n_paths, dtype=int)
+    live = np.arange(n_paths)
     for m in range(k, model.N):
+        if not len(live):
+            break
         t = model.times[m]
-        ia, ib = _policy_at(policy, m, state)
-        w = model.walk(m, ia, ib, state)
-        layer_steps += w.layer
-        cost += dt * float(pr.f(t, mesh.vertices[state], pr.controls_a[ia]))
-        q = bisect.bisect(w.cuts, rng.random() * w.total)
-        s = q // w.width
-        if w.dirichlet[s]:
-            return cost + w.value[s], layer_steps
-        if w.refl_d[s]:
-            cost += w.refl_d[s] * float(pr.g(t, w.refl_p[s], pr.controls_b[ib]))
-        state = w.verts[q]
-    return cost + float(pr.psi(mesh.vertices[state])), layer_steps
+        here = state[live]
+        uniq, inv = np.unique(here, return_inverse=True)
+        ucode = model.code(m, policy, uniq.tolist())
+        rows = model.rows(m, ucode, uniq)
+        f, ua = np.empty(len(uniq)), ucode // nb
+        for ia in np.unique(ua).tolist():
+            own = np.flatnonzero(ua == ia)
+            f[own] = check_shape("f", pr.f(t, mesh.vertices[uniq[own]], pr.controls_a[ia]),
+                                 (len(own),))
+        cost[live] += dt * f[inv]
+        code = ucode[inv]
+        cum = rows.cum[code, here]
+        q = np.count_nonzero(cum[:, :-1] <= (draws[live, m - k] * cum[:, -1])[:, None],
+                             axis=1)
+        s = q // width
+        layer[live] += rows.layer[code, here]
+        absorbed = rows.dirichlet[code, here, s]
+        refl_d = rows.refl_d[code, here, s]
+        refl = ~absorbed & (refl_d != 0.0)
+        for ib in np.unique(code[refl] % nb).tolist():
+            sel = np.flatnonzero(refl & (code % nb == ib))
+            g = check_shape("g", pr.g(t, rows.refl_p[code[sel], here[sel], s[sel]],
+                                      pr.controls_b[ib]), (len(sel),))
+            cost[live[sel]] += refl_d[sel] * g
+        cost[live[absorbed]] += rows.const[code, here, s][absorbed]
+        state[live] = rows.verts.reshape(rows.built.shape + (-1,))[code, here, q]
+        live = live[~absorbed]
+    cost[live] += model.psi[state[live]]
+    return cost, layer
 
 
 def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams,
@@ -271,7 +286,7 @@ def _policy_values(model: _ChainModel, policy) -> np.ndarray:
     """J_{0,i} for all i under one fixed policy (backward evaluation)."""
     pr, mesh = model.problem, model.mesh
     nodes = np.arange(mesh.n_vertices)
-    J = np.array([float(pr.psi(x)) for x in mesh.vertices])
+    J = model.psi.copy()
     for m in range(model.N - 1, -1, -1):
         new = np.empty_like(J)
         for table in model.tables(m, policy, nodes):
@@ -293,6 +308,5 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
     model = _ChainModel(problem, mesh, params)
     center = mesh.vertices.mean(axis=0)
     start = int(np.argmin(np.linalg.norm(mesh.vertices - center, axis=1)))
-    counts = np.array([_simulate_path(model, policy, 0, start, seed, path)[1]
-                       for path in range(n_paths)], dtype=float)
+    counts = _simulate_paths(model, policy, 0, start, seed, n_paths)[1].astype(float)
     return float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(len(counts)))

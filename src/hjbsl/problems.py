@@ -27,7 +27,7 @@ def unit_circle_controls(n: int) -> list:
 
 
 def _phi_1d(eps: float):
-    """Stationary profile with phi'(0) = phi'(1) = 0.
+    """Stationary profile with phi'(0) = phi'(1) = 0, on arrays.
 
     For eps > 0 it is x + C+ e^{l+ x} + C- e^{l- x} with l± the roots of
     eps*l^2 - l - 1 = 0; the eps = 0 limit is x + e^{-x}.
@@ -35,13 +35,13 @@ def _phi_1d(eps: float):
     if eps < 0:
         raise BadParams("eps must be nonnegative")
     if eps == 0.0:
-        return lambda x: x + math.exp(-x)
+        return lambda x: x + np.exp(-x)
     lp = (1.0 + math.sqrt(1.0 + 4.0 * eps)) / (2.0 * eps)
     lm = (1.0 - math.sqrt(1.0 + 4.0 * eps)) / (2.0 * eps)
     den = math.exp(lp) - math.exp(lm)
     cp = (math.exp(lm) - 1.0) / (lp * den)
     cm = (1.0 - math.exp(lp)) / (lm * den)
-    return lambda x: x + cp * math.exp(lp * x) + cm * math.exp(lm * x)
+    return lambda x: x + cp * np.exp(lp * x) + cm * np.exp(lm * x)
 
 
 def make_test1(eps: float) -> Benchmark:
@@ -54,40 +54,37 @@ def make_test1(eps: float) -> Benchmark:
     sig = math.sqrt(2.0 * eps)
     domain = Interval(0.0, 1.0)
 
-    def f(t, x, a):
-        x0 = float(np.atleast_1d(x)[0])
-        p = phi(x0)
+    def f(t, X, a):
+        x = X[:, 0]
+        p = phi(x)
         # phi' - eps*phi'' collapses to 1 + x - phi via the root identity
-        return 0.5 * p + 0.5 * (3.0 - t) * (1.0 + x0 - p)
-
-    def exact(t, x):
-        return 0.5 * (3.0 - t) * phi(float(np.atleast_1d(x)[0]))
+        return 0.5 * p + 0.5 * (3.0 - t) * (1.0 + x - p)
 
     problem = Problem(
         domain=domain, T=1.0, n_sigma=1,
-        sigma=lambda t, x, a: np.array([[sig]]),
-        mu=lambda t, x, a: np.array([-1.0]),
+        sigma=lambda t, X, a: np.full((len(X), 1, 1), sig),
+        # constant drifts broadcast to X's shape, so one point (dim,) gets
+        # its own drift too
+        mu=lambda t, X, a: np.broadcast_to(-1.0, np.shape(X)),
         f=f,
-        g=lambda t, p, b: 0.0,
-        psi=lambda x: phi(float(np.atleast_1d(x)[0])),
+        g=lambda t, P, b: np.zeros(len(P)),
+        psi=lambda X: phi(X[:, 0]),
         gamma=NormalField(domain),
         controls_a=[0.0], controls_b=[0.0],
         orientation="backward",
-        exact_solution=exact,
+        exact_solution=lambda t, X: 0.5 * (3.0 - t) * phi(X[:, 0]),
         time_independent_dynamics=True,
     )
     return Benchmark(name="test1_eps", problem=problem,
                      c_bar=0.025 + 0.5 * sig, eps=eps)
 
 
-def _test2_f(t, x):
-    x1, x2 = float(x[0]), float(x[1])
-    grad = math.sqrt(math.cos(x1) ** 2 * math.sin(x2) ** 2
-                     + math.sin(x1) ** 2 * math.cos(x2) ** 2)
-    mixed = 2.0 * math.sin(x1 + x2) * math.cos(x1 + x2) \
-        * math.cos(x1) * math.cos(x2)
-    return (0.5 - t) * math.sin(x1) * math.sin(x2) \
-        + (1.5 - t) * (grad - mixed)
+def _test2_f(t, X):
+    x1, x2 = X[:, 0], X[:, 1]
+    grad = np.sqrt(np.cos(x1) ** 2 * np.sin(x2) ** 2
+                   + np.sin(x1) ** 2 * np.cos(x2) ** 2)
+    mixed = 2.0 * np.sin(x1 + x2) * np.cos(x1 + x2) * np.cos(x1) * np.cos(x2)
+    return (0.5 - t) * np.sin(x1) * np.sin(x2) + (1.5 - t) * (grad - mixed)
 
 
 def make_test2(bc: str = "neumann", n_a: int = 16) -> Benchmark:
@@ -101,39 +98,41 @@ def make_test2(bc: str = "neumann", n_a: int = 16) -> Benchmark:
     if bc == "neumann":
         gamma = NormalField(domain)
 
-        def g(t, p, b):
-            x1, x2 = float(p[0]), float(p[1])
-            return (1.5 - t) * (x1 * math.cos(x1) * math.sin(x2)
-                                + x2 * math.sin(x1) * math.cos(x2))
+        def g(t, P, b):
+            x1, x2 = P[:, 0], P[:, 1]
+            return (1.5 - t) * (x1 * np.cos(x1) * np.sin(x2)
+                                + x2 * np.sin(x1) * np.cos(x2))
     elif bc == "oblique":
         gamma = RotatedNormalField(domain, math.pi / 6)
 
-        def g(t, p, b):
-            x1, x2 = float(p[0]), float(p[1])
+        def g(t, P, b):
+            x1, x2 = P[:, 0], P[:, 1]
             c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
             g1 = x1 * c + x2 * s
             g2 = x2 * c - x1 * s
-            return (1.5 - t) * (g1 * math.cos(x1) * math.sin(x2)
-                                + g2 * math.sin(x1) * math.cos(x2))
+            return (1.5 - t) * (g1 * np.cos(x1) * np.sin(x2)
+                                + g2 * np.sin(x1) * np.cos(x2))
     else:
         raise BadParams(f"unknown boundary condition {bc!r}")
 
-    def sigma(t, x, a):
-        th = float(x[0]) + float(x[1])
-        return math.sqrt(2.0) * np.array([[math.sin(th)], [math.cos(th)]])
+    def sigma(t, X, a):
+        th = X[:, 0] + X[:, 1]
+        return math.sqrt(2.0) * np.stack([np.sin(th), np.cos(th)], axis=1)[:, :, None]
+
+    def exact(t, X):
+        return (1.5 - t) * np.sin(X[:, 0]) * np.sin(X[:, 1])
 
     problem = Problem(
         domain=domain, T=1.0, n_sigma=1,
         sigma=sigma,
-        mu=lambda t, x, a: -a,
-        f=lambda t, x, a: _test2_f(t, x),
+        mu=lambda t, X, a: np.broadcast_to(-a, np.shape(X)),
+        f=lambda t, X, a: _test2_f(t, X),
         g=g,
-        psi=lambda x: 1.5 * math.sin(float(x[0])) * math.sin(float(x[1])),
+        psi=lambda X: 1.5 * np.sin(X[:, 0]) * np.sin(X[:, 1]),
         gamma=gamma,
         controls_a=unit_circle_controls(n_a), controls_b=[0.0],
         orientation="forward",
-        exact_solution=lambda t, x: (1.5 - t) * math.sin(float(x[0]))
-        * math.sin(float(x[1])),
+        exact_solution=exact,
         time_independent_dynamics=True,
     )
     name = "test2_neumann" if bc == "neumann" else "test2_oblique"
@@ -150,16 +149,15 @@ def make_test3(n_a: int = 16) -> Benchmark:
     domain = RectWithHole()
     problem = Problem(
         domain=domain, T=3.0, n_sigma=2,
-        sigma=lambda t, x, a: 0.1 * np.eye(2),
-        mu=lambda t, x, a: a,
-        f=lambda t, x, a: 1.0,
-        g=lambda t, p, b: 0.0,
-        psi=lambda x: 0.0,
+        sigma=lambda t, X, a: np.broadcast_to(0.1 * np.eye(2), (len(X), 2, 2)),
+        mu=lambda t, X, a: np.broadcast_to(a, np.shape(X)),
+        f=lambda t, X, a: np.ones(len(X)),
+        g=lambda t, P, b: np.zeros(len(P)),
+        psi=lambda X: np.zeros(len(X)),
         gamma=NormalField(domain),
         controls_a=unit_circle_controls(n_a), controls_b=[0.0],
         orientation="forward",
         time_independent_dynamics=True,
-        time_independent_cost=True,
     )
     return Benchmark(name="test3_exit", problem=problem, c_bar=0.25)
 

@@ -34,27 +34,27 @@ PULLED_OUTSIDE = ("reflected point left the domain; dt too large "
 class Problem:
     """Data tuple (sigma, mu, f, gamma, g, psi, T, A, B) on a domain.
 
-    Handles take physical time.  orientation 'backward' means psi is the
-    terminal datum and values are reported at t=0; 'forward' means psi is
-    the initial datum, the sweep runs in reversed time internally, and
-    values are reported at t=T.
+    Handles take physical time and rows: X is (n, dim) and P is (r, dim);
+    each returns one result per row (see check_shape).  orientation
+    'backward' means psi is the terminal datum and values are reported at
+    t=0; 'forward' means psi is the initial datum, the sweep runs in
+    reversed time internally, and values are reported at t=T.
     """
 
     domain: Domain
     T: float
     n_sigma: int
-    sigma: callable          # (t, x, a) -> (dim, n_sigma)
-    mu: callable             # (t, x, a) -> (dim,)
-    f: callable              # (t, x, a) -> float
-    g: callable              # (t, p, b) -> float
-    psi: callable            # (x,) -> float
+    sigma: callable          # (t, X, a) -> (n, dim, n_sigma)
+    mu: callable             # (t, X, a) -> (n, dim)
+    f: callable              # (t, X, a) -> (n,)
+    g: callable              # (t, P, b) -> (r,)
+    psi: callable            # (X,) -> (n,)
     gamma: ObliqueField
     controls_a: list
     controls_b: list
     orientation: str = "backward"
-    exact_solution: callable = None   # (t, x) -> float
+    exact_solution: callable = None   # (t, X) -> (n,)
     time_independent_dynamics: bool = False
-    time_independent_cost: bool = False
 
     def __post_init__(self):
         if self.T <= 0 or self.n_sigma < 1:
@@ -63,6 +63,17 @@ class Problem:
             raise BadParams("control sets must be nonempty")
         if self.orientation not in ("backward", "forward"):
             raise BadParams(f"unknown orientation {self.orientation!r}")
+
+
+def check_shape(name: str, value, shape: tuple) -> np.ndarray:
+    """A handle's result as a float array of exactly shape; BadParams
+    otherwise.  Nothing is broadcast: a one-point handle given a batch of
+    rows returns one value, which would fill every row."""
+    out = np.asarray(value, dtype=float)
+    if out.shape != shape:
+        raise BadParams(f"{name} returned shape {out.shape} for {shape[0]} rows; "
+                        f"expected {shape}")
+    return out
 
 
 @dataclass
@@ -114,18 +125,33 @@ def step_time(problem: Problem, k: int, dt: float) -> float:
 def _characteristics(problem: Problem, t: float, X, a, dt: float) -> np.ndarray:
     """Points y^{+,1}, y^{-,1}, ..., y^{+,Ns}, y^{-,Ns} of each row of X in
     fixed order, as an (n, 2*Ns, dim) array; mu and sigma are called once
-    per row."""
-    dim, ns = problem.domain.dim, problem.n_sigma
-    mu = np.array([as_point(problem.mu(t, x, a)) for x in X]).reshape(-1, dim)
-    sg = np.array([np.asarray(problem.sigma(t, x, a), dtype=float).reshape(dim, ns)
-                   for x in X]).reshape(-1, dim, ns)
+    on all rows."""
+    n, dim, ns = len(X), problem.domain.dim, problem.n_sigma
+    mu = check_shape("mu", problem.mu(t, X, a), (n, dim))
+    sg = check_shape("sigma", problem.sigma(t, X, a), (n, dim, ns))
     base = X + dt * mu
     # base +- sqrt(Ns*dt) * sigma_l for each column l, interleaved
     step = math.sqrt(ns * dt) * np.swapaxes(sg, -1, -2)
-    out = np.empty((len(base), 2 * ns, dim))
+    out = np.empty((n, 2 * ns, dim))
     out[:, 0::2] = base[:, None, :] + step
     out[:, 1::2] = base[:, None, :] - step
     return out
+
+
+def check_time_independent_dynamics(problem: Problem, mesh: Mesh, dt: float):
+    """BadParams unless mu and sigma agree on every vertex at the first and
+    last step times, for each control a; readers that share one table
+    across steps call this first."""
+    N = n_steps(problem.T, dt)
+    times = (step_time(problem, 0, dt), step_time(problem, N - 1, dt))
+    X = mesh.vertices
+    for a in problem.controls_a:
+        for name in ("mu", "sigma"):
+            handle = getattr(problem, name)
+            first, last = (np.asarray(handle(t, X, a), dtype=float) for t in times)
+            if not np.array_equal(first, last):
+                raise BadParams(f"time_independent_dynamics is set, but {name} "
+                                f"differs between t={times[0]:g} and t={times[1]:g}")
 
 
 def _classify_many(problem: Problem, X, Y, b, dt: float,
@@ -209,17 +235,16 @@ class NodeTable:
     a: object = None
     b: object = None
 
-    def apply(self, problem: Problem, mesh: Mesh, next_values, t: float,
-              f_cache: np.ndarray = None):
-        """S[next_values](a, b) at every row, plus the f array used."""
+    def apply(self, problem: Problem, mesh: Mesh, next_values, t: float):
+        """S[next_values](a, b) at every row, plus the f values used; one f
+        call on the rows' vertices and one g call on all reflections."""
         contrib = (next_values[self.verts] * self.weights).sum(axis=2) + self.const
         if len(self.refl):
-            g = np.array([float(problem.g(t, p, self.b)) for p in self.refl_p])
+            g = check_shape("g", problem.g(t, self.refl_p, self.b), (len(self.refl),))
             contrib.reshape(-1)[self.refl] += self.refl_d * g
-        if f_cache is None:
-            f_cache = np.array([float(problem.f(t, x, self.a))
-                                for x in mesh.vertices[self.nodes]])
-        return contrib.mean(axis=1) + self.dt * f_cache, f_cache
+        f = check_shape("f", problem.f(t, mesh.vertices[self.nodes], self.a),
+                        (len(self.nodes),))
+        return contrib.mean(axis=1) + self.dt * f, f
 
 
 def check_weights(weights: np.ndarray):
@@ -292,14 +317,14 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     n = mesh.n_vertices
     nodes = np.arange(n)
     W = np.empty((N + 1, n))
-    W[N] = [float(problem.psi(x)) for x in mesh.vertices]
+    W[N] = check_shape("psi", problem.psi(mesh.vertices), (n,))
     pairs = [(a, b) for a in problem.controls_a for b in problem.controls_b]
     tables = None
     if problem.time_independent_dynamics:
+        check_time_independent_dynamics(problem, mesh, dt)
         t0 = step_time(problem, N - 1, dt)
         tables = [build_node_table(problem, mesh, a, b, dt, c_bar, t0, nodes)
                   for a, b in pairs]
-    f_caches = [None] * len(pairs)
     max_psi = float(np.max(np.abs(W[N])))
     max_f = 0.0
     for k in range(N - 1, -1, -1):
@@ -310,11 +335,8 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
         else:
             step_tables = tables
         best = None
-        for j, table in enumerate(step_tables):
-            cache = f_caches[j] if problem.time_independent_cost else None
-            vals, f_used = table.apply(problem, mesh, W[k + 1], t, f_cache=cache)
-            if problem.time_independent_cost:
-                f_caches[j] = f_used
+        for table in step_tables:
+            vals, f_used = table.apply(problem, mesh, W[k + 1], t)
             max_f = max(max_f, float(np.max(np.abs(f_used))))
             best = vals if best is None else np.where(vals < best, vals, best)
         W[k] = best
@@ -348,12 +370,15 @@ def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,
         interp = lambda z: mesh.interpolate(nodal, z)
     else:
         interp = lambda z: float(phi_v(z))
-    ns = problem.n_sigma
-    sg = np.asarray(problem.sigma(t, x, a), dtype=float).reshape(problem.domain.dim, ns)
+    ns, dim = problem.n_sigma, problem.domain.dim
+    X = x[None, :]
+    sg = check_shape("sigma", problem.sigma(t, X, a), (1, dim, ns))[0]
+    mu = check_shape("mu", problem.mu(t, X, a), (1, dim))[0]
+    f = float(check_shape("f", problem.f(t, X, a), (1,))[0])
     grad = as_point(phi_g(x))
     hess = np.atleast_2d(phi_h(x))
-    Y = _characteristics(problem, t, x[None, :], a, dt)[0]
-    rp = _classify_many(problem, np.repeat(x[None, :], len(Y), axis=0), Y, b,
+    Y = _characteristics(problem, t, X, a, dt)[0]
+    rp = _classify_many(problem, np.repeat(X, len(Y), axis=0), Y, b,
                         dt, params.c_bar)
     acc = float(rp.value[rp.dirichlet].sum())
     crossing = 0.0
@@ -361,7 +386,7 @@ def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,
         acc += interp(rp.y_tilde[s])
         if rp.exited[s]:
             d = rp.d_tilde[s]
-            g = float(problem.g(t, rp.p[s], b))
+            g = float(check_shape("g", problem.g(t, rp.p[s][None, :], b), (1,))[0])
             acc += d * g
             gt = as_point(problem.gamma(rp.p[s], b))
             l_term = float(np.dot(gt, grad)) - g
@@ -369,10 +394,8 @@ def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,
             k_term = (d / (2.0 * math.sqrt(dt)) * float(gt @ hess @ gt)
                       + sign * math.sqrt(ns) * float(gt @ hess @ sg[:, s // 2]))
             crossing += d * (l_term - math.sqrt(dt) * k_term)
-    S = acc / (2 * ns) + dt * float(problem.f(t, x, a))
-    mu = as_point(problem.mu(t, x, a))
-    H = (-0.5 * float(np.trace(sg @ sg.T @ hess)) - float(np.dot(mu, grad))
-         - float(problem.f(t, x, a)))
+    S = acc / (2 * ns) + dt * f
+    H = -0.5 * float(np.trace(sg @ sg.T @ hess)) - float(np.dot(mu, grad)) - f
     r = S - float(phi_v(x)) + dt * H
     if boundary:
         r += crossing / (2 * ns)

@@ -11,6 +11,7 @@ from hjbsl.cli import (
     main,
     run_study,
     save_config,
+    solution_errors,
 )
 from hjbsl.errors import BadParams, ConfigError
 from hjbsl.problems import get_benchmark
@@ -47,6 +48,22 @@ def test_run_study_values_and_rates():
 def test_run_study_requires_exact_solution():
     with pytest.raises(ConfigError):
         run_study(StudyConfig(benchmark="test3_exit", dx_ladder=[0.2]))
+
+
+def test_solution_errors_match_pointwise_interpolation():
+    # E_1 on a 2D mesh: the batched barycenter values against P1
+    # interpolation and the exact solution one point at a time
+    bench = get_benchmark("test2_neumann", n_a=4)
+    mesh = build_mesh_for(bench, 0.25)
+    vf = sweep(bench.problem, mesh, SchemeParams(dt=0.25, c_bar=bench.c_bar))
+    exact = bench.problem.exact_solution
+    t, U = vf.times[vf.report_index], vf.values[vf.report_index]
+    e_inf, e_1 = solution_errors(vf, exact)
+    one = lambda x: exact(t, x[None])[0]
+    assert e_inf == max(abs(U[i] - one(x)) for i, x in enumerate(mesh.vertices))
+    ref = sum(area * abs(mesh.interpolate(U, x) - one(x))
+              for x, area in zip(mesh.barycenters(), mesh.simplex_measures()))
+    assert e_1 == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_emit_report_formats(tmp_path):
@@ -96,6 +113,22 @@ def test_load_config_rejects_unread_keys(tmp_path):
         assert main(["study", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[other]\nx = 1\n",                                  # no [study] section
+    "[study]\neps = 0\n",                                # no benchmark
+    "[study]\nbenchmark = test1_eps\n",                  # no dx_ladder
+    "[study]\nbenchmark = test1_eps\ndx_ladder = 0.1\neps = abc\n",
+    "benchmark = test1_eps\n",                           # no section header
+], ids=["no_section", "no_benchmark", "no_dx_ladder", "bad_number", "no_header"])
+def test_load_config_rejects_incomplete_or_malformed_files(tmp_path, text, capsys):
+    path = tmp_path / "study.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["study", "--config", str(path)]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", [["study", "--dx-ladder", "0.1"],
                                      ["solve", "--dx", "0.25"]])
 @pytest.mark.parametrize("option", ["--nb", "--seed"])
@@ -110,8 +143,8 @@ def test_dump_solution(tmp_path):
     bench = get_benchmark("test1_eps")
     mesh = build_mesh_for(bench, 0.25)
     pr = bench.problem
-    pr.psi = lambda x: 2.0
-    pr.f = lambda t, x, a: 0.0
+    pr.psi = lambda X: np.full(len(X), 2.0)
+    pr.f = lambda t, X, a: np.zeros(len(X))
     vf = sweep(pr, mesh, SchemeParams(dt=0.25, c_bar=bench.c_bar))
     out = tmp_path / "sol.txt"
     dump_solution(vf, 0, out)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -346,3 +347,14 @@ def test_first_crossing_many_matches_scan(name, data):
         rows = [dom.first_crossing_many(x[None], y[None])[0]
                 for x, y in zip(X[crossing], Y[crossing])]
         assert np.array_equal(many, np.array(rows))
+
+
+def test_rect_first_crossing_with_subnormal_step():
+    # the step toward the right face is subnormal: its face parameter
+    # overflows, and the segment crosses the top face instead
+    dom = RectWithHole()
+    x, y = np.array([0.0, 0.49]), np.array([1e-310, 0.51])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dom.first_crossing_many(x[None], y[None])[0]
+    assert np.max(np.abs(got - dom._scan_crossing(x, y))) <= 1e-9

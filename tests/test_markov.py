@@ -1,16 +1,21 @@
+import bisect
+
 import numpy as np
 import pytest
 
 from hjbsl.errors import BadParams, TooLarge
 from hjbsl.geometry import TOL_BOUNDARY, Interval, NormalField
 from hjbsl.markov import (
+    _ChainModel,
+    _policy_at,
+    _simulate_paths,
     dp_oracle,
     estimate_sojourn,
     policy_cost,
     transition_law,
 )
-from hjbsl.mesh import build_interval_mesh, build_rect_with_hole_mesh
-from hjbsl.problems import make_test1, make_test3
+from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
+from hjbsl.problems import make_test1, make_test2, make_test3
 from hjbsl.scheme import Problem, SchemeParams, sweep
 
 
@@ -19,11 +24,11 @@ def interval_problem(sigma=0.0, mu=0.0, f=None, psi=None, T=1.0,
     dom = Interval(0.0, 1.0)
     return Problem(
         domain=dom, T=T, n_sigma=1,
-        sigma=lambda t, x, a: np.array([[sigma]]),
-        mu=lambda t, x, a: np.array([mu]),
-        f=f or (lambda t, x, a: 0.0),
-        g=lambda t, p, b: 0.0,
-        psi=psi or (lambda x: 0.0),
+        sigma=lambda t, X, a: np.full((len(X), 1, 1), sigma),
+        mu=lambda t, X, a: np.full((len(X), 1), mu),
+        f=f or (lambda t, X, a: np.zeros(len(X))),
+        g=lambda t, P, b: np.zeros(len(P)),
+        psi=psi or (lambda X: np.zeros(len(X))),
         gamma=NormalField(dom),
         controls_a=list(controls_a), controls_b=[0.0],
         time_independent_dynamics=True,
@@ -73,8 +78,8 @@ def test_transition_row_at_door_loses_dirichlet_mass():
     partial = False
     for a in pr.controls_a:
         # the branches, and those whose first crossing is on a door, by hand
-        base = x + dt * pr.mu(0.0, x, a)
-        cols = np.sqrt(pr.n_sigma * dt) * pr.sigma(0.0, x, a).T
+        base = x + dt * pr.mu(0.0, x[None], a)[0]
+        cols = np.sqrt(pr.n_sigma * dt) * pr.sigma(0.0, x[None], a)[0].T
         ys = [base + sign * c for c in cols for sign in (1.0, -1.0)]
         absorbed = sum(dom.signed_distance(y) > TOL_BOUNDARY
                        and dom.boundary_kind(dom._scan_crossing(x, y))[0] == "dirichlet"
@@ -87,7 +92,7 @@ def test_transition_row_at_door_loses_dirichlet_mass():
 
 
 def test_policy_cost_constant_terminal():
-    pr = interval_problem(sigma=0.2, psi=lambda x: 3.0)
+    pr = interval_problem(sigma=0.2, psi=lambda X: np.full(len(X), 3.0))
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     got = policy_cost(pr, mesh, TRIVIAL_POLICY, 0, 1,
                       SchemeParams(dt=0.25, c_bar=0.2))
@@ -96,8 +101,8 @@ def test_policy_cost_constant_terminal():
 
 def test_policy_cost_single_step():
     # deterministic shift right by one cell in one step
-    pr = interval_problem(mu=0.25, f=lambda t, x, a: 2.0,
-                          psi=lambda x: float(np.atleast_1d(x)[0]), T=1.0)
+    pr = interval_problem(mu=0.25, f=lambda t, X, a: np.full(len(X), 2.0),
+                          psi=lambda X: X[:, 0], T=1.0)
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     got = policy_cost(pr, mesh, TRIVIAL_POLICY, 0, 1,
                       SchemeParams(dt=1.0, c_bar=0.2))
@@ -115,15 +120,22 @@ def test_policy_cost_matches_sweep_singleton():
         assert got == pytest.approx(vf.values[0][i], abs=1e-12)
 
 
-def test_policy_cost_time_dependent_dynamics():
-    # the drift changes sign at t = 0.5; rows must be built at each step's time
+def _time_dependent_problem(**flags):
+    # the drift changes sign at t = 0.5
     dom = Interval(0.0, 1.0)
-    pr = Problem(domain=dom, T=1.0, n_sigma=1,
-                 sigma=lambda t, x, a: np.array([[0.1]]),
-                 mu=lambda t, x, a: np.array([0.5 - t]),
-                 f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
-                 psi=lambda x: float(np.atleast_1d(x)[0]),
-                 gamma=NormalField(dom), controls_a=[0.0], controls_b=[0.0])
+    return Problem(domain=dom, T=1.0, n_sigma=1,
+                   sigma=lambda t, X, a: np.full((len(X), 1, 1), 0.1),
+                   mu=lambda t, X, a: np.full((len(X), 1), 0.5 - t),
+                   f=lambda t, X, a: np.zeros(len(X)),
+                   g=lambda t, P, b: np.zeros(len(P)),
+                   psi=lambda X: X[:, 0],
+                   gamma=NormalField(dom), controls_a=[0.0], controls_b=[0.0],
+                   **flags)
+
+
+def test_policy_cost_time_dependent_dynamics():
+    # rows must be built at each step's time
+    pr = _time_dependent_problem()
     mesh = build_interval_mesh(0.0, 1.0, 0.125)
     params = SchemeParams(dt=0.25, c_bar=0.2)
     vf = sweep(pr, mesh, params)
@@ -131,6 +143,18 @@ def test_policy_cost_time_dependent_dynamics():
            for i in range(mesh.n_vertices)]
     assert vf.values[0][2] == pytest.approx(0.375, abs=1e-12)
     assert np.max(np.abs(np.array(got) - vf.values[0])) <= 1e-12
+
+
+def test_time_independent_dynamics_flag_is_checked():
+    # the flag on time-dependent dynamics would share the t=0.75 rows with
+    # every step; the sweep and the chain refuse it
+    pr = _time_dependent_problem(time_independent_dynamics=True)
+    mesh = build_interval_mesh(0.0, 1.0, 0.125)
+    params = SchemeParams(dt=0.25, c_bar=0.2)
+    with pytest.raises(BadParams):
+        sweep(pr, mesh, params)
+    with pytest.raises(BadParams):
+        policy_cost(pr, mesh, TRIVIAL_POLICY, 0, 2, params)
 
 
 def _tiny_instances():
@@ -146,11 +170,11 @@ def _tiny_instances():
         dom = Interval(0.0, 1.0)
         pr = Problem(
             domain=dom, T=1.0, n_sigma=1,
-            sigma=lambda t, x, a, s=sig: np.array([[s]]),
-            mu=lambda t, x, a, m=mu: np.array([m * (1.0 + a)]),
-            f=lambda t, x, a, f0=fa, f1=fb: f0 if a == 0.0 else f1,
-            g=lambda t, p, b: 0.0,
-            psi=lambda x: float(np.atleast_1d(x)[0]) ** 2,
+            sigma=lambda t, X, a, s=sig: np.full((len(X), 1, 1), s),
+            mu=lambda t, X, a, m=mu: np.full((len(X), 1), m * (1.0 + a)),
+            f=lambda t, X, a, f0=fa, f1=fb: np.full(len(X), f0 if a == 0.0 else f1),
+            g=lambda t, P, b: np.zeros(len(P)),
+            psi=lambda X: X[:, 0] ** 2,
             gamma=NormalField(dom),
             controls_a=[0.0, 1.0], controls_b=[0.0],
             time_independent_dynamics=True,
@@ -220,3 +244,65 @@ def test_sojourn_confined_dynamics():
     with pytest.raises(BadParams):
         estimate_sojourn(pr, mesh, TRIVIAL_POLICY,
                          SchemeParams(dt=0.01, c_bar=0.2), n_paths=0)
+
+
+def _reference_path(model, policy, k, i, seed, path):
+    """One chain trajectory simulated alone, one row and one-row handle
+    calls at a time; returns (cost, boundary-layer step count)."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, path]))
+    pr, mesh = model.problem, model.mesh
+    dt, nb = model.params.dt, len(pr.controls_b)
+    state = i
+    cost = 0.0
+    layer_steps = 0
+    for m in range(k, model.N):
+        t = model.times[m]
+        ia, ib = _policy_at(policy, m, state)
+        c = ia * nb + ib
+        rows = model.rows(m, np.array([c]), np.array([state]))
+        weights, dirichlet = rows.weights[c, state], rows.dirichlet[c, state]
+        refl_d = rows.refl_d[c, state]
+        mass = weights.copy()
+        mass[dirichlet, 0] = 1.0
+        cum = np.cumsum(mass.ravel())
+        layer_steps += bool(dirichlet.any() or refl_d.any())
+        cost += dt * float(pr.f(t, mesh.vertices[[state]], pr.controls_a[ia])[0])
+        q = bisect.bisect(cum[:-1].tolist(), rng.random() * float(cum[-1]))
+        s = q // weights.shape[1]
+        if dirichlet[s]:
+            return cost + rows.const[c, state, s], layer_steps
+        if refl_d[s]:
+            p = rows.refl_p[c, state, s][None, :]
+            cost += refl_d[s] * float(pr.g(t, p, pr.controls_b[ib])[0])
+        state = int(rows.verts[c, state].ravel()[q])
+    return cost + float(pr.psi(mesh.vertices[[state]])[0]), layer_steps
+
+
+@pytest.mark.parametrize("name", ["test2_oblique", "test3_exit"])
+def test_simulate_paths_equals_reference_walker(name):
+    if name == "test2_oblique":
+        bench = make_test2("oblique", n_a=8)
+        mesh = build_disk_mesh((0.0, 0.0), 1.0, 0.25)
+        dt = 0.125
+    else:
+        bench = make_test3(n_a=8)
+        dom = bench.problem.domain
+        mesh = build_rect_with_hole_mesh(dom.bounds, dom.hole_center,
+                                         dom.hole_radius, 0.2)
+        dt = 0.1
+    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
+    # a feedback that varies with the vertex and the step
+    policy = lambda m, i: ((3 * i + m) % 8, 0)
+    model = _ChainModel(bench.problem, mesh, params)
+    start = int(np.argmin(np.linalg.norm(mesh.vertices - mesh.vertices.mean(axis=0),
+                                         axis=1)))
+    n_paths, seed = 200, 5
+    costs, layers = _simulate_paths(model, policy, 0, start, seed, n_paths)
+    ref = [_reference_path(model, policy, 0, start, seed, p) for p in range(n_paths)]
+    assert costs.tolist() == [c for c, _ in ref]
+    assert layers.tolist() == [n for _, n in ref]
+    # the paths reached the boundary layer; on test3 some left by a door
+    # before the horizon (unit running cost, so they paid less than T)
+    assert layers.max() > 0
+    if name == "test3_exit":
+        assert costs.min() < bench.problem.T - 1e-9

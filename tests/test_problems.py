@@ -41,8 +41,8 @@ def test_phi_boundary_derivatives():
 def test_test1_values():
     bench = make_test1(0.0)
     exact = bench.problem.exact_solution
-    assert exact(1.0, np.array([0.0])) == pytest.approx(1.0)
-    assert exact(0.0, np.array([0.0])) == pytest.approx(1.5)
+    assert exact(1.0, np.array([[0.0]]))[0] == pytest.approx(1.0)
+    assert exact(0.0, np.array([[0.0]]))[0] == pytest.approx(1.5)
     assert bench.c_bar == pytest.approx(0.025)
     assert make_test1(0.05).c_bar == pytest.approx(0.025 + 0.5 * math.sqrt(0.1))
 
@@ -51,9 +51,8 @@ def test_test1_datum_consistency():
     for eps in (0.0, 0.05):
         bench = make_test1(eps)
         pr = bench.problem
-        for x in np.linspace(0.0, 1.0, 11):
-            assert pr.psi(np.array([x])) == pytest.approx(
-                pr.exact_solution(pr.T, np.array([x])), abs=1e-12)
+        X = np.linspace(0.0, 1.0, 11)[:, None]
+        assert np.max(np.abs(pr.psi(X) - pr.exact_solution(pr.T, X))) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
@@ -69,14 +68,14 @@ def test_test1_pde_residual(eps):
         u_x = 0.5 * (3.0 - t) * d1(x)
         u_xx = 0.5 * (3.0 - t) * d2(x)
         lhs = -u_t - eps * u_xx + u_x
-        assert abs(lhs - bench.problem.f(t, np.array([x]), 0.0)) <= 1e-8
+        assert abs(lhs - bench.problem.f(t, np.array([[x]]), 0.0)[0]) <= 1e-8
 
 
 def test_test2_values():
     bench = make_test2("neumann")
     exact = bench.problem.exact_solution
-    assert exact(1.0, np.array([0.0, 0.0])) == pytest.approx(0.0)
-    assert exact(0.0, np.array([math.pi / 2, math.pi / 2])) == pytest.approx(1.5)
+    assert exact(1.0, np.array([[0.0, 0.0]]))[0] == pytest.approx(0.0)
+    assert exact(0.0, np.array([[math.pi / 2, math.pi / 2]]))[0] == pytest.approx(1.5)
     assert bench.c_bar == 0.25
     with pytest.raises(BadParams):
         make_test2("robin")
@@ -92,10 +91,8 @@ def test_test2_datum_consistency():
     for bc in ("neumann", "oblique"):
         pr = make_test2(bc).problem
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            x = rng.uniform(-0.7, 0.7, size=2)
-            assert pr.psi(x) == pytest.approx(pr.exact_solution(0.0, x),
-                                              abs=1e-12)
+        X = np.array([rng.uniform(-0.7, 0.7, size=2) for _ in range(50)])
+        assert np.max(np.abs(pr.psi(X) - pr.exact_solution(0.0, X))) <= 1e-12
 
 
 def test_test2_pde_residual():
@@ -113,10 +110,10 @@ def test_test2_pde_residual():
         h11 = -c * math.sin(x1) * math.sin(x2)
         h12 = c * math.cos(x1) * math.cos(x2)
         hess = np.array([[h11, h12], [h12, h11]])
-        sg = pr.sigma(t, x, None)
+        sg = pr.sigma(t, x[None], None)[0]
         tr = float(np.trace(sg @ sg.T @ hess))
         lhs = u_t - 0.5 * tr + float(np.linalg.norm(du))
-        assert abs(lhs - pr.f(t, x, None)) <= 1e-8
+        assert abs(lhs - pr.f(t, x[None], None)[0]) <= 1e-8
 
 
 def test_test2_boundary_data():
@@ -132,8 +129,8 @@ def test_test2_boundary_data():
             du = c * np.array([math.cos(p[0]) * math.sin(p[1]),
                                math.sin(p[0]) * math.cos(p[1])])
             gam = pr.gamma(p, None)
-            assert pr.g(t, p, None) == pytest.approx(float(np.dot(gam, du)),
-                                                     abs=1e-12)
+            assert pr.g(t, p[None], None)[0] == pytest.approx(float(np.dot(gam, du)),
+                                                              abs=1e-12)
 
 
 def test_hamiltonian_realization():
@@ -153,14 +150,14 @@ def test_test3_data():
     bench = make_test3()
     pr = bench.problem
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        x = rng.uniform(-1.0, 1.0, size=2)
-        assert pr.psi(x) == 0.0
-        assert pr.f(0.0, x, pr.controls_a[0]) == 1.0
+    X = np.array([rng.uniform(-1.0, 1.0, size=2) for _ in range(50)])
+    assert np.array_equal(pr.psi(X), np.zeros(50))
+    assert np.array_equal(pr.f(0.0, X, pr.controls_a[0]), np.ones(50))
     assert pr.domain.boundary_kind((1.0, 0.1)) == ("dirichlet", 0.2)
     assert pr.T == 3.0
     assert pr.n_sigma == 2
-    sg = pr.sigma(0.0, np.zeros(2), None)
+    sg = pr.sigma(0.0, np.zeros((3, 2)), None)
+    assert sg.shape == (3, 2, 2)
     assert np.allclose(sg, 0.1 * np.eye(2))
 
 
@@ -171,3 +168,12 @@ def test_get_benchmark_dispatch():
     assert get_benchmark("test3_exit").name == "test3_exit"
     with pytest.raises(BadParams):
         get_benchmark("nope")
+
+
+def test_builtin_drift_of_one_point():
+    # a (dim,) point gets its own drift, as a row of a batch does
+    for name in ("test1_eps", "test2_oblique", "test3_exit"):
+        pr = get_benchmark(name).problem
+        x = np.full(pr.domain.dim, 0.25)
+        for a in pr.controls_a:
+            assert np.array_equal(pr.mu(0.0, x, a), pr.mu(0.0, x[None], a)[0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hjbsl.cli import build_mesh_for
 from hjbsl.errors import BadParams, LocationFailure, NoCrossing, OutsideTube, Unstable
 from hjbsl.geometry import (
     TOL_BOUNDARY,
@@ -17,7 +18,7 @@ from hjbsl.geometry import (
     RotatedNormalField,
 )
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
-from hjbsl.problems import make_test1, make_test2, make_test3
+from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
     Problem,
     SchemeParams,
@@ -38,15 +39,24 @@ def interval_problem(sigma=0.0, mu=0.0, f=None, g=None, psi=None, T=1.0,
     dom = Interval(0.0, 1.0)
     return Problem(
         domain=dom, T=T, n_sigma=1,
-        sigma=lambda t, x, a: np.array([[sigma]]),
-        mu=lambda t, x, a: np.array([mu]),
-        f=f or (lambda t, x, a: 0.0),
-        g=g or (lambda t, p, b: 0.0),
-        psi=psi or (lambda x: 0.0),
+        sigma=lambda t, X, a: np.full((len(X), 1, 1), sigma),
+        mu=lambda t, X, a: np.full((len(X), 1), mu),
+        f=f or (lambda t, X, a: np.zeros(len(X))),
+        g=g or (lambda t, P, b: np.zeros(len(P))),
+        psi=psi or (lambda X: np.zeros(len(X))),
         gamma=NormalField(dom),
         controls_a=list(controls_a), controls_b=[0.0],
         orientation=orientation,
     )
+
+
+def const_rows(value):
+    """A (t, X, a) or (t, P, b) handle with the same value at every row."""
+    v = np.asarray(value, dtype=float)
+    return lambda t, X, c: np.broadcast_to(v, (len(X),) + v.shape)
+
+
+ZERO_PSI = lambda X: np.zeros(len(X))
 
 
 def characteristics(pr, x, dt):
@@ -76,10 +86,10 @@ def test_characteristics_hand_value():
 def test_characteristics_mean_property():
     dom = Disk((0.0, 0.0), 1.0)
     pr = Problem(domain=dom, T=1.0, n_sigma=2,
-                 sigma=lambda t, x, a: np.array([[0.3, 0.1], [0.0, 0.2]]),
-                 mu=lambda t, x, a: np.array([0.5, -0.25]),
-                 f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
-                 psi=lambda x: 0.0, gamma=NormalField(dom),
+                 sigma=const_rows([[0.3, 0.1], [0.0, 0.2]]),
+                 mu=const_rows([0.5, -0.25]),
+                 f=const_rows(0.0), g=const_rows(0.0),
+                 psi=ZERO_PSI, gamma=NormalField(dom),
                  controls_a=[0.0], controls_b=[0.0])
     x = np.array([0.1, 0.2])
     ys = characteristics(pr, x, 0.04)
@@ -89,10 +99,10 @@ def test_characteristics_mean_property():
 def test_reflect_inside_is_identity():
     dom = Disk((0.0, 0.0), 1.0)
     pr = Problem(domain=dom, T=1.0, n_sigma=1,
-                 sigma=lambda t, x, a: np.array([[0.0], [0.0]]),
-                 mu=lambda t, x, a: np.zeros(2),
-                 f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
-                 psi=lambda x: 0.0, gamma=NormalField(dom),
+                 sigma=const_rows([[0.0], [0.0]]),
+                 mu=const_rows([0.0, 0.0]),
+                 f=const_rows(0.0), g=const_rows(0.0),
+                 psi=ZERO_PSI, gamma=NormalField(dom),
                  controls_a=[0.0], controls_b=[0.0])
     rp = classify(pr, [0.2, 0.0], [0.2, 0.1], 0.04, 0.25)
     assert not rp["exited"] and not rp["dirichlet"]
@@ -103,10 +113,10 @@ def test_reflect_inside_is_identity():
 def test_reflect_disk_example():
     dom = Disk((0.0, 0.0), 1.0)
     pr = Problem(domain=dom, T=1.0, n_sigma=1,
-                 sigma=lambda t, x, a: np.array([[0.0], [0.0]]),
-                 mu=lambda t, x, a: np.zeros(2),
-                 f=lambda t, x, a: 0.0, g=lambda t, p, b: 7.0,
-                 psi=lambda x: 0.0, gamma=NormalField(dom),
+                 sigma=const_rows([[0.0], [0.0]]),
+                 mu=const_rows([0.0, 0.0]),
+                 f=const_rows(0.0), g=const_rows(7.0),
+                 psi=ZERO_PSI, gamma=NormalField(dom),
                  controls_a=[0.0], controls_b=[0.0])
     y = np.array([1.2, 0.0])
     rp = classify(pr, [0.9, 0.0], y, 0.04, 0.25)
@@ -148,8 +158,7 @@ def test_apply_S_control_zero_and_constant():
 
 
 def test_apply_S_control_affine_no_exit():
-    pr = interval_problem(sigma=0.1, mu=0.5,
-                          f=lambda t, x, a: 1.0)
+    pr = interval_problem(sigma=0.1, mu=0.5, f=const_rows(1.0))
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     params = SchemeParams(dt=0.01, c_bar=0.2)
     nodal = 2.0 * mesh.vertices[:, 0] + 0.3
@@ -161,7 +170,7 @@ def test_apply_S_control_affine_no_exit():
 
 def test_apply_S_min_and_tie_break():
     pr = interval_problem(controls_a=(0.0, 1.0),
-                          f=lambda t, x, a: float(a))
+                          f=lambda t, X, a: np.full(len(X), float(a)))
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     params = SchemeParams(dt=0.1, c_bar=0.2)
     zero = np.zeros(mesh.n_vertices)
@@ -189,14 +198,14 @@ def test_monotone_and_commutation_randomized():
 
 
 def test_sweep_constant_fixed_point():
-    pr = interval_problem(sigma=0.2, mu=-0.5, psi=lambda x: 4.0)
+    pr = interval_problem(sigma=0.2, mu=-0.5, psi=lambda X: np.full(len(X), 4.0))
     mesh = build_interval_mesh(0.0, 1.0, 0.1)
     vf = sweep(pr, mesh, SchemeParams(dt=0.05, c_bar=0.3))
     assert np.allclose(vf.values, 4.0, atol=1e-12)
 
 
 def test_sweep_pure_time_integration():
-    pr = interval_problem(f=lambda t, x, a: 1.0)
+    pr = interval_problem(f=const_rows(1.0))
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     dt = 0.125
     vf = sweep(pr, mesh, SchemeParams(dt=dt, c_bar=0.3))
@@ -209,13 +218,13 @@ def test_sweep_terminal_condition_exact():
     bench = make_test1(0.0)
     mesh = build_interval_mesh(0.0, 1.0, 0.1)
     vf = sweep(bench.problem, mesh, SchemeParams(dt=0.1, c_bar=bench.c_bar))
-    psi = np.array([bench.problem.psi(x) for x in mesh.vertices])
+    psi = bench.problem.psi(mesh.vertices)
     assert np.array_equal(vf.values[-1], psi)
     assert vf.report_index == 0
 
 
 def test_sweep_forward_orientation_indexing():
-    pr = interval_problem(f=lambda t, x, a: 1.0, orientation="forward")
+    pr = interval_problem(f=const_rows(1.0), orientation="forward")
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     vf = sweep(pr, mesh, SchemeParams(dt=0.25, c_bar=0.3))
     # initial datum sits at index 0, accumulated cost grows with time
@@ -234,7 +243,7 @@ def test_sweep_deterministic():
 
 
 def test_sweep_blowup_guard():
-    pr = interval_problem(f=lambda t, x, a: 1.0)
+    pr = interval_problem(f=const_rows(1.0))
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     with pytest.raises(Unstable):
         sweep(pr, mesh, SchemeParams(dt=0.01, c_bar=0.3, blowup_guard=0.5))
@@ -245,6 +254,38 @@ def test_sweep_rejects_dt_larger_than_horizon():
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     with pytest.raises(BadParams):
         sweep(pr, mesh, SchemeParams(dt=2.0, c_bar=0.3))
+
+
+@pytest.mark.parametrize("name, dx, dt", [("test2_oblique", 0.25, 0.25),
+                                           ("test3_exit", 0.2, 0.1)])
+def test_sweep_calls_each_handle_once_per_table(name, dx, dt):
+    bench = get_benchmark(name)
+    pr = bench.problem
+    calls = dict.fromkeys(("f", "g", "mu", "sigma", "psi"), 0)
+    for h in calls:
+        def counted(*args, h=h, handle=getattr(pr, h)):
+            calls[h] += 1
+            return handle(*args)
+        setattr(pr, h, counted)
+    sweep(pr, build_mesh_for(bench, dx), SchemeParams(dt=dt, c_bar=bench.c_bar))
+    N = n_steps(pr.T, dt)
+    pairs = len(pr.controls_a) * len(pr.controls_b)
+    assert calls["psi"] == 1
+    assert calls["f"] == N * pairs
+    assert 0 < calls["g"] <= N * pairs
+    # one table per pair, shared by all steps, plus the flag check's two
+    # calls per control a
+    assert calls["mu"] == calls["sigma"] == pairs + 2 * len(pr.controls_a)
+
+
+def test_handles_of_the_wrong_shape_are_rejected():
+    mesh = build_interval_mesh(0.0, 1.0, 0.25)
+    params = SchemeParams(dt=0.25, c_bar=0.3)
+    # a one-point psi returns a single value for the whole batch of rows
+    with pytest.raises(BadParams):
+        sweep(interval_problem(psi=lambda x: float(np.ravel(x)[0])), mesh, params)
+    with pytest.raises(BadParams):
+        sweep(interval_problem(f=lambda t, X, a: np.zeros((len(X), 1))), mesh, params)
 
 
 def test_dirichlet_routing_by_first_crossing():
@@ -351,10 +392,10 @@ def test_build_node_table_rejects_bad_weights(monkeypatch):
 
 def _problem_on(dom, gamma):
     return Problem(domain=dom, T=1.0, n_sigma=1,
-                   sigma=lambda t, x, a: np.zeros((dom.dim, 1)),
-                   mu=lambda t, x, a: np.zeros(dom.dim),
-                   f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
-                   psi=lambda x: 0.0, gamma=gamma,
+                   sigma=const_rows(np.zeros((dom.dim, 1))),
+                   mu=const_rows(np.zeros(dom.dim)),
+                   f=const_rows(0.0), g=const_rows(0.0),
+                   psi=ZERO_PSI, gamma=gamma,
                    controls_a=[0.0], controls_b=[0.0])
 
 
@@ -458,9 +499,10 @@ class _CountingRect(_Counting, RectWithHole):
 def test_build_node_table_makes_no_scalar_signed_distance_calls(dom, field, mesh):
     mesh = mesh()
     pr = Problem(domain=dom, T=1.0, n_sigma=2,
-                 sigma=lambda t, x, a: 0.3 * np.eye(2), mu=lambda t, x, a: a,
-                 f=lambda t, x, a: 0.0, g=lambda t, p, b: 0.0,
-                 psi=lambda x: 0.0, gamma=field(dom),
+                 sigma=const_rows(0.3 * np.eye(2)),
+                 mu=lambda t, X, a: np.broadcast_to(a, np.shape(X)),
+                 f=const_rows(0.0), g=const_rows(0.0),
+                 psi=ZERO_PSI, gamma=field(dom),
                  controls_a=[np.array([1.0, 0.0])], controls_b=[0.0])
     dom.calls = 0
     table = build_node_table(pr, mesh, np.array([1.0, 0.0]), 0.0, 0.05, 0.25, 0.0,
@@ -524,6 +566,6 @@ def test_apply_S_equals_one_step_sweep(name):
     pr = dataclasses.replace(bench.problem, T=dt)
     params = SchemeParams(dt=dt, c_bar=bench.c_bar)
     vf = sweep(pr, mesh, params)
-    psi = np.array([pr.psi(x) for x in mesh.vertices])
+    psi = pr.psi(mesh.vertices)
     got = [apply_S(pr, mesh, psi, 0, i, params) for i in range(mesh.n_vertices)]
     assert np.max(np.abs(np.array(got) - vf.values[vf.report_index])) <= 1e-12
