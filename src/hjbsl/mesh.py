@@ -196,12 +196,6 @@ class Mesh:
             return self._scan(x)
         return Location(simplex=int(simplex[0]), bary=bary[0])
 
-    def locate(self, x) -> Location:
-        loc = self.try_locate(x)
-        if loc is None:
-            raise LocationFailure(f"point {x!r} not inside the mesh")
-        return loc
-
     def _check_in_domain(self, x):
         if self.domain is not None and not self.domain.signed_distance(x) <= TOL_BOUNDARY:
             raise OutsideDomain(f"point {x!r} outside the closed domain")
@@ -214,14 +208,6 @@ class Mesh:
         t = np.clip(np.sum((x - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
         q = a + t[:, None] * ab
         return q[np.argmin(np.linalg.norm(x - q, axis=1))]
-
-    def project(self, x) -> np.ndarray:
-        """Projection onto the polyhedral domain (identity on it)."""
-        x = as_point(x)
-        self._check_in_domain(x)
-        if self.try_locate(x) is not None:
-            return x
-        return self._nearest_boundary_point(x)
 
     def interpolation_weights(self, x):
         """Vertex indices and P1 weights at p_dx(x); weights are a convex

@@ -10,9 +10,10 @@ first-order imposition).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import BadParams, LocationFailure, OutsideTube, Unstable
 from .geometry import (
@@ -192,59 +193,21 @@ def _classify_many(problem: Problem, X, Y, b, dt: float,
                           dirichlet=dirichlet, value=value)
 
 
-def apply_S_control(problem: Problem, mesh: Mesh, next_values, k: int,
-                    i: int, a, b, params: SchemeParams) -> float:
-    """One-step operator S_{k,i}[Phi](a,b): row i of NodeTable.apply."""
-    t = step_time(problem, k, params.dt)
-    table = build_node_table(problem, mesh, a, b, params.dt, params.c_bar, t, [i])
-    return float(table.apply(problem, mesh, next_values, t)[0][0])
-
-
 def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
             params: SchemeParams) -> float:
-    """Minimum of apply_S_control over the finite control grid (tie: first)."""
-    best = None
-    for a in problem.controls_a:
-        for b in problem.controls_b:
-            v = apply_S_control(problem, mesh, next_values, k, i, a, b, params)
-            if best is None or v < best:
-                best = v
-    return best
+    """Minimum of S_{k,i}[Phi](a,b) over the finite control grid: the
+    minimum of vertex i's rows under every pair."""
+    # one step's rows are never shared across steps, so the flag needs no check
+    op = Operator(replace(problem, time_independent_dynamics=False), mesh, params)
+    codes = np.arange(op.n_pairs)
+    return float(op.apply(k, next_values, codes, np.full(op.n_pairs, i))[0].min())
 
 
-@dataclass
-class NodeTable:
-    """Classified, located characteristics of one control pair at the
-    vertices nodes; row r belongs to vertex nodes[r] and holds its 2*Ns
-    branches.
-
-    Valid for every step when the dynamics handles are time-independent.
-    Branch (r, s) has the flat index r*2*Ns + s.  A Dirichlet branch has
-    zero weights and its exit datum in const.
-    """
-
-    nodes: np.ndarray       # (n,) vertex index of each row
-    verts: np.ndarray       # (n, 2*Ns, dim+1) vertex indices
-    weights: np.ndarray     # (n, 2*Ns, dim+1) interpolation weights
-    const: np.ndarray       # (n, 2*Ns) additive constants (dirichlet data)
-    dirichlet: np.ndarray   # (n, 2*Ns) Dirichlet exits
-    refl: np.ndarray        # (r,) flat branch indices of the oblique exits
-    refl_d: np.ndarray      # (r,) their algebraic crossing distances d_tilde
-    refl_p: np.ndarray      # (r, dim) their boundary projection points
-    dt: float
-    a: object = None
-    b: object = None
-
-    def apply(self, problem: Problem, mesh: Mesh, next_values, t: float):
-        """S[next_values](a, b) at every row, plus the f values used; one f
-        call on the rows' vertices and one g call on all reflections."""
-        contrib = (next_values[self.verts] * self.weights).sum(axis=2) + self.const
-        if len(self.refl):
-            g = check_shape("g", problem.g(t, self.refl_p, self.b), (len(self.refl),))
-            contrib.reshape(-1)[self.refl] += self.refl_d * g
-        f = check_shape("f", problem.f(t, mesh.vertices[self.nodes], self.a),
-                        (len(self.nodes),))
-        return contrib.mean(axis=1) + self.dt * f, f
+def apply_S_control(problem: Problem, mesh: Mesh, next_values, k: int,
+                    i: int, a, b, params: SchemeParams) -> float:
+    """One-step operator S_{k,i}[Phi](a,b)."""
+    return apply_S(replace(problem, controls_a=[a], controls_b=[b]), mesh,
+                   next_values, k, i, params)
 
 
 def check_weights(weights: np.ndarray):
@@ -258,32 +221,174 @@ def check_weights(weights: np.ndarray):
                               f"not convex combinations")
 
 
-def build_node_table(problem: Problem, mesh: Mesh, a, b, dt: float,
-                     c_bar: float, t: float, nodes) -> NodeTable:
+class Rows:
+    """Every control pair's rows over all mesh vertices at one step key.
+
+    [c, j] is the row of vertex j under pair code c = ia*len(controls_b) + ib,
+    and row c*n + j of the stacked operator; built marks the rows written
+    so far.  Each of a row's 2*Ns branches holds the simplex vertices and P1
+    weights of its landing point.  A Dirichlet branch has zero weights and
+    its exit datum in const; an oblique exit has its crossing distance
+    d_tilde in refl_d (0 off the oblique exits) and its boundary
+    projection point in refl_p.
+
+    For the Monte Carlo draw, slot q = s*(dim+1) + v of a row's flattened
+    (branch, simplex vertex) grid is drawn when a uniform draw times
+    cum[c, j, -1] falls below cum[c, j, q] and not below cum[c, j, q-1]; a
+    Dirichlet branch puts its whole mass on its first slot.  layer marks
+    the rows with an exiting branch.
+    """
+
+    def __init__(self, P: int, n: int, S: int, dim: int):
+        self.built = np.zeros((P, n), dtype=bool)
+        self.verts = np.zeros((P, n, S, dim + 1), dtype=int)
+        self.weights = np.zeros((P, n, S, dim + 1))
+        self.const = np.zeros((P, n, S))
+        self.dirichlet = np.zeros((P, n, S), dtype=bool)
+        self.refl_d = np.zeros((P, n, S))
+        self.refl_p = np.zeros((P, n, S, dim))
+        self.cum = np.zeros((P, n, S * (dim + 1)))
+        self.layer = np.zeros((P, n), dtype=bool)
+        self.stacked = None     # every row's terms, once all are built
+
+    def matrix(self, codes, nodes) -> csr_matrix:
+        """The rows [codes[r], nodes[r]] of the stacked (pairs*n, n)
+        operator P: entries weight/(2*Ns), kept in (branch, simplex vertex)
+        slot order with duplicates not summed."""
+        S = self.const.shape[2]
+        w = self.weights[codes, nodes].reshape(len(codes), -1)
+        return csr_matrix((w.ravel() / S, self.verts[codes, nodes].ravel(),
+                           np.arange(0, w.size + 1, w.shape[1])),
+                          shape=(len(codes), self.built.shape[1]))
+
+
+def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
+                     rows: Rows, c: int, t: float, nodes):
     """The only path from characteristics to classified, located branches:
-    the rows of pair (a, b) at time t for the vertex indices nodes, formed,
-    classified and located in one batched pass."""
+    the rows of pair code c at time t for the vertex indices nodes, formed,
+    classified and located in one batched pass and written to rows[c, nodes]."""
+    ia, ib = divmod(c, len(problem.controls_b))
     nodes = np.asarray(nodes, dtype=int)
     n, dim = len(nodes), mesh.dim
     S = 2 * problem.n_sigma
     V = mesh.vertices[nodes]
     X = np.repeat(V, S, axis=0)
-    Y = _characteristics(problem, t, V, a, dt).reshape(-1, dim)
-    rp = _classify_many(problem, X, Y, b, dt, c_bar)
+    Y = _characteristics(problem, t, V, problem.controls_a[ia], params.dt).reshape(-1, dim)
+    rp = _classify_many(problem, X, Y, problem.controls_b[ib], params.dt, params.c_bar)
     # non-Dirichlet branches land in the closed domain
     located = ~rp.dirichlet
     simplex, bary = mesh.locate_many(rp.y_tilde[located])
+    check_weights(bary)
     verts = np.zeros((n * S, dim + 1), dtype=int)
     weights = np.zeros((n * S, dim + 1))
     verts[located] = mesh.simplices[simplex]
     weights[located] = bary
-    check_weights(weights[located])
-    refl = np.flatnonzero(rp.exited & located)
-    return NodeTable(nodes=nodes, verts=verts.reshape(n, S, dim + 1),
-                     weights=weights.reshape(n, S, dim + 1),
-                     const=rp.value.reshape(n, S), dirichlet=rp.dirichlet.reshape(n, S),
-                     refl=refl, refl_d=rp.d_tilde[refl], refl_p=rp.p[refl],
-                     dt=dt, a=a, b=b)
+    mass = weights.copy()
+    mass[rp.dirichlet, 0] = 1.0
+    rows.verts[c, nodes] = verts.reshape(n, S, dim + 1)
+    rows.weights[c, nodes] = weights.reshape(n, S, dim + 1)
+    rows.const[c, nodes] = rp.value.reshape(n, S)
+    rows.dirichlet[c, nodes] = rp.dirichlet.reshape(n, S)
+    rows.refl_d[c, nodes] = rp.d_tilde.reshape(n, S)
+    rows.refl_p[c, nodes] = rp.p.reshape(n, S, dim)
+    rows.cum[c, nodes] = np.cumsum(mass.reshape(n, -1), axis=1)
+    rows.layer[c, nodes] = rp.exited.reshape(n, S).any(axis=1)
+    rows.built[c, nodes] = True
+
+
+def per_control(name: str, handle, controls: list, t: float, groups, X) -> np.ndarray:
+    """handle(t, X[r], controls[groups[r]]) for every row r, one call per
+    control that occurs in groups."""
+    out = np.empty(len(X))
+    for i in np.flatnonzero(np.bincount(groups)).tolist():
+        sel = np.flatnonzero(groups == i)
+        out[sel] = check_shape(name, handle(t, X[sel], controls[i]), (len(sel),))
+    return out
+
+
+class Operator:
+    """The scheme's one-step operator at every step, read as a Markov chain:
+    on the row [c, j] of pair code c and vertex j,
+
+        S[U] = (P @ U)[c*n + j] + const + crossings + dt*f,
+
+    P being the stacked (pairs*n, n) substochastic matrix, const the mean
+    Dirichlet datum of the row's branches and crossings their mean
+    d_tilde*g.  Rows are built as readers reach them into one Rows store
+    per step key: the step, or None when time_independent_dynamics (checked
+    here) shares one store across steps.  Only the latest key's store is
+    kept, so a reader walks the steps in order.
+    """
+
+    def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
+        self.problem = problem
+        self.mesh = mesh
+        self.params = params
+        self.N = n_steps(problem.T, params.dt)
+        self.S = 2 * problem.n_sigma
+        self.nb = len(problem.controls_b)
+        self.n_pairs = len(problem.controls_a) * self.nb
+        self.times = [step_time(problem, m, params.dt) for m in range(self.N)]
+        if problem.time_independent_dynamics:
+            check_time_independent_dynamics(problem, mesh, params.dt)
+        # (pair code, vertex) of every row, in stacked order
+        self._every_row = np.divmod(np.arange(self.n_pairs * mesh.n_vertices),
+                                    mesh.n_vertices)
+        self._key = self._rows = None
+
+    def rows(self, m: int, codes=None, nodes=None) -> Rows:
+        """The store at step m with row [codes[r], nodes[r]] built for each
+        r, every row when codes is None; one build_node_table call per pair
+        with missing rows."""
+        if not 0 <= m < self.N:
+            raise BadParams(f"step {m} outside 0..{self.N - 1}")
+        key = None if self.problem.time_independent_dynamics else m
+        if self._rows is None or key != self._key:
+            # release the previous step's store before allocating this one
+            self._rows = None
+            self._key, self._rows = key, Rows(self.n_pairs, self.mesh.n_vertices,
+                                              self.S, self.mesh.dim)
+        rows = self._rows
+        if codes is None:
+            codes, nodes = self._every_row
+        codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
+        missing = ~rows.built[codes, nodes]
+        if missing.any():
+            for c in np.unique(codes[missing]).tolist():
+                build_node_table(self.problem, self.mesh, self.params, rows, c,
+                                 self.times[m], np.unique(nodes[missing & (codes == c)]))
+        return rows
+
+    def _terms(self, rows: Rows, codes, nodes) -> tuple:
+        """S's pieces on the built rows [codes[r], nodes[r]]: codes, the
+        rows' vertex points, P restricted to the rows, their mean Dirichlet
+        datum, and their oblique exits as (row r, d_tilde/(2*Ns), p)."""
+        refl_d = rows.refl_d[codes, nodes]
+        r, s = np.nonzero(refl_d)
+        return (codes, self.mesh.vertices[nodes], rows.matrix(codes, nodes),
+                rows.const[codes, nodes].sum(axis=1) / self.S,
+                r, refl_d[r, s] / self.S, rows.refl_p[codes[r], nodes[r], s])
+
+    def apply(self, m: int, U, codes=None, nodes=None) -> tuple:
+        """S[U] at step m on the rows [codes[r], nodes[r]], or on every row
+        in stacked order when codes is None.  Returns (S[U], the f values
+        used, P restricted to those rows); makes one f call per control a
+        over the rows' vertices and one g call per control b over their
+        oblique exits."""
+        rows = self.rows(m, codes, nodes)
+        pr, t = self.problem, self.times[m]
+        if codes is None:
+            if rows.stacked is None:
+                rows.stacked = self._terms(rows, *self._every_row)
+            terms = rows.stacked
+        else:
+            terms = self._terms(rows, np.asarray(codes, dtype=int),
+                                np.asarray(nodes, dtype=int))
+        codes, X, P, const, r, d, p = terms
+        f = per_control("f", pr.f, pr.controls_a, t, codes // self.nb, X)
+        g = per_control("g", pr.g, pr.controls_b, t, codes[r] % self.nb, p)
+        crossings = np.bincount(r, weights=d * g, minlength=len(codes))
+        return P @ U + const + crossings + self.params.dt * f, f, P
 
 
 @dataclass
@@ -309,37 +414,21 @@ class ValueFunction:
 
 
 def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
-    """Backward recursion U_N = Psi, U_k = inf_{a,b} S_{k}[U_{k+1}]."""
-    dt, c_bar = params.dt, params.c_bar
-    N = n_steps(problem.T, dt)
+    """Backward recursion U_N = Psi, U_k = inf_{a,b} S_{k}[U_{k+1}]: the
+    minimum over the pair blocks of the stacked rows."""
+    N = n_steps(problem.T, params.dt)
     if N < 1:
         raise BadParams("dt larger than the horizon")
+    op = Operator(problem, mesh, params)
     n = mesh.n_vertices
-    nodes = np.arange(n)
     W = np.empty((N + 1, n))
     W[N] = check_shape("psi", problem.psi(mesh.vertices), (n,))
-    pairs = [(a, b) for a in problem.controls_a for b in problem.controls_b]
-    tables = None
-    if problem.time_independent_dynamics:
-        check_time_independent_dynamics(problem, mesh, dt)
-        t0 = step_time(problem, N - 1, dt)
-        tables = [build_node_table(problem, mesh, a, b, dt, c_bar, t0, nodes)
-                  for a, b in pairs]
     max_psi = float(np.max(np.abs(W[N])))
     max_f = 0.0
     for k in range(N - 1, -1, -1):
-        t = step_time(problem, k, dt)
-        if tables is None:
-            step_tables = [build_node_table(problem, mesh, a, b, dt, c_bar, t, nodes)
-                           for a, b in pairs]
-        else:
-            step_tables = tables
-        best = None
-        for table in step_tables:
-            vals, f_used = table.apply(problem, mesh, W[k + 1], t)
-            max_f = max(max_f, float(np.max(np.abs(f_used))))
-            best = vals if best is None else np.where(vals < best, vals, best)
-        W[k] = best
+        v, f, _ = op.apply(k, W[k + 1])
+        max_f = max(max_f, float(np.max(np.abs(f))))
+        W[k] = v.reshape(op.n_pairs, n).min(axis=0)
         guard = params.blowup_guard
         if guard is None:
             guard = 1e3 * (max_psi + problem.T * max_f + 1.0)
@@ -347,7 +436,7 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
             raise Unstable(f"values exceeded the blow-up guard {guard:.3g} "
                            f"at step {k}")
     values = W if problem.orientation == "backward" else W[::-1].copy()
-    return ValueFunction(values=values, dt=dt, mesh=mesh, problem=problem)
+    return ValueFunction(values=values, dt=params.dt, mesh=mesh, problem=problem)
 
 
 def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,

@@ -36,3 +36,41 @@ def test_no_unused_imports_in_library():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert not found, f"unused imports in src/hjbsl: {found}"
+
+
+# defined but read only from outside src/hjbsl, with the reason
+UNREFERENCED_ALLOWED = {
+    "Mesh._candidates": "perfbench/harness.py counts the location fallback scans with it",
+}
+
+
+def _unreferenced_definitions() -> list:
+    """Module-level functions and classes, and methods other than dunders,
+    whose name no module of src/hjbsl refers to; an import by name, as the
+    re-exports in __init__.py, counts as a reference."""
+    defined, used = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(qual for qual, name in defined if name not in used)
+
+
+def test_no_unreferenced_definitions_in_library():
+    found = _unreferenced_definitions()
+    assert [q for q in found if q not in UNREFERENCED_ALLOWED] == [], \
+        f"functions, classes or methods no module of src/hjbsl refers to: {found}"
+    # the allow-list names only what is still unreferenced
+    assert set(UNREFERENCED_ALLOWED) <= set(found)

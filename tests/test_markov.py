@@ -226,9 +226,10 @@ def test_policy_cost_bad_modes():
     pr = interval_problem()
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     params = SchemeParams(dt=0.25, c_bar=0.2)
-    with pytest.raises(BadParams):
-        policy_cost(pr, mesh, TRIVIAL_POLICY, 0, 0, params,
-                    mode="monte_carlo", n_paths=0)
+    for n_paths in (0, 1):
+        with pytest.raises(BadParams):
+            policy_cost(pr, mesh, TRIVIAL_POLICY, 0, 0, params,
+                        mode="monte_carlo", n_paths=n_paths)
     with pytest.raises(BadParams):
         policy_cost(pr, mesh, TRIVIAL_POLICY, 0, 0, params, mode="nope")
 
@@ -241,9 +242,10 @@ def test_sojourn_confined_dynamics():
                                SchemeParams(dt=0.01, c_bar=0.2),
                                n_paths=100, seed=0)
     assert est == 0.0
-    with pytest.raises(BadParams):
-        estimate_sojourn(pr, mesh, TRIVIAL_POLICY,
-                         SchemeParams(dt=0.01, c_bar=0.2), n_paths=0)
+    for n_paths in (0, 1):
+        with pytest.raises(BadParams):
+            estimate_sojourn(pr, mesh, TRIVIAL_POLICY,
+                             SchemeParams(dt=0.01, c_bar=0.2), n_paths=n_paths)
 
 
 def _reference_path(model, policy, k, i, seed, path):

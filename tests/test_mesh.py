@@ -42,12 +42,15 @@ def test_disk_mesh_hausdorff_gap():
     dx = 0.25
     m = build_disk_mesh((0.0, 0.0), 1.0, dx)
     th = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
-    worst = 0.0
-    for t in th:
-        x = np.array([math.cos(t), math.sin(t)])
-        q = m.project(x)
-        worst = max(worst, float(np.linalg.norm(x - q)))
-    assert worst <= dx * dx
+    x = np.column_stack([np.cos(th), np.sin(th)])
+    # circle points off the polygon land on its nearest boundary point
+    assert np.max(np.linalg.norm(x - _landing(m, x), axis=1)) <= dx * dx
+
+
+def _landing(m, points):
+    """The points p_dx(x) that locate_many reads for each row x."""
+    simplex, bary = m.locate_many(points)
+    return np.einsum("mk,mkd->md", bary, m.vertices[m.simplices[simplex]])
 
 
 def test_rect_with_hole_mesh():
@@ -97,17 +100,17 @@ def test_partition_of_unity():
 
 def test_locate_examples():
     m = build_interval_mesh(0.0, 1.0, 0.5)
-    loc = m.locate(np.array([0.25]))
+    loc = m.try_locate(np.array([0.25]))
     assert loc.simplex == 0
     assert np.allclose(loc.bary, [0.5, 0.5])
     # shared vertex resolves to the lowest simplex index
-    loc = m.locate(np.array([0.5]))
+    loc = m.try_locate(np.array([0.5]))
     assert loc.simplex == 0
     assert np.max(loc.bary) == pytest.approx(1.0)
 
     md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
     bc = md.barycenters()[3]
-    loc = md.locate(bc)
+    loc = md.try_locate(bc)
     assert loc.simplex == 3 or np.allclose(
         md.vertices[md.simplices[loc.simplex]].mean(axis=0), bc)
     assert np.allclose(sorted(loc.bary), [1 / 3] * 3, atol=1e-12)
@@ -160,19 +163,22 @@ def test_interpolation_monotone():
 
 
 def test_project_examples():
+    # p_dx is the identity on the polygon and the nearest polygon point off it
     m = build_interval_mesh(0.0, 1.0, 0.25)
-    assert m.project(np.array([0.3]))[0] == pytest.approx(0.3)
+    assert _landing(m, np.array([[0.3]]))[0, 0] == pytest.approx(0.3)
     md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
     v = md.vertices[7]
-    assert np.allclose(md.project(v), v)
+    assert np.allclose(_landing(md, v[None, :])[0], v)
     with pytest.raises(OutsideDomain):
-        md.project(np.array([1.5, 0.0]))
+        md.interpolation_weights(np.array([1.5, 0.0]))
     # arc midpoint outside the polygon lands on the nearest chord
     bnd = md.vertices[md.boundary_tags > 0]
     th = np.sort(np.arctan2(bnd[:, 1], bnd[:, 0]))
     mid = 0.5 * (th[0] + th[1])
     x = np.array([math.cos(mid), math.sin(mid)])
-    q = md.project(x)
+    verts, w = md.interpolation_weights(x)
+    q = w @ md.vertices[verts]
+    assert md.try_locate(x) is None
     assert np.linalg.norm(q) < 1.0
     assert np.linalg.norm(x - q) <= 0.5 ** 2
 
@@ -208,6 +214,19 @@ def _off_polygon(name, u, delta):
     return [1.0 + delta, -0.5 + u]
 
 
+def _polygon_point(m, x):
+    """The nearest point to x on the edges of the mesh's simplices, all of
+    which lie in the polygon: a boundary point for x off the polygon."""
+    if m.dim == 1:
+        return np.clip(x, m.vertices.min(), m.vertices.max())
+    e = m.simplices[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    a = m.vertices[e[:, 0]]
+    ab = m.vertices[e[:, 1]] - a
+    t = np.clip(((x - a) * ab).sum(axis=1) / (ab * ab).sum(axis=1), 0.0, 1.0)
+    q = a + t[:, None] * ab
+    return q[np.argmin(np.linalg.norm(x - q, axis=1))]
+
+
 def _lowest_simplex_with(mesh, verts):
     return min(t for t, s in enumerate(mesh.simplices) if set(verts) <= set(s))
 
@@ -237,7 +256,7 @@ def test_locate_many_matches_one_point(name, data):
     assert np.all(bary >= 0.0)
     assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     for x, t, lam in zip(pts, simplex, bary):
-        ref = m.try_locate(x) or m.locate(m.project(x))
+        ref = m.try_locate(x) or m.try_locate(_polygon_point(m, x))
         assert t == ref.simplex
         assert np.max(np.abs(lam - ref.bary)) <= 1e-12
     # shared vertices and faces resolve to the lowest simplex index

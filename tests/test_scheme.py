@@ -17,16 +17,17 @@ from hjbsl.geometry import (
     RectWithHole,
     RotatedNormalField,
 )
+from hjbsl.markov import _ChainModel, _policy_values
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
+    Operator,
     Problem,
     SchemeParams,
     _characteristics,
     _classify_many,
     apply_S,
     apply_S_control,
-    build_node_table,
     check_weights,
     consistency_residual,
     n_steps,
@@ -155,6 +156,10 @@ def test_apply_S_control_zero_and_constant():
     const = np.full(mesh.n_vertices, 2.5)
     assert apply_S_control(pr, mesh, const, 0, 2, 0.0, 0.0, params) == \
         pytest.approx(2.5, abs=1e-12)
+    # the horizon T = 1 has steps 0..99
+    for k in (-1, 100):
+        with pytest.raises(BadParams):
+            apply_S_control(pr, mesh, zero, k, 2, 0.0, 0.0, params)
 
 
 def test_apply_S_control_affine_no_exit():
@@ -271,9 +276,10 @@ def test_sweep_calls_each_handle_once_per_table(name, dx, dt):
     N = n_steps(pr.T, dt)
     pairs = len(pr.controls_a) * len(pr.controls_b)
     assert calls["psi"] == 1
-    assert calls["f"] == N * pairs
-    assert 0 < calls["g"] <= N * pairs
-    # one table per pair, shared by all steps, plus the flag check's two
+    # each step's apply calls f once per control a and g once per control b
+    assert calls["f"] == N * len(pr.controls_a)
+    assert 0 < calls["g"] <= N * len(pr.controls_b)
+    # one build per pair, shared by all steps, plus the flag check's two
     # calls per control a
     assert calls["mu"] == calls["sigma"] == pairs + 2 * len(pr.controls_a)
 
@@ -375,17 +381,17 @@ def test_check_weights_rejects_non_convex_rows():
 def test_build_node_table_rejects_bad_weights(monkeypatch):
     pr = interval_problem(sigma=0.3, mu=0.2)
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
-    nodes = np.arange(mesh.n_vertices)
-    table = build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0, nodes)
-    assert table.dt == 0.1
-    assert np.allclose(table.weights.sum(axis=2), 1.0)
+    params = SchemeParams(dt=0.1, c_bar=0.25)
+    rows = Operator(pr, mesh, params).rows(0)
+    assert rows.built.all()
+    assert np.allclose(rows.weights.sum(axis=3), 1.0)
 
     def bad_locate(points):
         return np.zeros(len(points), dtype=int), np.full((len(points), 2), 0.6)
 
     monkeypatch.setattr(mesh, "locate_many", bad_locate)
     with pytest.raises(LocationFailure):
-        build_node_table(pr, mesh, 0.0, 0.0, 0.1, 0.25, 0.0, nodes)
+        Operator(pr, mesh, params).rows(0)
 
 
 # -- batched classification against the scalar routing rules --
@@ -505,11 +511,10 @@ def test_build_node_table_makes_no_scalar_signed_distance_calls(dom, field, mesh
                  psi=ZERO_PSI, gamma=field(dom),
                  controls_a=[np.array([1.0, 0.0])], controls_b=[0.0])
     dom.calls = 0
-    table = build_node_table(pr, mesh, np.array([1.0, 0.0]), 0.0, 0.05, 0.25, 0.0,
-                             np.arange(mesh.n_vertices))
+    rows = Operator(pr, mesh, SchemeParams(dt=0.05, c_bar=0.25)).rows(0)
     # exits of both kinds were classified
-    assert len(table.refl)
-    assert table.dirichlet.any() == dom.has_dirichlet
+    assert rows.refl_d.any()
+    assert rows.dirichlet.any() == dom.has_dirichlet
     assert dom.calls == 0
 
 
@@ -531,33 +536,30 @@ def _pipeline_cases():
 PIPELINE_CASES = _pipeline_cases()
 
 
-def _reflections(table):
-    """{(vertex, branch): (d_tilde, p)} of a table's oblique exits."""
-    rows, branches = np.divmod(table.refl, table.const.shape[1])
-    return {(int(table.nodes[r]), int(s)): (d, tuple(p))
-            for r, s, d, p in zip(rows, branches, table.refl_d, table.refl_p)}
+ROW_FIELDS = ("verts", "weights", "const", "dirichlet", "refl_d", "refl_p", "cum", "layer")
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
 def test_build_node_table_subset_equals_full_rows(name):
+    # the rows a reader reaches, built alone, equal those of the full store
     bench, mesh, dt = PIPELINE_CASES[name]
     pr = bench.problem
+    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
     rng = np.random.default_rng(4)
-    nodes = rng.choice(mesh.n_vertices, size=mesh.n_vertices // 2, replace=False)
-    reflections = dirichlet = 0
-    for a in pr.controls_a:
-        full = build_node_table(pr, mesh, a, 0.0, dt, bench.c_bar, 0.0,
-                                np.arange(mesh.n_vertices))
-        part = build_node_table(pr, mesh, a, 0.0, dt, bench.c_bar, 0.0, nodes)
-        assert np.array_equal(part.nodes, nodes)
-        for field in ("verts", "weights", "const", "dirichlet"):
-            assert np.array_equal(getattr(part, field), getattr(full, field)[nodes]), field
-        sub = {k: v for k, v in _reflections(full).items() if k[0] in set(nodes.tolist())}
-        assert _reflections(part) == sub
-        reflections += len(part.refl)
-        dirichlet += np.count_nonzero(part.dirichlet)
-    assert reflections > 0
-    assert (dirichlet > 0) == pr.domain.has_dirichlet
+    P, n = len(pr.controls_a) * len(pr.controls_b), mesh.n_vertices
+    nodes = rng.choice(n, size=n // 2, replace=False)
+    codes = rng.integers(P, size=len(nodes))
+    full = Operator(pr, mesh, params).rows(0)
+    part = Operator(pr, mesh, params).rows(0, codes, nodes)
+    built = np.zeros((P, n), dtype=bool)
+    built[codes, nodes] = True
+    assert np.array_equal(part.built, built)
+    for field in ROW_FIELDS:
+        got, want = getattr(part, field), getattr(full, field)
+        assert np.array_equal(got[codes, nodes], want[codes, nodes]), field
+        assert not got[~built].any(), field
+    assert part.refl_d.any()
+    assert part.dirichlet.any() == pr.domain.has_dirichlet
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
@@ -569,3 +571,52 @@ def test_apply_S_equals_one_step_sweep(name):
     psi = pr.psi(mesh.vertices)
     got = [apply_S(pr, mesh, psi, 0, i, params) for i in range(mesh.n_vertices)]
     assert np.max(np.abs(np.array(got) - vf.values[vf.report_index])) <= 1e-12
+
+
+# -- structure of the assembled operator --
+
+@pytest.mark.parametrize("name", ["test2_neumann", "test2_oblique", "test3_exit"])
+@given(dt=st.floats(0.01, 0.1), dx=st.floats(0.2, 0.4), c_bar=st.floats(0.1, 0.5),
+       c=st.floats(-5.0, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_assembled_operator_monotone_and_commutes_with_constants(name, dt, dx, c_bar,
+                                                                 c, seed):
+    """Every row of the stacked operator at step 0: U <= V gives S[U] <= S[V],
+    and S[U + c] = S[U] + c on the mass the row keeps in the domain."""
+    bench = get_benchmark(name, n_a=4)
+    mesh = build_mesh_for(bench, dx)
+    op = Operator(bench.problem, mesh, SchemeParams(dt=dt, c_bar=c_bar))
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+    V = U + rng.uniform(0.0, 1.0, mesh.n_vertices)
+    SU, _, P = op.apply(0, U)
+    assert P.data.min() >= 0.0
+    assert np.all(SU <= op.apply(0, V)[0] + 1e-12)
+    rows = op.rows(0)
+    absorbed = rows.dirichlet.reshape(len(SU), -1).mean(axis=1)
+    assert np.max(np.abs(np.asarray(P.sum(axis=1)).ravel() + absorbed - 1.0)) <= 1e-12
+    assert absorbed.any() == bench.problem.domain.has_dirichlet
+    assert np.max(np.abs(op.apply(0, U + c)[0] - (SU + c * (1.0 - absorbed)))) <= 1e-12
+
+
+@pytest.mark.parametrize("name, dx, dt", [("test2_oblique", 0.125, 0.125),
+                                          ("test3_exit", 0.1, 0.05)])
+def test_sweep_value_is_the_cost_of_its_argmin_policy(name, dx, dt):
+    """The chain's cost of the sweep's own feedback, read through gathered
+    rows, reproduces the sweep, which reads every row of the store."""
+    bench = get_benchmark(name)
+    pr = bench.problem
+    mesh = build_mesh_for(bench, dx)
+    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
+    vf = sweep(pr, mesh, params)
+    # the sweep's internal steps run backward from W[N] = psi
+    W = vf.values if pr.orientation == "backward" else vf.values[::-1]
+    op = Operator(pr, mesh, params)
+    nb = len(pr.controls_b)
+    policy = []
+    for k in range(op.N):
+        v = op.apply(k, W[k + 1])[0].reshape(op.n_pairs, mesh.n_vertices)
+        assert np.max(np.abs(v.min(axis=0) - W[k])) <= 1e-12
+        policy.append([divmod(int(c), nb) for c in v.argmin(axis=0)])
+    J = _policy_values(_ChainModel(pr, mesh, params), policy)
+    assert np.max(np.abs(J - vf.values[vf.report_index])) <= 1e-12
