@@ -22,6 +22,7 @@ from .scheme import (
     Problem,
     SchemeParams,
     check_shape,
+    control_groups,
     per_control,
 )
 
@@ -134,7 +135,8 @@ def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
         uniq, inv = np.unique(here, return_inverse=True)
         ucode = model.code(m, policy, uniq.tolist())
         rows = model.rows(m, ucode, uniq)
-        f = per_control("f", pr.f, pr.controls_a, t, ucode // nb, mesh.vertices[uniq])
+        groups = control_groups(pr.controls_a, ucode // nb, mesh.vertices[uniq])
+        f = per_control("f", pr.f, t, groups, len(uniq))
         cost[live] += dt * f[inv]
         code = ucode[inv]
         cum = rows.cum[code, here]
@@ -146,8 +148,9 @@ def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
         refl_d = rows.refl_d[code, here, s]
         refl = ~absorbed & (refl_d != 0.0)
         sel = np.flatnonzero(refl)
-        g = per_control("g", pr.g, pr.controls_b, t, code[sel] % nb,
-                        rows.refl_p[code[sel], here[sel], s[sel]])
+        groups = control_groups(pr.controls_b, code[sel] % nb,
+                                rows.refl_p[code[sel], here[sel], s[sel]])
+        g = per_control("g", pr.g, t, groups, len(sel))
         cost[live[sel]] += refl_d[sel] * g
         cost[live[absorbed]] += rows.const[code, here, s][absorbed]
         state[live] = rows.verts.reshape(rows.built.shape + (-1,))[code, here, q]

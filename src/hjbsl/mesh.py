@@ -17,6 +17,9 @@ from .geometry import TOL_BOUNDARY, Disk, Domain, Interval, RectWithHole, as_poi
 BARY_TOL = 1e-10
 # (point, candidate simplex) pairs per batched barycentric evaluation
 LOCATE_CHUNK = 16384
+# side of a location grid cell, in mesh sizes; measured over 0.25 to 2 on
+# the benchmark meshes (README, "Point location")
+CELL_WIDTH = 0.5
 
 TAG_INTERIOR = 0
 TAG_OBLIQUE = 1
@@ -41,10 +44,11 @@ class Mesh:
     domain: Domain | None = None
     _bary_mats: np.ndarray = field(default=None, repr=False)
     # grid-bucket index: row c of _cell_table lists, in ascending order, the
-    # simplices whose bounding box meets grid cell c, padded to a common
-    # length of at least one more with the index of the miss sentinel (the
-    # last of _bary_mats).  Cells are _cell_size wide, counted from
-    # _cell_origin and flattened with _cell_strides.
+    # simplices whose padded bounding box (see _build_cells) meets grid cell
+    # c, filled up to a common length of at least one more with the index
+    # of the miss sentinel (the last of _bary_mats).  Cells are _cell_size
+    # = CELL_WIDTH*mesh_size wide, counted from _cell_origin and flattened
+    # with _cell_strides.
     _cell_size: float = field(default=None, repr=False)
     _cell_origin: np.ndarray = field(default=None, repr=False)
     _cell_strides: np.ndarray = field(default=None, repr=False)
@@ -83,25 +87,34 @@ class Mesh:
         self._bary_mats = np.concatenate([np.linalg.inv(mats), sentinel])
 
     def _build_cells(self):
-        h = max(2.0 * self.mesh_size, 1e-12)
-        verts = self.vertices[self.simplices]
-        lo = np.floor(verts.min(axis=1) / h).astype(int)
-        hi = np.floor(verts.max(axis=1) / h).astype(int)
+        h = max(CELL_WIDTH * self.mesh_size, 1e-12)
+        # barycentrics >= -BARY_TOL hold on the simplex scaled by
+        # 1 + (dim+1)*BARY_TOL about its barycenter, which reaches at most
+        # dim*BARY_TOL*mesh_size past its bounding box; padding the box by
+        # twice that puts every simplex that holds a point in the point's
+        # cell, so the grid resolves ties as _scan does
+        pad = 2.0 * self.dim * BARY_TOL * self.mesh_size
+        verts = self.vertices[self.simplices.T]        # (dim+1, m, dim)
+        lo = np.floor((verts.min(axis=0) - pad) / h).astype(int)
+        hi = np.floor((verts.max(axis=0) + pad) / h).astype(int)
         span = hi - lo + 1
-        # every (simplex, cell) pair of a bounding box, simplex-major
+        # every (simplex, cell) pair of a padded box
         offsets = np.stack(np.meshgrid(*[np.arange(k) for k in span.max(axis=0)],
                                        indexing="ij"), axis=-1).reshape(-1, self.dim)
-        simplex, k = np.nonzero(np.all(offsets[None] < span[:, None], axis=2))
+        inside = np.ones((len(span), len(offsets)), dtype=bool)
+        for d in range(self.dim):
+            inside &= offsets[:, d] < span[:, d, None]
+        simplex, k = np.nonzero(inside)
         origin = lo.min(axis=0)
         shape = hi.max(axis=0) - origin + 1
         strides = np.cumprod(np.append(1, shape[:0:-1]))[::-1]
-        flat = (lo[simplex] + offsets[k] - origin) @ strides
-        # a stable sort keeps each cell's simplices in ascending order
-        order = np.argsort(flat, kind="stable")
-        flat, simplex = flat[order], simplex[order]
+        m = len(self.simplices)
+        # sorting cell*m + simplex lists each cell's simplices in ascending order
+        flat = ((lo - origin) @ strides)[simplex] + (offsets @ strides)[k]
+        flat, simplex = np.divmod(np.sort(flat * m + simplex), m)
         count = np.bincount(flat, minlength=int(np.prod(shape)))
         start = np.cumsum(count) - count
-        table = np.full((len(count), int(count.max()) + 1), len(self.simplices))
+        table = np.full((len(count), int(count.max()) + 1), m)
         table[flat, np.arange(len(flat)) - start[flat]] = simplex
         self._cell_size = h
         self._cell_origin = origin
@@ -213,12 +226,17 @@ class Mesh:
         """Vertex indices and P1 weights at p_dx(x); weights are a convex
         combination summing to one."""
         x = as_point(x)
+        if x.shape != (self.dim,):
+            raise BadParams(f"point of shape {x.shape} on a {self.dim}D mesh")
         self._check_in_domain(x)
         simplex, bary = self.locate_many(x[None, :])
         return self.simplices[simplex[0]], bary[0]
 
     def interpolate(self, nodal, x) -> float:
         nodal = np.asarray(nodal, dtype=float)
+        if nodal.shape != (self.n_vertices,):
+            raise BadParams(f"nodal values of shape {nodal.shape} on "
+                            f"{self.n_vertices} vertices")
         verts, w = self.interpolation_weights(x)
         return float(np.dot(nodal[verts], w))
 

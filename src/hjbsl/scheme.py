@@ -296,13 +296,23 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
     rows.built[c, nodes] = True
 
 
-def per_control(name: str, handle, controls: list, t: float, groups, X) -> np.ndarray:
-    """handle(t, X[r], controls[groups[r]]) for every row r, one call per
-    control that occurs in groups."""
-    out = np.empty(len(X))
-    for i in np.flatnonzero(np.bincount(groups)).tolist():
-        sel = np.flatnonzero(groups == i)
-        out[sel] = check_shape(name, handle(t, X[sel], controls[i]), (len(sel),))
+def control_groups(controls: list, index, X) -> list:
+    """The rows of X by control: (controls[i], the rows r with index[r] == i,
+    X at those rows) for each i that occurs in index, in ascending i."""
+    groups = []
+    for i in np.flatnonzero(np.bincount(index)).tolist():
+        sel = np.flatnonzero(index == i)
+        groups.append((controls[i], sel, X[sel]))
+    return groups
+
+
+def per_control(name: str, handle, t: float, groups: list, n: int) -> np.ndarray:
+    """handle(t, points, control) for each (control, rows, points) of
+    control_groups, written to those rows of an (n,) result: one call per
+    group."""
+    out = np.empty(n)
+    for control, sel, X in groups:
+        out[sel] = check_shape(name, handle(t, X, control), (len(sel),))
     return out
 
 
@@ -350,6 +360,8 @@ class Operator:
                                               self.S, self.mesh.dim)
         rows = self._rows
         if codes is None:
+            if rows.built.all():
+                return rows
             codes, nodes = self._every_row
         codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
         missing = ~rows.built[codes, nodes]
@@ -360,21 +372,26 @@ class Operator:
         return rows
 
     def _terms(self, rows: Rows, codes, nodes) -> tuple:
-        """S's pieces on the built rows [codes[r], nodes[r]]: codes, the
-        rows' vertex points, P restricted to the rows, their mean Dirichlet
-        datum, and their oblique exits as (row r, d_tilde/(2*Ns), p)."""
+        """S's pieces on the built rows [codes[r], nodes[r]]: P restricted
+        to the rows, their mean Dirichlet datum, their oblique exits as
+        (row r, d_tilde/(2*Ns)), and the control_groups of the rows'
+        vertices for f and of the exits' projection points for g."""
+        pr = self.problem
         refl_d = rows.refl_d[codes, nodes]
         r, s = np.nonzero(refl_d)
-        return (codes, self.mesh.vertices[nodes], rows.matrix(codes, nodes),
-                rows.const[codes, nodes].sum(axis=1) / self.S,
-                r, refl_d[r, s] / self.S, rows.refl_p[codes[r], nodes[r], s])
+        return (rows.matrix(codes, nodes), rows.const[codes, nodes].sum(axis=1) / self.S,
+                r, refl_d[r, s] / self.S,
+                control_groups(pr.controls_a, codes // self.nb, self.mesh.vertices[nodes]),
+                control_groups(pr.controls_b, codes[r] % self.nb,
+                               rows.refl_p[codes[r], nodes[r], s]))
 
     def apply(self, m: int, U, codes=None, nodes=None) -> tuple:
         """S[U] at step m on the rows [codes[r], nodes[r]], or on every row
         in stacked order when codes is None.  Returns (S[U], the f values
         used, P restricted to those rows); makes one f call per control a
         over the rows' vertices and one g call per control b over their
-        oblique exits."""
+        oblique exits.  The terms of every row, control groups included,
+        are formed once per store."""
         rows = self.rows(m, codes, nodes)
         pr, t = self.problem, self.times[m]
         if codes is None:
@@ -384,10 +401,10 @@ class Operator:
         else:
             terms = self._terms(rows, np.asarray(codes, dtype=int),
                                 np.asarray(nodes, dtype=int))
-        codes, X, P, const, r, d, p = terms
-        f = per_control("f", pr.f, pr.controls_a, t, codes // self.nb, X)
-        g = per_control("g", pr.g, pr.controls_b, t, codes[r] % self.nb, p)
-        crossings = np.bincount(r, weights=d * g, minlength=len(codes))
+        P, const, r, d, f_groups, g_groups = terms
+        f = per_control("f", pr.f, t, f_groups, P.shape[0])
+        g = per_control("g", pr.g, t, g_groups, len(r))
+        crossings = np.bincount(r, weights=d * g, minlength=P.shape[0])
         return P @ U + const + crossings + self.params.dt * f, f, P
 
 
@@ -409,8 +426,13 @@ class ValueFunction:
         return 0 if self.problem.orientation == "backward" else len(self.values) - 1
 
     def __call__(self, t: float, x) -> float:
-        k = min(max(int(math.floor(t / self.dt + 1e-9)), 0), len(self.values) - 1)
-        return self.mesh.interpolate(self.values[k], x)
+        """P1 value at x of the step whose time is the largest at or below
+        t; BadParams unless t lies in [0, N*dt] up to 1e-9*dt."""
+        s = float(t) / self.dt
+        N = len(self.values) - 1
+        if not -1e-9 <= s <= N + 1e-9:
+            raise BadParams(f"time {t!r} outside [0, {N * self.dt:g}]")
+        return self.mesh.interpolate(self.values[int(math.floor(s + 1e-9))], x)
 
 
 def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:

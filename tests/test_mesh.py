@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjbsl.cli import build_mesh_for
 from hjbsl.errors import BadParams, OutsideDomain
 from hjbsl.geometry import Disk
 from hjbsl.mesh import (
+    CELL_WIDTH,
     TAG_DIRICHLET,
     build_disk_mesh,
     build_interval_mesh,
@@ -15,6 +18,7 @@ from hjbsl.mesh import (
     read_mesh,
     write_mesh,
 )
+from hjbsl.problems import get_benchmark
 
 RECT = dict(bounds=(-1.0, 1.0, -0.5, 0.5), hole_center=(-0.5, 0.0),
             hole_radius=0.2)
@@ -183,6 +187,21 @@ def test_project_examples():
     assert np.linalg.norm(x - q) <= 0.5 ** 2
 
 
+def test_interpolation_rejects_misshapen_input():
+    m = build_interval_mesh(0.0, 1.0, 0.25)
+    nodal = np.zeros(m.n_vertices)
+    # two coordinates on a 1D mesh are not two points
+    for x in ([0.5, 0.2], np.zeros((1, 1))):
+        with pytest.raises(BadParams):
+            m.interpolate(nodal, x)
+    for bad in (np.zeros(m.n_vertices - 1), np.zeros(m.n_vertices + 1)):
+        with pytest.raises(BadParams):
+            m.interpolate(bad, [0.5])
+    md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
+    with pytest.raises(BadParams):
+        md.interpolation_weights([0.1])
+
+
 def test_mesh_io_roundtrip(tmp_path):
     m = build_disk_mesh((0.0, 0.0), 1.0, 0.4)
     path = tmp_path / "disk.mesh"
@@ -276,6 +295,46 @@ def test_locate_many_batches_beyond_one_chunk(monkeypatch):
     assert np.array_equal(whole[0], np.arange(len(m.simplices)))
     assert np.array_equal(whole[0], one_by_one[0])
     assert np.array_equal(whole[1], one_by_one[1])
+
+
+# the benchmark workloads' meshes: interval_fine, rect_exit, disk_oblique
+SCAN_MESHES = dict(LOC_MESHES, **{
+    f"{bench}-{dx}": build_mesh_for(get_benchmark(bench, eps=0.05), dx)
+    for bench, dx in (("test1_eps", 0.001), ("test3_exit", 0.1), ("test2_oblique", 0.125))})
+
+
+@pytest.mark.parametrize("width", [CELL_WIDTH, 2.0], ids=["chosen", "2h"])
+@pytest.mark.parametrize("name", sorted(SCAN_MESHES))
+def test_locate_many_matches_whole_mesh_scan(name, width, monkeypatch):
+    """The grid only narrows the candidates: at any cell width, each point
+    goes to the lowest-index simplex of the whole mesh that holds it."""
+    monkeypatch.setattr("hjbsl.mesh.CELL_WIDTH", width)
+    m = copy.copy(SCAN_MESHES[name])
+    m._build_cells()
+    rng = np.random.default_rng(3)
+    h = m.mesh_size
+    # vertices moved by 1e-16 to 1e-11 mesh sizes, where a face's simplices
+    # hold the point only within BARY_TOL
+    step = rng.normal(size=m.vertices.shape)
+    step *= h * 10.0 ** rng.uniform(-16.0, -11.0, (m.n_vertices, 1)) / np.linalg.norm(
+        step, axis=1, keepdims=True)
+    edges = m.simplices[:, [[0, 1]] if m.dim == 1 else [[0, 1], [1, 2], [2, 0]]]
+    lam = rng.dirichlet(np.ones(m.dim + 1), 200)
+    inner = rng.integers(len(m.simplices), size=200)
+    pts = np.concatenate([
+        m.vertices + step,
+        m.vertices[edges].mean(axis=2).reshape(-1, m.dim),
+        np.einsum("mk,mkd->md", lam, m.vertices[m.simplices[inner]])])
+    simplex, bary = m.locate_many(pts)
+    compared = 0
+    for x, t, b in zip(pts, simplex, bary):
+        ref = m._scan(x)
+        if ref is None:
+            continue
+        assert t == ref.simplex, x
+        assert np.max(np.abs(b - ref.bary)) <= 1e-12
+        compared += 1
+    assert compared >= 0.9 * len(pts)
 
 
 @pytest.mark.parametrize("name", sorted(LOC_MESHES))

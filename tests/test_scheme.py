@@ -238,6 +238,23 @@ def test_sweep_forward_orientation_indexing():
     assert vf.report_index == len(vf.values) - 1
 
 
+def test_value_function_rejects_bad_queries():
+    bench = make_test1(0.0)
+    mesh = build_interval_mesh(0.0, 1.0, 0.1)
+    dt = 0.1
+    vf = sweep(bench.problem, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+    x = np.array([0.5])
+    assert vf(0.0, x) == pytest.approx(vf.values[0, 5])
+    assert vf(1.0 + 0.5e-9 * dt, x) == vf(1.0, x) == pytest.approx(vf.values[-1, 5])
+    assert vf(-0.5e-9 * dt, x) == vf(0.0, x)
+    for t in (5.0, -3.0, 1.0 + 2e-9 * dt, -2e-9 * dt, math.nan, math.inf, -math.inf):
+        with pytest.raises(BadParams):
+            vf(t, x)
+    # two coordinates on the 1D mesh are not two points
+    with pytest.raises(BadParams):
+        vf(0.0, [0.5, 0.2])
+
+
 def test_sweep_deterministic():
     bench = make_test1(0.05)
     mesh = build_interval_mesh(0.0, 1.0, 0.05)
@@ -620,3 +637,21 @@ def test_sweep_value_is_the_cost_of_its_argmin_policy(name, dx, dt):
         policy.append([divmod(int(c), nb) for c in v.argmin(axis=0)])
     J = _policy_values(_ChainModel(pr, mesh, params), policy)
     assert np.max(np.abs(J - vf.values[vf.report_index])) <= 1e-12
+
+
+@pytest.mark.parametrize("name, dx, dt", [("test2_oblique", 0.25, 0.25),
+                                          ("test3_exit", 0.2, 0.1)])
+def test_stacked_and_gathered_applies_agree_bitwise(name, dx, dt):
+    """The stacked terms kept on the store, control groups included, give
+    what the gathered path forms afresh from the same rows."""
+    bench = get_benchmark(name)
+    mesh = build_mesh_for(bench, dx)
+    op = Operator(bench.problem, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+    codes, nodes = np.divmod(np.arange(op.n_pairs * mesh.n_vertices), mesh.n_vertices)
+    U = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_vertices)
+    for m in range(min(op.N, 4)):
+        stacked = op.apply(m, U)
+        gathered = op.apply(m, U, codes, nodes)
+        assert np.array_equal(stacked[0], gathered[0])
+        assert np.array_equal(stacked[1], gathered[1])
+        U = stacked[0].reshape(op.n_pairs, -1).min(axis=0)
