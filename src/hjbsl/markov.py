@@ -24,6 +24,7 @@ from .scheme import (
     check_shape,
     control_groups,
     per_control,
+    whole_steps,
 )
 
 @dataclass
@@ -39,9 +40,10 @@ class TransitionLaw:
 
 class _ChainModel(Operator):
     """The scheme operator with the chain's terminal cost psi at every
-    vertex and its policy lookup."""
+    vertex and its policy lookup; like sweep, it solves the whole horizon."""
 
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
+        whole_steps(problem.T, params.dt)
         super().__init__(problem, mesh, params)
         self.psi = check_shape("psi", problem.psi(mesh.vertices), (mesh.n_vertices,))
 

@@ -12,7 +12,15 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from .errors import BadParams, LocationFailure, OutsideDomain, RegularityViolation
-from .geometry import TOL_BOUNDARY, Disk, Domain, Interval, RectWithHole, as_point
+from .geometry import (
+    TOL_BOUNDARY,
+    Disk,
+    Domain,
+    Interval,
+    RectWithHole,
+    as_point,
+    row_dots,
+)
 
 BARY_TOL = 1e-10
 # (point, candidate simplex) pairs per batched barycentric evaluation
@@ -143,14 +151,26 @@ class Mesh:
         c = np.floor(points / self._cell_size).astype(int) - self._cell_origin
         return self._cell_table.take(c @ self._cell_strides, axis=0, mode="clip")
 
+    def _cell_row(self, x):
+        """The row of _cell_candidates for one point x (dim,), indexed with
+        Python scalars."""
+        c = 0
+        try:
+            for xi, o, s in zip(x.tolist(), self._cell_origin.tolist(),
+                                self._cell_strides.tolist()):
+                c += (math.floor(xi / self._cell_size) - o) * s
+        except (ValueError, OverflowError):
+            raise BadParams(f"point {x!r} is not finite") from None
+        return self._cell_table[min(max(c, 0), len(self._cell_table) - 1)]
+
     def _candidates(self, x):
-        row = self._cell_candidates(as_point(x)[None, :])[0]
+        row = self._cell_row(as_point(x))
         row = row[row < len(self.simplices)]
         return row if len(row) else None
 
     def _locate_in_cells(self, points):
-        """First candidate simplex in ascending index whose barycentrics are
-        all >= -BARY_TOL, for each row of points; simplex -1 on a miss.
+        """_locate_one on each row of points with its grid cell's
+        candidates; simplex -1 on a miss.
 
         The candidate gather is processed in chunks of at most
         LOCATE_CHUNK (point, candidate) pairs to bound the temporaries.
@@ -165,21 +185,36 @@ class Mesh:
         for c0 in range(0, m, rows):
             sl = slice(c0, c0 + rows)
             lam = (self._bary_mats[cand[sl]] @ rhs[sl])[..., 0]
-            pick = np.arange(len(lam)), (lam.min(axis=2) >= -BARY_TOL).argmax(axis=1)
+            pick = np.arange(len(lam)), _first_inside(lam)
             simplex[sl] = cand[sl][pick]
-            lam = np.maximum(lam[pick], 0.0)
-            bary[sl] = lam / lam.sum(axis=1, keepdims=True)
+            bary[sl] = _clip_normalize(lam[pick])
         simplex[simplex == len(self.simplices)] = -1
         return simplex, bary
 
+    def _locate_one(self, x, cand) -> Location | None:
+        """First simplex of cand (ascending, ending with the miss sentinel)
+        whose barycentrics at the point x (dim,) are all >= -BARY_TOL, or
+        None if that is the sentinel."""
+        lam = self._bary_mats.take(cand, axis=0) @ np.array([*x.tolist(), 1.0])
+        k = _first_inside(lam)
+        if cand[k] == len(self.simplices):
+            return None
+        return Location(simplex=int(cand[k]), bary=_clip_normalize(lam[k]))
+
     def _scan(self, x) -> Location | None:
         """Lowest-index simplex of the whole mesh containing x."""
-        lam = self._bary_mats[:-1] @ np.append(x, 1.0)
-        hits = np.flatnonzero(lam.min(axis=1) >= -BARY_TOL)
-        if len(hits) == 0:
-            return None
-        lam = np.clip(lam[hits[0]], 0.0, None)
-        return Location(simplex=int(hits[0]), bary=lam / lam.sum())
+        return self._locate_one(x, np.arange(len(self._bary_mats)))
+
+    def _locate_miss(self, x) -> Location:
+        """Location of a grid miss: the whole-mesh scan, else the nearest
+        boundary-face point's."""
+        loc = self.try_locate(x)
+        if loc is None:
+            q = self._nearest_boundary_point(x)
+            loc = self._scan(q)
+            if loc is None:
+                raise LocationFailure(f"projection {q!r} not inside the mesh")
+        return loc
 
     def locate_many(self, points):
         """Containing simplex and barycentrics of p_dx(x) for each row x.
@@ -192,22 +227,14 @@ class Mesh:
         points = np.asarray(points, dtype=float).reshape(-1, self.dim)
         simplex, bary = self._locate_in_cells(points)
         for j in np.flatnonzero(simplex < 0):
-            loc = self.try_locate(points[j])
-            if loc is None:
-                q = self._nearest_boundary_point(points[j])
-                loc = self._scan(q)
-                if loc is None:
-                    raise LocationFailure(f"projection {q!r} not inside the mesh")
+            loc = self._locate_miss(points[j])
             simplex[j], bary[j] = loc.simplex, loc.bary
         return simplex, bary
 
     def try_locate(self, x) -> Location | None:
         """Location of one point in the mesh polygon, or None off it."""
         x = as_point(x)
-        simplex, bary = self._locate_in_cells(x[None, :])
-        if simplex[0] < 0:
-            return self._scan(x)
-        return Location(simplex=int(simplex[0]), bary=bary[0])
+        return self._locate_one(x, self._cell_row(x)) or self._scan(x)
 
     def _check_in_domain(self, x):
         if self.domain is not None and not self.domain.signed_distance(x) <= TOL_BOUNDARY:
@@ -224,21 +251,40 @@ class Mesh:
 
     def interpolation_weights(self, x):
         """Vertex indices and P1 weights at p_dx(x); weights are a convex
-        combination summing to one."""
+        combination summing to one.  One point is located by the grid pass
+        of locate_many without its batch set-up, and a grid miss as there."""
         x = as_point(x)
         if x.shape != (self.dim,):
             raise BadParams(f"point of shape {x.shape} on a {self.dim}D mesh")
         self._check_in_domain(x)
-        simplex, bary = self.locate_many(x[None, :])
-        return self.simplices[simplex[0]], bary[0]
+        loc = self._locate_one(x, self._cell_row(x)) or self._locate_miss(x)
+        return self.simplices[loc.simplex], loc.bary
 
     def interpolate(self, nodal, x) -> float:
+        nodal = self._nodal(nodal)
+        verts, w = self.interpolation_weights(x)
+        return float(np.dot(nodal[verts], w))
+
+    def interpolate_many(self, nodal, X) -> np.ndarray:
+        """P1 values at p_dx(x) for each row x of X (m, dim), equal to
+        interpolate at each row, with one locate_many call."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise BadParams(f"points of shape {X.shape} on a {self.dim}D mesh")
+        if self.domain is not None:
+            out = ~(self.domain.signed_distance_many(X) <= TOL_BOUNDARY)
+            if out.any():
+                raise OutsideDomain(f"point {X[out.argmax()]!r} outside the closed domain")
+        nodal = self._nodal(nodal)
+        simplex, bary = self.locate_many(X)
+        return row_dots(nodal[self.simplices[simplex]], bary)
+
+    def _nodal(self, nodal) -> np.ndarray:
         nodal = np.asarray(nodal, dtype=float)
         if nodal.shape != (self.n_vertices,):
             raise BadParams(f"nodal values of shape {nodal.shape} on "
                             f"{self.n_vertices} vertices")
-        verts, w = self.interpolation_weights(x)
-        return float(np.dot(nodal[verts], w))
+        return nodal
 
     def barycenters(self) -> np.ndarray:
         return self.vertices[self.simplices].mean(axis=1)
@@ -250,6 +296,20 @@ class Mesh:
         a = verts[:, 1] - verts[:, 0]
         b = verts[:, 2] - verts[:, 0]
         return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+
+
+def _first_inside(lam):
+    """Position along the candidate axis (the one before last) of the
+    first candidate whose barycentrics lam (..., K, dim+1) are all
+    >= -BARY_TOL.  Candidates are listed in ascending simplex index, so a
+    point on a shared face goes to the lowest index."""
+    return (lam.min(axis=-1) >= -BARY_TOL).argmax(axis=-1)
+
+
+def _clip_normalize(lam):
+    """Barycentrics (..., dim+1) clipped at zero and renormalized."""
+    lam = np.maximum(lam, 0.0)
+    return lam / lam.sum(axis=-1, keepdims=True)
 
 
 def _mesh_metrics(vertices, simplices):

@@ -110,6 +110,17 @@ def n_steps(T: float, dt: float) -> int:
     return int(math.floor(T / dt + 1e-9))
 
 
+def whole_steps(T: float, dt: float) -> int:
+    """n_steps(T, dt) for a solve of the whole horizon: BadParams unless
+    dt divides T to within 1e-9 steps, at least once."""
+    N = n_steps(T, dt)
+    if N < 1:
+        raise BadParams("dt larger than the horizon")
+    if abs(T / dt - N) > 1e-9:
+        raise BadParams(f"dt={dt:g} does not divide the horizon T={T:g}")
+    return N
+
+
 def step_time(problem: Problem, k: int, dt: float) -> float:
     """Physical time at which step k samples the data handles.
 
@@ -425,22 +436,25 @@ class ValueFunction:
     def report_index(self) -> int:
         return 0 if self.problem.orientation == "backward" else len(self.values) - 1
 
-    def __call__(self, t: float, x) -> float:
+    def __call__(self, t: float, x):
         """P1 value at x of the step whose time is the largest at or below
-        t; BadParams unless t lies in [0, N*dt] up to 1e-9*dt."""
+        t; BadParams unless t lies in [0, N*dt] up to 1e-9*dt.  A point x
+        (dim,) gives a float, rows x (m, dim) an (m,) array of the same
+        values."""
         s = float(t) / self.dt
         N = len(self.values) - 1
         if not -1e-9 <= s <= N + 1e-9:
             raise BadParams(f"time {t!r} outside [0, {N * self.dt:g}]")
-        return self.mesh.interpolate(self.values[int(math.floor(s + 1e-9))], x)
+        nodal = self.values[int(math.floor(s + 1e-9))]
+        if np.ndim(x) == 2:
+            return self.mesh.interpolate_many(nodal, x)
+        return self.mesh.interpolate(nodal, x)
 
 
 def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     """Backward recursion U_N = Psi, U_k = inf_{a,b} S_{k}[U_{k+1}]: the
     minimum over the pair blocks of the stacked rows."""
-    N = n_steps(problem.T, params.dt)
-    if N < 1:
-        raise BadParams("dt larger than the horizon")
+    N = whole_steps(problem.T, params.dt)
     op = Operator(problem, mesh, params)
     n = mesh.n_vertices
     W = np.empty((N + 1, n))

@@ -1,4 +1,5 @@
 import bisect
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ def interval_problem(sigma=0.0, mu=0.0, f=None, psi=None, T=1.0,
     )
 
 TRIVIAL_POLICY = lambda m, i: (0, 0)
+
+
+def test_dt_must_divide_the_horizon():
+    # T = 1 at dt = 0.3 is 3.33 steps: the solve would stop at t = 0.9
+    bench = make_test1(0.05)
+    mesh = build_interval_mesh(0.0, 1.0, 0.1)
+    params = SchemeParams(dt=0.3, c_bar=bench.c_bar)
+    with pytest.raises(BadParams, match="divide"):
+        sweep(bench.problem, mesh, params)
+    with pytest.raises(BadParams, match="divide"):
+        policy_cost(bench.problem, mesh, TRIVIAL_POLICY, 0, 5, params)
+    # 1/(1/49) = 49.00000000000001 is a whole horizon up to rounding
+    params = SchemeParams(dt=1.0 / 49, c_bar=bench.c_bar)
+    assert len(sweep(bench.problem, mesh, params).values) == 50
+    assert math.isfinite(policy_cost(bench.problem, mesh, TRIVIAL_POLICY, 0, 5, params))
 
 
 def test_transition_rows_sum_to_one():

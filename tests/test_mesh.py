@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from hjbsl.cli import build_mesh_for
 from hjbsl.errors import BadParams, OutsideDomain
-from hjbsl.geometry import Disk
+from hjbsl.geometry import TOL_BOUNDARY, Disk
 from hjbsl.mesh import (
     CELL_WIDTH,
+    Mesh,
     TAG_DIRICHLET,
     build_disk_mesh,
     build_interval_mesh,
@@ -19,6 +20,7 @@ from hjbsl.mesh import (
     write_mesh,
 )
 from hjbsl.problems import get_benchmark
+from hjbsl.scheme import SchemeParams, sweep
 
 RECT = dict(bounds=(-1.0, 1.0, -0.5, 0.5), hole_center=(-0.5, 0.0),
             hole_radius=0.2)
@@ -200,6 +202,12 @@ def test_interpolation_rejects_misshapen_input():
     md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
     with pytest.raises(BadParams):
         md.interpolation_weights([0.1])
+    # without a domain to reject them, coordinates that are not finite
+    free = copy.copy(m)
+    free.domain = None
+    for x in ([math.nan], [math.inf], [-math.inf]):
+        with pytest.raises(BadParams):
+            free.interpolate(nodal, x)
 
 
 def test_mesh_io_roundtrip(tmp_path):
@@ -303,6 +311,23 @@ SCAN_MESHES = dict(LOC_MESHES, **{
     for bench, dx in (("test1_eps", 0.001), ("test3_exit", 0.1), ("test2_oblique", 0.125))})
 
 
+def _scan_points(m):
+    """Vertices moved by 1e-16 to 1e-11 mesh sizes, where a face's
+    simplices hold the point only within BARY_TOL, every edge midpoint and
+    200 random interior points."""
+    rng = np.random.default_rng(3)
+    step = rng.normal(size=m.vertices.shape)
+    step *= m.mesh_size * 10.0 ** rng.uniform(-16.0, -11.0, (m.n_vertices, 1)) / np.linalg.norm(
+        step, axis=1, keepdims=True)
+    edges = m.simplices[:, [[0, 1]] if m.dim == 1 else [[0, 1], [1, 2], [2, 0]]]
+    lam = rng.dirichlet(np.ones(m.dim + 1), 200)
+    inner = rng.integers(len(m.simplices), size=200)
+    return np.concatenate([
+        m.vertices + step,
+        m.vertices[edges].mean(axis=2).reshape(-1, m.dim),
+        np.einsum("mk,mkd->md", lam, m.vertices[m.simplices[inner]])])
+
+
 @pytest.mark.parametrize("width", [CELL_WIDTH, 2.0], ids=["chosen", "2h"])
 @pytest.mark.parametrize("name", sorted(SCAN_MESHES))
 def test_locate_many_matches_whole_mesh_scan(name, width, monkeypatch):
@@ -311,20 +336,7 @@ def test_locate_many_matches_whole_mesh_scan(name, width, monkeypatch):
     monkeypatch.setattr("hjbsl.mesh.CELL_WIDTH", width)
     m = copy.copy(SCAN_MESHES[name])
     m._build_cells()
-    rng = np.random.default_rng(3)
-    h = m.mesh_size
-    # vertices moved by 1e-16 to 1e-11 mesh sizes, where a face's simplices
-    # hold the point only within BARY_TOL
-    step = rng.normal(size=m.vertices.shape)
-    step *= h * 10.0 ** rng.uniform(-16.0, -11.0, (m.n_vertices, 1)) / np.linalg.norm(
-        step, axis=1, keepdims=True)
-    edges = m.simplices[:, [[0, 1]] if m.dim == 1 else [[0, 1], [1, 2], [2, 0]]]
-    lam = rng.dirichlet(np.ones(m.dim + 1), 200)
-    inner = rng.integers(len(m.simplices), size=200)
-    pts = np.concatenate([
-        m.vertices + step,
-        m.vertices[edges].mean(axis=2).reshape(-1, m.dim),
-        np.einsum("mk,mkd->md", lam, m.vertices[m.simplices[inner]])])
+    pts = _scan_points(m)
     simplex, bary = m.locate_many(pts)
     compared = 0
     for x, t, b in zip(pts, simplex, bary):
@@ -335,6 +347,58 @@ def test_locate_many_matches_whole_mesh_scan(name, width, monkeypatch):
         assert np.max(np.abs(b - ref.bary)) <= 1e-12
         compared += 1
     assert compared >= 0.9 * len(pts)
+
+
+def _miss_point(m):
+    """The vertex of largest first coordinate moved 5e-10 further along it:
+    in the closed domain (TOL_BOUNDARY = 1e-9) but farther off the polygon
+    than BARY_TOL reaches, so no grid candidate holds it."""
+    x = m.vertices[m.vertices[:, 0].argmax()].copy()
+    x[0] += 5e-10
+    return x
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_MESHES))
+def test_interpolation_weights_match_locate_many(name):
+    """The one-point grid pass picks locate_many's simplex and weights."""
+    m = SCAN_MESHES[name]
+    miss = _miss_point(m)
+    assert m.try_locate(miss) is None
+    pts = np.concatenate([_scan_points(m), [miss]])
+    # moved boundary vertices may leave the closed domain
+    pts = pts[m.domain.signed_distance_many(pts) <= TOL_BOUNDARY]
+    simplex, bary = m.locate_many(pts)
+    for x, t, b in zip(pts, simplex, bary):
+        verts, w = m.interpolation_weights(x)
+        assert np.array_equal(verts, m.simplices[t]), x
+        assert np.max(np.abs(w - b)) <= 1e-15
+    with pytest.raises(OutsideDomain):
+        m.interpolation_weights(m.vertices.max(axis=0) + m.mesh_size)
+
+
+def test_one_point_query_counts_per_layer(monkeypatch):
+    """perfbench counts queries at Mesh.interpolation_weights and location
+    fallbacks at Mesh.try_locate: a query inside a grid cell makes one call
+    of the first and none of the second, a grid miss one of each."""
+    bench = get_benchmark("test1_eps", eps=0.05)
+    m = build_mesh_for(bench, 0.1)
+    vf = sweep(bench.problem, m, SchemeParams(dt=0.1, c_bar=bench.c_bar))
+    calls = {"interpolation_weights": 0, "try_locate": 0}
+
+    def counted(name):
+        method = getattr(Mesh, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Mesh, name, counted(name))
+    for x, n_fallback in (([0.37], 0), (m.vertices[4], 0), (_miss_point(m), 1)):
+        calls.update(interpolation_weights=0, try_locate=0)
+        vf(0.0, x)
+        assert calls == {"interpolation_weights": 1, "try_locate": n_fallback}, x
 
 
 @pytest.mark.parametrize("name", sorted(LOC_MESHES))

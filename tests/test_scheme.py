@@ -7,7 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hjbsl.cli import build_mesh_for
-from hjbsl.errors import BadParams, LocationFailure, NoCrossing, OutsideTube, Unstable
+from hjbsl.errors import (
+    BadParams,
+    LocationFailure,
+    NoCrossing,
+    OutsideDomain,
+    OutsideTube,
+    Unstable,
+)
 from hjbsl.geometry import (
     TOL_BOUNDARY,
     Disk,
@@ -253,6 +260,28 @@ def test_value_function_rejects_bad_queries():
     # two coordinates on the 1D mesh are not two points
     with pytest.raises(BadParams):
         vf(0.0, [0.5, 0.2])
+
+
+def test_value_function_takes_rows():
+    bench = get_benchmark("test2_oblique")
+    mesh = build_disk_mesh((0.0, 0.0), 1.0, 0.25)
+    vf = sweep(bench.problem, mesh, SchemeParams(dt=0.25, c_bar=bench.c_bar))
+    rng = np.random.default_rng(5)
+    # boundary points between the vertices lie off the polygon: grid misses
+    th = rng.uniform(0.0, 2.0 * math.pi, 20)
+    X = np.concatenate([mesh.vertices, rng.uniform(-0.7, 0.7, (50, 2)),
+                        np.column_stack([np.cos(th), np.sin(th)])])
+    for t in vf.times:
+        got = vf(t, X)
+        assert got.shape == (len(X),)
+        # one locate_many call gives the one-point values exactly
+        assert got.tolist() == [vf(t, x) for x in X]
+    assert vf(0.0, X[:0]).shape == (0,)
+    with pytest.raises(OutsideDomain):
+        vf(0.0, np.array([[0.1, 0.2], [1.5, 0.0]]))
+    for bad in (np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2, 2)), np.zeros(3)):
+        with pytest.raises(BadParams):
+            vf(0.0, bad)
 
 
 def test_sweep_deterministic():
