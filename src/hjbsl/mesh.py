@@ -275,6 +275,8 @@ class Mesh:
             out = ~(self.domain.signed_distance_many(X) <= TOL_BOUNDARY)
             if out.any():
                 raise OutsideDomain(f"point {X[out.argmax()]!r} outside the closed domain")
+        if not np.isfinite(X).all():
+            raise BadParams("points with coordinates that are not finite")
         nodal = self._nodal(nodal)
         simplex, bary = self.locate_many(X)
         return row_dots(nodal[self.simplices[simplex]], bary)

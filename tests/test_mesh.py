@@ -208,6 +208,8 @@ def test_interpolation_rejects_misshapen_input():
     for x in ([math.nan], [math.inf], [-math.inf]):
         with pytest.raises(BadParams):
             free.interpolate(nodal, x)
+        with pytest.raises(BadParams):
+            free.interpolate_many(nodal, [[0.5], x])
 
 
 def test_mesh_io_roundtrip(tmp_path):
