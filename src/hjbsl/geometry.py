@@ -22,6 +22,9 @@ from .errors import (
 TOL_BOUNDARY = 1e-9
 TOL_PROJ = 1e-12
 MAX_NEWTON_ITER = 50
+# scan steps and bisections of the default first crossing
+N_SCAN = 32
+N_BISECT = 60
 
 # outward normals of the RectWithHole faces 0-3
 _RECT_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
@@ -63,7 +66,13 @@ class ObliqueProjection:
 
 
 class Domain:
-    """Base class for bounded domains with a smooth (piecewise) boundary."""
+    """Base class for bounded domains with a smooth (piecewise) boundary.
+
+    Every method takes rows (m, dim).  A domain supplies signed_distance_many
+    and outward_normal_many; the base class gives the rest from them.  The
+    built-in domains also give a scalar signed_distance, which the one-point
+    query calls: it is several times faster than a one-row call.
+    """
 
     kind: str
     dim: int
@@ -73,69 +82,54 @@ class Domain:
     layer_radius: float
     has_dirichlet: bool = False
 
-    def signed_distance(self, x) -> float:
-        raise NotImplementedError
-
-    def outward_normal(self, p) -> np.ndarray:
-        raise NotImplementedError
-
-    def nearest_point_projection(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def boundary_kind(self, p):
-        """Condition on the boundary piece containing p: ('oblique', None)
-        or ('dirichlet', value)."""
-        return ("oblique", None)
-
-    # Row-batched forms.  The defaults loop over the one-point methods, so a
-    # user-defined domain needs only those; the built-in domains override
-    # them with numpy.
-
     def signed_distance_many(self, X) -> np.ndarray:
         """signed_distance of each row of X (m, dim)."""
-        return np.array([self.signed_distance(x) for x in as_rows(X, self.dim)],
-                        dtype=float)
+        raise NotImplementedError
+
+    def outward_normal_many(self, P) -> np.ndarray:
+        """Outward unit normal (m, dim) at each row of P; NotOnBoundary if a
+        row is off the boundary."""
+        raise NotImplementedError
+
+    def signed_distance(self, x) -> float:
+        """signed_distance of one point."""
+        return float(self.signed_distance_many(as_rows(x, self.dim))[0])
 
     def boundary_kind_many(self, P):
         """(dirichlet (m,) bool, value (m,)) for each boundary row of P;
-        value is the exit datum on Dirichlet rows and 0 elsewhere."""
-        kinds = [self.boundary_kind(p) for p in as_rows(P, self.dim)]
-        dirichlet = np.array([k == "dirichlet" for k, _ in kinds], dtype=bool)
-        value = np.array([float(v) if k == "dirichlet" else 0.0 for k, v in kinds])
-        return dirichlet, value
+        value is the exit datum on Dirichlet rows and 0 elsewhere.  Every
+        row is oblique unless a domain overrides this."""
+        m = len(as_rows(P, self.dim))
+        return np.zeros(m, dtype=bool), np.zeros(m)
 
     def first_crossing_many(self, X, Y) -> np.ndarray:
         """First boundary crossing of each segment X[j] -> Y[j], X[j] in the
         closed domain; NoCrossing if a segment does not leave it.
 
-        The default scans 32 equal steps for a point outside, then bisects
-        60 times; it returns the outer end of the last bracket.
+        The default scans N_SCAN equal steps of all rows for the first point
+        outside, then bisects N_BISECT times; it returns the outer end of
+        the last bracket.
         """
         X, Y = as_rows(X, self.dim), as_rows(Y, self.dim)
-        return np.array([self._scan_crossing(x, y) for x, y in zip(X, Y)]
-                        ).reshape(-1, self.dim)
-
-    def _scan_crossing(self, x, y, n_scan: int = 32, n_bisect: int = 60):
-        lo = 0.0
-        hi = None
-        for t in np.linspace(0.0, 1.0, n_scan + 1)[1:]:
-            if self.signed_distance(x + t * (y - x)) > 0.0:
-                hi = t
-                break
-            lo = t
-        if hi is None:
-            raise NoCrossing("segment endpoint is not outside the domain")
-        for _ in range(n_bisect):
+        W = Y - X
+        ts = np.linspace(0.0, 1.0, N_SCAN + 1)[1:]
+        steps = (X[:, None, :] + ts[:, None] * W[:, None, :]).reshape(-1, self.dim)
+        out = (self.signed_distance_many(steps) > 0.0).reshape(len(X), N_SCAN)
+        if not out.any(axis=1).all():
+            raise NoCrossing("segment does not leave the domain")
+        k = out.argmax(axis=1)
+        hi = ts[k]
+        lo = np.where(k > 0, ts[k - 1], 0.0)
+        for _ in range(N_BISECT):
             mid = 0.5 * (lo + hi)
-            if self.signed_distance(x + mid * (y - x)) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return x + hi * (y - x)
+            outside = self.signed_distance_many(X + mid[:, None] * W) > 0.0
+            hi = np.where(outside, mid, hi)
+            lo = np.where(outside, lo, mid)
+        return X + hi[:, None] * W
 
-    def _check_on_boundary(self, p):
-        if abs(self.signed_distance(p)) > TOL_BOUNDARY:
-            raise NotOnBoundary(f"point {p!r} is not on the boundary")
+    def _check_on_boundary(self, P):
+        if not (np.abs(self.signed_distance_many(P)) <= TOL_BOUNDARY).all():
+            raise NotOnBoundary("a point is not on the boundary")
 
 
 class Interval(Domain):
@@ -143,8 +137,8 @@ class Interval(Domain):
     dim = 1
 
     def __init__(self, a: float, b: float):
-        if not a < b:
-            raise BadParams("interval requires a < b")
+        if not -math.inf < a < b < math.inf:
+            raise BadParams("interval requires finite a < b")
         self.a = float(a)
         self.b = float(b)
         self.tube_radius = 0.5 * (b - a)
@@ -158,22 +152,10 @@ class Interval(Domain):
         x = as_rows(X, 1)[:, 0]
         return np.maximum(self.a - x, x - self.b)
 
-    def first_crossing_many(self, X, Y) -> np.ndarray:
-        Y = as_rows(Y, 1)
-        if not np.all(self.signed_distance_many(Y) > 0.0):
-            raise NoCrossing("segment endpoint is not outside the domain")
-        return np.where(Y > self.b, self.b, self.a)
-
-    def outward_normal(self, p) -> np.ndarray:
-        self._check_on_boundary(p)
-        p0 = float(as_point(p)[0])
-        return np.array([-1.0]) if abs(p0 - self.a) <= abs(p0 - self.b) else np.array([1.0])
-
-    def nearest_point_projection(self, x) -> np.ndarray:
-        x0 = float(as_point(x)[0])
-        if abs(self.signed_distance(x)) >= self.tube_radius:
-            raise OutsideTube("no unique nearest endpoint")
-        return np.array([self.a]) if abs(x0 - self.a) <= abs(x0 - self.b) else np.array([self.b])
+    def outward_normal_many(self, P) -> np.ndarray:
+        P = as_rows(P, 1)
+        self._check_on_boundary(P)
+        return np.where(np.abs(P - self.a) <= np.abs(P - self.b), -1.0, 1.0)
 
 
 class Disk(Domain):
@@ -182,9 +164,11 @@ class Disk(Domain):
 
     def __init__(self, center=(0.0, 0.0), radius: float = 1.0,
                  tube_radius: float | None = None, layer_radius: float | None = None):
-        if radius <= 0:
-            raise BadParams("radius must be positive")
+        if not 0 < radius < math.inf:
+            raise BadParams("radius must be positive and finite")
         self.center = as_point(center)
+        if self.center.shape != (2,) or not np.isfinite(self.center).all():
+            raise BadParams(f"center must be two finite numbers, got {center!r}")
         self.radius = float(radius)
         self.tube_radius = 0.5 * radius if tube_radius is None else tube_radius
         self.layer_radius = 0.5 * radius if layer_radius is None else layer_radius
@@ -195,35 +179,10 @@ class Disk(Domain):
     def signed_distance_many(self, X) -> np.ndarray:
         return row_norms(as_rows(X, 2) - self.center) - self.radius
 
-    def first_crossing_many(self, X, Y) -> np.ndarray:
-        X, Y = as_rows(X, 2), as_rows(Y, 2)
-        if not np.all(self.signed_distance_many(Y) > 0.0):
-            raise NoCrossing("segment endpoint is not outside the domain")
-        # larger root of |v + t w| = r; c <= 0 since X is in the closed disk
-        v, w = X - self.center, Y - X
-        a = np.sum(w * w, axis=1)
-        b = np.sum(v * w, axis=1)
-        c = np.sum(v * v, axis=1) - self.radius ** 2
-        t = (-b + np.sqrt(np.maximum(b * b - a * c, 0.0))) / a
-        return X + np.clip(t, 0.0, 1.0)[:, None] * w
-
-    def outward_normal(self, p) -> np.ndarray:
-        self._check_on_boundary(p)
-        return (as_point(p) - self.center) / self.radius
-
-    def nearest_point_projection(self, x) -> np.ndarray:
-        x = as_point(x)
-        r = np.linalg.norm(x - self.center)
-        if abs(r - self.radius) >= self.tube_radius or r == 0.0:
-            raise OutsideTube("point outside the projection tube")
-        return self.center + self.radius * (x - self.center) / r
-
-    def boundary_point(self, theta: float) -> np.ndarray:
-        return self.center + self.radius * np.array([math.cos(theta), math.sin(theta)])
-
-    def boundary_angle(self, x) -> float:
-        v = as_point(x) - self.center
-        return math.atan2(v[1], v[0])
+    def outward_normal_many(self, P) -> np.ndarray:
+        P = as_rows(P, 2)
+        self._check_on_boundary(P)
+        return (P - self.center) / self.radius
 
 
 class RectWithHole(Domain):
@@ -245,34 +204,38 @@ class RectWithHole(Domain):
         if not (xmin < xmax and ymin < ymax):
             raise BadParams("degenerate rectangle")
         hc = as_point(hole_center)
+        if hc.shape != (2,):
+            raise BadParams(f"hole_center must be two numbers, got {hole_center!r}")
         if hole_radius <= 0 or not (
             xmin < hc[0] - hole_radius and hc[0] + hole_radius < xmax
             and ymin < hc[1] - hole_radius and hc[1] + hole_radius < ymax
         ):
             raise BadParams("hole must lie strictly inside the rectangle")
+        if not dirichlet_half_width >= 0:
+            raise BadParams("dirichlet_half_width must be nonnegative")
+        values = as_point(dirichlet_values)
+        if values.shape != (2,) or not np.isfinite(values).all():
+            raise BadParams(f"dirichlet_values must be two finite numbers, "
+                            f"got {dirichlet_values!r}")
         self.bounds = (xmin, xmax, ymin, ymax)
         self.hole_center = hc
         self.hole_radius = float(hole_radius)
         self.dirichlet_half_width = float(dirichlet_half_width)
-        self.dirichlet_values = tuple(dirichlet_values)
+        self.dirichlet_values = tuple(values.tolist())
         self.tube_radius = 0.4 * hole_radius
         self.layer_radius = 0.4 * hole_radius
 
-    def _rect_sd(self, x) -> float:
+    def signed_distance(self, x) -> float:
+        x = as_point(x)
         xmin, xmax, ymin, ymax = self.bounds
         dx = max(xmin - x[0], x[0] - xmax)
         dy = max(ymin - x[1], x[1] - ymax)
         if dx <= 0.0 and dy <= 0.0:
-            return max(dx, dy)
-        return math.hypot(max(dx, 0.0), max(dy, 0.0))
-
-    def _hole_sd(self, x) -> float:
-        # negative inside the domain means outside the hole
-        return self.hole_radius - float(np.linalg.norm(as_point(x) - self.hole_center))
-
-    def signed_distance(self, x) -> float:
-        x = as_point(x)
-        return max(self._rect_sd(x), self._hole_sd(x))
+            rect = max(dx, dy)
+        else:
+            rect = math.hypot(max(dx, 0.0), max(dy, 0.0))
+        # the hole's term is negative outside the hole
+        return max(rect, self.hole_radius - float(np.linalg.norm(x - self.hole_center)))
 
     def signed_distance_many(self, X) -> np.ndarray:
         X = as_rows(X, 2)
@@ -317,57 +280,35 @@ class RectWithHole(Domain):
             q[face == k, axis] = bound
         return q
 
-    def _faces(self, X):
-        """Distance (m, 5) from each row of X to each face, and the foot
-        points (m, 5, 2); the hole's distance is inf at its center."""
+    def _nearest_face(self, X) -> np.ndarray:
+        """Index of the face nearest each row of X, ties to the smaller
+        index; the hole is never nearest to its center."""
         xmin, xmax, ymin, ymax = self.bounds
         m = len(X)
         cx = np.minimum(np.maximum(X[:, 0], xmin), xmax)
         cy = np.minimum(np.maximum(X[:, 1], ymin), ymax)
-        feet = np.empty((m, 5, 2))
+        feet = np.empty((m, 4, 2))
         feet[:, 0, 0], feet[:, 0, 1] = xmin, cy
         feet[:, 1, 0], feet[:, 1, 1] = xmax, cy
         feet[:, 2, 0], feet[:, 2, 1] = cx, ymin
         feet[:, 3, 0], feet[:, 3, 1] = cx, ymax
-        v = X - self.hole_center
-        r = row_norms(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            feet[:, 4] = self.hole_center + self.hole_radius * v / r[:, None]
+        r = row_norms(X - self.hole_center)
         dist = np.empty((m, 5))
-        dist[:, :4] = row_norms((X[:, None, :] - feet[:, :4]).reshape(-1, 2)).reshape(m, 4)
+        dist[:, :4] = row_norms((X[:, None, :] - feet).reshape(-1, 2)).reshape(m, 4)
         dist[:, 4] = np.where(r > 0, np.abs(r - self.hole_radius), np.inf)
-        return dist, feet
+        return dist.argmin(axis=1)
 
-    def nearest_face(self, x):
-        """(distance, face index, foot point) of the nearest face; ties go
-        to the smaller face index."""
-        dist, feet = self._faces(as_point(x)[None, :])
-        face = int(dist[0].argmin())
-        return float(dist[0, face]), face, feet[0, face]
-
-    def nearest_point_projection(self, x) -> np.ndarray:
-        if abs(self.signed_distance(x)) >= self.tube_radius:
-            raise OutsideTube("point outside the projection tube")
-        return self.nearest_face(x)[2]
-
-    def outward_normal(self, p) -> np.ndarray:
-        self._check_on_boundary(p)
-        face = self.nearest_face(p)[1]
-        if face < 4:
-            return _RECT_NORMALS[face].copy()
-        v = as_point(p) - self.hole_center
-        # outward from the domain points into the hole
-        return -v / np.linalg.norm(v)
-
-    def boundary_kind(self, p):
-        p = as_point(p)
-        xmin, xmax, _, _ = self.bounds
-        hw = self.dirichlet_half_width + TOL_BOUNDARY
-        if abs(p[0] - xmin) <= TOL_BOUNDARY and abs(p[1]) <= hw:
-            return ("dirichlet", self.dirichlet_values[0])
-        if abs(p[0] - xmax) <= TOL_BOUNDARY and abs(p[1]) <= hw:
-            return ("dirichlet", self.dirichlet_values[1])
-        return ("oblique", None)
+    def outward_normal_many(self, P) -> np.ndarray:
+        """The normal of each row's nearest face; a corner takes the face of
+        smaller index, and the hole's normal points into the hole."""
+        P = as_rows(P, 2)
+        self._check_on_boundary(P)
+        face = self._nearest_face(P)
+        n = _RECT_NORMALS[np.minimum(face, 3)]
+        hole = face == 4
+        v = P[hole] - self.hole_center
+        n[hole] = -v / row_norms(v)[:, None]
+        return n
 
     def boundary_kind_many(self, P):
         P = as_rows(P, 2)
@@ -375,15 +316,18 @@ class RectWithHole(Domain):
         door = np.abs(P[:, 1]) <= self.dirichlet_half_width + TOL_BOUNDARY
         left = door & (np.abs(P[:, 0] - xmin) <= TOL_BOUNDARY)
         right = door & ~left & (np.abs(P[:, 0] - xmax) <= TOL_BOUNDARY)
-        value = np.where(left, float(self.dirichlet_values[0]),
-                         np.where(right, float(self.dirichlet_values[1]), 0.0))
+        value = np.where(left, self.dirichlet_values[0],
+                         np.where(right, self.dirichlet_values[1], 0.0))
         return left | right, value
 
 
 class ObliqueField:
-    """Unit vector field gamma_b(p) on the boundary, non-tangent to it."""
+    """Unit vector field gamma_b(p) on the boundary, non-tangent to it.
 
-    def __call__(self, p, b) -> np.ndarray:
+    Called on rows: P (m, dim) of boundary points gives (m, dim).
+    """
+
+    def __call__(self, P, b) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -393,33 +337,38 @@ class NormalField(ObliqueField):
     def __init__(self, domain: Domain):
         self.domain = domain
 
-    def __call__(self, p, b) -> np.ndarray:
-        return self.domain.outward_normal(p)
+    def __call__(self, P, b) -> np.ndarray:
+        return self.domain.outward_normal_many(P)
 
 
 class RotatedNormalField(ObliqueField):
     """Outward normal rotated clockwise by a fixed angle (2D only)."""
 
     def __init__(self, domain: Domain, angle: float):
-        if abs(angle) >= 0.5 * math.pi:
+        if not abs(angle) < 0.5 * math.pi:
             raise BadParams("rotation must keep the field non-tangent")
         self.domain = domain
         self.angle = float(angle)
         c, s = math.cos(angle), math.sin(angle)
         self._rot = np.array([[c, s], [-s, c]])
 
-    def __call__(self, p, b) -> np.ndarray:
-        return self._rot @ self.domain.outward_normal(p)
+    def __call__(self, P, b) -> np.ndarray:
+        return (self._rot @ self.domain.outward_normal_many(P)[..., None])[..., 0]
 
 
 class FunctionField(ObliqueField):
-    """Oblique field from a user handle (p, b) -> unit vector."""
+    """Oblique field from a user handle (P, b) -> unit vectors, on rows: a
+    result not of P's shape raises BadParams."""
 
     def __init__(self, fn):
         self.fn = fn
 
-    def __call__(self, p, b) -> np.ndarray:
-        return as_point(self.fn(p, b))
+    def __call__(self, P, b) -> np.ndarray:
+        out = np.asarray(self.fn(P, b), dtype=float)
+        if out.shape != np.shape(P):
+            raise BadParams(f"gamma returned shape {out.shape} for points of "
+                            f"shape {np.shape(P)}")
+        return out
 
 
 def _check_tube(domain: Domain, X, r_max):
@@ -453,8 +402,8 @@ def oblique_projection_many(domain: Domain, gamma: ObliqueField, b, X,
                             tol: float = TOL_PROJ,
                             max_iter: int = MAX_NEWTON_ITER) -> ObliqueProjection:
     """oblique_projection of each row of X (m, dim), with a leading row axis
-    on every field.  The closed forms run batched; other fields on the disk
-    take the Newton path one row at a time.  An error on any row raises."""
+    on every field.  The closed forms and, for other fields on the disk,
+    Newton run batched.  An error on any row raises."""
     X = as_rows(X, domain.dim)
     _check_tube(domain, X, r_max)
     if isinstance(domain, Interval):
@@ -468,14 +417,8 @@ def oblique_projection_many(domain: Domain, gamma: ObliqueField, b, X,
             return _disk_normal_projection(domain, X)
         if isinstance(gamma, RotatedNormalField):
             return _disk_rotated_projection(domain, gamma, X)
-        rows = [oblique_projection_newton(domain, gamma, b, x, tol=tol, max_iter=max_iter)
-                for x in X]
-        return ObliqueProjection(
-            p=np.array([r.p for r in rows]).reshape(-1, 2),
-            d=np.array([r.d for r in rows], dtype=float),
-            residual=np.array([r.residual for r in rows], dtype=float),
-            iterations=np.array([r.iterations for r in rows], dtype=int),
-            gamma=np.array([r.gamma for r in rows]).reshape(-1, 2))
+        return oblique_projection_newton(domain, gamma, b, X, tol=tol,
+                                         max_iter=max_iter)
     raise BadParams(f"unsupported domain kind {domain.kind!r}")
 
 
@@ -540,7 +483,7 @@ def _rect_hole_normal_projection(domain: RectWithHole, X) -> ObliqueProjection:
     face = beyond.argmax(axis=1)
     inside = ~beyond.any(axis=1)
     if inside.any():
-        face[inside] = domain._faces(X[inside])[0].argmin(axis=1)
+        face[inside] = domain._nearest_face(X[inside])
     hv = X - hc
     hr = row_norms(hv)
     in_hole = (hr < radius) & (hr > 0)
@@ -559,50 +502,57 @@ def _rect_hole_normal_projection(domain: RectWithHole, X) -> ObliqueProjection:
     d[in_hole] = radius - hr[in_hole]
     res = row_norms(X - p - d[:, None] * n)
     res[hole] = 0.0
-    # the field at p is the normal of p's nearest face, as outward_normal
-    # gives it: a foot on two face lines (a corner) takes the smaller index
-    on = np.column_stack([p[:, 0] == xmin, p[:, 0] == xmax,
-                          p[:, 1] == ymin, p[:, 1] == ymax])
-    g = _RECT_NORMALS[on.argmax(axis=1)]
-    if hole.any():
-        v = p[hole] - hc
-        g[hole] = -v / row_norms(v)[:, None]
+    # the field at p: a foot on two face lines (a corner) takes the smaller index
+    g = domain.outward_normal_many(p)
     return _closed_form(p, d, res, g)
 
 
-def oblique_projection_newton(domain: Disk, gamma: ObliqueField, b, x,
+def oblique_projection_newton(domain: Disk, gamma: ObliqueField, b, X,
                               tol: float = TOL_PROJ,
                               max_iter: int = MAX_NEWTON_ITER) -> ObliqueProjection:
-    """Newton iteration on G(theta, lam) = g(theta) + lam*gamma(g(theta)) - x.
+    """Newton iteration on G(theta, lam) = q(theta) + lam*gamma(q(theta)) - x,
+    q(theta) the boundary point at angle theta, for all rows x of X at once.
 
-    Initialized at the nearest-point angle and the signed distance.
+    Each row starts at its nearest-point angle and signed distance, and
+    leaves the iteration once its residual is within tol.
     """
-    x = as_point(x)
-    theta = domain.boundary_angle(x)
-    lam = domain.signed_distance(x)
+    X = as_rows(X, 2)
+    v = X - domain.center
+    theta = np.arctan2(v[:, 1], v[:, 0])
+    lam = domain.signed_distance_many(X)
+    out = ObliqueProjection(p=np.empty_like(X), d=np.empty(len(X)),
+                            residual=np.empty(len(X)),
+                            iterations=np.zeros(len(X), dtype=int),
+                            gamma=np.empty_like(X))
+    rows = np.arange(len(X))
     h = 1e-6
 
-    def G(th, la):
-        p = domain.boundary_point(th)
-        return p + la * gamma(p, b) - x
+    def G(th, la, x):
+        q = domain.center + domain.radius * np.column_stack([np.cos(th), np.sin(th)])
+        g = gamma(q, b)
+        return q + la[:, None] * g - x, q, g
 
-    res = np.linalg.norm(G(theta, lam))
     for it in range(1, max_iter + 1):
-        g0 = G(theta, lam)
-        res = np.linalg.norm(g0)
-        if res <= tol:
-            p = domain.boundary_point(theta)
-            return ObliqueProjection(p=p, d=float(lam), residual=float(res),
-                                     iterations=it, gamma=as_point(gamma(p, b)))
-        col0 = (G(theta + h, lam) - G(theta - h, lam)) / (2 * h)
-        col1 = gamma(domain.boundary_point(theta), b)
+        x = X[rows]
+        g0, q, g = G(theta, lam, x)
+        res = row_norms(g0)
+        done = res <= tol
+        r = rows[done]
+        out.p[r], out.d[r], out.residual[r], out.gamma[r] = q[done], lam[done], res[done], g[done]
+        out.iterations[r] = it
+        live = ~done
+        rows, theta, lam, x, g0, g = (a[live] for a in (rows, theta, lam, x, g0, g))
+        if not len(rows):
+            return out
+        col0 = (G(theta + h, lam, x)[0] - G(theta - h, lam, x)[0]) / (2 * h)
         try:
-            step = np.linalg.solve(np.column_stack([col0, col1]), -g0)
+            step = np.linalg.solve(np.stack([col0, g], axis=2), -g0[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("singular Newton system") from exc
-        theta += step[0]
-        lam += step[1]
-    raise NoConvergence(f"residual {res:.3g} after {max_iter} iterations")
+        theta = theta + step[:, 0]
+        lam = lam + step[:, 1]
+    raise NoConvergence(f"residual up to {res.max():.3g} on {len(rows)} rows "
+                        f"after {max_iter} iterations")
 
 
 def layer_distance(domain: Domain, delta: float, x) -> float:
@@ -619,6 +569,6 @@ def layer_distance(domain: Domain, delta: float, x) -> float:
     d0 = abs(min(sd, 0.0))
     if d0 > delta + 1e-12:
         raise OutOfLayer("point deeper than the layer width")
-    p = domain.nearest_point_projection(x)
-    q = p - delta * domain.outward_normal(p)
-    return float(np.linalg.norm(x - q))
+    # along the normal field, p is the nearest boundary point
+    pr = oblique_projection(domain, NormalField(domain), None, x)
+    return float(np.linalg.norm(x - (pr.p - delta * pr.gamma)))

@@ -141,6 +141,9 @@ def _characteristics(problem: Problem, t: float, X, a, dt: float) -> np.ndarray:
     n, dim, ns = len(X), problem.domain.dim, problem.n_sigma
     mu = check_shape("mu", problem.mu(t, X, a), (n, dim))
     sg = check_shape("sigma", problem.sigma(t, X, a), (n, dim, ns))
+    for name, value in (("mu", mu), ("sigma", sg)):
+        if not np.isfinite(value).all():
+            raise BadParams(f"{name} returned a value that is not finite at t={t:g}")
     base = X + dt * mu
     # base +- sqrt(Ns*dt) * sigma_l for each column l, interleaved
     step = math.sqrt(ns * dt) * np.swapaxes(sg, -1, -2)
@@ -223,10 +226,12 @@ def apply_S_control(problem: Problem, mesh: Mesh, next_values, k: int,
 
 def check_weights(weights: np.ndarray):
     """Raise LocationFailure unless every row of weights (..., dim+1) is a
-    convex combination: entries >= 0 summing to 1 within WEIGHT_TOL."""
+    convex combination: entries >= 0 summing to 1 within WEIGHT_TOL; a NaN
+    or infinite entry fails one of the two tests."""
     if weights.size == 0:
         return
-    bad = (weights.min(axis=-1) < 0.0) | (np.abs(weights.sum(axis=-1) - 1.0) > WEIGHT_TOL)
+    bad = ~((weights.min(axis=-1) >= 0.0)
+            & (np.abs(weights.sum(axis=-1) - 1.0) <= WEIGHT_TOL))
     if bad.any():
         raise LocationFailure(f"{int(bad.sum())} interpolation weight rows are "
                               f"not convex combinations")
@@ -513,7 +518,7 @@ def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,
             d = rp.d_tilde[s]
             g = float(check_shape("g", problem.g(t, rp.p[s][None, :], b), (1,))[0])
             acc += d * g
-            gt = as_point(problem.gamma(rp.p[s], b))
+            gt = problem.gamma(rp.p[s][None, :], b)[0]
             l_term = float(np.dot(gt, grad)) - g
             sign = -1.0 if s % 2 == 0 else 1.0   # -/+ for the +/- branch
             k_term = (d / (2.0 * math.sqrt(dt)) * float(gt @ hess @ gt)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hjbsl.errors import BadParams, NoCrossing, NotOnBoundary, OutOfLayer, OutsideTube
+from hjbsl.errors import (
+    BadParams,
+    NoConvergence,
+    NoCrossing,
+    NotOnBoundary,
+    OutOfLayer,
+    OutsideTube,
+)
 from hjbsl.geometry import (
     TOL_BOUNDARY,
     Disk,
@@ -16,13 +23,52 @@ from hjbsl.geometry import (
     NormalField,
     RectWithHole,
     RotatedNormalField,
+    as_rows,
     layer_distance,
     oblique_projection,
+    oblique_projection_many,
     oblique_projection_newton,
 )
 
 DISK = Disk((0.0, 0.0), 1.0)
 UNIT = Interval(0.0, 1.0)
+
+
+# -- scalar references for the row-batched geometry, one point at a time --
+
+def scan_crossing(dom, x, y):
+    """First boundary crossing of the segment x -> y: 32 equal scan steps
+    for a point outside, then 60 bisections, on the one-point
+    signed_distance; the outer end of the last bracket."""
+    lo, hi = 0.0, None
+    for t in np.linspace(0.0, 1.0, 33)[1:]:
+        if dom.signed_distance(x + t * (y - x)) > 0.0:
+            hi = t
+            break
+        lo = t
+    if hi is None:
+        raise NoCrossing("segment does not leave the domain")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if dom.signed_distance(x + mid * (y - x)) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return x + hi * (y - x)
+
+
+def boundary_kind(dom, p):
+    """Condition on the boundary piece containing p: ('dirichlet', value)
+    on a RectWithHole door, ('oblique', None) elsewhere."""
+    if not isinstance(dom, RectWithHole):
+        return ("oblique", None)
+    xmin, xmax, _, _ = dom.bounds
+    hw = dom.dirichlet_half_width + TOL_BOUNDARY
+    if abs(p[0] - xmin) <= TOL_BOUNDARY and abs(p[1]) <= hw:
+        return ("dirichlet", dom.dirichlet_values[0])
+    if abs(p[0] - xmax) <= TOL_BOUNDARY and abs(p[1]) <= hw:
+        return ("dirichlet", dom.dirichlet_values[1])
+    return ("oblique", None)
 
 
 def test_signed_distance_examples():
@@ -32,20 +78,25 @@ def test_signed_distance_examples():
 
 
 def test_outward_normal_examples():
-    assert np.allclose(DISK.outward_normal((0.0, 1.0)), [0.0, 1.0])
-    assert np.allclose(UNIT.outward_normal(0.0), [-1.0])
     s = math.sqrt(2.0) / 2.0
-    assert np.allclose(DISK.outward_normal((s, s)), [s, s])
+    assert np.allclose(DISK.outward_normal_many([[0.0, 1.0], [s, s]]), [[0.0, 1.0], [s, s]])
+    assert np.array_equal(UNIT.outward_normal_many([[0.0], [1.0]]), [[-1.0], [1.0]])
     with pytest.raises(NotOnBoundary):
-        DISK.outward_normal((0.5, 0.0))
+        DISK.outward_normal_many([[0.0, 1.0], [0.5, 0.0]])
+    with pytest.raises(NotOnBoundary):
+        UNIT.outward_normal_many([[math.nan]])
 
 
 def test_nearest_point_projection_examples():
-    assert np.allclose(DISK.nearest_point_projection((0.0, 0.6)), [0.0, 1.0])
-    assert np.allclose(DISK.nearest_point_projection((1.2, 0.0)), [1.0, 0.0])
-    assert np.allclose(UNIT.nearest_point_projection(0.1), [0.0])
+    # along the normal field, the projection is the nearest boundary point
+    def nearest(dom, x):
+        return oblique_projection(dom, NormalField(dom), None, x).p
+
+    assert np.allclose(nearest(DISK, (0.0, 0.6)), [0.0, 1.0])
+    assert np.allclose(nearest(DISK, (1.2, 0.0)), [1.0, 0.0])
+    assert np.allclose(nearest(UNIT, 0.1), [0.0])
     with pytest.raises(OutsideTube):
-        DISK.nearest_point_projection((2.0, 0.0))
+        nearest(DISK, (2.0, 0.0))
 
 
 def test_oblique_projection_normal_disk():
@@ -69,32 +120,43 @@ def test_oblique_projection_rotated_disk():
     assert pr.d > 0
     # x - p must be parallel to the field at p
     v = x - pr.p
-    g = gam(pr.p, None)
+    g = gam(pr.p[None], None)[0]
     assert abs(v[0] * g[1] - v[1] * g[0]) <= 1e-10
     assert pr.residual <= 1e-10
 
 
-def test_closed_form_matches_newton():
-    gam = RotatedNormalField(DISK, math.pi / 6)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        r = rng.uniform(0.7, 1.3)
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        x = np.array([r * math.cos(th), r * math.sin(th)])
-        a = oblique_projection(DISK, gam, None, x)
-        b = oblique_projection_newton(DISK, gam, None, x)
-        assert np.allclose(a.p, b.p, atol=1e-9)
-        assert a.d == pytest.approx(b.d, abs=1e-9)
-
-
-def test_function_field_matches_rotated():
+def test_batched_newton_matches_closed_form():
+    """Newton on all rows at once, through a FunctionField handle that wraps
+    the rotated normal, against the rotated field's closed form."""
     rot = RotatedNormalField(DISK, math.pi / 6)
-    fn = FunctionField(lambda p, b: rot(p, b))
-    x = np.array([0.0, 1.1])
-    a = oblique_projection(DISK, rot, None, x)
-    b = oblique_projection_newton(DISK, fn, None, x)
-    assert np.allclose(a.p, b.p, atol=1e-9)
-    assert a.d == pytest.approx(b.d, abs=1e-9)
+    seen = []
+
+    def handle(P, b):
+        seen.append(len(P))
+        return rot(P, b)
+
+    rng = np.random.default_rng(0)
+    r = np.concatenate([rng.uniform(0.7, 1.3, 600), np.ones(20)])
+    th = rng.uniform(0.0, 2.0 * math.pi, len(r))
+    X = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    ref = oblique_projection_many(DISK, rot, None, X)
+    got = oblique_projection_many(DISK, FunctionField(handle), None, X)
+    assert np.max(np.abs(got.p - ref.p)) <= 1e-9
+    assert np.max(np.abs(got.d - ref.d)) <= 1e-9
+    assert np.max(np.abs(got.gamma - rot(got.p, None))) <= 1e-15
+    assert got.residual.max() <= 1e-12
+    # one iteration count per row: rows on the circle converge at once and
+    # leave, so the handle sees fewer rows as the iteration goes on
+    assert got.iterations.shape == (len(X),)
+    assert np.all(got.iterations[600:] == 1) and np.all(got.iterations[:600] > 1)
+    assert seen[0] == len(X) and seen[1:4] == [600] * 3 and seen[-1] < 600
+    with pytest.raises(NoConvergence):
+        oblique_projection_newton(DISK, FunctionField(handle), None, X, max_iter=1)
+    # a handle must return one vector per row, as the problem handles must
+    with pytest.raises(BadParams):
+        oblique_projection_many(DISK, FunctionField(lambda P, b: rot(P, b)[0]), None, X)
+    with pytest.raises(BadParams):
+        oblique_projection_many(DISK, FunctionField(lambda P, b: rot(P, b).T), None, X)
 
 
 def test_normal_field_reduces_to_nearest_point():
@@ -105,7 +167,9 @@ def test_normal_field_reduces_to_nearest_point():
         th = rng.uniform(0.0, 2.0 * math.pi)
         x = np.array([r * math.cos(th), r * math.sin(th)])
         pr = oblique_projection(DISK, gam, None, x)
-        assert np.allclose(pr.p, DISK.nearest_point_projection(x), atol=1e-9)
+        v = x - DISK.center
+        assert np.allclose(pr.p, DISK.center + DISK.radius * v / np.linalg.norm(v),
+                           atol=1e-9)
         assert pr.d == pytest.approx(DISK.signed_distance(x), abs=1e-9)
 
 
@@ -120,7 +184,7 @@ def test_tube_residuals_bulk():
         x = np.array([r * math.cos(th), r * math.sin(th)])
         pr = oblique_projection(DISK, gam, None, x)
         worst_res = max(worst_res,
-                        np.linalg.norm(x - pr.p - pr.d * gam(pr.p, None)))
+                        np.linalg.norm(x - pr.p - pr.d * gam(pr.p[None], None)[0]))
         worst_bnd = max(worst_bnd, abs(DISK.signed_distance(pr.p)))
     assert worst_res <= 1e-10
     assert worst_bnd <= 1e-10
@@ -172,24 +236,48 @@ def test_layer_identity():
 
 def test_rect_with_hole_tags_and_normals():
     dom = RectWithHole()
-    kind, value = dom.boundary_kind((1.0, 0.1))
-    assert (kind, value) == ("dirichlet", 0.2)
-    kind, value = dom.boundary_kind((-1.0, 0.0))
-    assert (kind, value) == ("dirichlet", 0.0)
-    assert dom.boundary_kind((-1.0, 0.3))[0] == "oblique"
-    assert dom.boundary_kind((0.0, 0.5))[0] == "oblique"
-    # hole boundary normal points into the hole
-    assert np.allclose(dom.outward_normal((-0.3, 0.0)), [-1.0, 0.0])
+    dirichlet, value = dom.boundary_kind_many([[1.0, 0.1], [-1.0, 0.0],
+                                               [-1.0, 0.3], [0.0, 0.5]])
+    assert dirichlet.tolist() == [True, True, False, False]
+    assert value.tolist() == [0.2, 0.0, 0.0, 0.0]
+    # hole boundary normal points into the hole; a corner takes face 0
+    assert np.allclose(dom.outward_normal_many([[-0.3, 0.0], [-1.0, 0.5], [0.2, -0.5]]),
+                       [[-1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(BadParams):
         RectWithHole(hole_radius=2.0)
 
 
 def test_rotated_field_example():
     gam = RotatedNormalField(DISK, math.pi / 6)
-    g = gam((1.0, 0.0), None)
-    assert np.allclose(g, [math.cos(math.pi / 6), -math.sin(math.pi / 6)])
+    g = gam(np.array([[1.0, 0.0], [0.0, 1.0]]), None)
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    assert np.allclose(g, [[c, -s], [s, c]])
     with pytest.raises(BadParams):
         RotatedNormalField(DISK, math.pi / 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Disk(radius=math.nan),
+    lambda: Disk(radius=math.inf),
+    lambda: Disk(center=(0.0, math.nan)),
+    lambda: Disk(center=(math.inf, 0.0)),
+    lambda: Disk(center=(0.0, 0.0, 0.0)),
+    lambda: Interval(-math.inf, 1.0),
+    lambda: Interval(0.0, math.inf),
+    lambda: RectWithHole(dirichlet_half_width=math.nan),
+    lambda: RectWithHole(dirichlet_half_width=-0.1),
+    lambda: RectWithHole(dirichlet_values=(0.0, math.nan)),
+    lambda: RectWithHole(dirichlet_values=(0.0, math.inf)),
+    lambda: RectWithHole(dirichlet_values=(0.0, 0.2, 0.4)),
+    lambda: RectWithHole(hole_center=(-0.5, 0.0, 0.0)),
+    lambda: RotatedNormalField(DISK, math.nan),
+], ids=["disk-radius-nan", "disk-radius-inf", "disk-center-nan", "disk-center-inf",
+        "disk-center-3", "interval-a-inf", "interval-b-inf", "rect-width-nan",
+        "rect-width-negative", "rect-values-nan", "rect-values-inf", "rect-values-3",
+        "rect-hole-center-3", "rotated-angle-nan"])
+def test_constructors_reject_bad_parameters(make):
+    with pytest.raises(BadParams):
+        make()
 
 
 @given(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))
@@ -205,10 +293,10 @@ def test_interval_distance_lipschitz(x, y):
 def test_disk_normal_projection_reconstructs(r, th):
     x = np.array([r * math.cos(th), r * math.sin(th)])
     pr = oblique_projection(DISK, NormalField(DISK), None, x, r_max=math.inf)
-    assert np.linalg.norm(x - pr.p - pr.d * DISK.outward_normal(pr.p)) <= 1e-10
+    assert np.linalg.norm(x - pr.p - pr.d * DISK.outward_normal_many(pr.p[None])[0]) <= 1e-10
 
 
-# -- row-batched forms against the one-point loops of the Domain base class --
+# -- row-batched forms against the scalar references --
 
 RECT = RectWithHole()
 BATCHED = {"interval": UNIT, "disk": DISK, "rect": RECT}
@@ -258,7 +346,7 @@ def test_signed_distance_many_matches_one_point(name, data):
         near.append(p + off * n)
     X = np.array(random + near, dtype=float).reshape(-1, dom.dim)
     got = dom.signed_distance_many(X)
-    ref = Domain.signed_distance_many(dom, X)
+    ref = np.array([dom.signed_distance(x) for x in X])
     assert got.shape == ref.shape == (len(X),)
     # the rect corner regions use np.hypot where the one-point form uses
     # math.hypot; they can differ in the last bit
@@ -278,8 +366,9 @@ def test_boundary_kind_many_matches_one_point(rows, door_ys):
           for s in (-1.0, 1.0) for e in (-2e-9, 0.0, 5e-10, 2e-9)]
     P = np.array(P)
     got = RECT.boundary_kind_many(P)
-    ref = Domain.boundary_kind_many(RECT, P)
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    kinds = [boundary_kind(RECT, p) for p in P]
+    assert np.array_equal(got[0], [k == "dirichlet" for k, _ in kinds])
+    assert np.array_equal(got[1], [v if k == "dirichlet" else 0.0 for k, v in kinds])
 
 
 def _scan_is_exact(dom, X, Y):
@@ -303,7 +392,9 @@ def _scan_is_exact(dom, X, Y):
 @settings(max_examples=80, deadline=None)
 def test_first_crossing_many_matches_scan(name, data):
     """Segments of length <= 0.1 from the closed domain: through a boundary
-    point at up to 80 degrees off its normal, and in random directions."""
+    point at up to 80 degrees off its normal, and in random directions.  The
+    interval and the disk use the batched default of the Domain base class,
+    the rectangle its closed form."""
     dom = BATCHED[name]
     X, Y = [], []
     for u, v, ang, a, c in data.draw(st.lists(st.tuples(
@@ -327,7 +418,7 @@ def test_first_crossing_many_matches_scan(name, data):
     assume(len(X) and _scan_is_exact(dom, X, Y))
     for x, y in zip(X, Y):
         try:
-            ref = Domain.first_crossing_many(dom, x[None], y[None])[0]
+            ref = scan_crossing(dom, x, y)
         except NoCrossing:
             with pytest.raises(NoCrossing):
                 dom.first_crossing_many(x[None], y[None])
@@ -339,7 +430,7 @@ def test_first_crossing_many_matches_scan(name, data):
             # decides which of its points the scan sees outside
             between = np.linspace(got, ref, 17)
             assert np.max(np.abs(dom.signed_distance_many(between))) <= 1e-12
-        assert dom.boundary_kind(got) == dom.boundary_kind(ref)
+        assert boundary_kind(dom, got) == boundary_kind(dom, ref)
     crossing = dom.signed_distance_many(Y) > 0.0
     if crossing.any():
         # whole batch at once gives the same rows
@@ -357,4 +448,58 @@ def test_rect_first_crossing_with_subnormal_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = dom.first_crossing_many(x[None], y[None])[0]
-    assert np.max(np.abs(got - dom._scan_crossing(x, y))) <= 1e-9
+    assert np.max(np.abs(got - scan_crossing(dom, x, y))) <= 1e-9
+
+
+class Ellipse(Domain):
+    """x^2/a^2 + y^2/b^2 <= 1, with the two row methods only.  Its
+    signed_distance_many is a level function with the sign of the signed
+    distance, which is all the first crossing reads."""
+
+    kind = "ellipse"
+    dim = 2
+    tube_radius = layer_radius = 0.25
+
+    def __init__(self, a=1.0, b=0.5):
+        self.axes = np.array([a, b])
+
+    def signed_distance_many(self, X):
+        return np.sqrt(np.sum((as_rows(X, 2) / self.axes) ** 2, axis=1)) - 1.0
+
+    def outward_normal_many(self, P):
+        P = as_rows(P, 2)
+        if not np.all(np.abs(self.signed_distance_many(P)) <= TOL_BOUNDARY):
+            raise NotOnBoundary("a point is not on the ellipse")
+        n = P / self.axes ** 2
+        return n / np.linalg.norm(n, axis=1)[:, None]
+
+
+def test_user_domain_needs_only_the_row_methods():
+    dom = Ellipse()
+    rng = np.random.default_rng(11)
+    th, phi = rng.uniform(0.0, 2.0 * math.pi, (2, 300))
+    unit_dirs = np.column_stack([np.cos(th), np.sin(th)])
+    # segments from inside the ellipse in random directions; keep those
+    # that end outside
+    X = rng.uniform(0.0, 0.99, (300, 1)) * dom.axes * unit_dirs
+    Y = X + rng.uniform(0.01, 1.5, (300, 1)) * np.column_stack([np.cos(phi), np.sin(phi)])
+    out = dom.signed_distance_many(Y) > 0.0
+    X, Y = X[out], Y[out]
+    assert len(X) > 100
+    # the batched default crossing is the scalar scan, bit for bit
+    got = dom.first_crossing_many(X, Y)
+    assert np.array_equal(got, np.array([scan_crossing(dom, x, y) for x, y in zip(X, Y)]))
+    assert np.all(np.abs(dom.signed_distance_many(got)) <= 1e-12)
+    with pytest.raises(NoCrossing):
+        dom.first_crossing_many(X, X)
+    # the one-point signed_distance is the row form's
+    assert [dom.signed_distance(x) for x in Y] == dom.signed_distance_many(Y).tolist()
+    # every boundary row is oblique, with the normal field on rows
+    dirichlet, value = dom.boundary_kind_many(got)
+    assert not dirichlet.any() and not value.any()
+    P = dom.axes * unit_dirs
+    n = NormalField(dom)(P, None)
+    assert n.shape == P.shape
+    assert np.allclose(np.linalg.norm(n, axis=1), 1.0)
+    with pytest.raises(NotOnBoundary):
+        NormalField(dom)(0.5 * P, None)

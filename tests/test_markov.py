@@ -18,6 +18,7 @@ from hjbsl.markov import (
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import make_test1, make_test2, make_test3
 from hjbsl.scheme import Problem, SchemeParams, sweep
+from test_geometry import boundary_kind, scan_crossing
 
 
 def interval_problem(sigma=0.0, mu=0.0, f=None, psi=None, T=1.0,
@@ -98,7 +99,7 @@ def test_transition_row_at_door_loses_dirichlet_mass():
         cols = np.sqrt(pr.n_sigma * dt) * pr.sigma(0.0, x[None], a)[0].T
         ys = [base + sign * c for c in cols for sign in (1.0, -1.0)]
         absorbed = sum(dom.signed_distance(y) > TOL_BOUNDARY
-                       and dom.boundary_kind(dom._scan_crossing(x, y))[0] == "dirichlet"
+                       and boundary_kind(dom, scan_crossing(dom, x, y))[0] == "dirichlet"
                        for y in ys)
         law = transition_law(pr, mesh, 0, i, a, 0.0, params)
         assert np.all(law.probs > 0.0)

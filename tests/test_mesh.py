@@ -21,6 +21,7 @@ from hjbsl.mesh import (
 )
 from hjbsl.problems import get_benchmark
 from hjbsl.scheme import SchemeParams, sweep
+from test_geometry import boundary_kind
 
 RECT = dict(bounds=(-1.0, 1.0, -0.5, 0.5), hole_center=(-0.5, 0.0),
             hole_radius=0.2)
@@ -416,6 +417,6 @@ def test_boundary_edges_and_tags_match_face_count(name):
     expected = np.array([f for f, cnt in faces.items() if cnt == 1], dtype=int)
     assert np.array_equal(m._boundary_edges, expected)
     tags = [0 if abs(m.domain.signed_distance(v)) > 1e-9
-            else 2 if m.domain.boundary_kind(v)[0] == "dirichlet" else 1
+            else 2 if boundary_kind(m.domain, v)[0] == "dirichlet" else 1
             for v in m.vertices]
     assert np.array_equal(m.boundary_tags, tags)

@@ -83,8 +83,8 @@ def test_test2_values():
 
 def test_test2_oblique_field_example():
     bench = make_test2("oblique")
-    g = bench.problem.gamma(np.array([1.0, 0.0]), None)
-    assert np.allclose(g, [math.cos(math.pi / 6), -math.sin(math.pi / 6)])
+    g = bench.problem.gamma(np.array([[1.0, 0.0]]), None)
+    assert np.allclose(g, [[math.cos(math.pi / 6), -math.sin(math.pi / 6)]])
 
 
 def test_test2_datum_consistency():
@@ -128,7 +128,7 @@ def test_test2_boundary_data():
             c = 1.5 - t
             du = c * np.array([math.cos(p[0]) * math.sin(p[1]),
                                math.sin(p[0]) * math.cos(p[1])])
-            gam = pr.gamma(p, None)
+            gam = pr.gamma(p[None], None)[0]
             assert pr.g(t, p[None], None)[0] == pytest.approx(float(np.dot(gam, du)),
                                                               abs=1e-12)
 
@@ -153,7 +153,8 @@ def test_test3_data():
     X = np.array([rng.uniform(-1.0, 1.0, size=2) for _ in range(50)])
     assert np.array_equal(pr.psi(X), np.zeros(50))
     assert np.array_equal(pr.f(0.0, X, pr.controls_a[0]), np.ones(50))
-    assert pr.domain.boundary_kind((1.0, 0.1)) == ("dirichlet", 0.2)
+    dirichlet, value = pr.domain.boundary_kind_many([[1.0, 0.1]])
+    assert dirichlet.tolist() == [True] and value.tolist() == [0.2]
     assert pr.T == 3.0
     assert pr.n_sigma == 2
     sg = pr.sigma(0.0, np.zeros((3, 2)), None)

@@ -24,7 +24,7 @@ from hjbsl.geometry import (
     RectWithHole,
     RotatedNormalField,
 )
-from hjbsl.markov import _ChainModel, _policy_values
+from hjbsl.markov import _ChainModel, _policy_values, policy_cost
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
@@ -40,6 +40,7 @@ from hjbsl.scheme import (
     n_steps,
     sweep,
 )
+from test_geometry import boundary_kind, scan_crossing
 
 
 def interval_problem(sigma=0.0, mu=0.0, f=None, g=None, psi=None, T=1.0,
@@ -349,12 +350,12 @@ def test_dirichlet_routing_by_first_crossing():
 
     # left and right doors take their exit data
     for x, y, value in [([-0.9, 0.0], [-1.1, 0.0], 0.0), ([0.9, 0.0], [1.1, 0.0], 0.2)]:
-        assert dom.boundary_kind(first(x, y)) == ("dirichlet", value)
+        assert boundary_kind(dom, first(x, y)) == ("dirichlet", value)
         rp = classify(pr, x, y, 0.01, 0.25)
         assert rp["exited"] and rp["dirichlet"] and rp["value"] == value
         assert np.allclose(rp["y_tilde"], first(x, y))
     # a crossing of the oblique top face is reflected, not imposed
-    assert dom.boundary_kind(first([0.0, 0.4], [0.0, 0.6]))[0] == "oblique"
+    assert boundary_kind(dom, first([0.0, 0.4], [0.0, 0.6]))[0] == "oblique"
     rp = classify(pr, [0.0, 0.4], [0.0, 0.6], 0.01, 0.25)
     assert rp["exited"] and not rp["dirichlet"]
     # segments that end inside or on the boundary do not cross
@@ -419,9 +420,43 @@ def test_check_weights_rejects_non_convex_rows():
     good = np.array([[[0.25, 0.75], [1.0, 0.0]]])
     check_weights(good)
     check_weights(np.zeros((0, 3)))
-    for bad in ([[0.5, 0.5 + 1e-9]], [[-1e-3, 1.0 + 1e-3]], [[0.0, 0.0]]):
+    for bad in ([[0.5, 0.5 + 1e-9]], [[-1e-3, 1.0 + 1e-3]], [[0.0, 0.0]],
+                [[0.5, 0.5], [math.nan, math.nan]], [[math.inf, 0.0]],
+                [[math.nan, 1.0]]):
         with pytest.raises(LocationFailure):
             check_weights(np.array(bad))
+    # locate_many gives a row of NaN weights for a NaN point
+    mesh = build_disk_mesh((0.0, 0.0), 1.0, 0.25)
+    with np.errstate(invalid="ignore"):
+        _, bary = mesh.locate_many([[math.nan, 0.0], [0.1, 0.1]])
+    with pytest.raises(LocationFailure):
+        check_weights(bary)
+
+
+@pytest.mark.parametrize("name", ["mu", "sigma"])
+@pytest.mark.parametrize("bench", ["test1_eps", "test2_oblique"])
+def test_dynamics_that_are_not_finite_are_rejected(bench, name):
+    """A mu or sigma handle that returns NaN on part of the domain raises
+    BadParams naming it, in the sweep and in the chain; before, the chain
+    returned nan and the sweep raised Unstable or OutsideTube."""
+    bench = get_benchmark(bench, eps=0.05)
+    handle = getattr(bench.problem, name)
+
+    def nan_right(t, X, a):
+        out = np.array(handle(t, X, a), dtype=float)
+        out[X[:, 0] > 0.45] = math.nan
+        return out
+
+    pr = dataclasses.replace(bench.problem, time_independent_dynamics=False,
+                             **{name: nan_right})
+    dx = 0.1 if pr.domain.dim == 1 else 0.25
+    mesh = build_mesh_for(bench, dx)
+    params = SchemeParams(dt=dx, c_bar=bench.c_bar)
+    with pytest.raises(BadParams, match=f"^{name} returned a value that is not finite"):
+        sweep(pr, mesh, params)
+    i = int(np.argmax(mesh.vertices[:, 0]))
+    with pytest.raises(BadParams, match=f"^{name} returned a value that is not finite"):
+        policy_cost(pr, mesh, lambda m, j: (0, 0), 0, i, params)
 
 
 def test_build_node_table_rejects_bad_weights(monkeypatch):
@@ -481,8 +516,9 @@ def _start_point(dom, u, v):
                      min_size=1, max_size=25))
 @settings(max_examples=40, deadline=None)
 def test_classify_many_matches_classify(name, rows):
-    """Each row of _classify_many against the scalar signed_distance,
-    first crossing scan, boundary_kind and oblique field of its own."""
+    """Each row of _classify_many against the scalar signed_distance, the
+    scalar first crossing scan and boundary_kind of test_geometry, and the
+    oblique field at that row's projection point."""
     pr = CLASSIFY_CASES[name]
     dom = pr.domain
     dt, c_bar = 0.01, 0.25
@@ -506,8 +542,8 @@ def test_classify_many_matches_classify(name, rows):
             continue
         kind, value = ("oblique", None)
         if dom.has_dirichlet:
-            q = dom._scan_crossing(x, y)
-            kind, value = dom.boundary_kind(q)
+            q = scan_crossing(dom, x, y)
+            kind, value = boundary_kind(dom, q)
         assert got.dirichlet[j] == (kind == "dirichlet")
         if got.dirichlet[j]:
             assert got.value[j] == value
@@ -515,7 +551,7 @@ def test_classify_many_matches_classify(name, rows):
             assert got.d_tilde[j] == 0.0
             continue
         p = got.p[j]
-        gam = pr.gamma(p, 0.0)
+        gam = pr.gamma(p[None], 0.0)[0]
         assert abs(dom.signed_distance(p)) <= TOL_BOUNDARY
         assert got.d_tilde[j] > push
         # the algebraic distance along the field and the pull-back past p
