@@ -125,6 +125,29 @@ def test_oblique_projection_rotated_disk():
     assert pr.residual <= 1e-10
 
 
+def test_closed_form_matches_newton():
+    gam = RotatedNormalField(DISK, math.pi / 6)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        r = rng.uniform(0.7, 1.3)
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        x = np.array([r * math.cos(th), r * math.sin(th)])
+        a = oblique_projection(DISK, gam, None, x)
+        b = oblique_projection_newton(DISK, gam, None, x[None])
+        assert np.allclose(a.p, b.p[0], atol=1e-9)
+        assert a.d == pytest.approx(b.d[0], abs=1e-9)
+
+
+def test_function_field_matches_rotated():
+    rot = RotatedNormalField(DISK, math.pi / 6)
+    fn = FunctionField(lambda p, b: rot(p, b))
+    x = np.array([0.0, 1.1])
+    a = oblique_projection(DISK, rot, None, x)
+    b = oblique_projection_newton(DISK, fn, None, x[None])
+    assert np.allclose(a.p, b.p[0], atol=1e-9)
+    assert a.d == pytest.approx(b.d[0], abs=1e-9)
+
+
 def test_batched_newton_matches_closed_form():
     """Newton on all rows at once, through a FunctionField handle that wraps
     the rotated normal, against the rotated field's closed form."""
