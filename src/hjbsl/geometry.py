@@ -172,6 +172,9 @@ class Disk(Domain):
         self.radius = float(radius)
         self.tube_radius = 0.5 * radius if tube_radius is None else tube_radius
         self.layer_radius = 0.5 * radius if layer_radius is None else layer_radius
+        for name in ("tube_radius", "layer_radius"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise BadParams(f"{name} must be positive and finite")
 
     def signed_distance(self, x) -> float:
         return float(np.linalg.norm(as_point(x) - self.center)) - self.radius

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+import operator
+import threading
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,18 +42,52 @@ class TransitionLaw:
 
 class _ChainModel(Operator):
     """The scheme operator with the chain's terminal cost psi at every
-    vertex and its policy lookup; like sweep, it solves the whole horizon."""
+    vertex, its policy lookup and its latest Monte Carlo draws; like sweep,
+    it solves the whole horizon."""
 
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
         whole_steps(problem.T, params.dt)
         super().__init__(problem, mesh, params)
         self.psi = check_shape("psi", problem.psi(mesh.vertices), (mesh.n_vertices,))
+        self._draws = (None, None)
+
+    def draws(self, seed: int, n_paths: int, steps: int) -> np.ndarray:
+        """The (n_paths, steps) uniforms whose row p is the start of the
+        Philox(key=[seed, p]) stream, read-only; only the latest matrix is
+        kept."""
+        if self._draws[0] != (seed, n_paths, steps):
+            mat = np.array([np.random.Generator(np.random.Philox(key=[seed, p])).random(steps)
+                            for p in range(n_paths)]).reshape(n_paths, steps)
+            mat.flags.writeable = False
+            self._draws = ((seed, n_paths, steps), mat)
+        return self._draws[1]
 
     def code(self, m: int, policy, nodes) -> np.ndarray:
         """The pair code of each vertex of nodes under policy at step m."""
         return np.array([ia * self.nb + ib
                          for ia, ib in (_policy_at(policy, m, j) for j in nodes)],
                         dtype=int)
+
+
+# this thread's latest chain model, with the inputs it was built from
+_latest = threading.local()
+
+
+def _chain_model(problem: Problem, mesh: Mesh, params: SchemeParams) -> _ChainModel:
+    """This thread's latest _ChainModel if it was built from the same
+    problem and mesh objects, the same object in every field of the problem
+    and at every position of controls_a and controls_b, and a dt and c_bar
+    of equal value; otherwise a new model, built after the old one is
+    dropped.  Rows and draws thus carry over between calls on one problem."""
+    objs = (problem, mesh, *(getattr(problem, f.name) for f in fields(problem)),
+            *problem.controls_a, *problem.controls_b)
+    values = (len(problem.controls_a), len(problem.controls_b), params.dt, params.c_bar)
+    entry = getattr(_latest, "entry", None)
+    if (entry is None or entry[1] != values or len(entry[0]) != len(objs)
+            or not all(map(operator.is_, entry[0], objs))):
+        _latest.entry = None
+        _latest.entry = (objs, values, _ChainModel(problem, mesh, params))
+    return _latest.entry[2]
 
 
 def _policy_at(policy, m: int, i: int):
@@ -82,7 +118,7 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
     exact mode propagates the full distribution vector and returns a float;
     monte_carlo simulates n_paths >= 2 chains and returns (mean, stderr).
     """
-    model = _ChainModel(problem, mesh, params)
+    model = _chain_model(problem, mesh, params)
     if mode == "exact":
         return _exact_cost(model, policy, k, i)
     if mode == "monte_carlo":
@@ -100,6 +136,8 @@ def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
     total = 0.0
     for m in range(k, model.N):
         nodes = np.flatnonzero(rho)
+        if not len(nodes):
+            break   # every path was absorbed at a Dirichlet exit
         w = rho[nodes]
         # the expected one-step cost is the operator applied to zero
         cost, _, P = model.apply(m, np.zeros(n), model.code(m, policy, nodes.tolist()), nodes)
@@ -122,9 +160,7 @@ def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
     """
     pr, mesh, nb = model.problem, model.mesh, model.nb
     dt, width = model.params.dt, mesh.dim + 1
-    steps = model.N - k
-    draws = np.array([np.random.Generator(np.random.Philox(key=[seed, p])).random(steps)
-                      for p in range(n_paths)]).reshape(n_paths, steps)
+    draws = model.draws(seed, n_paths, model.N - k)
     state = np.full(n_paths, i)
     cost = np.zeros(n_paths)
     layer = np.zeros(n_paths, dtype=int)
@@ -200,7 +236,7 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
     """
     if not n_paths or n_paths < 2:
         raise BadParams("n_paths must be at least 2 for a standard error")
-    model = _ChainModel(problem, mesh, params)
+    model = _chain_model(problem, mesh, params)
     center = mesh.vertices.mean(axis=0)
     start = int(np.argmin(np.linalg.norm(mesh.vertices - center, axis=1)))
     counts = _simulate_paths(model, policy, 0, start, seed, n_paths)[1].astype(float)

@@ -164,6 +164,10 @@ def check_time_independent_dynamics(problem: Problem, mesh: Mesh, dt: float):
         for name in ("mu", "sigma"):
             handle = getattr(problem, name)
             first, last = (np.asarray(handle(t, X, a), dtype=float) for t in times)
+            for t, value in zip(times, (first, last)):
+                if not np.isfinite(value).all():
+                    raise BadParams(f"{name} returned a value that is not finite "
+                                    f"at t={t:g}")
             if not np.array_equal(first, last):
                 raise BadParams(f"time_independent_dynamics is set, but {name} "
                                 f"differs between t={times[0]:g} and t={times[1]:g}")
