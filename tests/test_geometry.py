@@ -285,6 +285,12 @@ def test_rotated_field_example():
     lambda: Disk(center=(0.0, math.nan)),
     lambda: Disk(center=(math.inf, 0.0)),
     lambda: Disk(center=(0.0, 0.0, 0.0)),
+    lambda: Disk(tube_radius=math.nan),
+    lambda: Disk(tube_radius=math.inf),
+    lambda: Disk(tube_radius=0.0),
+    lambda: Disk(layer_radius=math.nan),
+    lambda: Disk(layer_radius=math.inf),
+    lambda: Disk(layer_radius=-0.1),
     lambda: Interval(-math.inf, 1.0),
     lambda: Interval(0.0, math.inf),
     lambda: RectWithHole(dirichlet_half_width=math.nan),
@@ -295,7 +301,8 @@ def test_rotated_field_example():
     lambda: RectWithHole(hole_center=(-0.5, 0.0, 0.0)),
     lambda: RotatedNormalField(DISK, math.nan),
 ], ids=["disk-radius-nan", "disk-radius-inf", "disk-center-nan", "disk-center-inf",
-        "disk-center-3", "interval-a-inf", "interval-b-inf", "rect-width-nan",
+        "disk-center-3", "disk-tube-nan", "disk-tube-inf", "disk-tube-zero",
+        "disk-layer-nan", "disk-layer-inf", "disk-layer-negative", "interval-a-inf", "interval-b-inf", "rect-width-nan",
         "rect-width-negative", "rect-values-nan", "rect-values-inf", "rect-values-3",
         "rect-hole-center-3", "rotated-angle-nan"])
 def test_constructors_reject_bad_parameters(make):

@@ -1,14 +1,19 @@
 import bisect
 import math
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hjbsl import markov, scheme
 from hjbsl.errors import BadParams, TooLarge
 from hjbsl.geometry import TOL_BOUNDARY, Interval, NormalField
 from hjbsl.markov import (
+    _chain_model,
     _ChainModel,
     _policy_at,
+    _policy_values,
     _simulate_paths,
     dp_oracle,
     estimate_sojourn,
@@ -325,3 +330,115 @@ def test_simulate_paths_equals_reference_walker(name):
     assert layers.max() > 0
     if name == "test3_exit":
         assert costs.min() < bench.problem.T - 1e-9
+
+
+def test_policy_cost_once_every_path_is_absorbed():
+    # (1, -0.2) is on the right door: every branch exits there in the first
+    # step, paying dt of running cost and the door's 0.2
+    bench = make_test3()
+    pr, dom = bench.problem, bench.problem.domain
+    mesh = build_rect_with_hole_mesh(dom.bounds, dom.hole_center,
+                                     dom.hole_radius, 0.1)
+    params = SchemeParams(dt=0.05, c_bar=bench.c_bar)
+    i = int(np.argmin(np.linalg.norm(mesh.vertices - [1.0, -0.2], axis=1)))
+    policy = lambda m, j: (j % 16, 0)
+    got = policy_cost(pr, mesh, policy, 0, i, params)
+    assert abs(got - 0.25) <= 1e-12
+    assert abs(got - _policy_values(_ChainModel(pr, mesh, params), policy)[i]) <= 1e-12
+    mean, se = policy_cost(pr, mesh, policy, 0, i, params, mode="monte_carlo",
+                           n_paths=20, seed=1)
+    assert abs(mean - got) <= 1e-12 and se <= 1e-12
+
+
+def _exit_chain():
+    bench = make_test3(n_a=4)
+    dom = bench.problem.domain
+    mesh = build_rect_with_hole_mesh(dom.bounds, dom.hole_center,
+                                     dom.hole_radius, 0.2)
+    return bench.problem, mesh, SchemeParams(dt=0.1, c_bar=bench.c_bar)
+
+
+STEER = lambda m, i: ((i + m) % 4, 0)
+
+
+def _chain_calls(pr, mesh, params, policy=STEER, fresh=False):
+    """An exact and a Monte Carlo cost from vertex 7 and a sojourn estimate,
+    each on a fresh model when fresh is set."""
+    calls = (lambda: policy_cost(pr, mesh, policy, 0, 7, params),
+             lambda: policy_cost(pr, mesh, policy, 0, 7, params,
+                                 mode="monte_carlo", n_paths=40, seed=3),
+             lambda: estimate_sojourn(pr, mesh, policy, params, n_paths=40, seed=3))
+    out = []
+    for call in calls:
+        if fresh:
+            markov._latest.entry = None
+        out.append(call())
+    return out
+
+
+def test_chain_calls_share_one_model(monkeypatch):
+    pr, mesh, params = _exit_chain()
+    fresh = _chain_calls(pr, mesh, params, fresh=True)
+    builds = []
+    build = scheme.build_node_table
+    monkeypatch.setattr(scheme, "build_node_table",
+                        lambda *args: builds.append(args) or build(*args))
+    markov._latest.entry = None
+    first = _chain_calls(pr, mesh, params)
+    n_first = len(builds)
+    model = _chain_model(pr, mesh, params)
+    draws = model.draws(3, 40, model.N)
+    again = _chain_calls(pr, mesh, params)
+    # the second round builds no row and draws no uniform
+    assert n_first > 0 and len(builds) == n_first
+    assert _chain_model(pr, mesh, params) is model
+    assert model.draws(3, 40, model.N) is draws and not draws.flags.writeable
+    # bitwise the results of a fresh model per call
+    assert first == fresh and again == fresh
+
+
+@pytest.mark.parametrize("change", ["reassign-mu", "replace", "mesh", "dt", "c_bar",
+                                    "append-control"])
+def test_changed_inputs_get_a_fresh_model(change):
+    pr, mesh, params = _exit_chain()
+    _chain_calls(pr, mesh, params)
+    old = _chain_model(pr, mesh, params)
+    policy = STEER
+    if change == "reassign-mu":
+        mu = pr.mu
+        pr.mu = lambda t, X, a: 0.5 * mu(t, X, a)
+    elif change == "replace":
+        pr = replace(pr)
+    elif change == "mesh":
+        dom = pr.domain
+        mesh = build_rect_with_hole_mesh(dom.bounds, dom.hole_center,
+                                         dom.hole_radius, 0.25)
+    elif change == "dt":
+        params = SchemeParams(dt=0.075, c_bar=params.c_bar)
+    elif change == "c_bar":
+        params = SchemeParams(dt=params.dt, c_bar=0.3)
+    else:
+        # a fifth control, standing still, taken on odd vertices
+        pr.controls_a.append(np.zeros(2))
+        policy = lambda m, i: (4 if i % 2 else (i + m) % 4, 0)
+    got = _chain_calls(pr, mesh, params, policy)
+    assert _chain_model(pr, mesh, params) is not old
+    assert got == _chain_calls(pr, mesh, params, policy, fresh=True)
+
+
+def test_threads_keep_their_own_models():
+    pr, mesh, params = _exit_chain()
+    mine = _chain_model(pr, mesh, params)
+    theirs = []
+
+    def work():
+        theirs.append(_chain_model(pr, mesh, params))
+        theirs.append(_chain_calls(pr, mesh, params))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert theirs[0] is not mine
+    assert _chain_model(pr, mesh, params) is mine
+    assert theirs[1] == _chain_calls(pr, mesh, params, fresh=True)

@@ -459,6 +459,30 @@ def test_dynamics_that_are_not_finite_are_rejected(bench, name):
         policy_cost(pr, mesh, lambda m, j: (0, 0), 0, i, params)
 
 
+@pytest.mark.parametrize("name", ["mu", "sigma"])
+def test_flag_check_names_dynamics_that_are_not_finite(name):
+    """With time_independent_dynamics left on, a mu or sigma that returns
+    NaN is named as not finite by the flag's check; before, it was
+    reported as differing between the first and last step times."""
+    bench = make_test1(0.05)
+    handle = getattr(bench.problem, name)
+
+    def nan_right(t, X, a):
+        out = np.array(handle(t, X, a), dtype=float)
+        out[X[:, 0] > 0.45] = math.nan
+        return out
+
+    pr = dataclasses.replace(bench.problem, **{name: nan_right})
+    assert pr.time_independent_dynamics
+    mesh = build_interval_mesh(0.0, 1.0, 0.1)
+    params = SchemeParams(dt=0.1, c_bar=bench.c_bar)
+    msg = f"^{name} returned a value that is not finite at t=0$"
+    with pytest.raises(BadParams, match=msg):
+        sweep(pr, mesh, params)
+    with pytest.raises(BadParams, match=msg):
+        policy_cost(pr, mesh, lambda m, j: (0, 0), 0, 9, params)
+
+
 def test_build_node_table_rejects_bad_weights(monkeypatch):
     pr = interval_problem(sigma=0.3, mu=0.2)
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
