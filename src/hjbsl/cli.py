@@ -291,41 +291,34 @@ def main(argv=None) -> int:
 
 
 def _verify(seed: int) -> int:
-    """Fast sanity slice of the property suites; exit 0 iff all pass."""
-    import numpy as np
-
-    from .geometry import Disk, RotatedNormalField, oblique_projection
-    from .markov import transition_law
+    """Fast sanity slice of the property suites, on every row of one
+    assembled operator; exit 0 iff all pass."""
+    from .geometry import Disk, RotatedNormalField, oblique_projection_many
     from .mesh import build_interval_mesh
     from .problems import make_test1
-    from .scheme import apply_S
+    from .scheme import Operator
 
     rng = np.random.default_rng(seed)
     failures = []
 
     disk = Disk((0.0, 0.0), 1.0)
-    gam = RotatedNormalField(disk, math.pi / 6)
-    worst = 0.0
-    for _ in range(500):
-        r = rng.uniform(0.6, 1.4)
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        x = np.array([r * math.cos(th), r * math.sin(th)])
-        pr = oblique_projection(disk, gam, None, x, r_max=math.inf)
-        worst = max(worst, pr.residual)
-    _report("oblique projection residual <= 1e-10", worst <= 1e-10, failures)
+    r = rng.uniform(0.6, 1.4, 500)
+    th = rng.uniform(0.0, 2.0 * math.pi, 500)
+    pr = oblique_projection_many(disk, RotatedNormalField(disk, math.pi / 6), None,
+                                 np.column_stack([r * np.cos(th), r * np.sin(th)]),
+                                 r_max=math.inf)
+    _report("oblique projection residual <= 1e-10", pr.residual.max() <= 1e-10, failures)
 
     bench = make_test1(0.05)
     mesh = build_interval_mesh(0.0, 1.0, 0.05)
-    params = SchemeParams(dt=0.05, c_bar=bench.c_bar)
-    law = transition_law(bench.problem, mesh, 0, 0, 0.0, 0.0, params)
-    _report("transition row sums to 1", abs(law.sum() - 1.0) <= 1e-12, failures)
-
+    op = Operator(bench.problem, mesh, SchemeParams(dt=0.05, c_bar=bench.c_bar))
     U = rng.uniform(-1, 1, mesh.n_vertices)
     V = U + rng.uniform(0, 1, mesh.n_vertices)
-    mono = all(apply_S(bench.problem, mesh, U, 0, i, params)
-               <= apply_S(bench.problem, mesh, V, 0, i, params) + 1e-12
-               for i in range(mesh.n_vertices))
-    _report("one-step operator monotone", mono, failures)
+    SU, _, P = op.apply(0, U)
+    # a row's mass: its transition probabilities plus its absorbed branches
+    mass = np.asarray(P.sum(axis=1)).ravel() + op.rows(0).dirichlet.mean(axis=-1).ravel()
+    _report("transition row sums to 1", np.abs(mass - 1.0).max() <= 1e-12, failures)
+    _report("one-step operator monotone", np.all(SU <= op.apply(0, V)[0] + 1e-12), failures)
 
     return 1 if failures else 0
 

@@ -162,19 +162,15 @@ class Disk(Domain):
     kind = "disk"
     dim = 2
 
-    def __init__(self, center=(0.0, 0.0), radius: float = 1.0,
-                 tube_radius: float | None = None, layer_radius: float | None = None):
+    def __init__(self, center=(0.0, 0.0), radius: float = 1.0):
         if not 0 < radius < math.inf:
             raise BadParams("radius must be positive and finite")
         self.center = as_point(center)
         if self.center.shape != (2,) or not np.isfinite(self.center).all():
             raise BadParams(f"center must be two finite numbers, got {center!r}")
         self.radius = float(radius)
-        self.tube_radius = 0.5 * radius if tube_radius is None else tube_radius
-        self.layer_radius = 0.5 * radius if layer_radius is None else layer_radius
-        for name in ("tube_radius", "layer_radius"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise BadParams(f"{name} must be positive and finite")
+        self.tube_radius = 0.5 * self.radius
+        self.layer_radius = 0.5 * self.radius
 
     def signed_distance(self, x) -> float:
         return float(np.linalg.norm(as_point(x) - self.center)) - self.radius
@@ -384,26 +380,21 @@ def _check_tube(domain: Domain, X, r_max):
 
 
 def oblique_projection(domain: Domain, gamma: ObliqueField, b, x,
-                       r_max: float | None = None,
-                       tol: float = TOL_PROJ,
-                       max_iter: int = MAX_NEWTON_ITER) -> ObliqueProjection:
+                       r_max: float | None = None) -> ObliqueProjection:
     """Solve x = p + d * gamma_b(p) for p on the boundary and d algebraic.
 
     d > 0 strictly outside the closed domain, d = 0 on the boundary.  Pass
     r_max=math.inf to skip the tube precondition (the reflection step does
     this; large time steps can push characteristics beyond the nominal tube).
     """
-    pr = oblique_projection_many(domain, gamma, b, as_point(x)[None, :],
-                                 r_max=r_max, tol=tol, max_iter=max_iter)
+    pr = oblique_projection_many(domain, gamma, b, as_point(x)[None, :], r_max=r_max)
     return ObliqueProjection(p=pr.p[0], d=float(pr.d[0]),
                              residual=float(pr.residual[0]),
                              iterations=int(pr.iterations[0]), gamma=pr.gamma[0])
 
 
 def oblique_projection_many(domain: Domain, gamma: ObliqueField, b, X,
-                            r_max: float | None = None,
-                            tol: float = TOL_PROJ,
-                            max_iter: int = MAX_NEWTON_ITER) -> ObliqueProjection:
+                            r_max: float | None = None) -> ObliqueProjection:
     """oblique_projection of each row of X (m, dim), with a leading row axis
     on every field.  The closed forms and, for other fields on the disk,
     Newton run batched.  An error on any row raises."""
@@ -420,8 +411,7 @@ def oblique_projection_many(domain: Domain, gamma: ObliqueField, b, X,
             return _disk_normal_projection(domain, X)
         if isinstance(gamma, RotatedNormalField):
             return _disk_rotated_projection(domain, gamma, X)
-        return oblique_projection_newton(domain, gamma, b, X, tol=tol,
-                                         max_iter=max_iter)
+        return oblique_projection_newton(domain, gamma, b, X)
     raise BadParams(f"unsupported domain kind {domain.kind!r}")
 
 
@@ -510,14 +500,13 @@ def _rect_hole_normal_projection(domain: RectWithHole, X) -> ObliqueProjection:
     return _closed_form(p, d, res, g)
 
 
-def oblique_projection_newton(domain: Disk, gamma: ObliqueField, b, X,
-                              tol: float = TOL_PROJ,
-                              max_iter: int = MAX_NEWTON_ITER) -> ObliqueProjection:
+def oblique_projection_newton(domain: Disk, gamma: ObliqueField, b, X) -> ObliqueProjection:
     """Newton iteration on G(theta, lam) = q(theta) + lam*gamma(q(theta)) - x,
     q(theta) the boundary point at angle theta, for all rows x of X at once.
 
     Each row starts at its nearest-point angle and signed distance, and
-    leaves the iteration once its residual is within tol.
+    leaves the iteration once its residual is within TOL_PROJ; NoConvergence
+    after MAX_NEWTON_ITER iterations.
     """
     X = as_rows(X, 2)
     v = X - domain.center
@@ -535,11 +524,11 @@ def oblique_projection_newton(domain: Disk, gamma: ObliqueField, b, X,
         g = gamma(q, b)
         return q + la[:, None] * g - x, q, g
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON_ITER + 1):
         x = X[rows]
         g0, q, g = G(theta, lam, x)
         res = row_norms(g0)
-        done = res <= tol
+        done = res <= TOL_PROJ
         r = rows[done]
         out.p[r], out.d[r], out.residual[r], out.gamma[r] = q[done], lam[done], res[done], g[done]
         out.iterations[r] = it
@@ -555,7 +544,7 @@ def oblique_projection_newton(domain: Disk, gamma: ObliqueField, b, X,
         theta = theta + step[:, 0]
         lam = lam + step[:, 1]
     raise NoConvergence(f"residual up to {res.max():.3g} on {len(rows)} rows "
-                        f"after {max_iter} iterations")
+                        f"after {MAX_NEWTON_ITER} iterations")
 
 
 def layer_distance(domain: Domain, delta: float, x) -> float:

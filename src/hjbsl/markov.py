@@ -29,6 +29,10 @@ from .scheme import (
     whole_steps,
 )
 
+# most policies dp_oracle enumerates
+ENUMERATION_LIMIT = 1e6
+
+
 @dataclass
 class TransitionLaw:
     """Sparse probability row p_{k,i,.}(a,b) over vertex indices."""
@@ -197,14 +201,14 @@ def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
     return cost, layer
 
 
-def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams,
-              limit: float = 1e6) -> np.ndarray:
-    """Min over all policies of the exact cost at k=0, by enumeration."""
+def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams) -> np.ndarray:
+    """Min over all policies of the exact cost at k=0, by enumeration;
+    TooLarge beyond ENUMERATION_LIMIT policies."""
     model = _ChainModel(problem, mesh, params)
     n = mesh.n_vertices
     P = len(problem.controls_a) * len(problem.controls_b)
     slots = n * model.N
-    if P ** slots > limit:
+    if P ** slots > ENUMERATION_LIMIT:
         raise TooLarge(f"{P}^{slots} policies exceed the enumeration limit")
     nb = len(problem.controls_b)
     pairs = [(ia, ib) for ia in range(len(problem.controls_a)) for ib in range(nb)]

@@ -28,6 +28,10 @@ LOCATE_CHUNK = 16384
 # side of a location grid cell, in mesh sizes; measured over 0.25 to 2 on
 # the benchmark meshes (README, "Point location")
 CELL_WIDTH = 0.5
+# least shape constant of a disk and a rect-with-hole mesh, else
+# RegularityViolation
+MIN_SHAPE_DISK = 0.05
+MIN_SHAPE_RECT_WITH_HOLE = 0.01
 
 TAG_INTERIOR = 0
 TAG_OBLIQUE = 1
@@ -163,11 +167,6 @@ class Mesh:
             raise BadParams(f"point {x!r} is not finite") from None
         return self._cell_table[min(max(c, 0), len(self._cell_table) - 1)]
 
-    def _candidates(self, x):
-        row = self._cell_row(as_point(x))
-        row = row[row < len(self.simplices)]
-        return row if len(row) else None
-
     def _locate_in_cells(self, points):
         """_locate_one on each row of points with its grid cell's
         candidates; simplex -1 on a miss.
@@ -206,9 +205,9 @@ class Mesh:
         return self._locate_one(x, np.arange(len(self._bary_mats)))
 
     def _locate_miss(self, x) -> Location:
-        """Location of a grid miss: the whole-mesh scan, else the nearest
-        boundary-face point's."""
-        loc = self.try_locate(x)
+        """Location of a grid miss x (dim,): the whole-mesh scan, else the
+        nearest boundary-face point's."""
+        loc = self._scan(x)
         if loc is None:
             q = self._nearest_boundary_point(x)
             loc = self._scan(q)
@@ -230,11 +229,6 @@ class Mesh:
             loc = self._locate_miss(points[j])
             simplex[j], bary[j] = loc.simplex, loc.bary
         return simplex, bary
-
-    def try_locate(self, x) -> Location | None:
-        """Location of one point in the mesh polygon, or None off it."""
-        x = as_point(x)
-        return self._locate_one(x, self._cell_row(x)) or self._scan(x)
 
     def _check_in_domain(self, x):
         if self.domain is not None and not self.domain.signed_distance(x) <= TOL_BOUNDARY:
@@ -358,8 +352,7 @@ def build_interval_mesh(a: float, b: float, dx: float) -> Mesh:
                 mesh_size=mesh_size, shape_constant=shape, domain=domain)
 
 
-def build_disk_mesh(center, radius: float, dx: float,
-                    min_shape_constant: float = 0.05) -> Mesh:
+def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
     """Concentric-ring point set triangulated by Delaunay.
 
     All boundary vertices are placed exactly on the circle.
@@ -382,16 +375,14 @@ def build_disk_mesh(center, radius: float, dx: float,
     simplices = _drop_degenerate(vertices, tri.simplices)
     domain = Disk(center, radius)
     mesh_size, shape = _mesh_metrics(vertices, simplices)
-    if shape < min_shape_constant:
-        raise RegularityViolation(f"shape constant {shape:.3g} below "
-                                  f"{min_shape_constant:.3g}")
+    if shape < MIN_SHAPE_DISK:
+        raise RegularityViolation(f"shape constant {shape:.3g} below {MIN_SHAPE_DISK:.3g}")
     return Mesh(vertices=vertices, simplices=simplices,
                 boundary_tags=_tags_from_domain(domain, vertices),
                 mesh_size=mesh_size, shape_constant=shape, domain=domain)
 
 
 def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,
-                              min_shape_constant: float = 0.01,
                               **domain_kwargs) -> Mesh:
     """Structured grid plus a snapped ring on the hole circle, Delaunay
     triangulated with hole triangles removed."""
@@ -418,9 +409,9 @@ def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,
     bary = vertices[simplices].mean(axis=1)
     simplices = simplices[np.linalg.norm(bary - hc, axis=1) > hr]
     mesh_size, shape = _mesh_metrics(vertices, simplices)
-    if shape < min_shape_constant:
+    if shape < MIN_SHAPE_RECT_WITH_HOLE:
         raise RegularityViolation(f"shape constant {shape:.3g} below "
-                                  f"{min_shape_constant:.3g}")
+                                  f"{MIN_SHAPE_RECT_WITH_HOLE:.3g}")
     return Mesh(vertices=vertices, simplices=simplices,
                 boundary_tags=_tags_from_domain(domain, vertices),
                 mesh_size=mesh_size, shape_constant=shape, domain=domain)

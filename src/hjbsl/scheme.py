@@ -10,6 +10,7 @@ first-order imposition).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,8 +59,10 @@ class Problem:
     time_independent_dynamics: bool = False
 
     def __post_init__(self):
-        if self.T <= 0 or self.n_sigma < 1:
-            raise BadParams("need T > 0 and n_sigma >= 1")
+        if not 0 < self.T < math.inf:
+            raise BadParams(f"T must be positive and finite, got {self.T!r}")
+        if not isinstance(self.n_sigma, numbers.Integral) or self.n_sigma < 1:
+            raise BadParams(f"n_sigma must be an integer >= 1, got {self.n_sigma!r}")
         if not self.controls_a or not self.controls_b:
             raise BadParams("control sets must be nonempty")
         if self.orientation not in ("backward", "forward"):
@@ -81,11 +84,11 @@ def check_shape(name: str, value, shape: tuple) -> np.ndarray:
 class SchemeParams:
     dt: float
     c_bar: float
-    blowup_guard: float = None
 
     def __post_init__(self):
-        if self.dt <= 0 or self.c_bar <= 0:
-            raise BadParams("need dt > 0 and c_bar > 0")
+        if not (0 < self.dt < math.inf and 0 < self.c_bar < math.inf):
+            raise BadParams(f"dt and c_bar must be positive and finite, got "
+                            f"dt={self.dt!r}, c_bar={self.c_bar!r}")
 
 
 @dataclass
@@ -462,7 +465,9 @@ class ValueFunction:
 
 def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     """Backward recursion U_N = Psi, U_k = inf_{a,b} S_{k}[U_{k+1}]: the
-    minimum over the pair blocks of the stacked rows."""
+    minimum over the pair blocks of the stacked rows.  Unstable once a value
+    is not finite or exceeds the blow-up guard 1e3*(max|psi| + T*max|f| + 1),
+    max|f| taken over the steps swept so far."""
     N = whole_steps(problem.T, params.dt)
     op = Operator(problem, mesh, params)
     n = mesh.n_vertices
@@ -474,9 +479,7 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
         v, f, _ = op.apply(k, W[k + 1])
         max_f = max(max_f, float(np.max(np.abs(f))))
         W[k] = v.reshape(op.n_pairs, n).min(axis=0)
-        guard = params.blowup_guard
-        if guard is None:
-            guard = 1e3 * (max_psi + problem.T * max_f + 1.0)
+        guard = 1e3 * (max_psi + problem.T * max_f + 1.0)
         if not np.all(np.isfinite(W[k])) or np.max(np.abs(W[k])) > guard:
             raise Unstable(f"values exceeded the blow-up guard {guard:.3g} "
                            f"at step {k}")
@@ -484,26 +487,21 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     return ValueFunction(values=values, dt=params.dt, mesh=mesh, problem=problem)
 
 
-def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,
+def consistency_residual(problem: Problem, phi, k: int, x, a, b,
                          params: SchemeParams, boundary: bool = False) -> float:
     """Remainder of the one-step expansion at x for a smooth probe.
 
     phi = (value, gradient, hessian) handles of a time-independent test
-    function.  Interior probes return S[phi] - phi(x) + dt*H_a; boundary
+    function, evaluated exactly at the landing points, which isolates the
+    dt order.  Interior probes return S[phi] - phi(x) + dt*H_a; boundary
     probes additionally remove the reconstructed crossing term, leaving
-    O(dt^{3/2} + dx^2) in both cases.  Pass mesh=None to evaluate phi
-    exactly (isolates the dt order).  A Dirichlet exit contributes its
-    datum, as in the sweep.
+    O(dt^{3/2}) in both cases.  A Dirichlet exit contributes its datum, as
+    in the sweep.
     """
     phi_v, phi_g, phi_h = phi
     dt = params.dt
     t = step_time(problem, k, dt)
     x = as_point(x)
-    if mesh is not None:
-        nodal = np.array([phi_v(xi) for xi in mesh.vertices])
-        interp = lambda z: mesh.interpolate(nodal, z)
-    else:
-        interp = lambda z: float(phi_v(z))
     ns, dim = problem.n_sigma, problem.domain.dim
     X = x[None, :]
     sg = check_shape("sigma", problem.sigma(t, X, a), (1, dim, ns))[0]
@@ -517,7 +515,7 @@ def consistency_residual(problem: Problem, mesh, phi, k: int, x, a, b,
     acc = float(rp.value[rp.dirichlet].sum())
     crossing = 0.0
     for s in np.flatnonzero(~rp.dirichlet):
-        acc += interp(rp.y_tilde[s])
+        acc += float(phi_v(rp.y_tilde[s]))
         if rp.exited[s]:
             d = rp.d_tilde[s]
             g = float(check_shape("g", problem.g(t, rp.p[s][None, :], b), (1,))[0])

@@ -177,8 +177,7 @@ def test_criterion_5e_consistency_order():
            lambda x: np.array([2.0 * float(np.atleast_1d(x)[0])]),
            lambda x: np.array([[2.0]]))
     dts = [1e-2, 5e-3, 2.5e-3]
-    rs = [abs(consistency_residual(bench.problem, None, phi, 0,
-                                   np.array([0.5]), 0.0, 0.0,
+    rs = [abs(consistency_residual(bench.problem, phi, 0, np.array([0.5]), 0.0, 0.0,
                                    SchemeParams(dt=dt, c_bar=bench.c_bar)))
           for dt in dts]
     slope = _fitted_slope(dts, rs)

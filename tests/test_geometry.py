@@ -148,7 +148,7 @@ def test_function_field_matches_rotated():
     assert a.d == pytest.approx(b.d[0], abs=1e-9)
 
 
-def test_batched_newton_matches_closed_form():
+def test_batched_newton_matches_closed_form(monkeypatch):
     """Newton on all rows at once, through a FunctionField handle that wraps
     the rotated normal, against the rotated field's closed form."""
     rot = RotatedNormalField(DISK, math.pi / 6)
@@ -173,8 +173,9 @@ def test_batched_newton_matches_closed_form():
     assert got.iterations.shape == (len(X),)
     assert np.all(got.iterations[600:] == 1) and np.all(got.iterations[:600] > 1)
     assert seen[0] == len(X) and seen[1:4] == [600] * 3 and seen[-1] < 600
+    monkeypatch.setattr("hjbsl.geometry.MAX_NEWTON_ITER", 1)
     with pytest.raises(NoConvergence):
-        oblique_projection_newton(DISK, FunctionField(handle), None, X, max_iter=1)
+        oblique_projection_newton(DISK, FunctionField(handle), None, X)
     # a handle must return one vector per row, as the problem handles must
     with pytest.raises(BadParams):
         oblique_projection_many(DISK, FunctionField(lambda P, b: rot(P, b)[0]), None, X)
@@ -285,12 +286,6 @@ def test_rotated_field_example():
     lambda: Disk(center=(0.0, math.nan)),
     lambda: Disk(center=(math.inf, 0.0)),
     lambda: Disk(center=(0.0, 0.0, 0.0)),
-    lambda: Disk(tube_radius=math.nan),
-    lambda: Disk(tube_radius=math.inf),
-    lambda: Disk(tube_radius=0.0),
-    lambda: Disk(layer_radius=math.nan),
-    lambda: Disk(layer_radius=math.inf),
-    lambda: Disk(layer_radius=-0.1),
     lambda: Interval(-math.inf, 1.0),
     lambda: Interval(0.0, math.inf),
     lambda: RectWithHole(dirichlet_half_width=math.nan),
@@ -301,8 +296,7 @@ def test_rotated_field_example():
     lambda: RectWithHole(hole_center=(-0.5, 0.0, 0.0)),
     lambda: RotatedNormalField(DISK, math.nan),
 ], ids=["disk-radius-nan", "disk-radius-inf", "disk-center-nan", "disk-center-inf",
-        "disk-center-3", "disk-tube-nan", "disk-tube-inf", "disk-tube-zero",
-        "disk-layer-nan", "disk-layer-inf", "disk-layer-negative", "interval-a-inf", "interval-b-inf", "rect-width-nan",
+        "disk-center-3", "interval-a-inf", "interval-b-inf", "rect-width-nan",
         "rect-width-negative", "rect-values-nan", "rect-values-inf", "rect-values-3",
         "rect-hole-center-3", "rotated-angle-nan"])
 def test_constructors_reject_bad_parameters(make):

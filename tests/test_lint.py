@@ -39,27 +39,33 @@ def test_no_unused_imports_in_library():
 
 
 # defined but read only from outside src/hjbsl, with the reason
-UNREFERENCED_ALLOWED = {
-    "Mesh._candidates": "perfbench/harness.py counts the location fallback scans with it",
-}
+UNREFERENCED_ALLOWED = {}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _unreferenced_definitions() -> list:
-    """Module-level functions and classes, and methods other than dunders,
-    whose name no module of src/hjbsl refers to; an import by name, as the
-    re-exports in __init__.py, counts as a reference."""
+    """Module-level functions, classes and constants, and methods, other
+    than dunders, whose name no module of src/hjbsl refers to; an import by
+    name, as the re-exports in __init__.py, counts as a reference."""
     defined, used = [], set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((node.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(t.id, t.id) for t in targets
+                            if isinstance(t, ast.Name) and not _is_dunder(t.id)]
             if isinstance(node, ast.ClassDef):
                 defined += [(f"{node.name}.{item.name}", item.name) for item in node.body
-                            if isinstance(item, ast.FunctionDef)
-                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+                            if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            # an assignment's own target is not a reference
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -71,6 +77,6 @@ def _unreferenced_definitions() -> list:
 def test_no_unreferenced_definitions_in_library():
     found = _unreferenced_definitions()
     assert [q for q in found if q not in UNREFERENCED_ALLOWED] == [], \
-        f"functions, classes or methods no module of src/hjbsl refers to: {found}"
+        f"functions, classes, constants or methods no module of src/hjbsl refers to: {found}"
     # the allow-list names only what is still unreferenced
     assert set(UNREFERENCED_ALLOWED) <= set(found)

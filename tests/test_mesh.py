@@ -107,17 +107,17 @@ def test_partition_of_unity():
 
 def test_locate_examples():
     m = build_interval_mesh(0.0, 1.0, 0.5)
-    loc = m.try_locate(np.array([0.25]))
+    loc = m._scan(np.array([0.25]))
     assert loc.simplex == 0
     assert np.allclose(loc.bary, [0.5, 0.5])
     # shared vertex resolves to the lowest simplex index
-    loc = m.try_locate(np.array([0.5]))
+    loc = m._scan(np.array([0.5]))
     assert loc.simplex == 0
     assert np.max(loc.bary) == pytest.approx(1.0)
 
     md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
     bc = md.barycenters()[3]
-    loc = md.try_locate(bc)
+    loc = md._scan(bc)
     assert loc.simplex == 3 or np.allclose(
         md.vertices[md.simplices[loc.simplex]].mean(axis=0), bc)
     assert np.allclose(sorted(loc.bary), [1 / 3] * 3, atol=1e-12)
@@ -185,7 +185,7 @@ def test_project_examples():
     x = np.array([math.cos(mid), math.sin(mid)])
     verts, w = md.interpolation_weights(x)
     q = w @ md.vertices[verts]
-    assert md.try_locate(x) is None
+    assert md._scan(x) is None
     assert np.linalg.norm(q) < 1.0
     assert np.linalg.norm(x - q) <= 0.5 ** 2
 
@@ -286,7 +286,7 @@ def test_locate_many_matches_one_point(name, data):
     assert np.all(bary >= 0.0)
     assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     for x, t, lam in zip(pts, simplex, bary):
-        ref = m.try_locate(x) or m.try_locate(_polygon_point(m, x))
+        ref = m._scan(x) or m._scan(_polygon_point(m, x))
         assert t == ref.simplex
         assert np.max(np.abs(lam - ref.bary)) <= 1e-12
     # shared vertices and faces resolve to the lowest simplex index
@@ -366,7 +366,7 @@ def test_interpolation_weights_match_locate_many(name):
     """The one-point grid pass picks locate_many's simplex and weights."""
     m = SCAN_MESHES[name]
     miss = _miss_point(m)
-    assert m.try_locate(miss) is None
+    assert m._scan(miss) is None
     pts = np.concatenate([_scan_points(m), [miss]])
     # moved boundary vertices may leave the closed domain
     pts = pts[m.domain.signed_distance_many(pts) <= TOL_BOUNDARY]
@@ -380,13 +380,13 @@ def test_interpolation_weights_match_locate_many(name):
 
 
 def test_one_point_query_counts_per_layer(monkeypatch):
-    """perfbench counts queries at Mesh.interpolation_weights and location
-    fallbacks at Mesh.try_locate: a query inside a grid cell makes one call
-    of the first and none of the second, a grid miss one of each."""
+    """A query inside a grid cell makes one Mesh.interpolation_weights call
+    and no Mesh._locate_miss call, a grid miss one of each; the miss goes
+    to the scans without a second grid pass."""
     bench = get_benchmark("test1_eps", eps=0.05)
     m = build_mesh_for(bench, 0.1)
     vf = sweep(bench.problem, m, SchemeParams(dt=0.1, c_bar=bench.c_bar))
-    calls = {"interpolation_weights": 0, "try_locate": 0}
+    calls = {"interpolation_weights": 0, "_locate_miss": 0, "_locate_one": 0}
 
     def counted(name):
         method = getattr(Mesh, name)
@@ -398,10 +398,14 @@ def test_one_point_query_counts_per_layer(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(Mesh, name, counted(name))
-    for x, n_fallback in (([0.37], 0), (m.vertices[4], 0), (_miss_point(m), 1)):
-        calls.update(interpolation_weights=0, try_locate=0)
+    # a miss off the polygon makes three _locate_one passes: the grid cell,
+    # the whole-mesh scan and the scan at the nearest boundary-face point
+    for x, n_fallback, n_passes in (([0.37], 0, 1), (m.vertices[4], 0, 1),
+                                    (_miss_point(m), 1, 3)):
+        calls.update(interpolation_weights=0, _locate_miss=0, _locate_one=0)
         vf(0.0, x)
-        assert calls == {"interpolation_weights": 1, "try_locate": n_fallback}, x
+        assert calls == {"interpolation_weights": 1, "_locate_miss": n_fallback,
+                         "_locate_one": n_passes}, x
 
 
 @pytest.mark.parametrize("name", sorted(LOC_MESHES))

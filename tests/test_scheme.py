@@ -23,8 +23,11 @@ from hjbsl.geometry import (
     NormalField,
     RectWithHole,
     RotatedNormalField,
+    oblique_projection,
+    oblique_projection_many,
+    oblique_projection_newton,
 )
-from hjbsl.markov import _ChainModel, _policy_values, policy_cost
+from hjbsl.markov import _ChainModel, _policy_values, dp_oracle, policy_cost
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
@@ -295,10 +298,67 @@ def test_sweep_deterministic():
 
 
 def test_sweep_blowup_guard():
-    pr = interval_problem(f=const_rows(1.0))
+    """The guard 1e3*(max|psi| + T*max|f| + 1) has no boundary-cost term:
+    with psi = f = 0 it is 1e3, which a boundary cost of 1e9 passes at the
+    first step, and a boundary cost of 1 never reaches."""
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
-    with pytest.raises(Unstable):
-        sweep(pr, mesh, SchemeParams(dt=0.01, c_bar=0.3, blowup_guard=0.5))
+    params = SchemeParams(dt=0.01, c_bar=0.3)
+    assert np.isfinite(sweep(interval_problem(sigma=0.3, g=const_rows(1.0)), mesh,
+                             params).values).all()
+    with pytest.raises(Unstable, match=r"guard 1e\+03 at step 99$"):
+        sweep(interval_problem(sigma=0.3, g=const_rows(1e9)), mesh, params)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SchemeParams(dt=math.nan, c_bar=0.3),
+    lambda: SchemeParams(dt=math.inf, c_bar=0.3),
+    lambda: SchemeParams(dt=0.0, c_bar=0.3),
+    lambda: SchemeParams(dt=0.1, c_bar=math.nan),
+    lambda: SchemeParams(dt=0.1, c_bar=math.inf),
+    lambda: SchemeParams(dt=0.1, c_bar=-0.3),
+    lambda: interval_problem(T=math.nan),
+    lambda: interval_problem(T=math.inf),
+    lambda: interval_problem(T=0.0),
+    lambda: dataclasses.replace(interval_problem(), n_sigma=1.5),
+    lambda: dataclasses.replace(interval_problem(), n_sigma=2.0),
+    lambda: dataclasses.replace(interval_problem(), n_sigma=0),
+], ids=["dt-nan", "dt-inf", "dt-zero", "c_bar-nan", "c_bar-inf", "c_bar-negative",
+        "T-nan", "T-inf", "T-zero", "n_sigma-fraction", "n_sigma-float", "n_sigma-zero"])
+def test_params_and_problem_reject_bad_values(make):
+    with pytest.raises(BadParams):
+        make()
+
+
+_ROW = np.array([[0.5, 0.0]])
+_TINY = (interval_problem(), build_interval_mesh(0.0, 1.0, 0.5), SchemeParams(dt=0.5, c_bar=0.2))
+_PHI = (lambda x: 0.0, lambda x: np.zeros(1), lambda x: np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SchemeParams(dt=0.1, c_bar=0.3, blowup_guard=1e3),
+    lambda: Disk(tube_radius=0.5),
+    lambda: Disk(layer_radius=0.5),
+    lambda: build_disk_mesh((0.0, 0.0), 1.0, 0.5, min_shape_constant=0.05),
+    lambda: build_rect_with_hole_mesh((-1.0, 1.0, -0.5, 0.5), (-0.5, 0.0), 0.2, 0.2,
+                                      min_shape_constant=0.01),
+    lambda: oblique_projection(_DISK, NormalField(_DISK), None, _ROW[0], tol=1e-12),
+    lambda: oblique_projection(_DISK, NormalField(_DISK), None, _ROW[0], max_iter=50),
+    lambda: oblique_projection_many(_DISK, NormalField(_DISK), None, _ROW, tol=1e-12),
+    lambda: oblique_projection_many(_DISK, NormalField(_DISK), None, _ROW, max_iter=50),
+    lambda: oblique_projection_newton(_DISK, NormalField(_DISK), None, _ROW, tol=1e-12),
+    lambda: oblique_projection_newton(_DISK, NormalField(_DISK), None, _ROW, max_iter=50),
+    lambda: dp_oracle(*_TINY, limit=1e6),
+    lambda: consistency_residual(_TINY[0], mesh=None, phi=_PHI, k=0, x=[0.5], a=0.0, b=0.0,
+                                 params=_TINY[2]),
+], ids=["blowup_guard", "tube_radius", "layer_radius", "disk-min_shape_constant",
+        "rect-min_shape_constant", "projection-tol", "projection-max_iter",
+        "projection_many-tol", "projection_many-max_iter", "newton-tol",
+        "newton-max_iter", "dp_oracle-limit", "consistency-mesh"])
+def test_retired_settings_are_rejected(call):
+    """The thresholds of the scheme's checks are fixed (README, "Fixed
+    settings"): no call can set one, or switch its check off."""
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_sweep_rejects_dt_larger_than_horizon():
@@ -370,7 +430,7 @@ def test_consistency_affine_exact():
     phi = (lambda x: 2.0 * float(np.atleast_1d(x)[0]) + 1.0,
            lambda x: np.array([2.0]),
            lambda x: np.array([[0.0]]))
-    r = consistency_residual(pr, None, phi, 0, np.array([0.5]), 0.0, 0.0,
+    r = consistency_residual(pr, phi, 0, np.array([0.5]), 0.0, 0.0,
                              SchemeParams(dt=0.01, c_bar=0.2))
     assert abs(r) <= 1e-12
 
@@ -381,7 +441,7 @@ def test_consistency_interior_order():
            lambda x: np.array([2.0 * float(np.atleast_1d(x)[0])]),
            lambda x: np.array([[2.0]]))
     dts = [1e-2, 5e-3, 2.5e-3]
-    rs = [abs(consistency_residual(bench.problem, None, phi, 0,
+    rs = [abs(consistency_residual(bench.problem, phi, 0,
                                    np.array([0.5]), 0.0, 0.0,
                                    SchemeParams(dt=dt, c_bar=bench.c_bar)))
           for dt in dts]
@@ -395,7 +455,7 @@ def test_consistency_boundary_order():
            lambda x: np.array([2.0 * float(np.atleast_1d(x)[0])]),
            lambda x: np.array([[2.0]]))
     dts = [1e-2, 5e-3, 2.5e-3]
-    rs = [abs(consistency_residual(bench.problem, None, phi, 0,
+    rs = [abs(consistency_residual(bench.problem, phi, 0,
                                    np.array([0.999]), 0.0, 0.0,
                                    SchemeParams(dt=dt, c_bar=bench.c_bar),
                                    boundary=True))
