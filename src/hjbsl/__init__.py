@@ -30,7 +30,6 @@ from .geometry import (
     oblique_projection,
 )
 from .mesh import (
-    Location,
     Mesh,
     build_disk_mesh,
     build_interval_mesh,

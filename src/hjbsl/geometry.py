@@ -372,7 +372,9 @@ class FunctionField(ObliqueField):
 
 def _check_tube(domain: Domain, X, r_max):
     r = domain.tube_radius if r_max is None else r_max
-    if r is not None and not math.isinf(r):
+    if not r > 0:
+        raise BadParams(f"r_max must be positive, got {r!r}")
+    if r < math.inf:
         dist = np.abs(domain.signed_distance_many(X))
         if np.any(dist >= r):
             raise OutsideTube(f"|signed_distance|={dist.max():.3g} "
@@ -552,7 +554,7 @@ def layer_distance(domain: Domain, delta: float, x) -> float:
 
     Satisfies d(x, boundary) + d(x, layer boundary) = delta on the layer.
     """
-    if delta < 0 or delta > domain.layer_radius:
+    if not 0 <= delta <= domain.layer_radius:
         raise BadParams("delta must lie in [0, layer_radius]")
     x = as_point(x)
     sd = domain.signed_distance(x)

@@ -23,6 +23,7 @@ from .scheme import (
     Operator,
     Problem,
     SchemeParams,
+    check_integer,
     check_shape,
     control_groups,
     per_control,
@@ -109,6 +110,7 @@ def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
     """
     op = Operator(replace(problem, controls_a=[a], controls_b=[b],
                           time_independent_dynamics=False), mesh, params)
+    i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
     probs = op.rows(k, [0], [i]).matrix([0], [i]).toarray()[0]
     idx = np.flatnonzero(probs)
     return TransitionLaw(indices=idx, probs=probs[idx])
@@ -123,11 +125,12 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
     monte_carlo simulates n_paths >= 2 chains and returns (mean, stderr).
     """
     model = _chain_model(problem, mesh, params)
+    i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
+    k = check_integer("step k", k, 0, model.N)
     if mode == "exact":
         return _exact_cost(model, policy, k, i)
     if mode == "monte_carlo":
-        if not n_paths or n_paths < 2:
-            raise BadParams("n_paths must be at least 2 for a standard error")
+        check_integer("n_paths", n_paths, 2)
         vals = _simulate_paths(model, policy, k, i, seed, n_paths)[0]
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     raise BadParams(f"unknown mode {mode!r}")
@@ -238,8 +241,7 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
     Returns (mean, stderr) over n_paths >= 2 simulated chains started at the
     vertex closest to the domain barycenter.
     """
-    if not n_paths or n_paths < 2:
-        raise BadParams("n_paths must be at least 2 for a standard error")
+    check_integer("n_paths", n_paths, 2)
     model = _chain_model(problem, mesh, params)
     center = mesh.vertices.mean(axis=0)
     start = int(np.argmin(np.linalg.norm(mesh.vertices - center, axis=1)))

@@ -5,8 +5,8 @@ boundary; the polygon-to-domain Hausdorff gap is O(dx^2).
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -32,58 +32,48 @@ CELL_WIDTH = 0.5
 # RegularityViolation
 MIN_SHAPE_DISK = 0.05
 MIN_SHAPE_RECT_WITH_HOLE = 0.01
+# a simplex of measure at most ZERO_MEASURE*mesh_size^dim is degenerate
+ZERO_MEASURE = 1e-13
 
 TAG_INTERIOR = 0
 TAG_OBLIQUE = 1
 TAG_DIRICHLET = 2
 
 
-@dataclass
-class Location:
-    """Containing simplex and barycentric coordinates of a query point."""
-
-    simplex: int
-    bary: np.ndarray
-
-
-@dataclass
 class Mesh:
-    vertices: np.ndarray          # (n, dim)
-    simplices: np.ndarray         # (m, dim+1) vertex indices
-    boundary_tags: np.ndarray     # (n,) TAG_* per vertex
-    mesh_size: float
-    shape_constant: float
-    domain: Domain | None = None
-    _bary_mats: np.ndarray = field(default=None, repr=False)
-    # grid-bucket index: row c of _cell_table lists, in ascending order, the
-    # simplices whose padded bounding box (see _build_cells) meets grid cell
-    # c, filled up to a common length of at least one more with the index
-    # of the miss sentinel (the last of _bary_mats).  Cells are _cell_size
-    # = CELL_WIDTH*mesh_size wide, counted from _cell_origin and flattened
-    # with _cell_strides.
-    _cell_size: float = field(default=None, repr=False)
-    _cell_origin: np.ndarray = field(default=None, repr=False)
-    _cell_strides: np.ndarray = field(default=None, repr=False)
-    _cell_table: np.ndarray = field(default=None, repr=False)
-    _boundary_edges: np.ndarray = field(default=None, repr=False)
+    """Simplices (m, dim+1) of vertex indices over vertices (n, dim), dim 1
+    or 2, with P1 interpolation.  The mesh computes its mesh_size (largest
+    simplex diameter), shape_constant and, when boundary_tags (TAG_* per
+    vertex) is None, the tags from domain.  BadParams for input of the wrong
+    shape, a vertex that is not finite, an index out of range or a domain the
+    mesh does not discretize (check_domain); RegularityViolation for a
+    simplex of zero measure."""
 
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.vertices.ndim == 1:
-            self.vertices = self.vertices[:, None]
-        self.simplices = np.asarray(self.simplices, dtype=int)
-        self.boundary_tags = np.asarray(self.boundary_tags, dtype=int)
+    def __init__(self, vertices, simplices, boundary_tags=None,
+                 domain: Domain | None = None):
+        self.vertices = np.asarray(vertices, dtype=float)
+        if self.vertices.shape[1:] not in ((1,), (2,)) or not np.isfinite(self.vertices).all():
+            raise BadParams("vertices must be (n, 1) or (n, 2) finite coordinates")
+        self.n_vertices, self.dim = self.vertices.shape
+        self.simplices = np.asarray(simplices, dtype=int)
+        if self.simplices.shape[1:] != (self.dim + 1,) or not len(self.simplices):
+            raise BadParams(f"simplices of shape {self.simplices.shape} on a {self.dim}D mesh")
+        if not ((self.simplices >= 0) & (self.simplices < self.n_vertices)).all():
+            raise BadParams(f"a simplex vertex index is outside 0..{self.n_vertices - 1}")
+        self.mesh_size, self.shape_constant = _mesh_metrics(self.vertices, self.simplices)
+        self.domain = domain
         self._build_bary_mats()
         self._build_cells()
         self._build_boundary_edges()
+        if domain is not None:
+            self.check_domain(domain)
+        elif boundary_tags is None:
+            raise BadParams("a mesh needs boundary_tags or a domain")
+        self.boundary_tags = np.asarray(_tags_from_domain(domain, self.vertices)
+                                        if boundary_tags is None else boundary_tags, dtype=int)
+        if self.boundary_tags.shape != (self.n_vertices,):
+            raise BadParams(f"boundary_tags of shape {self.boundary_tags.shape} "
+                            f"on {self.n_vertices} vertices")
 
     # -- construction helpers -------------------------------------------------
 
@@ -99,7 +89,13 @@ class Mesh:
         self._bary_mats = np.concatenate([np.linalg.inv(mats), sentinel])
 
     def _build_cells(self):
-        h = max(CELL_WIDTH * self.mesh_size, 1e-12)
+        """The grid-bucket index: row c of _cell_table lists, in ascending
+        order, the simplices whose padded bounding box meets grid cell c,
+        filled up to a common length of at least one more with the index of
+        the miss sentinel (the last of _bary_mats).  Cells are _cell_size =
+        CELL_WIDTH*mesh_size wide, counted from _cell_origin and flattened
+        with _cell_strides."""
+        h = CELL_WIDTH * self.mesh_size
         # barycentrics >= -BARY_TOL hold on the simplex scaled by
         # 1 + (dim+1)*BARY_TOL about its barycenter, which reaches at most
         # dim*BARY_TOL*mesh_size past its bounding box; padding the box by
@@ -190,23 +186,23 @@ class Mesh:
         simplex[simplex == len(self.simplices)] = -1
         return simplex, bary
 
-    def _locate_one(self, x, cand) -> Location | None:
-        """First simplex of cand (ascending, ending with the miss sentinel)
-        whose barycentrics at the point x (dim,) are all >= -BARY_TOL, or
-        None if that is the sentinel."""
+    def _locate_one(self, x, cand):
+        """(simplex, barycentrics) of the first simplex of cand (ascending,
+        ending with the miss sentinel) whose barycentrics at the point x
+        (dim,) are all >= -BARY_TOL, or None if that is the sentinel."""
         lam = self._bary_mats.take(cand, axis=0) @ np.array([*x.tolist(), 1.0])
         k = _first_inside(lam)
         if cand[k] == len(self.simplices):
             return None
-        return Location(simplex=int(cand[k]), bary=_clip_normalize(lam[k]))
+        return int(cand[k]), _clip_normalize(lam[k])
 
-    def _scan(self, x) -> Location | None:
-        """Lowest-index simplex of the whole mesh containing x."""
+    def _scan(self, x):
+        """_locate_one over the whole mesh: the lowest-index simplex holding x."""
         return self._locate_one(x, np.arange(len(self._bary_mats)))
 
-    def _locate_miss(self, x) -> Location:
-        """Location of a grid miss x (dim,): the whole-mesh scan, else the
-        nearest boundary-face point's."""
+    def _locate_miss(self, x):
+        """(simplex, barycentrics) of a grid miss x (dim,): the whole-mesh
+        scan's, else the nearest boundary-face point's."""
         loc = self._scan(x)
         if loc is None:
             q = self._nearest_boundary_point(x)
@@ -226,13 +222,20 @@ class Mesh:
         points = np.asarray(points, dtype=float).reshape(-1, self.dim)
         simplex, bary = self._locate_in_cells(points)
         for j in np.flatnonzero(simplex < 0):
-            loc = self._locate_miss(points[j])
-            simplex[j], bary[j] = loc.simplex, loc.bary
+            simplex[j], bary[j] = self._locate_miss(points[j])
         return simplex, bary
 
-    def _check_in_domain(self, x):
-        if self.domain is not None and not self.domain.signed_distance(x) <= TOL_BOUNDARY:
-            raise OutsideDomain(f"point {x!r} outside the closed domain")
+    def check_domain(self, domain: Domain):
+        """BadParams unless the mesh discretizes domain: every vertex in the
+        closed domain and every boundary-face vertex on its boundary, within
+        TOL_BOUNDARY."""
+        if domain.dim != self.dim:
+            raise BadParams(f"a {self.dim}D mesh of a {domain.dim}D domain")
+        sd = domain.signed_distance_many(self.vertices)
+        if not ((sd <= TOL_BOUNDARY).all()
+                and (np.abs(sd[self._boundary_edges]) <= TOL_BOUNDARY).all()):
+            raise BadParams(f"the mesh does not discretize this {domain.kind}: a vertex "
+                            f"lies outside it or a boundary face off its boundary")
 
     def _nearest_boundary_point(self, x) -> np.ndarray:
         if self.dim == 1:
@@ -250,9 +253,10 @@ class Mesh:
         x = as_point(x)
         if x.shape != (self.dim,):
             raise BadParams(f"point of shape {x.shape} on a {self.dim}D mesh")
-        self._check_in_domain(x)
-        loc = self._locate_one(x, self._cell_row(x)) or self._locate_miss(x)
-        return self.simplices[loc.simplex], loc.bary
+        if self.domain is not None and not self.domain.signed_distance(x) <= TOL_BOUNDARY:
+            raise OutsideDomain(f"point {x!r} outside the closed domain")
+        simplex, bary = self._locate_one(x, self._cell_row(x)) or self._locate_miss(x)
+        return self.simplices[simplex], bary
 
     def interpolate(self, nodal, x) -> float:
         nodal = self._nodal(nodal)
@@ -286,12 +290,7 @@ class Mesh:
         return self.vertices[self.simplices].mean(axis=1)
 
     def simplex_measures(self) -> np.ndarray:
-        verts = self.vertices[self.simplices]
-        if self.dim == 1:
-            return np.abs(verts[:, 1, 0] - verts[:, 0, 0])
-        a = verts[:, 1] - verts[:, 0]
-        b = verts[:, 2] - verts[:, 0]
-        return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        return _measures(self.vertices[self.simplices])
 
 
 def _first_inside(lam):
@@ -308,26 +307,30 @@ def _clip_normalize(lam):
     return lam / lam.sum(axis=-1, keepdims=True)
 
 
+def _measures(verts) -> np.ndarray:
+    """Length or area of each simplex of verts (m, dim+1, dim)."""
+    if verts.shape[2] == 1:
+        return np.abs(verts[:, 1, 0] - verts[:, 0, 0])
+    a = verts[:, 1] - verts[:, 0]
+    b = verts[:, 2] - verts[:, 0]
+    return 0.5 * np.abs(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+
+
 def _mesh_metrics(vertices, simplices):
+    """(mesh size, shape constant): the largest simplex diameter h, and the
+    least inradius/h, at most 0.999.  RegularityViolation for a simplex of
+    zero measure, at most ZERO_MEASURE*h^dim."""
     verts = vertices[simplices]
-    m, k, d = verts.shape
-    diam = np.zeros(m)
-    for i in range(k):
-        for j in range(i + 1, k):
-            diam = np.maximum(diam, np.linalg.norm(verts[:, i] - verts[:, j], axis=1))
-    mesh_size = float(diam.max())
-    if d == 1:
-        inradius = 0.5 * np.abs(verts[:, 1, 0] - verts[:, 0, 0])
-    else:
-        a = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
-        b = np.linalg.norm(verts[:, 2] - verts[:, 1], axis=1)
-        c = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=1)
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        inradius = 2.0 * area / (a + b + c)
-    shape = float(min((inradius / mesh_size).min(), (2.0 * mesh_size / diam).min(), 0.999))
-    return mesh_size, shape
+    d = verts.shape[2]
+    # lengths |v0 - v1|, |v1 - v2|, ..., |v_dim - v0|: every edge of a simplex
+    edges = np.linalg.norm(verts - np.roll(verts, -1, axis=1), axis=2)
+    mesh_size = float(edges.max())
+    measure = _measures(verts)
+    zero = ~(measure > ZERO_MEASURE * mesh_size ** d)
+    if zero.any():
+        raise RegularityViolation(f"simplex {zero.argmax()} has zero measure")
+    inradius = 0.5 * measure if d == 1 else 2.0 * measure / edges.sum(axis=1)
+    return mesh_size, float(min((inradius / mesh_size).min(), 0.999))
 
 
 def _tags_from_domain(domain: Domain, vertices) -> np.ndarray:
@@ -345,11 +348,7 @@ def build_interval_mesh(a: float, b: float, dx: float) -> Mesh:
     n_cells = int(math.ceil((b - a) / dx - 1e-12))
     xs = np.linspace(a, b, n_cells + 1)
     simplices = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    domain = Interval(a, b)
-    mesh_size, shape = _mesh_metrics(xs[:, None], simplices)
-    return Mesh(vertices=xs[:, None], simplices=simplices,
-                boundary_tags=_tags_from_domain(domain, xs[:, None]),
-                mesh_size=mesh_size, shape_constant=shape, domain=domain)
+    return Mesh(xs[:, None], simplices, domain=Interval(a, b))
 
 
 def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
@@ -371,15 +370,8 @@ def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
         ring = center + j * dr * np.column_stack([np.cos(th), np.sin(th)])
         pts.append(ring if ring.ndim == 2 else ring[None, :])
     vertices = np.vstack([np.atleast_2d(p) for p in pts])
-    tri = Delaunay(vertices)
-    simplices = _drop_degenerate(vertices, tri.simplices)
-    domain = Disk(center, radius)
-    mesh_size, shape = _mesh_metrics(vertices, simplices)
-    if shape < MIN_SHAPE_DISK:
-        raise RegularityViolation(f"shape constant {shape:.3g} below {MIN_SHAPE_DISK:.3g}")
-    return Mesh(vertices=vertices, simplices=simplices,
-                boundary_tags=_tags_from_domain(domain, vertices),
-                mesh_size=mesh_size, shape_constant=shape, domain=domain)
+    return _delaunay_mesh(vertices, Delaunay(vertices).simplices, Disk(center, radius),
+                          MIN_SHAPE_DISK)
 
 
 def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,
@@ -404,25 +396,20 @@ def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,
     th = 2.0 * math.pi * np.arange(n_h) / n_h
     ring = hc + hr * np.column_stack([np.cos(th), np.sin(th)])
     vertices = np.vstack([grid[keep], ring])
-    tri = Delaunay(vertices)
-    simplices = _drop_degenerate(vertices, tri.simplices)
+    simplices = Delaunay(vertices).simplices
     bary = vertices[simplices].mean(axis=1)
-    simplices = simplices[np.linalg.norm(bary - hc, axis=1) > hr]
-    mesh_size, shape = _mesh_metrics(vertices, simplices)
-    if shape < MIN_SHAPE_RECT_WITH_HOLE:
-        raise RegularityViolation(f"shape constant {shape:.3g} below "
-                                  f"{MIN_SHAPE_RECT_WITH_HOLE:.3g}")
-    return Mesh(vertices=vertices, simplices=simplices,
-                boundary_tags=_tags_from_domain(domain, vertices),
-                mesh_size=mesh_size, shape_constant=shape, domain=domain)
+    return _delaunay_mesh(vertices, simplices[np.linalg.norm(bary - hc, axis=1) > hr],
+                          domain, MIN_SHAPE_RECT_WITH_HOLE)
 
 
-def _drop_degenerate(vertices, simplices, tol: float = 1e-13):
-    verts = vertices[simplices]
-    e1 = verts[:, 1] - verts[:, 0]
-    e2 = verts[:, 2] - verts[:, 0]
-    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return simplices[area > tol]
+def _delaunay_mesh(vertices, simplices, domain: Domain, least: float) -> Mesh:
+    """The Mesh of the simplices of area above 1e-13, Delaunay's slivers
+    dropped; RegularityViolation if its shape constant is below least."""
+    mesh = Mesh(vertices, simplices[_measures(vertices[simplices]) > 1e-13], domain=domain)
+    if mesh.shape_constant < least:
+        raise RegularityViolation(f"shape constant {mesh.shape_constant:.3g} "
+                                  f"below {least:.3g}")
+    return mesh
 
 
 def write_mesh(mesh: Mesh, path):
@@ -437,20 +424,19 @@ def write_mesh(mesh: Mesh, path):
 
 
 def read_mesh(path, domain: Domain | None = None) -> Mesh:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "hjbmesh" or header[1] != "1":
-            raise BadParams(f"bad mesh header in {path}")
-        dim, nv, ns = int(header[2]), int(header[3]), int(header[4])
-        vertices = np.zeros((nv, dim))
-        tags = np.zeros(nv, dtype=int)
-        for i in range(nv):
-            parts = fh.readline().split()
-            vertices[i] = [float(p) for p in parts[:dim]]
-            tags[i] = int(parts[dim])
-        simplices = np.zeros((ns, dim + 1), dtype=int)
-        for t in range(ns):
-            simplices[t] = [int(p) for p in fh.readline().split()]
-    mesh_size, shape = _mesh_metrics(vertices, simplices)
-    return Mesh(vertices=vertices, simplices=simplices, boundary_tags=tags,
-                mesh_size=mesh_size, shape_constant=shape, domain=domain)
+    """The Mesh that write_mesh wrote to path; BadParams if it does not parse."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 5 or header[0] != "hjbmesh" or header[1] != "1":
+                raise BadParams(f"bad mesh header in {path}")
+            dim, nv, ns = int(header[2]), int(header[3]), int(header[4])
+            # islice stops at the end of the file, whatever the header claims
+            rows = [line.split() for line in itertools.islice(fh, nv)]
+            vertices = np.array([r[:dim] for r in rows], dtype=float).reshape(nv, dim)
+            tags = np.array([r[dim] for r in rows], dtype=int)
+            simplices = np.array([line.split() for line in itertools.islice(fh, ns)],
+                                 dtype=int).reshape(ns, dim + 1)
+    except (ValueError, IndexError) as exc:
+        raise BadParams(f"malformed mesh file {path}: {exc}") from None
+    return Mesh(vertices, simplices, tags, domain)

@@ -61,12 +61,18 @@ class Problem:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise BadParams(f"T must be positive and finite, got {self.T!r}")
-        if not isinstance(self.n_sigma, numbers.Integral) or self.n_sigma < 1:
-            raise BadParams(f"n_sigma must be an integer >= 1, got {self.n_sigma!r}")
+        check_integer("n_sigma", self.n_sigma, 1)
         if not self.controls_a or not self.controls_b:
             raise BadParams("control sets must be nonempty")
         if self.orientation not in ("backward", "forward"):
             raise BadParams(f"unknown orientation {self.orientation!r}")
+
+
+def check_integer(name: str, value, lo: int, hi=math.inf) -> int:
+    """value as an int; BadParams unless it is an integer in lo..hi."""
+    if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+        raise BadParams(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
+    return int(value)
 
 
 def check_shape(name: str, value, shape: tuple) -> np.ndarray:
@@ -220,6 +226,7 @@ def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
     minimum of vertex i's rows under every pair."""
     # one step's rows are never shared across steps, so the flag needs no check
     op = Operator(replace(problem, time_independent_dynamics=False), mesh, params)
+    i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
     codes = np.arange(op.n_pairs)
     return float(op.apply(k, next_values, codes, np.full(op.n_pairs, i))[0].min())
 
@@ -350,10 +357,12 @@ class Operator:
     d_tilde*g.  Rows are built as readers reach them into one Rows store
     per step key: the step, or None when time_independent_dynamics (checked
     here) shares one store across steps.  Only the latest key's store is
-    kept, so a reader walks the steps in order.
+    kept, so a reader walks the steps in order.  Rows classify with
+    problem.domain and locate with the mesh, which must discretize it.
     """
 
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
+        mesh.check_domain(problem.domain)
         self.problem = problem
         self.mesh = mesh
         self.params = params

@@ -1,5 +1,8 @@
 """Source-level rules for the library package."""
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import hjbsl
@@ -80,3 +83,15 @@ def test_no_unreferenced_definitions_in_library():
         f"functions, classes, constants or methods no module of src/hjbsl refers to: {found}"
     # the allow-list names only what is still unreferenced
     assert set(UNREFERENCED_ALLOWED) <= set(found)
+
+
+def test_no_private_constructor_arguments():
+    # derived values and caches are computed by their class, never passed in
+    found = []
+    for info in pkgutil.iter_modules(hjbsl.__path__):
+        module = importlib.import_module(f"hjbsl.{info.name}")
+        for name, cls in vars(module).items():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                params = inspect.signature(cls.__init__).parameters
+                found += [f"{info.name}.{name}({arg})" for arg in params if arg.startswith("_")]
+    assert not found, f"constructor arguments starting with _ in src/hjbsl: {found}"

@@ -20,7 +20,7 @@ from hjbsl.mesh import (
     write_mesh,
 )
 from hjbsl.problems import get_benchmark
-from hjbsl.scheme import SchemeParams, sweep
+from hjbsl.scheme import Operator, SchemeParams, sweep
 from test_geometry import boundary_kind
 
 RECT = dict(bounds=(-1.0, 1.0, -0.5, 0.5), hole_center=(-0.5, 0.0),
@@ -107,20 +107,20 @@ def test_partition_of_unity():
 
 def test_locate_examples():
     m = build_interval_mesh(0.0, 1.0, 0.5)
-    loc = m._scan(np.array([0.25]))
-    assert loc.simplex == 0
-    assert np.allclose(loc.bary, [0.5, 0.5])
+    simplex, bary = m._scan(np.array([0.25]))
+    assert simplex == 0
+    assert np.allclose(bary, [0.5, 0.5])
     # shared vertex resolves to the lowest simplex index
-    loc = m._scan(np.array([0.5]))
-    assert loc.simplex == 0
-    assert np.max(loc.bary) == pytest.approx(1.0)
+    simplex, bary = m._scan(np.array([0.5]))
+    assert simplex == 0
+    assert np.max(bary) == pytest.approx(1.0)
 
     md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
     bc = md.barycenters()[3]
-    loc = md._scan(bc)
-    assert loc.simplex == 3 or np.allclose(
-        md.vertices[md.simplices[loc.simplex]].mean(axis=0), bc)
-    assert np.allclose(sorted(loc.bary), [1 / 3] * 3, atol=1e-12)
+    simplex, bary = md._scan(bc)
+    assert simplex == 3 or np.allclose(
+        md.vertices[md.simplices[simplex]].mean(axis=0), bc)
+    assert np.allclose(sorted(bary), [1 / 3] * 3, atol=1e-12)
 
 
 def test_interpolation_examples():
@@ -286,9 +286,9 @@ def test_locate_many_matches_one_point(name, data):
     assert np.all(bary >= 0.0)
     assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     for x, t, lam in zip(pts, simplex, bary):
-        ref = m._scan(x) or m._scan(_polygon_point(m, x))
-        assert t == ref.simplex
-        assert np.max(np.abs(lam - ref.bary)) <= 1e-12
+        ref_simplex, ref_bary = m._scan(x) or m._scan(_polygon_point(m, x))
+        assert t == ref_simplex
+        assert np.max(np.abs(lam - ref_bary)) <= 1e-12
     # shared vertices and faces resolve to the lowest simplex index
     n_in = len(interior)
     for v, t in zip(vertex_ids, simplex[n_in:]):
@@ -346,8 +346,8 @@ def test_locate_many_matches_whole_mesh_scan(name, width, monkeypatch):
         ref = m._scan(x)
         if ref is None:
             continue
-        assert t == ref.simplex, x
-        assert np.max(np.abs(b - ref.bary)) <= 1e-12
+        assert t == ref[0], x
+        assert np.max(np.abs(b - ref[1])) <= 1e-12
         compared += 1
     assert compared >= 0.9 * len(pts)
 
@@ -424,3 +424,12 @@ def test_boundary_edges_and_tags_match_face_count(name):
             else 2 if boundary_kind(m.domain, v)[0] == "dirichlet" else 1
             for v in m.vertices]
     assert np.array_equal(m.boundary_tags, tags)
+
+
+@pytest.mark.parametrize("bench", ["test1_eps", "test2_oblique", "test3_exit"])
+def test_operator_accepts_every_built_in_mesh(bench):
+    """Every built-in mesh discretizes its benchmark's domain: its vertices in
+    the closed domain and its boundary faces on the boundary."""
+    b = get_benchmark(bench, eps=0.05)
+    for dx in np.geomspace(0.02, 0.4, 12):
+        Operator(b.problem, build_mesh_for(b, float(dx)), SchemeParams(dt=0.1, c_bar=b.c_bar))

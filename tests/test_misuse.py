@@ -1,0 +1,135 @@
+"""Misuse of the public entry points, each with the typed error it raises."""
+import math
+
+import numpy as np
+import pytest
+
+from hjbsl.errors import BadParams, RegularityViolation
+from hjbsl.geometry import Disk, Interval, NormalField, layer_distance, oblique_projection
+from hjbsl.markov import estimate_sojourn, policy_cost, transition_law
+from hjbsl.mesh import Mesh, build_disk_mesh, build_interval_mesh, read_mesh, write_mesh
+from hjbsl.problems import make_test1, make_test2
+from hjbsl.scheme import SchemeParams, apply_S, apply_S_control, sweep
+
+TEST1 = make_test1(0.05)
+TEST2 = make_test2("oblique", n_a=4)
+# test1 is posed on [0, 1] with T = 1, so four steps of 0.25
+PARAMS = SchemeParams(dt=0.25, c_bar=TEST1.c_bar)
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+VERTEX_LINES = ["0.0 0.0 1", "1.0 0.0 1", "0.0 1.0 1"]
+
+
+def stay(m, i):
+    return (0, 0)
+
+
+def unit_mesh():
+    return build_interval_mesh(0.0, 1.0, 0.25)
+
+
+def half_mesh():
+    """A mesh of [0, 0.5], not of test1's [0, 1]."""
+    return build_interval_mesh(0.0, 0.5, 0.05)
+
+
+def mesh_file(tmp_path, vertex_lines, simplex_lines, n_simplices=None):
+    """A 2D hjbmesh file; its header counts n_simplices when given."""
+    n_s = len(simplex_lines) if n_simplices is None else n_simplices
+    path = tmp_path / "m.mesh"
+    path.write_text("\n".join([f"hjbmesh 1 2 {len(vertex_lines)} {n_s}",
+                               *vertex_lines, *simplex_lines]) + "\n")
+    return path
+
+
+def disk_file(tmp_path):
+    path = tmp_path / "disk.mesh"
+    write_mesh(build_disk_mesh((0.0, 0.0), 1.0, 0.5), path)
+    return path
+
+
+def case(name, error, call, match=None):
+    return pytest.param(error, match, call, id=name)
+
+
+CASES = [
+    # a mesh of another domain
+    case("sweep-mesh-of-a-shorter-interval", BadParams,
+         lambda tmp: sweep(TEST1.problem, half_mesh(), PARAMS)),
+    case("sweep-mesh-of-a-shifted-disk", BadParams,
+         lambda tmp: sweep(TEST2.problem, build_disk_mesh((0.2, 0.0), 1.0, 0.5),
+                           SchemeParams(dt=0.125, c_bar=TEST2.c_bar))),
+    case("policy_cost-mesh-of-another-domain", BadParams,
+         lambda tmp: policy_cost(TEST1.problem, half_mesh(), stay, 0, 0, PARAMS)),
+    case("transition_law-mesh-of-another-domain", BadParams,
+         lambda tmp: transition_law(TEST1.problem, half_mesh(), 0, 0, 0.0, 0.0, PARAMS)),
+    # derived values and caches are not constructor arguments
+    case("Mesh-mesh_size", TypeError,
+         lambda tmp: Mesh(vertices=TRIANGLE, simplices=[[0, 1, 2]], boundary_tags=[1, 1, 1],
+                          mesh_size=1.5, shape_constant=0.2), match="mesh_size"),
+    case("Mesh-_cell_size", TypeError,
+         lambda tmp: Mesh(vertices=TRIANGLE, simplices=[[0, 1, 2]], boundary_tags=[1, 1, 1],
+                          _cell_size=1.0, mesh_size=1.5, shape_constant=0.2),
+         match="_cell_size"),
+    # what the Mesh constructor rejects
+    case("Mesh-nan-vertex", BadParams,
+         lambda tmp: Mesh([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]], [[0, 1, 2]], [1, 1, 1])),
+    case("Mesh-inf-vertex", BadParams,
+         lambda tmp: Mesh([[0.0, 0.0], [math.inf, 0.0], [0.0, 1.0]], [[0, 1, 2]], [1, 1, 1])),
+    case("Mesh-simplex-too-narrow", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1]], [1, 1, 1])),
+    case("Mesh-simplex-too-wide", BadParams,
+         lambda tmp: Mesh([[0.0], [1.0]], [[0, 1, 1]], [1, 1])),
+    case("Mesh-index-too-large", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 3]], [1, 1, 1])),
+    case("Mesh-index-negative", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, -1]], [1, 1, 1])),
+    case("Mesh-degenerate-simplex", RegularityViolation,
+         lambda tmp: Mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]], [1, 1, 1])),
+    case("Mesh-of-another-domain", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2]], domain=Disk((5.0, 0.0), 1.0))),
+    case("Mesh-2d-of-an-interval", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2]], domain=Interval(0.0, 1.0))),
+    # what read_mesh rejects
+    case("read_mesh-nan-vertex", BadParams,
+         lambda tmp: read_mesh(mesh_file(tmp, ["0.0 0.0 1", "nan 0.0 1", "0.0 1.0 1"],
+                                         ["0 1 2"]))),
+    case("read_mesh-truncated", BadParams,
+         lambda tmp: read_mesh(mesh_file(tmp, VERTEX_LINES, [], n_simplices=1))),
+    case("read_mesh-index-out-of-range", BadParams,
+         lambda tmp: read_mesh(mesh_file(tmp, VERTEX_LINES, ["0 1 7"]))),
+    case("read_mesh-of-another-domain", BadParams,
+         lambda tmp: read_mesh(disk_file(tmp), Disk((0.2, 0.0), 1.0))),
+    # a NaN that switched a check off
+    case("layer_distance-nan", BadParams,
+         lambda tmp: layer_distance(Disk(), math.nan, (0.9, 0.0))),
+    case("oblique_projection-r_max-nan", BadParams,
+         lambda tmp: oblique_projection(Disk(), NormalField(Disk()), None, (5.0, 0.0),
+                                        r_max=math.nan)),
+    # the start vertex, the step and the number of paths
+    case("policy_cost-vertex-negative", BadParams,
+         lambda tmp: policy_cost(TEST1.problem, unit_mesh(), stay, 0, -1, PARAMS)),
+    case("policy_cost-vertex-too-large", BadParams,
+         lambda tmp: policy_cost(TEST1.problem, unit_mesh(), stay, 0, 99, PARAMS)),
+    case("policy_cost-step-past-N", BadParams,
+         lambda tmp: policy_cost(TEST1.problem, unit_mesh(), stay, 9, 0, PARAMS)),
+    case("policy_cost-n_paths-not-integer", BadParams,
+         lambda tmp: policy_cost(TEST1.problem, unit_mesh(), stay, 0, 0, PARAMS,
+                                 mode="monte_carlo", n_paths=2.5)),
+    case("transition_law-vertex-negative", BadParams,
+         lambda tmp: transition_law(TEST1.problem, unit_mesh(), 0, -1, 0.0, 0.0, PARAMS)),
+    case("transition_law-vertex-too-large", BadParams,
+         lambda tmp: transition_law(TEST1.problem, unit_mesh(), 0, 99, 0.0, 0.0, PARAMS)),
+    case("apply_S-vertex-negative", BadParams,
+         lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(5), 0, -1, PARAMS)),
+    case("apply_S_control-vertex-too-large", BadParams,
+         lambda tmp: apply_S_control(TEST1.problem, unit_mesh(), np.zeros(5), 0, 99,
+                                     0.0, 0.0, PARAMS)),
+    case("estimate_sojourn-n_paths-not-integer", BadParams,
+         lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS, n_paths=2.5)),
+]
+
+
+@pytest.mark.parametrize("error, match, call", CASES)
+def test_misuse_raises_its_typed_error(error, match, call, tmp_path):
+    with pytest.raises(error, match=match):
+        call(tmp_path)
