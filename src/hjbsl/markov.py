@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, fields, replace
@@ -32,6 +33,8 @@ from .scheme import (
 
 # most policies dp_oracle enumerates
 ENUMERATION_LIMIT = 1e6
+# draw matrices a chain model keeps: a Monte Carlo cost's and a sojourn's
+DRAW_MEMO = 2
 
 
 @dataclass
@@ -54,24 +57,43 @@ class _ChainModel(Operator):
         whole_steps(problem.T, params.dt)
         super().__init__(problem, mesh, params)
         self.psi = check_shape("psi", problem.psi(mesh.vertices), (mesh.n_vertices,))
-        self._draws = (None, None)
+        self._draws = {}
 
     def draws(self, seed: int, n_paths: int, steps: int) -> np.ndarray:
         """The (n_paths, steps) uniforms whose row p is the start of the
-        Philox(key=[seed, p]) stream, read-only; only the latest matrix is
-        kept."""
-        if self._draws[0] != (seed, n_paths, steps):
+        Philox(key=[seed, p]) stream, read-only; the matrices of the
+        DRAW_MEMO latest (seed, n_paths, steps) are kept."""
+        key = (seed, n_paths, steps)
+        mat = self._draws.pop(key, None)
+        if mat is None:
             mat = np.array([np.random.Generator(np.random.Philox(key=[seed, p])).random(steps)
                             for p in range(n_paths)]).reshape(n_paths, steps)
             mat.flags.writeable = False
-            self._draws = ((seed, n_paths, steps), mat)
-        return self._draws[1]
+        self._draws[key] = mat
+        if len(self._draws) > DRAW_MEMO:
+            del self._draws[next(iter(self._draws))]
+        return mat
 
-    def code(self, m: int, policy, nodes) -> np.ndarray:
-        """The pair code of each vertex of nodes under policy at step m."""
-        return np.array([ia * self.nb + ib
-                         for ia, ib in (_policy_at(policy, m, j) for j in nodes)],
-                        dtype=int)
+    def code(self, m: int, policy, nodes: np.ndarray) -> np.ndarray:
+        """The pair code of each vertex of nodes under policy at step m,
+        checked once for all of them: BadParams unless every pair (ia, ib)
+        holds integers, ia in 0..len(controls_a)-1 and ib in
+        0..len(controls_b)-1."""
+        pairs = [_policy_at(policy, m, j) for j in nodes.tolist()]
+        na, nb = len(self.problem.controls_a), self.nb
+        try:
+            # pairs of unequal lengths raise
+            ia, ib = zip(*pairs, strict=True)
+            a, b = np.array(ia), np.array(ib)
+            good = (a.dtype.kind in "biu" and b.dtype.kind in "biu"
+                    and min(ia) >= 0 and min(ib) >= 0 and max(ia) < na and max(ib) < nb)
+        except (TypeError, ValueError):
+            good = False
+        if not good:
+            r = next((r for r, pair in enumerate(pairs) if not _is_pair(pair, na, nb)), 0)
+            raise BadParams(f"policy at step {m}, vertex {nodes[r]}: {pairs[r]!r} is not "
+                            f"an integer pair (ia, ib) in 0..{na - 1} x 0..{nb - 1}")
+        return a * nb + b
 
 
 # this thread's latest chain model, with the inputs it was built from
@@ -99,6 +121,11 @@ def _policy_at(policy, m: int, i: int):
     if callable(policy):
         return policy(m, i)
     return policy[m][i]
+
+
+def _is_pair(pair, na: int, nb: int) -> bool:
+    return (np.shape(pair) == (2,) and all(isinstance(v, numbers.Integral) for v in pair)
+            and 0 <= pair[0] < na and 0 <= pair[1] < nb)
 
 
 def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
@@ -147,61 +174,100 @@ def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
             break   # every path was absorbed at a Dirichlet exit
         w = rho[nodes]
         # the expected one-step cost is the operator applied to zero
-        cost, _, P = model.apply(m, np.zeros(n), model.code(m, policy, nodes.tolist()), nodes)
+        cost, _, (verts, probs) = model.apply(m, np.zeros(n), model.code(m, policy, nodes),
+                                              nodes)
         total += float(w @ cost)
-        rho = P.T @ w
+        rho = _move(verts, probs, w, n)
     J = np.flatnonzero(rho)
     return float(total + rho[J] @ model.psi[J])
 
 
-def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
-                    n_paths: int):
-    """n_paths chain trajectories from vertex i at step k, advanced together
-    one step at a time; returns (costs, boundary-layer step counts).
+def _move(verts, probs, w, n: int) -> np.ndarray:
+    """P[rows].T @ w for the rows' slots (verts, probs) of Operator.apply:
+    each slot's probs*w added to its vertex in slot order, as scipy's
+    transposed CSR product adds them, so the two agree bitwise."""
+    return np.bincount(verts.ravel(), weights=(probs * w[:, None]).ravel(), minlength=n)
+
+
+def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
+    """The chain's draw-and-move core: the paths at the vertices state from
+    step k, advanced together one step at a time, state updated in place
+    with -1 for an absorbed path.
 
     Path p draws from its own Philox(key=[seed, p]) stream, one uniform per
-    step while it lives, as when it is simulated alone.  Each step builds
-    the live states' missing rows with one build_node_table call per
-    control pair and makes one f call per control a over the live states
-    and one g call per control b over the drawn reflections.
+    step while it lives, as when it is simulated alone.  At each step m
+    with a live path, yields (m, live, uniq, inv, ucode, rows, slot) before
+    the move: the live paths, the distinct vertices uniq they occupy with
+    here = uniq[inv], the pair codes ucode of uniq, the store with their
+    rows built, and the drawn (code, here, branch) of each path as slot.
     """
-    pr, mesh, nb = model.problem, model.mesh, model.nb
-    dt, width = model.params.dt, mesh.dim + 1
-    draws = model.draws(seed, n_paths, model.N - k)
-    state = np.full(n_paths, i)
-    cost = np.zeros(n_paths)
-    layer = np.zeros(n_paths, dtype=int)
-    live = np.arange(n_paths)
+    n, width = model.mesh.n_vertices, model.mesh.dim + 1
+    draws = model.draws(seed, len(state), model.N - k)
+    live = np.arange(len(state))
+    # np.unique(here, return_inverse=True) by marking the vertices
+    seen, position = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
     for m in range(k, model.N):
         if not len(live):
-            break
-        t = model.times[m]
+            return
         here = state[live]
-        uniq, inv = np.unique(here, return_inverse=True)
-        ucode = model.code(m, policy, uniq.tolist())
+        seen[here] = True
+        uniq = np.flatnonzero(seen)
+        seen[uniq] = False
+        position[uniq] = np.arange(len(uniq))
+        inv = position[here]
+        ucode = model.code(m, policy, uniq)
         rows = model.rows(m, ucode, uniq)
-        groups = control_groups(pr.controls_a, ucode // nb, mesh.vertices[uniq])
-        f = per_control("f", pr.f, t, groups, len(uniq))
-        cost[live] += dt * f[inv]
         code = ucode[inv]
         cum = rows.cum[code, here]
         q = np.count_nonzero(cum[:, :-1] <= (draws[live, m - k] * cum[:, -1])[:, None],
                              axis=1)
-        s = q // width
+        slot = (code, here, q // width)
+        yield m, live, uniq, inv, ucode, rows, slot
+        absorbed = rows.dirichlet[slot]
+        state[live] = np.where(absorbed, -1,
+                               rows.verts.reshape(rows.built.shape + (-1,))[code, here, q])
+        live = live[~absorbed]
+
+
+def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
+                    n_paths: int):
+    """n_paths chain trajectories from vertex i at step k (see _walk);
+    returns (costs, boundary-layer step counts).  Each step makes one f
+    call per control a over the live states and one g call per control b
+    over the drawn reflections.
+    """
+    pr, mesh, nb, dt = model.problem, model.mesh, model.nb, model.params.dt
+    state = np.full(n_paths, i)
+    cost = np.zeros(n_paths)
+    layer = np.zeros(n_paths, dtype=int)
+    for m, live, uniq, inv, ucode, rows, slot in _walk(model, policy, k, state, seed):
+        t = model.times[m]
+        code, here, s = slot
+        groups = control_groups(pr.controls_a, ucode // nb, mesh.vertices[uniq])
+        f = per_control("f", pr.f, t, groups, len(uniq))
+        cost[live] += dt * f[inv]
         layer[live] += rows.layer[code, here]
-        absorbed = rows.dirichlet[code, here, s]
-        refl_d = rows.refl_d[code, here, s]
-        refl = ~absorbed & (refl_d != 0.0)
-        sel = np.flatnonzero(refl)
+        absorbed = rows.dirichlet[slot]
+        refl_d = rows.refl_d[slot]
+        sel = np.flatnonzero(~absorbed & (refl_d != 0.0))
         groups = control_groups(pr.controls_b, code[sel] % nb,
                                 rows.refl_p[code[sel], here[sel], s[sel]])
         g = per_control("g", pr.g, t, groups, len(sel))
         cost[live[sel]] += refl_d[sel] * g
-        cost[live[absorbed]] += rows.const[code, here, s][absorbed]
-        state[live] = rows.verts.reshape(rows.built.shape + (-1,))[code, here, q]
-        live = live[~absorbed]
-    cost[live] += model.psi[state[live]]
+        cost[live[absorbed]] += rows.const[slot][absorbed]
+    end = np.flatnonzero(state >= 0)
+    cost[end] += model.psi[state[end]]
     return cost, layer
+
+
+def _layer_steps(model: _ChainModel, policy, i: int, seed: int, n_paths: int):
+    """The boundary-layer step counts of _simulate_paths from vertex i at
+    step 0, with no f or g call."""
+    layer = np.zeros(n_paths, dtype=int)
+    for _, live, _, _, _, rows, (code, here, _) in _walk(model, policy, 0,
+                                                          np.full(n_paths, i), seed):
+        layer[live] += rows.layer[code, here]
+    return layer
 
 
 def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams) -> np.ndarray:
@@ -229,7 +295,7 @@ def _policy_values(model: _ChainModel, policy) -> np.ndarray:
     nodes = np.arange(model.mesh.n_vertices)
     J = model.psi.copy()
     for m in range(model.N - 1, -1, -1):
-        J = model.apply(m, J, model.code(m, policy, nodes.tolist()), nodes)[0]
+        J = model.apply(m, J, model.code(m, policy, nodes), nodes)[0]
     return J
 
 
@@ -245,5 +311,5 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
     model = _chain_model(problem, mesh, params)
     center = mesh.vertices.mean(axis=0)
     start = int(np.argmin(np.linalg.norm(mesh.vertices - center, axis=1)))
-    counts = _simulate_paths(model, policy, 0, start, seed, n_paths)[1].astype(float)
+    counts = _layer_steps(model, policy, start, seed, n_paths).astype(float)
     return float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(len(counts)))

@@ -28,6 +28,9 @@ LOCATE_CHUNK = 16384
 # side of a location grid cell, in mesh sizes; measured over 0.25 to 2 on
 # the benchmark meshes (README, "Point location")
 CELL_WIDTH = 0.5
+# most location grid cells per simplex, else BadParams: the built-in meshes
+# need at most 3 (README, "Point location"), a lone triangle 9
+MAX_CELLS_PER_SIMPLEX = 64
 # least shape constant of a disk and a rect-with-hole mesh, else
 # RegularityViolation
 MIN_SHAPE_DISK = 0.05
@@ -45,9 +48,10 @@ class Mesh:
     or 2, with P1 interpolation.  The mesh computes its mesh_size (largest
     simplex diameter), shape_constant and, when boundary_tags (TAG_* per
     vertex) is None, the tags from domain.  BadParams for input of the wrong
-    shape, a vertex that is not finite, an index out of range or a domain the
-    mesh does not discretize (check_domain); RegularityViolation for a
-    simplex of zero measure."""
+    shape, a vertex that is not finite, an index that is not an integer or
+    is out of range, a location grid of more than MAX_CELLS_PER_SIMPLEX cells
+    per simplex or a domain the mesh does not discretize (check_domain);
+    RegularityViolation for a simplex of zero measure."""
 
     def __init__(self, vertices, simplices, boundary_tags=None,
                  domain: Domain | None = None):
@@ -55,9 +59,12 @@ class Mesh:
         if self.vertices.shape[1:] not in ((1,), (2,)) or not np.isfinite(self.vertices).all():
             raise BadParams("vertices must be (n, 1) or (n, 2) finite coordinates")
         self.n_vertices, self.dim = self.vertices.shape
-        self.simplices = np.asarray(simplices, dtype=int)
-        if self.simplices.shape[1:] != (self.dim + 1,) or not len(self.simplices):
-            raise BadParams(f"simplices of shape {self.simplices.shape} on a {self.dim}D mesh")
+        simplices = np.asarray(simplices)
+        if simplices.shape[1:] != (self.dim + 1,) or not len(simplices):
+            raise BadParams(f"simplices of shape {simplices.shape} on a {self.dim}D mesh")
+        if simplices.dtype.kind not in "iu":
+            raise BadParams(f"simplex vertex indices must be integers, got {simplices.dtype}")
+        self.simplices = simplices.astype(int)
         if not ((self.simplices >= 0) & (self.simplices < self.n_vertices)).all():
             raise BadParams(f"a simplex vertex index is outside 0..{self.n_vertices - 1}")
         self.mesh_size, self.shape_constant = _mesh_metrics(self.vertices, self.simplices)
@@ -103,8 +110,15 @@ class Mesh:
         # cell, so the grid resolves ties as _scan does
         pad = 2.0 * self.dim * BARY_TOL * self.mesh_size
         verts = self.vertices[self.simplices.T]        # (dim+1, m, dim)
-        lo = np.floor((verts.min(axis=0) - pad) / h).astype(int)
-        hi = np.floor((verts.max(axis=0) + pad) / h).astype(int)
+        lo = np.floor((verts.min(axis=0) - pad) / h)
+        hi = np.floor((verts.max(axis=0) + pad) / h)
+        m = len(self.simplices)
+        # counted in floats, which cannot overflow, before any grid is made
+        n_cells = float(np.prod(hi.max(axis=0) - lo.min(axis=0) + 1))
+        if n_cells > MAX_CELLS_PER_SIMPLEX * m:
+            raise BadParams(f"the location grid needs {n_cells:.3g} cells for {m} "
+                            f"simplices, more than {MAX_CELLS_PER_SIMPLEX} per simplex")
+        lo, hi = lo.astype(int), hi.astype(int)
         span = hi - lo + 1
         # every (simplex, cell) pair of a padded box
         offsets = np.stack(np.meshgrid(*[np.arange(k) for k in span.max(axis=0)],
@@ -116,7 +130,6 @@ class Mesh:
         origin = lo.min(axis=0)
         shape = hi.max(axis=0) - origin + 1
         strides = np.cumprod(np.append(1, shape[:0:-1]))[::-1]
-        m = len(self.simplices)
         # sorting cell*m + simplex lists each cell's simplices in ascending order
         flat = ((lo - origin) @ strides)[simplex] + (offsets @ strides)[k]
         flat, simplex = np.divmod(np.sort(flat * m + simplex), m)

@@ -281,15 +281,32 @@ class Rows:
         self.layer = np.zeros((P, n), dtype=bool)
         self.stacked = None     # every row's terms, once all are built
 
-    def matrix(self, codes, nodes) -> csr_matrix:
+    def slots(self, codes, nodes) -> tuple:
         """The rows [codes[r], nodes[r]] of the stacked (pairs*n, n)
-        operator P: entries weight/(2*Ns), kept in (branch, simplex vertex)
-        slot order with duplicates not summed."""
+        operator P as (vertex, entry) arrays, each (rows, 2*Ns*(dim+1)), in
+        (branch, simplex vertex) slot order: entries weight/(2*Ns), with
+        duplicate vertices not summed."""
         S = self.const.shape[2]
-        w = self.weights[codes, nodes].reshape(len(codes), -1)
-        return csr_matrix((w.ravel() / S, self.verts[codes, nodes].ravel(),
-                           np.arange(0, w.size + 1, w.shape[1])),
+        return (self.verts[codes, nodes].reshape(len(codes), -1),
+                self.weights[codes, nodes].reshape(len(codes), -1) / S)
+
+    def matrix(self, codes, nodes) -> csr_matrix:
+        """The slots of the rows [codes[r], nodes[r]] as a csr_matrix."""
+        verts, probs = self.slots(codes, nodes)
+        return csr_matrix((probs.ravel(), verts.ravel(),
+                           np.arange(0, probs.size + 1, probs.shape[1])),
                           shape=(len(codes), self.built.shape[1]))
+
+
+def slot_product(slots: tuple, U) -> np.ndarray:
+    """P[rows] @ U for the rows' slots (verts, probs) of Rows.slots, each
+    row's products added left to right from zero as scipy's CSR product
+    adds them, so the two agree bitwise."""
+    verts, probs = slots
+    out = np.zeros(len(verts))
+    for column in (probs * U[verts]).T:
+        out += column
+    return out
 
 
 def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
@@ -404,15 +421,14 @@ class Operator:
         return rows
 
     def _terms(self, rows: Rows, codes, nodes) -> tuple:
-        """S's pieces on the built rows [codes[r], nodes[r]]: P restricted
-        to the rows, their mean Dirichlet datum, their oblique exits as
-        (row r, d_tilde/(2*Ns)), and the control_groups of the rows'
-        vertices for f and of the exits' projection points for g."""
+        """S's pieces other than P on the built rows [codes[r], nodes[r]]:
+        their mean Dirichlet datum, their oblique exits as (row r,
+        d_tilde/(2*Ns)), and the control_groups of the rows' vertices for f
+        and of the exits' projection points for g."""
         pr = self.problem
         refl_d = rows.refl_d[codes, nodes]
         r, s = np.nonzero(refl_d)
-        return (rows.matrix(codes, nodes), rows.const[codes, nodes].sum(axis=1) / self.S,
-                r, refl_d[r, s] / self.S,
+        return (rows.const[codes, nodes].sum(axis=1) / self.S, r, refl_d[r, s] / self.S,
                 control_groups(pr.controls_a, codes // self.nb, self.mesh.vertices[nodes]),
                 control_groups(pr.controls_b, codes[r] % self.nb,
                                rows.refl_p[codes[r], nodes[r], s]))
@@ -422,22 +438,26 @@ class Operator:
         in stacked order when codes is None.  Returns (S[U], the f values
         used, P restricted to those rows); makes one f call per control a
         over the rows' vertices and one g call per control b over their
-        oblique exits.  The terms of every row, control groups included,
-        are formed once per store."""
+        oblique exits.  On every row P is a csr_matrix, formed with the
+        other terms, control groups included, once per store; on gathered
+        rows it is their Rows.slots, with no csr_matrix formed."""
         rows = self.rows(m, codes, nodes)
         pr, t = self.problem, self.times[m]
         if codes is None:
             if rows.stacked is None:
-                rows.stacked = self._terms(rows, *self._every_row)
-            terms = rows.stacked
+                rows.stacked = (rows.matrix(*self._every_row),
+                                *self._terms(rows, *self._every_row))
+            P, *terms = rows.stacked
+            PU = P @ U
         else:
-            terms = self._terms(rows, np.asarray(codes, dtype=int),
-                                np.asarray(nodes, dtype=int))
-        P, const, r, d, f_groups, g_groups = terms
-        f = per_control("f", pr.f, t, f_groups, P.shape[0])
+            codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
+            P, terms = rows.slots(codes, nodes), self._terms(rows, codes, nodes)
+            PU = slot_product(P, U)
+        const, r, d, f_groups, g_groups = terms
+        f = per_control("f", pr.f, t, f_groups, len(PU))
         g = per_control("g", pr.g, t, g_groups, len(r))
-        crossings = np.bincount(r, weights=d * g, minlength=P.shape[0])
-        return P @ U + const + crossings + self.params.dt * f, f, P
+        crossings = np.bincount(r, weights=d * g, minlength=len(PU))
+        return PU + const + crossings + self.params.dt * f, f, P
 
 
 @dataclass

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from hjbsl import markov, scheme
+from hjbsl.cli import build_mesh_for
 from hjbsl.errors import BadParams, TooLarge
 from hjbsl.geometry import TOL_BOUNDARY, Interval, NormalField
 from hjbsl.markov import (
     _chain_model,
     _ChainModel,
+    _layer_steps,
+    _move,
     _policy_at,
     _policy_values,
     _simulate_paths,
@@ -21,8 +24,8 @@ from hjbsl.markov import (
     transition_law,
 )
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
-from hjbsl.problems import make_test1, make_test2, make_test3
-from hjbsl.scheme import Problem, SchemeParams, sweep
+from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
+from hjbsl.scheme import Operator, Problem, SchemeParams, slot_product, sweep, whole_steps
 from test_geometry import boundary_kind, scan_crossing
 
 
@@ -442,3 +445,106 @@ def test_threads_keep_their_own_models():
     assert theirs[0] is not mine
     assert _chain_model(pr, mesh, params) is mine
     assert theirs[1] == _chain_calls(pr, mesh, params, fresh=True)
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name with a call counter; returns the list of calls."""
+    calls = []
+    inner = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or inner(*a, **kw))
+    return calls
+
+
+def test_sojourn_calls_neither_f_nor_g():
+    pr, mesh, params = _exit_chain()
+    calls = {"f": 0, "g": 0}
+
+    def counted(name):
+        handle = getattr(pr, name)
+
+        def call(*args):
+            calls[name] += 1
+            return handle(*args)
+        return call
+
+    counting = replace(pr, f=counted("f"), g=counted("g"))
+    got = estimate_sojourn(counting, mesh, STEER, params, n_paths=40, seed=3)
+    assert calls == {"f": 0, "g": 0}
+    # the Monte Carlo cost on the same problem calls both
+    policy_cost(counting, mesh, STEER, 0, 7, params, mode="monte_carlo", n_paths=40, seed=3)
+    assert calls["f"] > 0 and calls["g"] > 0
+    markov._latest.entry = None
+    assert got == estimate_sojourn(pr, mesh, STEER, params, n_paths=40, seed=3)
+
+
+def test_exact_cost_builds_no_csr_matrix(monkeypatch):
+    pr, mesh, params = _exit_chain()
+    built = _counting(monkeypatch, scheme, "csr_matrix")
+    markov._latest.entry = None
+    exact = policy_cost(pr, mesh, STEER, 0, 7, params)
+    assert built == []
+    # the cost of the same policy read backward through every vertex's row
+    assert abs(exact - _policy_values(_ChainModel(pr, mesh, params), STEER)[7]) <= 1e-12
+    assert built == []
+
+
+def test_sweep_forms_one_csr_matrix_per_store(monkeypatch):
+    """The stacked apply keeps its CSR on the store: one per step, and one
+    for the whole sweep when the dynamics are time-independent."""
+    built = _counting(monkeypatch, scheme, "csr_matrix")
+    pr, mesh, params = _exit_chain()
+    N = whole_steps(pr.T, params.dt)
+    assert pr.time_independent_dynamics
+    sweep(pr, mesh, params)
+    assert len(built) == 1
+    built.clear()
+    sweep(replace(pr, time_independent_dynamics=False), mesh, params)
+    assert len(built) == N
+
+
+def test_draw_memo_keeps_a_monte_carlo_and_a_sojourn_matrix(monkeypatch):
+    pr, mesh, params = _exit_chain()
+    streams = _counting(monkeypatch, np.random, "Philox")
+    markov._latest.entry = None
+    mc = lambda: policy_cost(pr, mesh, STEER, 5, 7, params, mode="monte_carlo",
+                             n_paths=30, seed=3)
+    first = mc()
+    soj = estimate_sojourn(pr, mesh, STEER, params, n_paths=20, seed=3)
+    assert mc() == first
+    assert estimate_sojourn(pr, mesh, STEER, params, n_paths=20, seed=3) == soj
+    # one stream per path of each matrix, each matrix drawn once
+    assert len(streams) == 30 + 20
+    model = _chain_model(pr, mesh, params)
+    assert sorted(model._draws) == [(3, 20, model.N), (3, 30, model.N - 5)]
+
+
+@pytest.mark.parametrize("name", ["test2_oblique", "test3_exit"])
+def test_layer_walk_counts_equal_simulate_paths(name):
+    bench = get_benchmark(name)
+    mesh = build_mesh_for(bench, {"test2_oblique": 0.25, "test3_exit": 0.2}[name])
+    params = SchemeParams(dt=0.1, c_bar=bench.c_bar)
+    n_a = len(bench.problem.controls_a)
+    policy = lambda m, i: ((3 * i + m) % n_a, 0)
+    model = _ChainModel(bench.problem, mesh, params)
+    layers = _simulate_paths(model, policy, 0, 5, 9, 200)[1]
+    assert layers.max() > 0
+    assert np.array_equal(_layer_steps(model, policy, 5, 9, 200), layers)
+
+
+@pytest.mark.parametrize("name", ["test2_oblique", "test3_exit"])
+def test_slot_product_and_move_equal_scipy_bitwise(name):
+    """The gathered apply's slot sums and the exact cost's bincount move
+    give scipy's P[rows] @ U and P[rows].T @ w bit for bit."""
+    bench = get_benchmark(name)
+    mesh = build_mesh_for(bench, {"test2_oblique": 0.25, "test3_exit": 0.2}[name])
+    op = Operator(bench.problem, mesh, SchemeParams(dt=0.1, c_bar=bench.c_bar))
+    rng = np.random.default_rng(11)
+    n = mesh.n_vertices
+    for _ in range(20):
+        nodes = rng.choice(n, size=40, replace=False)
+        codes = rng.integers(0, op.n_pairs, size=40)
+        rows = op.rows(0, codes, nodes)
+        P, slots = rows.matrix(codes, nodes), rows.slots(codes, nodes)
+        U, w = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, 40)
+        assert np.array_equal(slot_product(slots, U), P @ U)
+        assert np.array_equal(_move(*slots, w, n), P.T @ w)

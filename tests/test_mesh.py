@@ -11,6 +11,7 @@ from hjbsl.errors import BadParams, OutsideDomain
 from hjbsl.geometry import TOL_BOUNDARY, Disk
 from hjbsl.mesh import (
     CELL_WIDTH,
+    MAX_CELLS_PER_SIMPLEX,
     Mesh,
     TAG_DIRICHLET,
     build_disk_mesh,
@@ -433,3 +434,16 @@ def test_operator_accepts_every_built_in_mesh(bench):
     b = get_benchmark(bench, eps=0.05)
     for dx in np.geomspace(0.02, 0.4, 12):
         Operator(b.problem, build_mesh_for(b, float(dx)), SchemeParams(dt=0.1, c_bar=b.c_bar))
+
+
+@pytest.mark.parametrize("bench", ["test1_eps", "test2_oblique", "test3_exit"])
+def test_location_grids_stay_well_under_the_cell_cap(bench):
+    """Every built-in mesh, the benchmark workloads' meshes (dx 0.001 on
+    test1, 0.125 on test2, 0.1 on test3) among them, needs at most 4 grid
+    cells per simplex, a sixteenth of the cap."""
+    b = get_benchmark(bench, eps=0.05)
+    for dx in [*np.geomspace(0.02, 0.4, 12), {"test1_eps": 0.001, "test2_oblique": 0.125,
+                                              "test3_exit": 0.1}[bench]]:
+        mesh = build_mesh_for(b, float(dx))
+        assert len(mesh._cell_table) <= 4 * len(mesh.simplices) <= (
+            MAX_CELLS_PER_SIMPLEX / 16 * len(mesh.simplices))

@@ -7,12 +7,21 @@ import pytest
 from hjbsl.errors import BadParams, RegularityViolation
 from hjbsl.geometry import Disk, Interval, NormalField, layer_distance, oblique_projection
 from hjbsl.markov import estimate_sojourn, policy_cost, transition_law
-from hjbsl.mesh import Mesh, build_disk_mesh, build_interval_mesh, read_mesh, write_mesh
-from hjbsl.problems import make_test1, make_test2
+from hjbsl.mesh import (
+    Mesh,
+    build_disk_mesh,
+    build_interval_mesh,
+    build_rect_with_hole_mesh,
+    read_mesh,
+    write_mesh,
+)
+from hjbsl.problems import make_test1, make_test2, make_test3
 from hjbsl.scheme import SchemeParams, apply_S, apply_S_control, sweep
 
 TEST1 = make_test1(0.05)
 TEST2 = make_test2("oblique", n_a=4)
+TEST3 = make_test3(n_a=4)
+EXIT_PARAMS = SchemeParams(dt=0.1, c_bar=TEST3.c_bar)
 # test1 is posed on [0, 1] with T = 1, so four steps of 0.25
 PARAMS = SchemeParams(dt=0.25, c_bar=TEST1.c_bar)
 TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
@@ -21,6 +30,19 @@ VERTEX_LINES = ["0.0 0.0 1", "1.0 0.0 1", "0.0 1.0 1"]
 
 def stay(m, i):
     return (0, 0)
+
+
+def exit_chain():
+    """test3 with four controls a, and its mesh at dx 0.2."""
+    dom = TEST3.problem.domain
+    return TEST3.problem, build_rect_with_hole_mesh(dom.bounds, dom.hole_center,
+                                                    dom.hole_radius, 0.2)
+
+
+def steer_to(pair):
+    """A policy that gives pair at odd vertices from step 1 on, a good pair
+    elsewhere."""
+    return lambda m, i: pair if m and i % 2 else (i % 4, 0)
 
 
 def unit_mesh():
@@ -83,6 +105,13 @@ CASES = [
          lambda tmp: Mesh(TRIANGLE, [[0, 1, 3]], [1, 1, 1])),
     case("Mesh-index-negative", BadParams,
          lambda tmp: Mesh(TRIANGLE, [[0, 1, -1]], [1, 1, 1])),
+    case("Mesh-index-not-integer", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2.7]], [1, 1, 1]), match="integers"),
+    # two unit triangles 1e6 apart need about 2.0e12 grid cells; the count
+    # is checked before the grid is made
+    case("Mesh-location-grid-too-large", BadParams,
+         lambda tmp: Mesh(TRIANGLE + [[1e6, 1e6], [1e6 + 1.0, 1e6], [1e6, 1e6 + 1.0]],
+                          [[0, 1, 2], [3, 4, 5]], [1] * 6), match="cells"),
     case("Mesh-degenerate-simplex", RegularityViolation,
          lambda tmp: Mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]], [1, 1, 1])),
     case("Mesh-of-another-domain", BadParams,
@@ -126,6 +155,23 @@ CASES = [
                                      0.0, 0.0, PARAMS)),
     case("estimate_sojourn-n_paths-not-integer", BadParams,
          lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS, n_paths=2.5)),
+    # policy pairs: out of range, negative, of floats, or folding into
+    # another pair's code, on test3 with four controls a and one b
+    *[case(f"{name}-policy-{label}", BadParams, call(pair), match="integer pair")
+      for label, pair in (("ia-too-large", (4, 0)), ("ia-negative", (-1, 0)),
+                          ("ib-too-large", (0, 1)), ("ib-negative", (1, -1)),
+                          ("ia-float", (1.0, 0)), ("not-a-pair", (1, 0, 0)))
+      for name, call in (
+          ("policy_cost-exact",
+           lambda pair: lambda tmp: policy_cost(*exit_chain(), steer_to(pair), 0, 7,
+                                                EXIT_PARAMS)),
+          ("policy_cost-monte_carlo",
+           lambda pair: lambda tmp: policy_cost(*exit_chain(), steer_to(pair), 0, 7,
+                                                EXIT_PARAMS, mode="monte_carlo",
+                                                n_paths=10)),
+          ("estimate_sojourn",
+           lambda pair: lambda tmp: estimate_sojourn(*exit_chain(), steer_to(pair),
+                                                     EXIT_PARAMS, n_paths=10)))],
 ]
 
 
