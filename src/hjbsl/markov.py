@@ -78,8 +78,13 @@ class _ChainModel(Operator):
         """The pair code of each vertex of nodes under policy at step m,
         checked once for all of them: BadParams unless every pair (ia, ib)
         holds integers, ia in 0..len(controls_a)-1 and ib in
-        0..len(controls_b)-1."""
-        pairs = [_policy_at(policy, m, j) for j in nodes.tolist()]
+        0..len(controls_b)-1.  policy is a callable policy(m, j) or a
+        nested sequence read as policy[m][j]."""
+        if callable(policy):
+            pairs = [policy(m, j) for j in nodes.tolist()]
+        else:
+            step = policy[m]
+            pairs = [step[j] for j in nodes.tolist()]
         na, nb = len(self.problem.controls_a), self.nb
         try:
             # pairs of unequal lengths raise
@@ -115,12 +120,6 @@ def _chain_model(problem: Problem, mesh: Mesh, params: SchemeParams) -> _ChainMo
         _latest.entry = None
         _latest.entry = (objs, values, _ChainModel(problem, mesh, params))
     return _latest.entry[2]
-
-
-def _policy_at(policy, m: int, i: int):
-    if callable(policy):
-        return policy(m, i)
-    return policy[m][i]
 
 
 def _is_pair(pair, na: int, nb: int) -> bool:

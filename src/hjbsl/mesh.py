@@ -5,6 +5,7 @@ boundary; the polygon-to-domain Hausdorff gap is O(dx^2).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -23,8 +24,11 @@ from .geometry import (
 )
 
 BARY_TOL = 1e-10
-# (point, candidate simplex) pairs per batched barycentric evaluation
-LOCATE_CHUNK = 16384
+# (point, candidate simplex) pairs per chunk of locate_many; a chunk's
+# candidates and gathered barycentric planes, (dim+1)^2 floats per pair,
+# are formed per chunk, so this bounds the temporaries of a whole
+# build_node_table pass (README, "Point location")
+LOCATE_CHUNK = 4096
 # side of a location grid cell, in mesh sizes; measured over 0.25 to 2 on
 # the benchmark meshes (README, "Point location")
 CELL_WIDTH = 0.5
@@ -47,11 +51,12 @@ class Mesh:
     """Simplices (m, dim+1) of vertex indices over vertices (n, dim), dim 1
     or 2, with P1 interpolation.  The mesh computes its mesh_size (largest
     simplex diameter), shape_constant and, when boundary_tags (TAG_* per
-    vertex) is None, the tags from domain.  BadParams for input of the wrong
-    shape, a vertex that is not finite, an index that is not an integer or
-    is out of range, a location grid of more than MAX_CELLS_PER_SIMPLEX cells
-    per simplex or a domain the mesh does not discretize (check_domain);
-    RegularityViolation for a simplex of zero measure."""
+    vertex) is None, the tags from domain on first read.  BadParams for
+    input of the wrong shape, a vertex that is not finite, an index that is
+    not an integer or is out of range, a location grid of more than
+    MAX_CELLS_PER_SIMPLEX cells per simplex or a domain the mesh does not
+    discretize (check_domain); RegularityViolation for a simplex of zero
+    measure."""
 
     def __init__(self, vertices, simplices, boundary_tags=None,
                  domain: Domain | None = None):
@@ -69,37 +74,48 @@ class Mesh:
             raise BadParams(f"a simplex vertex index is outside 0..{self.n_vertices - 1}")
         self.mesh_size, self.shape_constant = _mesh_metrics(self.vertices, self.simplices)
         self.domain = domain
-        self._build_bary_mats()
+        self._build_bary_planes()
         self._build_cells()
         self._build_boundary_edges()
         if domain is not None:
             self.check_domain(domain)
         elif boundary_tags is None:
             raise BadParams("a mesh needs boundary_tags or a domain")
-        self.boundary_tags = np.asarray(_tags_from_domain(domain, self.vertices)
-                                        if boundary_tags is None else boundary_tags, dtype=int)
-        if self.boundary_tags.shape != (self.n_vertices,):
-            raise BadParams(f"boundary_tags of shape {self.boundary_tags.shape} "
-                            f"on {self.n_vertices} vertices")
+        if boundary_tags is not None:
+            # shadows the cached property
+            self.boundary_tags = np.asarray(boundary_tags, dtype=int)
+            if self.boundary_tags.shape != (self.n_vertices,):
+                raise BadParams(f"boundary_tags of shape {self.boundary_tags.shape} "
+                                f"on {self.n_vertices} vertices")
+
+    @functools.cached_property
+    def boundary_tags(self) -> np.ndarray:
+        """TAG_* per vertex: the given tags, else the domain's, computed on
+        first read."""
+        return _tags_from_domain(self.domain, self.vertices)
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_bary_mats(self):
+    def _build_bary_planes(self):
+        """_bary_planes[i, k, s] is entry (i, k) of the inverse vertex matrix
+        [[vertices of simplex s]^T; 1 ... 1] of simplex s, so barycentric i of
+        a point x is the affine sum (_affine_sum) of column k times x_k plus
+        column dim.  The last simplex index is the miss sentinel, which puts
+        every point inside with barycentrics (0, ..., 0, 1)."""
         d = self.dim
         verts = self.vertices[self.simplices]          # (m, d+1, d)
         mats = np.concatenate([verts.transpose(0, 2, 1),
                                np.ones((len(self.simplices), 1, d + 1))], axis=1)
-        # (m+1, d+1, d+1); the last is the miss sentinel, which puts every
-        # point inside with barycentrics (0, ..., 0, 1)
         sentinel = np.zeros((1, d + 1, d + 1))
         sentinel[0, d, d] = 1.0
-        self._bary_mats = np.concatenate([np.linalg.inv(mats), sentinel])
+        inv = np.concatenate([np.linalg.inv(mats), sentinel])
+        self._bary_planes = np.ascontiguousarray(inv.transpose(1, 2, 0))
 
     def _build_cells(self):
         """The grid-bucket index: row c of _cell_table lists, in ascending
         order, the simplices whose padded bounding box meets grid cell c,
         filled up to a common length of at least one more with the index of
-        the miss sentinel (the last of _bary_mats).  Cells are _cell_size =
+        the miss sentinel (the last of _bary_planes).  Cells are _cell_size =
         CELL_WIDTH*mesh_size wide, counted from _cell_origin and flattened
         with _cell_strides."""
         h = CELL_WIDTH * self.mesh_size
@@ -180,38 +196,56 @@ class Mesh:
         """_locate_one on each row of points with its grid cell's
         candidates; simplex -1 on a miss.
 
-        The candidate gather is processed in chunks of at most
-        LOCATE_CHUNK (point, candidate) pairs to bound the temporaries.
+        Points are processed in chunks of at most LOCATE_CHUNK (point,
+        candidate) pairs, their candidates and barycentrics formed per
+        chunk, which bounds the temporaries.
         """
         m = len(points)
-        cand = self._cell_candidates(points)
-        rhs = np.ones((m, 1, self.dim + 1, 1))
-        rhs[:, 0, :-1, 0] = points
         simplex = np.empty(m, dtype=int)
         bary = np.empty((m, self.dim + 1))
-        rows = max(1, LOCATE_CHUNK // cand.shape[1])
+        rows = max(1, LOCATE_CHUNK // self._cell_table.shape[1])
         for c0 in range(0, m, rows):
             sl = slice(c0, c0 + rows)
-            lam = (self._bary_mats[cand[sl]] @ rhs[sl])[..., 0]
-            pick = np.arange(len(lam)), _first_inside(lam)
-            simplex[sl] = cand[sl][pick]
-            bary[sl] = _clip_normalize(lam[pick])
+            cand = self._cell_candidates(points[sl])
+            lam = _affine_sum(self._bary_planes.take(cand, axis=2),
+                              [points[sl, k, None] for k in range(self.dim)])
+            pick = np.arange(len(cand)), _first_inside(lam)
+            simplex[sl] = cand[pick]
+            bary[sl] = _clip_normalize(lam[:, pick[0], pick[1]].T)
         simplex[simplex == len(self.simplices)] = -1
         return simplex, bary
+
+    @functools.cached_property
+    def _bary_rows(self) -> list:
+        """_bary_planes as Python floats, [simplex][i][k], for _locate_one."""
+        return self._bary_planes.transpose(2, 0, 1).tolist()
 
     def _locate_one(self, x, cand):
         """(simplex, barycentrics) of the first simplex of cand (ascending,
         ending with the miss sentinel) whose barycentrics at the point x
-        (dim,) are all >= -BARY_TOL, or None if that is the sentinel."""
-        lam = self._bary_mats.take(cand, axis=0) @ np.array([*x.tolist(), 1.0])
-        k = _first_inside(lam)
-        if cand[k] == len(self.simplices):
+        (dim,) are all >= -BARY_TOL, or None if that is the sentinel.  The
+        barycentrics are _affine_sum's in Python floats, each product and sum
+        rounded as there, so the batch and the scan agree bitwise."""
+        rows, coords = self._bary_rows, x.tolist()
+        for s in cand.tolist():
+            if len(coords) == 1:
+                lam = [a * coords[0] + c for a, c in rows[s]]
+            else:
+                lam = [a * coords[0] + b * coords[1] + c for a, b, c in rows[s]]
+            if min(lam) >= -BARY_TOL:
+                break
+        if s == len(self.simplices):
             return None
-        return int(cand[k]), _clip_normalize(lam[k])
+        return s, _clip_normalize(np.array(lam))
 
     def _scan(self, x):
-        """_locate_one over the whole mesh: the lowest-index simplex holding x."""
-        return self._locate_one(x, np.arange(len(self._bary_mats)))
+        """_locate_one over the whole mesh, vectorised: the lowest-index
+        simplex holding x."""
+        lam = _affine_sum(self._bary_planes, x.tolist())
+        k = _first_inside(lam)
+        if k == len(self.simplices):
+            return None
+        return int(k), _clip_normalize(lam[:, k])
 
     def _locate_miss(self, x):
         """(simplex, barycentrics) of a grid miss x (dim,): the whole-mesh
@@ -306,12 +340,25 @@ class Mesh:
         return _measures(self.vertices[self.simplices])
 
 
+def _affine_sum(planes, coords):
+    """Barycentrics (dim+1, ...) of the gathered _bary_planes planes
+    (dim+1, dim+1, ...) at the point coordinates coords (one per dimension,
+    each broadcasting against planes[:, 0]): planes[:, 0]*x_0 (+
+    planes[:, 1]*x_1) + planes[:, dim], added in that order."""
+    d = len(coords)
+    lam = planes[:, 0] * coords[0]
+    for k in range(1, d):
+        lam += planes[:, k] * coords[k]
+    lam += planes[:, d]
+    return lam
+
+
 def _first_inside(lam):
-    """Position along the candidate axis (the one before last) of the
-    first candidate whose barycentrics lam (..., K, dim+1) are all
-    >= -BARY_TOL.  Candidates are listed in ascending simplex index, so a
-    point on a shared face goes to the lowest index."""
-    return (lam.min(axis=-1) >= -BARY_TOL).argmax(axis=-1)
+    """Position along the candidate axis (the last) of the first candidate
+    whose barycentrics lam (dim+1, ..., K) are all >= -BARY_TOL.
+    Candidates are listed in ascending simplex index, so a point on a
+    shared face goes to the lowest index."""
+    return (lam >= -BARY_TOL).all(axis=0).argmax(axis=-1)
 
 
 def _clip_normalize(lam):

@@ -28,6 +28,10 @@ from .mesh import Mesh
 
 # tolerance on the unit sum of each branch's interpolation weights
 WEIGHT_TOL = 1e-12
+# most rows (vertex, pair) of one build_node_table pass, unless one pair has
+# more; each row has 2*N_sigma branches, located in mesh.LOCATE_CHUNK chunks
+# (README, "One operator")
+PASS_ROWS = 2048
 PULLED_OUTSIDE = ("reflected point left the domain; dt too large "
                   "for the drift/diffusion magnitudes")
 
@@ -182,10 +186,13 @@ def check_time_independent_dynamics(problem: Problem, mesh: Mesh, dt: float):
                                 f"differs between t={times[0]:g} and t={times[1]:g}")
 
 
-def _classify_many(problem: Problem, X, Y, b, dt: float,
+def _classify_many(problem: Problem, X, Y, ib, dt: float,
                    c_bar: float) -> ReflectedPoint:
     """Route each characteristic Y[j] from its vertex X[j] to the interior,
-    a Dirichlet exit or a reflection, in one batched pass.
+    a Dirichlet exit or a reflection, in one batched pass; ib is the index
+    into problem.controls_b of each row's control b, or one index for every
+    row, and the reflected rows make one oblique projection call per
+    control b among them.
 
     p is set on reflected rows and zero elsewhere; the boundary cost
     g(t, p, b) is left to the caller, since it depends on the step's time.
@@ -207,15 +214,17 @@ def _classify_many(problem: Problem, X, Y, b, dt: float,
         y_tilde[rows[hit]] = q[hit]
         rows = rows[~hit]
     if len(rows):
-        # the nominal tube radius can be exceeded by coarse steps; rely on
-        # the containment check on the pulled-back points instead
-        proj = oblique_projection_many(dom, problem.gamma, b, Y[rows], r_max=math.inf)
         push = c_bar * math.sqrt(dt)
-        y_tilde[rows] = proj.p - push * proj.gamma
+        ib = np.broadcast_to(ib, (m,))
+        for b, sel, P in control_groups(problem.controls_b, ib[rows], Y[rows]):
+            # the nominal tube radius can be exceeded by coarse steps; rely
+            # on the containment check on the pulled-back points instead
+            proj = oblique_projection_many(dom, problem.gamma, b, P, r_max=math.inf)
+            y_tilde[rows[sel]] = proj.p - push * proj.gamma
+            d_tilde[rows[sel]] = proj.d + push
+            p[rows[sel]] = proj.p
         if not np.all(dom.signed_distance_many(y_tilde[rows]) <= TOL_BOUNDARY):
             raise OutsideTube(PULLED_OUTSIDE)
-        d_tilde[rows] = proj.d + push
-        p[rows] = proj.p
     return ReflectedPoint(y_tilde=y_tilde, d_tilde=d_tilde, exited=exited, p=p,
                           dirichlet=dirichlet, value=value)
 
@@ -310,18 +319,23 @@ def slot_product(slots: tuple, U) -> np.ndarray:
 
 
 def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
-                     rows: Rows, c: int, t: float, nodes):
+                     rows: Rows, t: float, codes, nodes):
     """The only path from characteristics to classified, located branches:
-    the rows of pair code c at time t for the vertex indices nodes, formed,
-    classified and located in one batched pass and written to rows[c, nodes]."""
-    ia, ib = divmod(c, len(problem.controls_b))
-    nodes = np.asarray(nodes, dtype=int)
+    the rows [codes[r], nodes[r]] at time t, each given once, formed,
+    classified and located in one batched pass and written to the store.
+    Characteristics take one mu and one sigma call per control a among
+    the rows, classification one _classify_many call and location one
+    locate_many call."""
+    codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
+    nb = len(problem.controls_b)
     n, dim = len(nodes), mesh.dim
     S = 2 * problem.n_sigma
     V = mesh.vertices[nodes]
-    X = np.repeat(V, S, axis=0)
-    Y = _characteristics(problem, t, V, problem.controls_a[ia], params.dt).reshape(-1, dim)
-    rp = _classify_many(problem, X, Y, problem.controls_b[ib], params.dt, params.c_bar)
+    Y = np.empty((n, S, dim))
+    for a, sel, X in control_groups(problem.controls_a, codes // nb, V):
+        Y[sel] = _characteristics(problem, t, X, a, params.dt)
+    rp = _classify_many(problem, np.repeat(V, S, axis=0), Y.reshape(-1, dim),
+                        np.repeat(codes % nb, S), params.dt, params.c_bar)
     # non-Dirichlet branches land in the closed domain
     located = ~rp.dirichlet
     simplex, bary = mesh.locate_many(rp.y_tilde[located])
@@ -332,15 +346,15 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
     weights[located] = bary
     mass = weights.copy()
     mass[rp.dirichlet, 0] = 1.0
-    rows.verts[c, nodes] = verts.reshape(n, S, dim + 1)
-    rows.weights[c, nodes] = weights.reshape(n, S, dim + 1)
-    rows.const[c, nodes] = rp.value.reshape(n, S)
-    rows.dirichlet[c, nodes] = rp.dirichlet.reshape(n, S)
-    rows.refl_d[c, nodes] = rp.d_tilde.reshape(n, S)
-    rows.refl_p[c, nodes] = rp.p.reshape(n, S, dim)
-    rows.cum[c, nodes] = np.cumsum(mass.reshape(n, -1), axis=1)
-    rows.layer[c, nodes] = rp.exited.reshape(n, S).any(axis=1)
-    rows.built[c, nodes] = True
+    rows.verts[codes, nodes] = verts.reshape(n, S, dim + 1)
+    rows.weights[codes, nodes] = weights.reshape(n, S, dim + 1)
+    rows.const[codes, nodes] = rp.value.reshape(n, S)
+    rows.dirichlet[codes, nodes] = rp.dirichlet.reshape(n, S)
+    rows.refl_d[codes, nodes] = rp.d_tilde.reshape(n, S)
+    rows.refl_p[codes, nodes] = rp.p.reshape(n, S, dim)
+    rows.cum[codes, nodes] = np.cumsum(mass.reshape(n, -1), axis=1)
+    rows.layer[codes, nodes] = rp.exited.reshape(n, S).any(axis=1)
+    rows.built[codes, nodes] = True
 
 
 def control_groups(controls: list, index, X) -> list:
@@ -397,8 +411,10 @@ class Operator:
 
     def rows(self, m: int, codes=None, nodes=None) -> Rows:
         """The store at step m with row [codes[r], nodes[r]] built for each
-        r, every row when codes is None; one build_node_table call per pair
-        with missing rows."""
+        r, every row when codes is None.  The missing rows are built in
+        passes of whole pairs, in ascending pair code: each pass is one
+        build_node_table call on as many pairs as fit PASS_ROWS rows, and on
+        at least one pair."""
         if not 0 <= m < self.N:
             raise BadParams(f"step {m} outside 0..{self.N - 1}")
         key = None if self.problem.time_independent_dynamics else m
@@ -415,9 +431,17 @@ class Operator:
         codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
         missing = ~rows.built[codes, nodes]
         if missing.any():
-            for c in np.unique(codes[missing]).tolist():
-                build_node_table(self.problem, self.mesh, self.params, rows, c,
-                                 self.times[m], np.unique(nodes[missing & (codes == c)]))
+            n = self.mesh.n_vertices
+            # each missing row once, in (pair code, vertex) order
+            c, j = np.divmod(np.unique(codes[missing] * n + nodes[missing]), n)
+            # the end of each pair's rows, and the end of the next pair's
+            ends = np.append(np.flatnonzero(np.diff(c)) + 1, len(c)).tolist()
+            lo = 0
+            for end, after in zip(ends, ends[1:] + [math.inf]):
+                if after - lo > PASS_ROWS:
+                    build_node_table(self.problem, self.mesh, self.params, rows,
+                                     self.times[m], c[lo:end], j[lo:end])
+                    lo = end
         return rows
 
     def _terms(self, rows: Rows, codes, nodes) -> tuple:
@@ -539,8 +563,8 @@ def consistency_residual(problem: Problem, phi, k: int, x, a, b,
     grad = as_point(phi_g(x))
     hess = np.atleast_2d(phi_h(x))
     Y = _characteristics(problem, t, X, a, dt)[0]
-    rp = _classify_many(problem, np.repeat(X, len(Y), axis=0), Y, b,
-                        dt, params.c_bar)
+    rp = _classify_many(replace(problem, controls_b=[b]), np.repeat(X, len(Y), axis=0),
+                        Y, 0, dt, params.c_bar)
     acc = float(rp.value[rp.dirichlet].sum())
     crossing = 0.0
     for s in np.flatnonzero(~rp.dirichlet):

@@ -15,7 +15,6 @@ from hjbsl.markov import (
     _ChainModel,
     _layer_steps,
     _move,
-    _policy_at,
     _policy_values,
     _simulate_paths,
     dp_oracle,
@@ -284,7 +283,7 @@ def _reference_path(model, policy, k, i, seed, path):
     layer_steps = 0
     for m in range(k, model.N):
         t = model.times[m]
-        ia, ib = _policy_at(policy, m, state)
+        ia, ib = policy(m, state) if callable(policy) else policy[m][state]
         c = ia * nb + ib
         rows = model.rows(m, np.array([c]), np.array([state]))
         weights, dirichlet = rows.weights[c, state], rows.dirichlet[c, state]

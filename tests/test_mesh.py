@@ -364,7 +364,8 @@ def _miss_point(m):
 
 @pytest.mark.parametrize("name", sorted(SCAN_MESHES))
 def test_interpolation_weights_match_locate_many(name):
-    """The one-point grid pass picks locate_many's simplex and weights."""
+    """The one-point grid pass picks locate_many's simplex and weights, bit
+    for bit, and so does the whole-mesh scan wherever it finds a simplex."""
     m = SCAN_MESHES[name]
     miss = _miss_point(m)
     assert m._scan(miss) is None
@@ -372,10 +373,16 @@ def test_interpolation_weights_match_locate_many(name):
     # moved boundary vertices may leave the closed domain
     pts = pts[m.domain.signed_distance_many(pts) <= TOL_BOUNDARY]
     simplex, bary = m.locate_many(pts)
+    scanned = 0
     for x, t, b in zip(pts, simplex, bary):
         verts, w = m.interpolation_weights(x)
         assert np.array_equal(verts, m.simplices[t]), x
-        assert np.max(np.abs(w - b)) <= 1e-15
+        assert np.array_equal(w, b), x
+        ref = m._scan(x)
+        if ref is not None:
+            assert ref[0] == t and np.array_equal(ref[1], b), x
+            scanned += 1
+    assert scanned >= 0.9 * len(pts)
     with pytest.raises(OutsideDomain):
         m.interpolation_weights(m.vertices.max(axis=0) + m.mesh_size)
 
@@ -383,11 +390,11 @@ def test_interpolation_weights_match_locate_many(name):
 def test_one_point_query_counts_per_layer(monkeypatch):
     """A query inside a grid cell makes one Mesh.interpolation_weights call
     and no Mesh._locate_miss call, a grid miss one of each; the miss goes
-    to the scans without a second grid pass."""
+    to the two scans without a second grid pass."""
     bench = get_benchmark("test1_eps", eps=0.05)
     m = build_mesh_for(bench, 0.1)
     vf = sweep(bench.problem, m, SchemeParams(dt=0.1, c_bar=bench.c_bar))
-    calls = {"interpolation_weights": 0, "_locate_miss": 0, "_locate_one": 0}
+    calls = {"interpolation_weights": 0, "_locate_miss": 0, "_locate_one": 0, "_scan": 0}
 
     def counted(name):
         method = getattr(Mesh, name)
@@ -399,14 +406,14 @@ def test_one_point_query_counts_per_layer(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(Mesh, name, counted(name))
-    # a miss off the polygon makes three _locate_one passes: the grid cell,
-    # the whole-mesh scan and the scan at the nearest boundary-face point
-    for x, n_fallback, n_passes in (([0.37], 0, 1), (m.vertices[4], 0, 1),
-                                    (_miss_point(m), 1, 3)):
-        calls.update(interpolation_weights=0, _locate_miss=0, _locate_one=0)
+    # a miss off the polygon makes one grid-cell pass and two whole-mesh
+    # scans, the second at the nearest boundary-face point
+    for x, n_fallback, n_scans in (([0.37], 0, 0), (m.vertices[4], 0, 0),
+                                   (_miss_point(m), 1, 2)):
+        calls.update(interpolation_weights=0, _locate_miss=0, _locate_one=0, _scan=0)
         vf(0.0, x)
         assert calls == {"interpolation_weights": 1, "_locate_miss": n_fallback,
-                         "_locate_one": n_passes}, x
+                         "_locate_one": 1, "_scan": n_scans}, x
 
 
 @pytest.mark.parametrize("name", sorted(LOC_MESHES))

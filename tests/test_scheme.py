@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hjbsl import scheme
 from hjbsl.cli import build_mesh_for
 from hjbsl.errors import (
     BadParams,
@@ -31,6 +32,7 @@ from hjbsl.markov import _ChainModel, _policy_values, dp_oracle, policy_cost
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
+    PASS_ROWS,
     Operator,
     Problem,
     SchemeParams,
@@ -78,7 +80,7 @@ def characteristics(pr, x, dt):
 def classify(pr, x, y, dt, c_bar):
     """_classify_many of one characteristic, as a row of each field."""
     rp = _classify_many(pr, np.array([x], dtype=float), np.array([y], dtype=float),
-                        0.0, dt, c_bar)
+                        0, dt, c_bar)
     return {k: v[0] for k, v in vars(rp).items()}
 
 
@@ -386,8 +388,9 @@ def test_sweep_calls_each_handle_once_per_table(name, dx, dt):
     # each step's apply calls f once per control a and g once per control b
     assert calls["f"] == N * len(pr.controls_a)
     assert 0 < calls["g"] <= N * len(pr.controls_b)
-    # one build per pair, shared by all steps, plus the flag check's two
-    # calls per control a
+    # one call per control a in each build pass, the store being shared by
+    # all steps and each pair having its own control a, plus the flag
+    # check's two calls per control a
     assert calls["mu"] == calls["sigma"] == pairs + 2 * len(pr.controls_a)
 
 
@@ -616,7 +619,7 @@ def test_classify_many_matches_classify(name, rows):
         Y.append(x + length * np.array([math.cos(th), math.sin(th)])[:dom.dim])
     assume(X)
     X, Y = np.array(X), np.array(Y)
-    got = _classify_many(pr, X, Y, 0.0, dt, c_bar)
+    got = _classify_many(pr, X, Y, 0, dt, c_bar)
     for j, (x, y) in enumerate(zip(X, Y)):
         exited = dom.signed_distance(y) > TOL_BOUNDARY
         assert got.exited[j] == exited
@@ -726,6 +729,80 @@ def test_build_node_table_subset_equals_full_rows(name):
         assert not got[~built].any(), field
     assert part.refl_d.any()
     assert part.dirichlet.any() == pr.domain.has_dirichlet
+
+
+def _disk_two_fields():
+    """test2_oblique with two controls b whose fields differ, given as a
+    FunctionField, so that the disk's Newton projection runs per control b."""
+    bench = make_test2("oblique", n_a=4)
+
+    def rotated(P, b):
+        n = P / np.linalg.norm(P, axis=1, keepdims=True)
+        c, s = math.cos(b), math.sin(b)
+        return np.column_stack([c * n[:, 0] + s * n[:, 1], c * n[:, 1] - s * n[:, 0]])
+
+    pr = dataclasses.replace(bench.problem, gamma=FunctionField(rotated),
+                             controls_b=[math.pi / 6, -math.pi / 8])
+    return (dataclasses.replace(bench, problem=pr),
+            build_disk_mesh((0.0, 0.0), 1.0, 0.25), 0.125)
+
+
+BATCH_CASES = dict(PIPELINE_CASES, disk_two_fields=_disk_two_fields())
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_rows_built_in_passes_equal_rows_built_pair_by_pair(name):
+    """A store built in passes of several pairs equals one built one pair
+    at a time in reverse pair order, bit for bit."""
+    bench, mesh, dt = BATCH_CASES[name]
+    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
+    n = mesh.n_vertices
+    full = Operator(bench.problem, mesh, params).rows(0)
+    op = Operator(bench.problem, mesh, params)
+    for c in range(op.n_pairs - 1, -1, -1):
+        alone = op.rows(0, np.full(n, c), np.arange(n))
+    assert alone.built.all()
+    for field in ROW_FIELDS:
+        assert np.array_equal(getattr(alone, field), getattr(full, field)), field
+    assert full.refl_d.any()
+    if name == "disk_two_fields":
+        # the two fields project the same exits to different points
+        nb = len(bench.problem.controls_b)
+        assert full.refl_d[0::nb].any() and full.refl_d[1::nb].any()
+        assert not np.array_equal(full.refl_p[0::nb], full.refl_p[1::nb])
+
+
+@pytest.mark.parametrize("name, dx, dt, n_vertices, passes", [
+    ("test3_exit", 0.1, 0.05, 223, 2), ("test2_oblique", 0.125, 0.125, 347, 4)])
+def test_sweep_builds_whole_pairs_in_bounded_passes(monkeypatch, name, dx, dt,
+                                                    n_vertices, passes):
+    """Each row of a time-independent sweep is built once, by passes of
+    whole pairs within PASS_ROWS rows: ceil(pairs / floor(PASS_ROWS / n))
+    build_node_table calls."""
+    bench = get_benchmark(name)
+    mesh = build_mesh_for(bench, dx)
+    pr = bench.problem
+    pairs = len(pr.controls_a) * len(pr.controls_b)
+    n = mesh.n_vertices
+    assert n == n_vertices
+    calls = []
+    build = scheme.build_node_table
+
+    def counted(*args):
+        calls.append((args[-2].copy(), args[-1].copy()))
+        return build(*args)
+
+    monkeypatch.setattr(scheme, "build_node_table", counted)
+    sweep(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+    assert len(calls) == math.ceil(pairs / (PASS_ROWS // n)) == passes
+    built = np.zeros((pairs, n), dtype=int)
+    for codes, nodes in calls:
+        assert len(codes) <= PASS_ROWS
+        # whole pairs: every vertex of each pair the pass touches
+        per_pair = np.bincount(codes)
+        assert (per_pair[per_pair > 0] == n).all()
+        np.add.at(built, (codes, nodes), 1)
+    assert (built == 1).all()
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
