@@ -6,6 +6,7 @@ zero on the boundary, positive outside.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +30,48 @@ N_BISECT = 60
 # outward normals of the RectWithHole faces 0-3
 _RECT_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 _EYE2 = np.eye(2)
+_FLOAT = np.dtype(float)
+
+
+def real_array(v, what: str) -> np.ndarray:
+    """v as a float array; BadParams unless v is a (nested) sequence or
+    array of real numbers: integer or floating entries, or Python objects
+    that are numbers.Real, bools excluded.  Strings, complex numbers and
+    ragged sequences are not converted."""
+    try:
+        a = np.asarray(v)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"{what} is not an array of numbers: {exc}") from None
+    if a.dtype is _FLOAT:
+        return a
+    if a.dtype.kind not in "iuf" and not (a.dtype.kind == "O" and all(
+            isinstance(e, numbers.Real) and not isinstance(e, bool) for e in a.flat)):
+        got = repr(v) if a.ndim == 0 else f"{a.dtype} entries"
+        raise BadParams(f"{what} must be real numbers, got {got}")
+    try:
+        return a.astype(float)
+    except OverflowError:
+        raise BadParams(f"{what} holds an integer too large for a float") from None
+
+
+def real_scalar(v, what: str) -> float:
+    """v as a float; BadParams unless v is one real number (real_array's
+    rule), a numpy scalar or a 0-d array included."""
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    a = real_array(v, what)
+    if a.shape:
+        raise BadParams(f"{what} must be one number, got shape {a.shape}")
+    return float(a)
 
 
 def as_point(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    x = real_array(x, "point")
+    return x if x.ndim else x.reshape(1)
 
 
 def as_rows(X, dim: int) -> np.ndarray:
-    return np.asarray(X, dtype=float).reshape(-1, dim)
+    return real_array(X, "points").reshape(-1, dim)
 
 
 def row_dots(U, V) -> np.ndarray:
@@ -93,7 +128,15 @@ class Domain:
 
     def signed_distance(self, x) -> float:
         """signed_distance of one point."""
-        return float(self.signed_distance_many(as_rows(x, self.dim))[0])
+        return float(self.signed_distance_many(np.array([self._point(x)]))[0])
+
+    def _point(self, x) -> list:
+        """The point x as dim Python floats; BadParams unless it has dim
+        coordinates."""
+        x = as_point(x)
+        if x.shape != (self.dim,):
+            raise BadParams(f"point of shape {x.shape} in a {self.dim}D domain")
+        return x.tolist()
 
     def boundary_kind_many(self, P):
         """(dirichlet (m,) bool, value (m,)) for each boundary row of P;
@@ -145,7 +188,7 @@ class Interval(Domain):
         self.layer_radius = 0.5 * (b - a)
 
     def signed_distance(self, x) -> float:
-        x0 = float(as_point(x)[0])
+        [x0] = self._point(x)
         return max(self.a - x0, x0 - self.b)
 
     def signed_distance_many(self, X) -> np.ndarray:
@@ -173,7 +216,9 @@ class Disk(Domain):
         self.layer_radius = 0.5 * self.radius
 
     def signed_distance(self, x) -> float:
-        return float(np.linalg.norm(as_point(x) - self.center)) - self.radius
+        x0, x1 = self._point(x)
+        c0, c1 = self.center.tolist()
+        return math.hypot(x0 - c0, x1 - c1) - self.radius
 
     def signed_distance_many(self, X) -> np.ndarray:
         return row_norms(as_rows(X, 2) - self.center) - self.radius
@@ -225,16 +270,17 @@ class RectWithHole(Domain):
         self.layer_radius = 0.4 * hole_radius
 
     def signed_distance(self, x) -> float:
-        x = as_point(x)
+        x0, x1 = self._point(x)
         xmin, xmax, ymin, ymax = self.bounds
-        dx = max(xmin - x[0], x[0] - xmax)
-        dy = max(ymin - x[1], x[1] - ymax)
+        dx = max(xmin - x0, x0 - xmax)
+        dy = max(ymin - x1, x1 - ymax)
         if dx <= 0.0 and dy <= 0.0:
             rect = max(dx, dy)
         else:
             rect = math.hypot(max(dx, 0.0), max(dy, 0.0))
+        c0, c1 = self.hole_center.tolist()
         # the hole's term is negative outside the hole
-        return max(rect, self.hole_radius - float(np.linalg.norm(x - self.hole_center)))
+        return max(rect, self.hole_radius - math.hypot(x0 - c0, x1 - c1))
 
     def signed_distance_many(self, X) -> np.ndarray:
         X = as_rows(X, 2)

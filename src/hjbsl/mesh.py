@@ -20,6 +20,7 @@ from .geometry import (
     Interval,
     RectWithHole,
     as_point,
+    real_array,
     row_dots,
 )
 
@@ -117,7 +118,7 @@ class Mesh:
         filled up to a common length of at least one more with the index of
         the miss sentinel (the last of _bary_planes).  Cells are _cell_size =
         CELL_WIDTH*mesh_size wide, counted from _cell_origin and flattened
-        with _cell_strides."""
+        with _cell_strides, both kept as Python lists for _cell_row."""
         h = CELL_WIDTH * self.mesh_size
         # barycentrics >= -BARY_TOL hold on the simplex scaled by
         # 1 + (dim+1)*BARY_TOL about its barycenter, which reaches at most
@@ -154,8 +155,8 @@ class Mesh:
         table = np.full((len(count), int(count.max()) + 1), m)
         table[flat, np.arange(len(flat)) - start[flat]] = simplex
         self._cell_size = h
-        self._cell_origin = origin
-        self._cell_strides = strides
+        self._cell_origin = origin.tolist()
+        self._cell_strides = strides.tolist()
         self._cell_table = table
 
     def _build_boundary_edges(self):
@@ -180,16 +181,15 @@ class Mesh:
         c = np.floor(points / self._cell_size).astype(int) - self._cell_origin
         return self._cell_table.take(c @ self._cell_strides, axis=0, mode="clip")
 
-    def _cell_row(self, x):
-        """The row of _cell_candidates for one point x (dim,), indexed with
-        Python scalars."""
+    def _cell_row(self, coords):
+        """The row of _cell_candidates for one point given as a list coords
+        of dim Python floats, indexed with Python scalars."""
         c = 0
         try:
-            for xi, o, s in zip(x.tolist(), self._cell_origin.tolist(),
-                                self._cell_strides.tolist()):
+            for xi, o, s in zip(coords, self._cell_origin, self._cell_strides):
                 c += (math.floor(xi / self._cell_size) - o) * s
         except (ValueError, OverflowError):
-            raise BadParams(f"point {x!r} is not finite") from None
+            raise BadParams(f"point {coords!r} is not finite") from None
         return self._cell_table[min(max(c, 0), len(self._cell_table) - 1)]
 
     def _locate_in_cells(self, points):
@@ -211,7 +211,7 @@ class Mesh:
                               [points[sl, k, None] for k in range(self.dim)])
             pick = np.arange(len(cand)), _first_inside(lam)
             simplex[sl] = cand[pick]
-            bary[sl] = _clip_normalize(lam[:, pick[0], pick[1]].T)
+            bary[sl] = _clip_normalize(lam[:, pick[0], pick[1]]).T
         simplex[simplex == len(self.simplices)] = -1
         return simplex, bary
 
@@ -220,13 +220,14 @@ class Mesh:
         """_bary_planes as Python floats, [simplex][i][k], for _locate_one."""
         return self._bary_planes.transpose(2, 0, 1).tolist()
 
-    def _locate_one(self, x, cand):
+    def _locate_one(self, coords, cand):
         """(simplex, barycentrics) of the first simplex of cand (ascending,
-        ending with the miss sentinel) whose barycentrics at the point x
-        (dim,) are all >= -BARY_TOL, or None if that is the sentinel.  The
-        barycentrics are _affine_sum's in Python floats, each product and sum
+        ending with the miss sentinel) whose barycentrics at the point coords
+        (a list of dim Python floats) are all >= -BARY_TOL, or None if that
+        is the sentinel.  The barycentrics are _affine_sum's and
+        _clip_normalize's in Python floats, each product, sum and quotient
         rounded as there, so the batch and the scan agree bitwise."""
-        rows, coords = self._bary_rows, x.tolist()
+        rows = self._bary_rows
         for s in cand.tolist():
             if len(coords) == 1:
                 lam = [a * coords[0] + c for a, c in rows[s]]
@@ -236,7 +237,7 @@ class Mesh:
                 break
         if s == len(self.simplices):
             return None
-        return s, _clip_normalize(np.array(lam))
+        return s, np.array(_clip_normalize_one(lam))
 
     def _scan(self, x):
         """_locate_one over the whole mesh, vectorised: the lowest-index
@@ -302,7 +303,9 @@ class Mesh:
             raise BadParams(f"point of shape {x.shape} on a {self.dim}D mesh")
         if self.domain is not None and not self.domain.signed_distance(x) <= TOL_BOUNDARY:
             raise OutsideDomain(f"point {x!r} outside the closed domain")
-        simplex, bary = self._locate_one(x, self._cell_row(x)) or self._locate_miss(x)
+        coords = x.tolist()
+        simplex, bary = (self._locate_one(coords, self._cell_row(coords))
+                         or self._locate_miss(x))
         return self.simplices[simplex], bary
 
     def interpolate(self, nodal, x) -> float:
@@ -313,7 +316,7 @@ class Mesh:
     def interpolate_many(self, nodal, X) -> np.ndarray:
         """P1 values at p_dx(x) for each row x of X (m, dim), equal to
         interpolate at each row, with one locate_many call."""
-        X = np.asarray(X, dtype=float)
+        X = real_array(X, "points")
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise BadParams(f"points of shape {X.shape} on a {self.dim}D mesh")
         if self.domain is not None:
@@ -327,7 +330,7 @@ class Mesh:
         return row_dots(nodal[self.simplices[simplex]], bary)
 
     def _nodal(self, nodal) -> np.ndarray:
-        nodal = np.asarray(nodal, dtype=float)
+        nodal = real_array(nodal, "nodal values")
         if nodal.shape != (self.n_vertices,):
             raise BadParams(f"nodal values of shape {nodal.shape} on "
                             f"{self.n_vertices} vertices")
@@ -362,9 +365,27 @@ def _first_inside(lam):
 
 
 def _clip_normalize(lam):
-    """Barycentrics (..., dim+1) clipped at zero and renormalized."""
+    """Barycentrics (dim+1, ...) clipped at zero and renormalized.  The sum
+    adds the dim+1 planes left to right, which is how numpy sums a row this
+    short, so it equals lam.sum over the barycentric axis bit for bit and
+    costs no short-axis reduction."""
     lam = np.maximum(lam, 0.0)
-    return lam / lam.sum(axis=-1, keepdims=True)
+    total = lam[0] + lam[1]
+    for plane in lam[2:]:
+        total += plane
+    return lam / total
+
+
+def _clip_normalize_one(lam):
+    """_clip_normalize of one list lam of dim+1 Python floats, in Python
+    floats: the same clip (+0.0 for a negative or zero entry), sum and
+    quotients, so the two agree bitwise.  The sum is written out rather than
+    left to sum(), which may compensate its rounding."""
+    lam = [v if v > 0.0 else 0.0 for v in lam]
+    total = lam[0] + lam[1]
+    for v in lam[2:]:
+        total += v
+    return [v / total for v in lam]
 
 
 def _measures(verts) -> np.ndarray:

@@ -23,6 +23,8 @@ from .geometry import (
     ObliqueField,
     as_point,
     oblique_projection_many,
+    real_array,
+    real_scalar,
 )
 from .mesh import Mesh
 
@@ -250,11 +252,16 @@ def apply_S_control(problem: Problem, mesh: Mesh, next_values, k: int,
 def check_weights(weights: np.ndarray):
     """Raise LocationFailure unless every row of weights (..., dim+1) is a
     convex combination: entries >= 0 summing to 1 within WEIGHT_TOL; a NaN
-    or infinite entry fails one of the two tests."""
+    or infinite entry fails one of the two tests.  The least entry and the
+    sum are taken column by column, not as numpy's slow reductions over a
+    short last axis."""
     if weights.size == 0:
         return
-    bad = ~((weights.min(axis=-1) >= 0.0)
-            & (np.abs(weights.sum(axis=-1) - 1.0) <= WEIGHT_TOL))
+    low = total = weights[..., 0]
+    for k in range(1, weights.shape[-1]):
+        low = np.minimum(low, weights[..., k])
+        total = total + weights[..., k]
+    bad = ~((low >= 0.0) & (np.abs(total - 1.0) <= WEIGHT_TOL))
     if bad.any():
         raise LocationFailure(f"{int(bad.sum())} interpolation weight rows are "
                               f"not convex combinations")
@@ -359,11 +366,18 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
 
 def control_groups(controls: list, index, X) -> list:
     """The rows of X by control: (controls[i], the rows r with index[r] == i,
-    X at those rows) for each i that occurs in index, in ascending i."""
-    groups = []
-    for i in np.flatnonzero(np.bincount(index)).tolist():
-        sel = np.flatnonzero(index == i)
-        groups.append((controls[i], sel, X[sel]))
+    X at those rows) for each i that occurs in index, in ascending i: one
+    stable argsort of index, split by its counts."""
+    counts = np.bincount(index)
+    # numpy's stable sort of one-byte keys is a radix sort
+    order = np.argsort(index.astype(np.uint8) if len(counts) <= 256 else index,
+                       kind="stable")
+    groups, end = [], 0
+    for i, count in enumerate(counts.tolist()):
+        if count:
+            sel = order[end:end + count]
+            groups.append((controls[i], sel, X[sel]))
+            end += count
     return groups
 
 
@@ -505,13 +519,14 @@ class ValueFunction:
         """P1 value at x of the step whose time is the largest at or below
         t; BadParams unless t lies in [0, N*dt] up to 1e-9*dt.  A point x
         (dim,) gives a float, rows x (m, dim) an (m,) array of the same
-        values."""
-        s = float(t) / self.dt
+        values.  BadParams unless t is one real number and x real numbers."""
+        s = real_scalar(t, "time") / self.dt
         N = len(self.values) - 1
         if not -1e-9 <= s <= N + 1e-9:
             raise BadParams(f"time {t!r} outside [0, {N * self.dt:g}]")
         nodal = self.values[int(math.floor(s + 1e-9))]
-        if np.ndim(x) == 2:
+        x = real_array(x, "point or rows x")
+        if x.ndim == 2:
             return self.mesh.interpolate_many(nodal, x)
         return self.mesh.interpolate(nodal, x)
 

@@ -14,6 +14,8 @@ from hjbsl.mesh import (
     MAX_CELLS_PER_SIMPLEX,
     Mesh,
     TAG_DIRICHLET,
+    _clip_normalize,
+    _clip_normalize_one,
     build_disk_mesh,
     build_interval_mesh,
     build_rect_with_hole_mesh,
@@ -385,6 +387,35 @@ def test_interpolation_weights_match_locate_many(name):
     assert scanned >= 0.9 * len(pts)
     with pytest.raises(OutsideDomain):
         m.interpolation_weights(m.vertices.max(axis=0) + m.mesh_size)
+
+
+# a barycentric before the clip: a clipped negative, an exact zero of
+# either sign, or a magnitude from 1e-12 to 1e3
+_BARY_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-12, 2)))
+
+
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.lists(st.lists(_BARY_ENTRY, min_size=n, max_size=n)
+                       .filter(lambda row: max(row) > 0.0), min_size=1, max_size=30)))
+@settings(max_examples=300, deadline=None)
+def test_clip_normalize_forms_agree_bitwise(rows):
+    """The one-point clip and renormalization in Python floats, the batch's
+    plane-by-plane form on a whole batch and on one row (the whole-mesh
+    scan's), and numpy's own row sum all give the same bits.  Each rests on
+    numpy adding a row of 2 or 3 entries left to right; a numpy that sums
+    such rows in another order fails here."""
+    lam = np.array(rows)
+    clipped = np.maximum(lam, 0.0)
+    numpy_sum = clipped / clipped.sum(axis=-1, keepdims=True)
+    batch = _clip_normalize(lam.T).T
+    one_row = np.array([_clip_normalize(row) for row in lam])
+    python = np.array([_clip_normalize_one(row) for row in rows])
+    for got in (batch, one_row, python):
+        assert got.dtype == np.float64 and got.shape == lam.shape
+        assert got.tobytes() == numpy_sum.tobytes()
 
 
 def test_one_point_query_counts_per_layer(monkeypatch):

@@ -1,11 +1,20 @@
 """Misuse of the public entry points, each with the typed error it raises."""
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from hjbsl.errors import BadParams, RegularityViolation
-from hjbsl.geometry import Disk, Interval, NormalField, layer_distance, oblique_projection
+from hjbsl.geometry import (
+    Disk,
+    Domain,
+    Interval,
+    NormalField,
+    RectWithHole,
+    layer_distance,
+    oblique_projection,
+)
 from hjbsl.markov import estimate_sojourn, policy_cost, transition_law
 from hjbsl.mesh import (
     Mesh,
@@ -49,6 +58,17 @@ def unit_mesh():
     return build_interval_mesh(0.0, 1.0, 0.25)
 
 
+@functools.cache
+def unit_vf():
+    """test1 swept on unit_mesh: four steps on five vertices."""
+    return sweep(TEST1.problem, unit_mesh(), PARAMS)
+
+
+def query(t, x, rows):
+    """vf(t, x) on the one point x, or on the rows [x] when rows is set."""
+    return lambda tmp: unit_vf()(t, [x] if rows else x)
+
+
 def half_mesh():
     """A mesh of [0, 0.5], not of test1's [0, 1]."""
     return build_interval_mesh(0.0, 0.5, 0.05)
@@ -74,6 +94,29 @@ def case(name, error, call, match=None):
 
 
 CASES = [
+    # a query with a time or point that is not real numbers, as one point
+    # and as rows: strings, complex numbers, None, a sequence for the time,
+    # ragged rows, and nodal values that are strings
+    *[case(f"vf-{label}-{'rows' if rows else 'point'}", BadParams, query(t, x, rows),
+           match="real numbers|one number|not an array")
+      for rows in (False, True)
+      for label, t, x in (("point-string", 0.0, "a"), ("point-strings", 0.0, ["a"]),
+                          ("point-complex", 0.0, [0.5 + 1j]),
+                          ("point-complex-array", 0.0, np.array([0.5 + 1j])),
+                          ("point-none", 0.0, [None]), ("point-bool", 0.0, [True]),
+                          ("time-none", None, [0.5]), ("time-complex", 1j, [0.5]),
+                          ("time-sequence", [0.0], [0.5]), ("time-string", "0", [0.5]),
+                          ("time-bool", True, [0.5]))],
+    case("vf-rows-ragged", BadParams,
+         lambda tmp: unit_vf()(0.0, [[0.5], [0.25, 0.5]]), match="not an array"),
+    case("interpolate-nodal-strings", BadParams,
+         lambda tmp: unit_mesh().interpolate(["a"] * 5, [0.5]), match="real numbers"),
+    case("interpolate_many-nodal-strings", BadParams,
+         lambda tmp: unit_mesh().interpolate_many(["a"] * 5, [[0.5]]),
+         match="real numbers"),
+    case("interpolate-nodal-complex", BadParams,
+         lambda tmp: unit_mesh().interpolate(np.zeros(5, dtype=complex), [0.5]),
+         match="real numbers"),
     # a mesh of another domain
     case("sweep-mesh-of-a-shorter-interval", BadParams,
          lambda tmp: sweep(TEST1.problem, half_mesh(), PARAMS)),
@@ -128,6 +171,18 @@ CASES = [
          lambda tmp: read_mesh(mesh_file(tmp, VERTEX_LINES, ["0 1 7"]))),
     case("read_mesh-of-another-domain", BadParams,
          lambda tmp: read_mesh(disk_file(tmp), Disk((0.2, 0.0), 1.0))),
+    # a one-point signed distance of a point with the wrong number of
+    # coordinates: the interval read the first and ignored the rest
+    case("signed_distance-interval-two-coordinates", BadParams,
+         lambda tmp: Interval(0.0, 1.0).signed_distance([0.5, 7.0]), match="shape"),
+    case("signed_distance-disk-three-coordinates", BadParams,
+         lambda tmp: Disk().signed_distance([0.1, 0.2, 0.3]), match="shape"),
+    case("signed_distance-rect_with_hole-one-coordinate", BadParams,
+         lambda tmp: RectWithHole().signed_distance([0.9]), match="shape"),
+    case("signed_distance-base-class-four-coordinates", BadParams,
+         lambda tmp: Domain.signed_distance(Disk(), [0.1, 0.2, 0.3, 0.4]), match="shape"),
+    case("layer_distance-two-coordinates-on-an-interval", BadParams,
+         lambda tmp: layer_distance(Interval(0.0, 1.0), 0.2, [0.1, 9.0]), match="shape"),
     # a NaN that switched a check off
     case("layer_distance-nan", BadParams,
          lambda tmp: layer_distance(Disk(), math.nan, (0.9, 0.0))),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from hjbsl.scheme import (
     apply_S_control,
     check_weights,
     consistency_residual,
+    control_groups,
     n_steps,
     sweep,
 )
@@ -266,6 +268,15 @@ def test_value_function_rejects_bad_queries():
     # two coordinates on the 1D mesh are not two points
     with pytest.raises(BadParams):
         vf(0.0, [0.5, 0.2])
+    # real numbers of any type are accepted: numpy scalars, integers,
+    # fractions and 0-d arrays, for the time and the point alike
+    for t in (0, np.float32(0.0), np.int64(0), Fraction(0), np.array(0.0)):
+        assert vf(t, x) == vf(0.0, x)
+        assert vf(t, [x]).tolist() == [vf(0.0, x)]
+    for point in ([0.5], np.float32(0.5), np.array([Fraction(1, 2)]), [np.int64(1)],
+                  np.array(0.5)):
+        assert vf(0.0, point) == vf(0.0, np.asarray(point, dtype=float).reshape(1))
+    assert vf(0.0, [[Fraction(1, 2)], [1]]).tolist() == [vf(0.0, [0.5]), vf(0.0, [1.0])]
 
 
 def test_value_function_takes_rows():
@@ -485,7 +496,9 @@ def test_check_weights_rejects_non_convex_rows():
     check_weights(np.zeros((0, 3)))
     for bad in ([[0.5, 0.5 + 1e-9]], [[-1e-3, 1.0 + 1e-3]], [[0.0, 0.0]],
                 [[0.5, 0.5], [math.nan, math.nan]], [[math.inf, 0.0]],
-                [[math.nan, 1.0]]):
+                [[math.nan, 1.0]], [[0.5, 0.5, math.nan]], [[0.5, math.nan, 0.5]],
+                [[0.25, 0.75, -1e-3]], [[1.0, 0.0, math.inf]], [[1.0, 1.0, -math.inf]],
+                [[[0.25, 0.75, 0.0], [0.5, 0.5, math.inf]]]):
         with pytest.raises(LocationFailure):
             check_weights(np.array(bad))
     # locate_many gives a row of NaN weights for a NaN point
@@ -494,6 +507,42 @@ def test_check_weights_rejects_non_convex_rows():
         _, bary = mesh.locate_many([[math.nan, 0.0], [0.1, 0.1]])
     with pytest.raises(LocationFailure):
         check_weights(bary)
+
+
+def _groups_by_passes(controls, index, X):
+    """control_groups by its definition: one flatnonzero pass per control
+    that occurs in index."""
+    return [(controls[i], np.flatnonzero(index == i), X[index == i])
+            for i in range(len(controls)) if (index == i).any()]
+
+
+def _assert_groups_by_passes(n, index):
+    index = np.array(index, dtype=int)
+    controls = [f"c{i}" for i in range(n)]
+    X = np.random.default_rng(len(index)).uniform(size=(len(index), 2))
+    got, ref = control_groups(controls, index, X), _groups_by_passes(controls, index, X)
+    assert [g[0] for g in got] == [r[0] for r in ref]
+    for (_, sel, points), (_, ref_sel, ref_points) in zip(got, ref):
+        assert sel.dtype == ref_sel.dtype and np.array_equal(sel, ref_sel)
+        assert np.array_equal(points, ref_points)
+
+
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=200))))
+@settings(max_examples=100, deadline=None)
+def test_control_groups_equal_one_pass_per_control(case):
+    _assert_groups_by_passes(*case)
+
+
+def test_control_groups_of_empty_single_and_many_control_indices():
+    # more than 256 controls sort the indices themselves, not one-byte keys
+    _assert_groups_by_passes(300, np.random.default_rng(1).integers(0, 300, 1000))
+    X = np.arange(10.0).reshape(5, 2)
+    assert control_groups(["a", "b"], np.zeros(0, dtype=int), X[:0]) == []
+    for index in (np.zeros(5, dtype=int), np.full(5, 3)):
+        [(control, sel, points)] = control_groups(list("abcd"), index, X)
+        assert control == "abcd"[index[0]]
+        assert sel.tolist() == list(range(5)) and np.array_equal(points, X)
 
 
 @pytest.mark.parametrize("name", ["mu", "sigma"])
