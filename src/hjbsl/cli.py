@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParams, ConfigError, HJBError
+from .geometry import real_array
 from .mesh import (
     Mesh,
     build_disk_mesh,
@@ -24,7 +25,7 @@ from .mesh import (
     build_rect_with_hole_mesh,
 )
 from .problems import Benchmark, get_benchmark
-from .scheme import SchemeParams, ValueFunction, check_shape, sweep
+from .scheme import SchemeParams, ValueFunction, sweep
 
 CSV_COLUMNS = ["dx", "dt", "e_inf", "e_1", "p_inf", "p_1", "max_u", "wall_seconds"]
 # the keys save_config writes and load_config reads
@@ -87,15 +88,15 @@ def solution_errors(vf: ValueFunction, exact) -> tuple:
     idx = vf.report_index
     t = vf.times[idx]
     U = vf.values[idx]
-    diff = U - check_shape("exact_solution", exact(t, mesh.vertices), (mesh.n_vertices,))
+    diff = U - real_array(exact(t, mesh.vertices), "exact_solution", (mesh.n_vertices,))
     e_inf = float(np.max(np.abs(diff)))
     if mesh.dim == 1:
         e_1 = float(mesh.mesh_size * np.sum(np.abs(diff)))
     else:
         bcs = mesh.barycenters()
         # the P1 value at a barycenter is the mean of its simplex's vertex values
-        vals = U[mesh.simplices].mean(axis=1) - check_shape(
-            "exact_solution", exact(t, bcs), (len(bcs),))
+        vals = U[mesh.simplices].mean(axis=1) - real_array(
+            exact(t, bcs), "exact_solution", (len(bcs),))
         e_1 = float(np.sum(mesh.simplex_measures() * np.abs(vals)))
     return e_inf, e_1
 

@@ -33,25 +33,28 @@ _EYE2 = np.eye(2)
 _FLOAT = np.dtype(float)
 
 
-def real_array(v, what: str) -> np.ndarray:
+def real_array(v, what: str, shape: tuple = None) -> np.ndarray:
     """v as a float array; BadParams unless v is a (nested) sequence or
     array of real numbers: integer or floating entries, or Python objects
     that are numbers.Real, bools excluded.  Strings, complex numbers and
-    ragged sequences are not converted."""
+    ragged sequences are not converted.  With shape, BadParams also unless
+    the array has exactly that shape: nothing is broadcast or reshaped."""
     try:
         a = np.asarray(v)
     except (TypeError, ValueError) as exc:
         raise BadParams(f"{what} is not an array of numbers: {exc}") from None
-    if a.dtype is _FLOAT:
-        return a
-    if a.dtype.kind not in "iuf" and not (a.dtype.kind == "O" and all(
-            isinstance(e, numbers.Real) and not isinstance(e, bool) for e in a.flat)):
-        got = repr(v) if a.ndim == 0 else f"{a.dtype} entries"
-        raise BadParams(f"{what} must be real numbers, got {got}")
-    try:
-        return a.astype(float)
-    except OverflowError:
-        raise BadParams(f"{what} holds an integer too large for a float") from None
+    if a.dtype is not _FLOAT:
+        if a.dtype.kind not in "iuf" and not (a.dtype.kind == "O" and all(
+                isinstance(e, numbers.Real) and not isinstance(e, bool) for e in a.flat)):
+            got = repr(v) if a.ndim == 0 else f"{a.dtype} entries"
+            raise BadParams(f"{what} must be real numbers, got {got}")
+        try:
+            a = a.astype(float)
+        except OverflowError:
+            raise BadParams(f"{what} holds an integer too large for a float") from None
+    if shape is not None and a.shape != shape:
+        raise BadParams(f"{what} of shape {a.shape}, expected {shape}")
+    return a
 
 
 def real_scalar(v, what: str) -> float:
@@ -65,13 +68,26 @@ def real_scalar(v, what: str) -> float:
     return float(a)
 
 
-def as_point(x) -> np.ndarray:
-    x = real_array(x, "point")
-    return x if x.ndim else x.reshape(1)
+def as_point(x, dim: int, what: str = "point") -> np.ndarray:
+    """x as a float array (dim,) by real_array's rule; one number is a
+    point when dim is 1.  BadParams for any other shape."""
+    a = real_array(x, what)
+    if a.shape != (dim,):
+        if a.shape or dim != 1:
+            raise BadParams(f"{what} of shape {a.shape}, expected ({dim},)")
+        a = a.reshape(1)
+    return a
 
 
-def as_rows(X, dim: int) -> np.ndarray:
-    return real_array(X, "points").reshape(-1, dim)
+def as_rows(X, dim: int, what: str = "points") -> np.ndarray:
+    """X as a float array (m, dim) by real_array's rule; one point (dim,)
+    is one row.  BadParams for any other shape."""
+    a = real_array(X, what)
+    if a.ndim != 2 or a.shape[1] != dim:
+        if a.shape != (dim,):
+            raise BadParams(f"{what} of shape {a.shape}, expected (m, {dim})")
+        a = a.reshape(1, dim)
+    return a
 
 
 def row_dots(U, V) -> np.ndarray:
@@ -105,8 +121,8 @@ class Domain:
 
     Every method takes rows (m, dim).  A domain supplies signed_distance_many
     and outward_normal_many; the base class gives the rest from them.  The
-    built-in domains also give a scalar signed_distance, which the one-point
-    query calls: it is several times faster than a one-row call.
+    built-in domains also give a scalar _distance, which the one-point query
+    calls: it is several times faster than a one-row call.
     """
 
     kind: str
@@ -127,16 +143,14 @@ class Domain:
         raise NotImplementedError
 
     def signed_distance(self, x) -> float:
-        """signed_distance of one point."""
-        return float(self.signed_distance_many(np.array([self._point(x)]))[0])
-
-    def _point(self, x) -> list:
-        """The point x as dim Python floats; BadParams unless it has dim
+        """signed_distance of one point; BadParams unless it has dim
         coordinates."""
-        x = as_point(x)
-        if x.shape != (self.dim,):
-            raise BadParams(f"point of shape {x.shape} in a {self.dim}D domain")
-        return x.tolist()
+        return self._distance(as_point(x, self.dim).tolist())
+
+    def _distance(self, coords) -> float:
+        """signed_distance of one point given as a list coords of dim
+        Python floats, unchecked."""
+        return float(self.signed_distance_many(np.array([coords]))[0])
 
     def boundary_kind_many(self, P):
         """(dirichlet (m,) bool, value (m,)) for each boundary row of P;
@@ -180,15 +194,14 @@ class Interval(Domain):
     dim = 1
 
     def __init__(self, a: float, b: float):
-        if not -math.inf < a < b < math.inf:
+        self.a, self.b = real_scalar(a, "a"), real_scalar(b, "b")
+        if not -math.inf < self.a < self.b < math.inf:
             raise BadParams("interval requires finite a < b")
-        self.a = float(a)
-        self.b = float(b)
-        self.tube_radius = 0.5 * (b - a)
-        self.layer_radius = 0.5 * (b - a)
+        self.tube_radius = 0.5 * (self.b - self.a)
+        self.layer_radius = 0.5 * (self.b - self.a)
 
-    def signed_distance(self, x) -> float:
-        [x0] = self._point(x)
+    def _distance(self, coords) -> float:
+        [x0] = coords
         return max(self.a - x0, x0 - self.b)
 
     def signed_distance_many(self, X) -> np.ndarray:
@@ -206,17 +219,17 @@ class Disk(Domain):
     dim = 2
 
     def __init__(self, center=(0.0, 0.0), radius: float = 1.0):
-        if not 0 < radius < math.inf:
+        self.radius = real_scalar(radius, "radius")
+        if not 0 < self.radius < math.inf:
             raise BadParams("radius must be positive and finite")
-        self.center = as_point(center)
-        if self.center.shape != (2,) or not np.isfinite(self.center).all():
+        self.center = real_array(center, "center", (2,))
+        if not np.isfinite(self.center).all():
             raise BadParams(f"center must be two finite numbers, got {center!r}")
-        self.radius = float(radius)
         self.tube_radius = 0.5 * self.radius
         self.layer_radius = 0.5 * self.radius
 
-    def signed_distance(self, x) -> float:
-        x0, x1 = self._point(x)
+    def _distance(self, coords) -> float:
+        x0, x1 = coords
         c0, c1 = self.center.tolist()
         return math.hypot(x0 - c0, x1 - c1) - self.radius
 
@@ -244,33 +257,33 @@ class RectWithHole(Domain):
     def __init__(self, bounds=(-1.0, 1.0, -0.5, 0.5), hole_center=(-0.5, 0.0),
                  hole_radius: float = 0.2, dirichlet_half_width: float = 0.2,
                  dirichlet_values=(0.0, 0.2)):
-        xmin, xmax, ymin, ymax = map(float, bounds)
-        if not (xmin < xmax and ymin < ymax):
-            raise BadParams("degenerate rectangle")
-        hc = as_point(hole_center)
-        if hc.shape != (2,):
-            raise BadParams(f"hole_center must be two numbers, got {hole_center!r}")
+        xmin, xmax, ymin, ymax = real_array(bounds, "bounds", (4,)).tolist()
+        if not (-math.inf < xmin < xmax < math.inf and -math.inf < ymin < ymax < math.inf):
+            raise BadParams(f"bounds {bounds!r} must be finite with xmin < xmax, ymin < ymax")
+        hc = real_array(hole_center, "hole_center", (2,))
+        hole_radius = real_scalar(hole_radius, "hole_radius")
         if hole_radius <= 0 or not (
             xmin < hc[0] - hole_radius and hc[0] + hole_radius < xmax
             and ymin < hc[1] - hole_radius and hc[1] + hole_radius < ymax
         ):
             raise BadParams("hole must lie strictly inside the rectangle")
+        dirichlet_half_width = real_scalar(dirichlet_half_width, "dirichlet_half_width")
         if not dirichlet_half_width >= 0:
             raise BadParams("dirichlet_half_width must be nonnegative")
-        values = as_point(dirichlet_values)
-        if values.shape != (2,) or not np.isfinite(values).all():
+        values = real_array(dirichlet_values, "dirichlet_values", (2,))
+        if not np.isfinite(values).all():
             raise BadParams(f"dirichlet_values must be two finite numbers, "
                             f"got {dirichlet_values!r}")
         self.bounds = (xmin, xmax, ymin, ymax)
         self.hole_center = hc
-        self.hole_radius = float(hole_radius)
-        self.dirichlet_half_width = float(dirichlet_half_width)
+        self.hole_radius = hole_radius
+        self.dirichlet_half_width = dirichlet_half_width
         self.dirichlet_values = tuple(values.tolist())
         self.tube_radius = 0.4 * hole_radius
         self.layer_radius = 0.4 * hole_radius
 
-    def signed_distance(self, x) -> float:
-        x0, x1 = self._point(x)
+    def _distance(self, coords) -> float:
+        x0, x1 = coords
         xmin, xmax, ymin, ymax = self.bounds
         dx = max(xmin - x0, x0 - xmax)
         dy = max(ymin - x1, x1 - ymax)
@@ -403,17 +416,13 @@ class RotatedNormalField(ObliqueField):
 
 class FunctionField(ObliqueField):
     """Oblique field from a user handle (P, b) -> unit vectors, on rows: a
-    result not of P's shape raises BadParams."""
+    result that is not real numbers of P's shape raises BadParams."""
 
     def __init__(self, fn):
         self.fn = fn
 
     def __call__(self, P, b) -> np.ndarray:
-        out = np.asarray(self.fn(P, b), dtype=float)
-        if out.shape != np.shape(P):
-            raise BadParams(f"gamma returned shape {out.shape} for points of "
-                            f"shape {np.shape(P)}")
-        return out
+        return real_array(self.fn(P, b), "gamma", np.shape(P))
 
 
 def _check_tube(domain: Domain, X, r_max):
@@ -435,7 +444,8 @@ def oblique_projection(domain: Domain, gamma: ObliqueField, b, x,
     r_max=math.inf to skip the tube precondition (the reflection step does
     this; large time steps can push characteristics beyond the nominal tube).
     """
-    pr = oblique_projection_many(domain, gamma, b, as_point(x)[None, :], r_max=r_max)
+    pr = oblique_projection_many(domain, gamma, b, as_point(x, domain.dim)[None, :],
+                                 r_max=r_max)
     return ObliqueProjection(p=pr.p[0], d=float(pr.d[0]),
                              residual=float(pr.residual[0]),
                              iterations=int(pr.iterations[0]), gamma=pr.gamma[0])
@@ -600,9 +610,10 @@ def layer_distance(domain: Domain, delta: float, x) -> float:
 
     Satisfies d(x, boundary) + d(x, layer boundary) = delta on the layer.
     """
+    delta = real_scalar(delta, "delta")
     if not 0 <= delta <= domain.layer_radius:
         raise BadParams("delta must lie in [0, layer_radius]")
-    x = as_point(x)
+    x = as_point(x, domain.dim)
     sd = domain.signed_distance(x)
     if sd > TOL_BOUNDARY:
         raise OutOfLayer("point outside the closed domain")

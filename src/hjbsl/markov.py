@@ -19,13 +19,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import BadParams, TooLarge
+from .geometry import real_array
 from .mesh import Mesh
 from .scheme import (
     Operator,
     Problem,
     SchemeParams,
     check_integer,
-    check_shape,
     control_groups,
     per_control,
     whole_steps,
@@ -56,7 +56,7 @@ class _ChainModel(Operator):
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
         whole_steps(problem.T, params.dt)
         super().__init__(problem, mesh, params)
-        self.psi = check_shape("psi", problem.psi(mesh.vertices), (mesh.n_vertices,))
+        self.psi = real_array(problem.psi(mesh.vertices), "psi", (mesh.n_vertices,))
         self._draws = {}
 
     def draws(self, seed: int, n_paths: int, steps: int) -> np.ndarray:

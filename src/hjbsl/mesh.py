@@ -20,7 +20,9 @@ from .geometry import (
     Interval,
     RectWithHole,
     as_point,
+    as_rows,
     real_array,
+    real_scalar,
     row_dots,
 )
 
@@ -53,15 +55,16 @@ class Mesh:
     or 2, with P1 interpolation.  The mesh computes its mesh_size (largest
     simplex diameter), shape_constant and, when boundary_tags (TAG_* per
     vertex) is None, the tags from domain on first read.  BadParams for
-    input of the wrong shape, a vertex that is not finite, an index that is
-    not an integer or is out of range, a location grid of more than
+    input of the wrong shape, a vertex that is not real numbers or not
+    finite, a tag that is not a TAG_*, an index that is not an integer or is
+    out of range, a location grid of more than
     MAX_CELLS_PER_SIMPLEX cells per simplex or a domain the mesh does not
     discretize (check_domain); RegularityViolation for a simplex of zero
     measure."""
 
     def __init__(self, vertices, simplices, boundary_tags=None,
                  domain: Domain | None = None):
-        self.vertices = np.asarray(vertices, dtype=float)
+        self.vertices = real_array(vertices, "vertices")
         if self.vertices.shape[1:] not in ((1,), (2,)) or not np.isfinite(self.vertices).all():
             raise BadParams("vertices must be (n, 1) or (n, 2) finite coordinates")
         self.n_vertices, self.dim = self.vertices.shape
@@ -83,11 +86,12 @@ class Mesh:
         elif boundary_tags is None:
             raise BadParams("a mesh needs boundary_tags or a domain")
         if boundary_tags is not None:
+            tags = real_array(boundary_tags, "boundary_tags", (self.n_vertices,))
+            if not np.isin(tags, (TAG_INTERIOR, TAG_OBLIQUE, TAG_DIRICHLET)).all():
+                raise BadParams("boundary_tags must each be TAG_INTERIOR, TAG_OBLIQUE "
+                                "or TAG_DIRICHLET")
             # shadows the cached property
-            self.boundary_tags = np.asarray(boundary_tags, dtype=int)
-            if self.boundary_tags.shape != (self.n_vertices,):
-                raise BadParams(f"boundary_tags of shape {self.boundary_tags.shape} "
-                                f"on {self.n_vertices} vertices")
+            self.boundary_tags = tags.astype(int)
 
     @functools.cached_property
     def boundary_tags(self) -> np.ndarray:
@@ -267,7 +271,7 @@ class Mesh:
         fall back to a full scan, then to the nearest boundary-face point.
         Returns (simplex (m,), bary (m, dim+1)).
         """
-        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        points = as_rows(points, self.dim)
         simplex, bary = self._locate_in_cells(points)
         for j in np.flatnonzero(simplex < 0):
             simplex[j], bary[j] = self._locate_miss(points[j])
@@ -298,43 +302,32 @@ class Mesh:
         """Vertex indices and P1 weights at p_dx(x); weights are a convex
         combination summing to one.  One point is located by the grid pass
         of locate_many without its batch set-up, and a grid miss as there."""
-        x = as_point(x)
-        if x.shape != (self.dim,):
-            raise BadParams(f"point of shape {x.shape} on a {self.dim}D mesh")
-        if self.domain is not None and not self.domain.signed_distance(x) <= TOL_BOUNDARY:
-            raise OutsideDomain(f"point {x!r} outside the closed domain")
+        x = as_point(x, self.dim)
         coords = x.tolist()
+        if self.domain is not None and not self.domain._distance(coords) <= TOL_BOUNDARY:
+            raise OutsideDomain(f"point {x!r} outside the closed domain")
         simplex, bary = (self._locate_one(coords, self._cell_row(coords))
                          or self._locate_miss(x))
         return self.simplices[simplex], bary
 
     def interpolate(self, nodal, x) -> float:
-        nodal = self._nodal(nodal)
+        nodal = real_array(nodal, "nodal values", (self.n_vertices,))
         verts, w = self.interpolation_weights(x)
         return float(np.dot(nodal[verts], w))
 
     def interpolate_many(self, nodal, X) -> np.ndarray:
         """P1 values at p_dx(x) for each row x of X (m, dim), equal to
         interpolate at each row, with one locate_many call."""
-        X = real_array(X, "points")
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise BadParams(f"points of shape {X.shape} on a {self.dim}D mesh")
+        X = as_rows(X, self.dim)
         if self.domain is not None:
             out = ~(self.domain.signed_distance_many(X) <= TOL_BOUNDARY)
             if out.any():
                 raise OutsideDomain(f"point {X[out.argmax()]!r} outside the closed domain")
         if not np.isfinite(X).all():
             raise BadParams("points with coordinates that are not finite")
-        nodal = self._nodal(nodal)
+        nodal = real_array(nodal, "nodal values", (self.n_vertices,))
         simplex, bary = self.locate_many(X)
         return row_dots(nodal[self.simplices[simplex]], bary)
-
-    def _nodal(self, nodal) -> np.ndarray:
-        nodal = real_array(nodal, "nodal values")
-        if nodal.shape != (self.n_vertices,):
-            raise BadParams(f"nodal values of shape {nodal.shape} on "
-                            f"{self.n_vertices} vertices")
-        return nodal
 
     def barycenters(self) -> np.ndarray:
         return self.vertices[self.simplices].mean(axis=1)
@@ -424,12 +417,14 @@ def _tags_from_domain(domain: Domain, vertices) -> np.ndarray:
 
 def build_interval_mesh(a: float, b: float, dx: float) -> Mesh:
     """Uniform grid on [a, b] with spacing at most dx."""
-    if not (a < b) or not (0 < dx < b - a):
-        raise BadParams("require a < b and 0 < dx < b - a")
+    domain = Interval(a, b)
+    a, b, dx = domain.a, domain.b, real_scalar(dx, "dx")
+    if not 0 < dx < b - a:
+        raise BadParams("require 0 < dx < b - a")
     n_cells = int(math.ceil((b - a) / dx - 1e-12))
     xs = np.linspace(a, b, n_cells + 1)
     simplices = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    return Mesh(xs[:, None], simplices, domain=Interval(a, b))
+    return Mesh(xs[:, None], simplices, domain=domain)
 
 
 def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
@@ -437,9 +432,10 @@ def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
 
     All boundary vertices are placed exactly on the circle.
     """
-    if not (0 < dx < radius):
+    domain = Disk(center, radius)
+    center, radius, dx = domain.center, domain.radius, real_scalar(dx, "dx")
+    if not 0 < dx < radius:
         raise BadParams("require 0 < dx < radius")
-    center = as_point(center)
     # slight radial oversampling keeps ring cells close to isotropic
     n_r = max(2, int(math.ceil(1.2 * radius / dx)))
     dr = radius / n_r
@@ -448,11 +444,9 @@ def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
         n_j = max(6, int(round(2.0 * math.pi * j)))
         offset = 0.5 * (j % 2) * 2.0 * math.pi / n_j
         th = offset + 2.0 * math.pi * np.arange(n_j) / n_j
-        ring = center + j * dr * np.column_stack([np.cos(th), np.sin(th)])
-        pts.append(ring if ring.ndim == 2 else ring[None, :])
+        pts.append(center + j * dr * np.column_stack([np.cos(th), np.sin(th)]))
     vertices = np.vstack([np.atleast_2d(p) for p in pts])
-    return _delaunay_mesh(vertices, Delaunay(vertices).simplices, Disk(center, radius),
-                          MIN_SHAPE_DISK)
+    return _delaunay_mesh(vertices, Delaunay(vertices).simplices, domain, MIN_SHAPE_DISK)
 
 
 def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,

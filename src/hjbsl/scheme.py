@@ -43,7 +43,9 @@ class Problem:
     """Data tuple (sigma, mu, f, gamma, g, psi, T, A, B) on a domain.
 
     Handles take physical time and rows: X is (n, dim) and P is (r, dim);
-    each returns one result per row (see check_shape).  orientation
+    each returns real numbers of exactly the shape noted below, one result
+    per row, and nothing is broadcast: a one-point handle given a batch of
+    rows returns one value, which would fill every row.  orientation
     'backward' means psi is the terminal datum and values are reported at
     t=0; 'forward' means psi is the initial datum, the sweep runs in
     reversed time internally, and values are reported at t=T.
@@ -65,6 +67,7 @@ class Problem:
     time_independent_dynamics: bool = False
 
     def __post_init__(self):
+        self.T = real_scalar(self.T, "T")
         if not 0 < self.T < math.inf:
             raise BadParams(f"T must be positive and finite, got {self.T!r}")
         check_integer("n_sigma", self.n_sigma, 1)
@@ -81,23 +84,13 @@ def check_integer(name: str, value, lo: int, hi=math.inf) -> int:
     return int(value)
 
 
-def check_shape(name: str, value, shape: tuple) -> np.ndarray:
-    """A handle's result as a float array of exactly shape; BadParams
-    otherwise.  Nothing is broadcast: a one-point handle given a batch of
-    rows returns one value, which would fill every row."""
-    out = np.asarray(value, dtype=float)
-    if out.shape != shape:
-        raise BadParams(f"{name} returned shape {out.shape} for {shape[0]} rows; "
-                        f"expected {shape}")
-    return out
-
-
 @dataclass
 class SchemeParams:
     dt: float
     c_bar: float
 
     def __post_init__(self):
+        self.dt, self.c_bar = real_scalar(self.dt, "dt"), real_scalar(self.c_bar, "c_bar")
         if not (0 < self.dt < math.inf and 0 < self.c_bar < math.inf):
             raise BadParams(f"dt and c_bar must be positive and finite, got "
                             f"dt={self.dt!r}, c_bar={self.c_bar!r}")
@@ -154,8 +147,8 @@ def _characteristics(problem: Problem, t: float, X, a, dt: float) -> np.ndarray:
     fixed order, as an (n, 2*Ns, dim) array; mu and sigma are called once
     on all rows."""
     n, dim, ns = len(X), problem.domain.dim, problem.n_sigma
-    mu = check_shape("mu", problem.mu(t, X, a), (n, dim))
-    sg = check_shape("sigma", problem.sigma(t, X, a), (n, dim, ns))
+    mu = real_array(problem.mu(t, X, a), "mu", (n, dim))
+    sg = real_array(problem.sigma(t, X, a), "sigma", (n, dim, ns))
     for name, value in (("mu", mu), ("sigma", sg)):
         if not np.isfinite(value).all():
             raise BadParams(f"{name} returned a value that is not finite at t={t:g}")
@@ -169,23 +162,18 @@ def _characteristics(problem: Problem, t: float, X, a, dt: float) -> np.ndarray:
 
 
 def check_time_independent_dynamics(problem: Problem, mesh: Mesh, dt: float):
-    """BadParams unless mu and sigma agree on every vertex at the first and
-    last step times, for each control a; readers that share one table
-    across steps call this first."""
+    """BadParams unless the characteristics of every vertex agree at the
+    first and last step times, for each control a; readers that share one
+    table across steps call this first.  A row depends on mu and sigma only
+    through its characteristics, so equal ones are exactly what sharing
+    needs."""
     N = n_steps(problem.T, dt)
     times = (step_time(problem, 0, dt), step_time(problem, N - 1, dt))
-    X = mesh.vertices
     for a in problem.controls_a:
-        for name in ("mu", "sigma"):
-            handle = getattr(problem, name)
-            first, last = (np.asarray(handle(t, X, a), dtype=float) for t in times)
-            for t, value in zip(times, (first, last)):
-                if not np.isfinite(value).all():
-                    raise BadParams(f"{name} returned a value that is not finite "
-                                    f"at t={t:g}")
-            if not np.array_equal(first, last):
-                raise BadParams(f"time_independent_dynamics is set, but {name} "
-                                f"differs between t={times[0]:g} and t={times[1]:g}")
+        first, last = (_characteristics(problem, t, mesh.vertices, a, dt) for t in times)
+        if not np.array_equal(first, last):
+            raise BadParams(f"time_independent_dynamics is set, but the characteristics "
+                            f"differ between t={times[0]:g} and t={times[1]:g}")
 
 
 def _classify_many(problem: Problem, X, Y, ib, dt: float,
@@ -202,7 +190,7 @@ def _classify_many(problem: Problem, X, Y, ib, dt: float,
     dom = problem.domain
     m = len(Y)
     exited = ~(dom.signed_distance_many(Y) <= TOL_BOUNDARY)
-    y_tilde = np.array(Y, dtype=float)
+    y_tilde = Y.copy()
     d_tilde = np.zeros(m)
     p = np.zeros_like(y_tilde)
     dirichlet = np.zeros(m, dtype=bool)
@@ -238,8 +226,9 @@ def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
     # one step's rows are never shared across steps, so the flag needs no check
     op = Operator(replace(problem, time_independent_dynamics=False), mesh, params)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
+    U = real_array(next_values, "next_values", (mesh.n_vertices,))
     codes = np.arange(op.n_pairs)
-    return float(op.apply(k, next_values, codes, np.full(op.n_pairs, i))[0].min())
+    return float(op.apply(k, U, codes, np.full(op.n_pairs, i))[0].min())
 
 
 def apply_S_control(problem: Problem, mesh: Mesh, next_values, k: int,
@@ -333,7 +322,6 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
     Characteristics take one mu and one sigma call per control a among
     the rows, classification one _classify_many call and location one
     locate_many call."""
-    codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
     nb = len(problem.controls_b)
     n, dim = len(nodes), mesh.dim
     S = 2 * problem.n_sigma
@@ -387,7 +375,7 @@ def per_control(name: str, handle, t: float, groups: list, n: int) -> np.ndarray
     group."""
     out = np.empty(n)
     for control, sel, X in groups:
-        out[sel] = check_shape(name, handle(t, X, control), (len(sel),))
+        out[sel] = real_array(handle(t, X, control), name, (len(sel),))
     return out
 
 
@@ -540,7 +528,7 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     op = Operator(problem, mesh, params)
     n = mesh.n_vertices
     W = np.empty((N + 1, n))
-    W[N] = check_shape("psi", problem.psi(mesh.vertices), (n,))
+    W[N] = real_array(problem.psi(mesh.vertices), "psi", (n,))
     max_psi = float(np.max(np.abs(W[N])))
     max_f = 0.0
     for k in range(N - 1, -1, -1):
@@ -569,13 +557,13 @@ def consistency_residual(problem: Problem, phi, k: int, x, a, b,
     phi_v, phi_g, phi_h = phi
     dt = params.dt
     t = step_time(problem, k, dt)
-    x = as_point(x)
     ns, dim = problem.n_sigma, problem.domain.dim
+    x = as_point(x, dim)
     X = x[None, :]
-    sg = check_shape("sigma", problem.sigma(t, X, a), (1, dim, ns))[0]
-    mu = check_shape("mu", problem.mu(t, X, a), (1, dim))[0]
-    f = float(check_shape("f", problem.f(t, X, a), (1,))[0])
-    grad = as_point(phi_g(x))
+    sg = real_array(problem.sigma(t, X, a), "sigma", (1, dim, ns))[0]
+    mu = real_array(problem.mu(t, X, a), "mu", (1, dim))[0]
+    f = float(real_array(problem.f(t, X, a), "f", (1,))[0])
+    grad = as_point(phi_g(x), dim, "phi gradient")
     hess = np.atleast_2d(phi_h(x))
     Y = _characteristics(problem, t, X, a, dt)[0]
     rp = _classify_many(replace(problem, controls_b=[b]), np.repeat(X, len(Y), axis=0),
@@ -586,7 +574,7 @@ def consistency_residual(problem: Problem, phi, k: int, x, a, b,
         acc += float(phi_v(rp.y_tilde[s]))
         if rp.exited[s]:
             d = rp.d_tilde[s]
-            g = float(check_shape("g", problem.g(t, rp.p[s][None, :], b), (1,))[0])
+            g = float(real_array(problem.g(t, rp.p[s][None, :], b), "g", (1,))[0])
             acc += d * g
             gt = problem.gamma(rp.p[s][None, :], b)[0]
             l_term = float(np.dot(gt, grad)) - g

@@ -95,3 +95,49 @@ def test_no_private_constructor_arguments():
                 params = inspect.signature(cls.__init__).parameters
                 found += [f"{info.name}.{name}({arg})" for arg in params if arg.startswith("_")]
     assert not found, f"constructor arguments starting with _ in src/hjbsl: {found}"
+
+
+# functions that may convert with np.asarray or np.array and dtype=float,
+# with the reason
+FLOAT_CONVERSION_ALLOWED = {
+    "read_mesh": "parses a mesh file's text inside its try, which turns a bad "
+                 "number into BadParams for the file",
+}
+
+
+class _FloatConversions(ast.NodeVisitor):
+    """(function, line) of each np.asarray(..., dtype=float) or
+    np.array(..., dtype=float) call, dtype given by keyword or position."""
+
+    def __init__(self):
+        self.scope, self.found = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+        if (isinstance(f, ast.Attribute) and f.attr in ("array", "asarray")
+                and isinstance(f.value, ast.Name) and f.value.id == "np"
+                and any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes)):
+            self.found.append((self.scope[-1], node.lineno))
+        self.generic_visit(node)
+
+
+def test_float_conversion_only_through_real_array():
+    # geometry.real_array is the one conversion of outside arrays: it
+    # rejects complex, boolean and string entries and checks the shape,
+    # where a float cast drops an imaginary part or reads a bool as a number
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        visitor = _FloatConversions()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += [(path.name, fn, line) for fn, line in visitor.found]
+    assert [f"{name}:{line} in {fn}" for name, fn, line in found
+            if fn not in FLOAT_CONVERSION_ALLOWED] == [], \
+        "float conversions outside geometry.real_array"
+    # the allow-list names only functions that still convert
+    assert set(FLOAT_CONVERSION_ALLOWED) <= {fn for _, fn, _ in found}

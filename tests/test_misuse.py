@@ -1,4 +1,5 @@
 """Misuse of the public entry points, each with the typed error it raises."""
+import dataclasses
 import functools
 import math
 
@@ -9,6 +10,7 @@ from hjbsl.errors import BadParams, RegularityViolation
 from hjbsl.geometry import (
     Disk,
     Domain,
+    FunctionField,
     Interval,
     NormalField,
     RectWithHole,
@@ -25,7 +27,13 @@ from hjbsl.mesh import (
     write_mesh,
 )
 from hjbsl.problems import make_test1, make_test2, make_test3
-from hjbsl.scheme import SchemeParams, apply_S, apply_S_control, sweep
+from hjbsl.scheme import (
+    SchemeParams,
+    apply_S,
+    apply_S_control,
+    consistency_residual,
+    sweep,
+)
 
 TEST1 = make_test1(0.05)
 TEST2 = make_test2("oblique", n_a=4)
@@ -87,6 +95,16 @@ def disk_file(tmp_path):
     path = tmp_path / "disk.mesh"
     write_mesh(build_disk_mesh((0.0, 0.0), 1.0, 0.5), path)
     return path
+
+
+def with_handle(**handles):
+    """test1 on unit_mesh swept with the given handles replaced."""
+    return lambda tmp: sweep(dataclasses.replace(TEST1.problem, **handles), unit_mesh(),
+                             PARAMS)
+
+
+# the probe (value, gradient, hessian) of sin on the interval
+SIN_PROBE = (lambda x: math.sin(x[0]), np.cos, lambda x: -np.sin(x)[None, :])
 
 
 def case(name, error, call, match=None):
@@ -183,6 +201,90 @@ CASES = [
          lambda tmp: Domain.signed_distance(Disk(), [0.1, 0.2, 0.3, 0.4]), match="shape"),
     case("layer_distance-two-coordinates-on-an-interval", BadParams,
          lambda tmp: layer_distance(Interval(0.0, 1.0), 0.2, [0.1, 9.0]), match="shape"),
+    # rows or a point of the wrong shape, which were reshaped or truncated
+    case("signed_distance_many-interval-two-columns", BadParams,
+         lambda tmp: Interval(0, 1).signed_distance_many([[0.1, 5.0]]), match="shape"),
+    case("signed_distance_many-disk-flat-four", BadParams,
+         lambda tmp: Disk().signed_distance_many([0.1, 0.2, 0.3, 0.4]), match="shape"),
+    case("signed_distance_many-disk-three-columns", BadParams,
+         lambda tmp: Disk().signed_distance_many([[0.1, 0.2, 0.3]]), match="shape"),
+    case("first_crossing_many-interval-two-columns", BadParams,
+         lambda tmp: Interval(0, 1).first_crossing_many([[0.5, 0.5]], [[1.5, 1.5]]),
+         match="shape"),
+    case("locate_many-interval-two-columns", BadParams,
+         lambda tmp: unit_mesh().locate_many([[0.5, 0.75]]), match="shape"),
+    case("oblique_projection-disk-three-coordinates", BadParams,
+         lambda tmp: oblique_projection(Disk(), NormalField(Disk()), None, [1.2, 0, 0]),
+         match="shape"),
+    case("oblique_projection-interval-two-coordinates", BadParams,
+         lambda tmp: oblique_projection(Interval(0, 1), NormalField(Interval(0, 1)), None,
+                                        [1.2, 5.0]), match="shape"),
+    case("build_disk_mesh-three-coordinate-center", BadParams,
+         lambda tmp: build_disk_mesh((0, 0, 0), 1.0, 0.5), match="shape"),
+    case("consistency_residual-interval-two-coordinates", BadParams,
+         lambda tmp: consistency_residual(TEST1.problem, SIN_PROBE, 0, [0.5, 7.0],
+                                          TEST1.problem.controls_a[0],
+                                          TEST1.problem.controls_b[0], PARAMS),
+         match="^point of shape"),
+    # handle results, field results, nodal values and vertices that are
+    # not real numbers or not of the expected shape
+    case("sweep-f-complex", BadParams,
+         with_handle(f=lambda t, X, a: np.zeros(len(X), dtype=complex)), match="^f "),
+    case("sweep-psi-strings", BadParams,
+         with_handle(psi=lambda X: np.full(len(X), "a")), match="^psi "),
+    case("sweep-mu-bool", BadParams,
+         with_handle(mu=lambda t, X, a: np.ones((len(X), 1), dtype=bool)), match="^mu "),
+    case("FunctionField-complex", BadParams,
+         lambda tmp: FunctionField(lambda P, b: P + 0j)(np.ones((2, 2)), None),
+         match="^gamma "),
+    case("apply_S-next_values-too-many", BadParams,
+         lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(10), 0, 1, PARAMS),
+         match="next_values of shape"),
+    case("apply_S_control-next_values-too-many", BadParams,
+         lambda tmp: apply_S_control(TEST1.problem, unit_mesh(), np.zeros(10), 0, 1,
+                                     0.0, 0.0, PARAMS), match="next_values of shape"),
+    case("apply_S-next_values-complex", BadParams,
+         lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(5, dtype=complex), 0, 1,
+                             PARAMS), match="next_values"),
+    case("apply_S_control-next_values-complex", BadParams,
+         lambda tmp: apply_S_control(TEST1.problem, unit_mesh(), np.zeros(5, dtype=complex),
+                                     0, 1, 0.0, 0.0, PARAMS), match="next_values"),
+    case("Mesh-complex-vertices", BadParams,
+         lambda tmp: Mesh(np.array(TRIANGLE, dtype=complex), [[0, 1, 2]], [1, 1, 1]),
+         match="vertices"),
+    case("Mesh-string-vertices", BadParams,
+         lambda tmp: Mesh([["a", "0"], ["1", "0"], ["0", "1"]], [[0, 1, 2]], [1, 1, 1]),
+         match="vertices"),
+    case("Mesh-bool-vertices", BadParams,
+         lambda tmp: Mesh([[False, False], [True, False], [False, True]], [[0, 1, 2]],
+                          [1, 1, 1]), match="vertices"),
+    case("Mesh-tag-not-integer", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2]], [1.7, 1, 1]), match="boundary_tags"),
+    case("Mesh-tag-unknown", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2]], [9, 1, 1]), match="boundary_tags"),
+    # scalar arguments that are strings, bools or infinite
+    case("RectWithHole-infinite-bound", BadParams,
+         lambda tmp: RectWithHole(bounds=(-1, math.inf, -0.5, 0.5)), match="bounds"),
+    case("build_disk_mesh-infinite-radius", BadParams,
+         lambda tmp: build_disk_mesh((0, 0), math.inf, 0.1), match="radius"),
+    case("Interval-strings", BadParams, lambda tmp: Interval("0", "1"),
+         match="real numbers"),
+    case("Disk-radius-string", BadParams, lambda tmp: Disk(radius="1"),
+         match="radius must be real numbers"),
+    case("Disk-radius-bool", BadParams, lambda tmp: Disk(radius=True),
+         match="radius must be real numbers"),
+    case("RectWithHole-hole_radius-string", BadParams,
+         lambda tmp: RectWithHole(hole_radius="0.2"), match="hole_radius must be real"),
+    case("SchemeParams-dt-string", BadParams,
+         lambda tmp: SchemeParams(dt="0.1", c_bar=0.2), match="dt must be real"),
+    case("SchemeParams-dt-bool", BadParams,
+         lambda tmp: SchemeParams(dt=True, c_bar=0.2), match="dt must be real"),
+    case("Problem-T-string", BadParams,
+         lambda tmp: dataclasses.replace(TEST1.problem, T="1"), match="T must be real"),
+    case("build_interval_mesh-dx-string", BadParams,
+         lambda tmp: build_interval_mesh(0, 1, "0.1"), match="dx must be real"),
+    case("layer_distance-delta-string", BadParams,
+         lambda tmp: layer_distance(Disk(), "0.1", (0.9, 0.0)), match="delta must be real"),
     # a NaN that switched a check off
     case("layer_distance-nan", BadParams,
          lambda tmp: layer_distance(Disk(), math.nan, (0.9, 0.0))),
