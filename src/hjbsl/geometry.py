@@ -403,11 +403,13 @@ class RotatedNormalField(ObliqueField):
     """Outward normal rotated clockwise by a fixed angle (2D only)."""
 
     def __init__(self, domain: Domain, angle: float):
-        if not abs(angle) < 0.5 * math.pi:
+        if domain.dim != 2:
+            raise BadParams(f"a rotated normal field needs a 2D domain, got {domain.dim}D")
+        self.angle = real_scalar(angle, "angle")
+        if not abs(self.angle) < 0.5 * math.pi:
             raise BadParams("rotation must keep the field non-tangent")
         self.domain = domain
-        self.angle = float(angle)
-        c, s = math.cos(angle), math.sin(angle)
+        c, s = math.cos(self.angle), math.sin(self.angle)
         self._rot = np.array([[c, s], [-s, c]])
 
     def __call__(self, P, b) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 import threading
 from dataclasses import dataclass, fields, replace
@@ -35,6 +34,8 @@ from .scheme import (
 ENUMERATION_LIMIT = 1e6
 # draw matrices a chain model keeps: a Monte Carlo cost's and a sojourn's
 DRAW_MEMO = 2
+# largest seed: a seed is the first word of a Philox key of 64-bit words
+SEED_MAX = 2 ** 64 - 1
 
 
 @dataclass
@@ -86,19 +87,24 @@ class _ChainModel(Operator):
             step = policy[m]
             pairs = [step[j] for j in nodes.tolist()]
         na, nb = len(self.problem.controls_a), self.nb
+        # _is_pair defines a pair; this vectorised test accepts only pairs it
+        # accepts, fast
         try:
             # pairs of unequal lengths raise
             ia, ib = zip(*pairs, strict=True)
             a, b = np.array(ia), np.array(ib)
-            good = (a.dtype.kind in "biu" and b.dtype.kind in "biu"
-                    and min(ia) >= 0 and min(ib) >= 0 and max(ia) < na and max(ib) < nb)
+            if (a.ndim == b.ndim == 1 and a.dtype.kind in "biu" and b.dtype.kind in "biu"
+                    and min(ia) >= 0 and min(ib) >= 0 and max(ia) < na and max(ib) < nb):
+                return a * nb + b
         except (TypeError, ValueError):
-            good = False
-        if not good:
-            r = next((r for r, pair in enumerate(pairs) if not _is_pair(pair, na, nb)), 0)
-            raise BadParams(f"policy at step {m}, vertex {nodes[r]}: {pairs[r]!r} is not "
-                            f"an integer pair (ia, ib) in 0..{na - 1} x 0..{nb - 1}")
-        return a * nb + b
+            pass
+        # the fast test also fails on some integer pairs: numpy promotes
+        # int64 with uint64 to float64
+        for r, pair in enumerate(pairs):
+            if not _is_pair(pair, na, nb):
+                raise BadParams(f"policy at step {m}, vertex {nodes[r]}: {pair!r} is not "
+                                f"an integer pair (ia, ib) in 0..{na - 1} x 0..{nb - 1}")
+        return np.array([int(i) * nb + int(j) for i, j in pairs], dtype=int)
 
 
 # this thread's latest chain model, with the inputs it was built from
@@ -123,8 +129,15 @@ def _chain_model(problem: Problem, mesh: Mesh, params: SchemeParams) -> _ChainMo
 
 
 def _is_pair(pair, na: int, nb: int) -> bool:
-    return (np.shape(pair) == (2,) and all(isinstance(v, numbers.Integral) for v in pair)
-            and 0 <= pair[0] < na and 0 <= pair[1] < nb)
+    """pair unpacks into (ia, ib), ia in 0..na-1 and ib in 0..nb-1, each one
+    integer: a 0-d value of integer or bool dtype (an int, a bool, a numpy
+    scalar or a 0-d array), as the fast test in _ChainModel.code reads it."""
+    try:
+        ia, ib = pair
+        ok = [np.ndim(v) == 0 and np.asarray(v).dtype.kind in "biu" for v in (ia, ib)]
+    except (TypeError, ValueError):
+        return False
+    return all(ok) and 0 <= ia < na and 0 <= ib < nb
 
 
 def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
@@ -134,8 +147,8 @@ def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
     Rows are probability distributions; Dirichlet-absorbed branches make
     the row substochastic by their mass.
     """
-    op = Operator(replace(problem, controls_a=[a], controls_b=[b],
-                          time_independent_dynamics=False), mesh, params)
+    op = Operator(replace(problem, controls_a=[a], controls_b=[b]), mesh, params)
+    k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
     probs = op.rows(k, [0], [i]).matrix([0], [i]).toarray()[0]
     idx = np.flatnonzero(probs)
@@ -157,6 +170,7 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
         return _exact_cost(model, policy, k, i)
     if mode == "monte_carlo":
         check_integer("n_paths", n_paths, 2)
+        seed = check_integer("seed", seed, 0, SEED_MAX)
         vals = _simulate_paths(model, policy, k, i, seed, n_paths)[0]
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     raise BadParams(f"unknown mode {mode!r}")
@@ -307,6 +321,7 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
     vertex closest to the domain barycenter.
     """
     check_integer("n_paths", n_paths, 2)
+    seed = check_integer("seed", seed, 0, SEED_MAX)
     model = _chain_model(problem, mesh, params)
     center = mesh.vertices.mean(axis=0)
     start = int(np.argmin(np.linalg.norm(mesh.vertices - center, axis=1)))

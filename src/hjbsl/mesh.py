@@ -68,7 +68,10 @@ class Mesh:
         if self.vertices.shape[1:] not in ((1,), (2,)) or not np.isfinite(self.vertices).all():
             raise BadParams("vertices must be (n, 1) or (n, 2) finite coordinates")
         self.n_vertices, self.dim = self.vertices.shape
-        simplices = np.asarray(simplices)
+        try:
+            simplices = np.asarray(simplices)
+        except (TypeError, ValueError) as exc:
+            raise BadParams(f"simplices is not an array of integers: {exc}") from None
         if simplices.shape[1:] != (self.dim + 1,) or not len(simplices):
             raise BadParams(f"simplices of shape {simplices.shape} on a {self.dim}D mesh")
         if simplices.dtype.kind not in "iu":

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams
-from .geometry import Disk, Interval, NormalField, RectWithHole, RotatedNormalField
-from .scheme import Problem
+from .geometry import Disk, Interval, NormalField, RectWithHole, RotatedNormalField, real_scalar
+from .scheme import Problem, check_integer
 
 
 @dataclass
@@ -20,8 +20,8 @@ class Benchmark:
 
 
 def unit_circle_controls(n: int) -> list:
-    if n < 1:
-        raise BadParams("need at least one control")
+    """n unit vectors at equal angles from (1, 0); n is an integer >= 1."""
+    n = check_integer("n_a", n, 1)
     th = 2.0 * math.pi * np.arange(n) / n
     return [np.array([math.cos(t), math.sin(t)]) for t in th]
 
@@ -32,8 +32,9 @@ def _phi_1d(eps: float):
     For eps > 0 it is x + C+ e^{l+ x} + C- e^{l- x} with l± the roots of
     eps*l^2 - l - 1 = 0; the eps = 0 limit is x + e^{-x}.
     """
-    if eps < 0:
-        raise BadParams("eps must be nonnegative")
+    eps = real_scalar(eps, "eps")
+    if not 0 <= eps < math.inf:
+        raise BadParams(f"eps must be finite and nonnegative, got {eps!r}")
     if eps == 0.0:
         return lambda x: x + np.exp(-x)
     lp = (1.0 + math.sqrt(1.0 + 4.0 * eps)) / (2.0 * eps)

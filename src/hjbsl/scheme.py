@@ -78,8 +78,10 @@ class Problem:
 
 
 def check_integer(name: str, value, lo: int, hi=math.inf) -> int:
-    """value as an int; BadParams unless it is an integer in lo..hi."""
-    if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+    """value as an int; BadParams unless it is an integer in lo..hi, bools
+    excluded."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and lo <= value <= hi):
         raise BadParams(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
     return int(value)
 
@@ -161,21 +163,6 @@ def _characteristics(problem: Problem, t: float, X, a, dt: float) -> np.ndarray:
     return out
 
 
-def check_time_independent_dynamics(problem: Problem, mesh: Mesh, dt: float):
-    """BadParams unless the characteristics of every vertex agree at the
-    first and last step times, for each control a; readers that share one
-    table across steps call this first.  A row depends on mu and sigma only
-    through its characteristics, so equal ones are exactly what sharing
-    needs."""
-    N = n_steps(problem.T, dt)
-    times = (step_time(problem, 0, dt), step_time(problem, N - 1, dt))
-    for a in problem.controls_a:
-        first, last = (_characteristics(problem, t, mesh.vertices, a, dt) for t in times)
-        if not np.array_equal(first, last):
-            raise BadParams(f"time_independent_dynamics is set, but the characteristics "
-                            f"differ between t={times[0]:g} and t={times[1]:g}")
-
-
 def _classify_many(problem: Problem, X, Y, ib, dt: float,
                    c_bar: float) -> ReflectedPoint:
     """Route each characteristic Y[j] from its vertex X[j] to the interior,
@@ -223,8 +210,8 @@ def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
             params: SchemeParams) -> float:
     """Minimum of S_{k,i}[Phi](a,b) over the finite control grid: the
     minimum of vertex i's rows under every pair."""
-    # one step's rows are never shared across steps, so the flag needs no check
-    op = Operator(replace(problem, time_independent_dynamics=False), mesh, params)
+    op = Operator(problem, mesh, params)
+    k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
     U = real_array(next_values, "next_values", (mesh.n_vertices,))
     codes = np.arange(op.n_pairs)
@@ -315,20 +302,26 @@ def slot_product(slots: tuple, U) -> np.ndarray:
 
 
 def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
-                     rows: Rows, t: float, codes, nodes):
+                     rows: Rows, times: list, codes, nodes):
     """The only path from characteristics to classified, located branches:
-    the rows [codes[r], nodes[r]] at time t, each given once, formed,
-    classified and located in one batched pass and written to the store.
-    Characteristics take one mu and one sigma call per control a among
-    the rows, classification one _classify_many call and location one
-    locate_many call."""
+    the rows [codes[r], nodes[r]] at time times[0], each given once,
+    formed, classified and located in one batched pass and written to the
+    store.  Characteristics take one mu and one sigma call per control a
+    among the rows and per time, classification one _classify_many call and
+    location one locate_many call.  A row depends on mu and sigma only
+    through its characteristics, so BadParams unless those at times[1:]
+    equal those at times[0], which the rows then serve."""
     nb = len(problem.controls_b)
     n, dim = len(nodes), mesh.dim
     S = 2 * problem.n_sigma
     V = mesh.vertices[nodes]
     Y = np.empty((n, S, dim))
     for a, sel, X in control_groups(problem.controls_a, codes // nb, V):
-        Y[sel] = _characteristics(problem, t, X, a, params.dt)
+        Y[sel] = first = _characteristics(problem, times[0], X, a, params.dt)
+        for t in times[1:]:
+            if not np.array_equal(first, _characteristics(problem, t, X, a, params.dt)):
+                raise BadParams(f"time_independent_dynamics is set, but the characteristics "
+                                f"differ between t={times[0]:g} and t={t:g}")
     rp = _classify_many(problem, np.repeat(V, S, axis=0), Y.reshape(-1, dim),
                         np.repeat(codes % nb, S), params.dt, params.c_bar)
     # non-Dirichlet branches land in the closed domain
@@ -388,10 +381,12 @@ class Operator:
     P being the stacked (pairs*n, n) substochastic matrix, const the mean
     Dirichlet datum of the row's branches and crossings their mean
     d_tilde*g.  Rows are built as readers reach them into one Rows store
-    per step key: the step, or None when time_independent_dynamics (checked
-    here) shares one store across steps.  Only the latest key's store is
-    kept, so a reader walks the steps in order.  Rows classify with
-    problem.domain and locate with the mesh, which must discretize it.
+    per step key: the step, or None when time_independent_dynamics shares
+    one store across steps, built at the first step time whichever step is
+    read first; each build pass checks the flag on its own rows at the last
+    step time.  Only the latest key's store is kept, so a reader walks the
+    steps in order.  Rows classify with problem.domain and locate with the
+    mesh, which must discretize it.
     """
 
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
@@ -404,8 +399,9 @@ class Operator:
         self.nb = len(problem.controls_b)
         self.n_pairs = len(problem.controls_a) * self.nb
         self.times = [step_time(problem, m, params.dt) for m in range(self.N)]
-        if problem.time_independent_dynamics:
-            check_time_independent_dynamics(problem, mesh, params.dt)
+        # a shared store's build times: the first step time, then the last
+        # when there are two steps or more
+        self._shared_times = self.times[::max(self.N - 1, 1)]
         # (pair code, vertex) of every row, in stacked order
         self._every_row = np.divmod(np.arange(self.n_pairs * mesh.n_vertices),
                                     mesh.n_vertices)
@@ -442,7 +438,8 @@ class Operator:
             for end, after in zip(ends, ends[1:] + [math.inf]):
                 if after - lo > PASS_ROWS:
                     build_node_table(self.problem, self.mesh, self.params, rows,
-                                     self.times[m], c[lo:end], j[lo:end])
+                                     self._shared_times if key is None else [self.times[m]],
+                                     c[lo:end], j[lo:end])
                     lo = end
         return rows
 
@@ -556,6 +553,7 @@ def consistency_residual(problem: Problem, phi, k: int, x, a, b,
     """
     phi_v, phi_g, phi_h = phi
     dt = params.dt
+    k = check_integer("step k", k, 0, n_steps(problem.T, dt) - 1)
     t = step_time(problem, k, dt)
     ns, dim = problem.n_sigma, problem.domain.dim
     x = as_point(x, dim)
@@ -564,14 +562,19 @@ def consistency_residual(problem: Problem, phi, k: int, x, a, b,
     mu = real_array(problem.mu(t, X, a), "mu", (1, dim))[0]
     f = float(real_array(problem.f(t, X, a), "f", (1,))[0])
     grad = as_point(phi_g(x), dim, "phi gradient")
-    hess = np.atleast_2d(phi_h(x))
+    hess = real_array(phi_h(x), "phi hessian")
+    # one number is a 1D Hessian, as one number is a 1D point
+    if dim == 1 and hess.shape in ((), (1,)):
+        hess = hess.reshape(1, 1)
+    if hess.shape != (dim, dim):
+        raise BadParams(f"phi hessian of shape {hess.shape}, expected ({dim}, {dim})")
     Y = _characteristics(problem, t, X, a, dt)[0]
     rp = _classify_many(replace(problem, controls_b=[b]), np.repeat(X, len(Y), axis=0),
                         Y, 0, dt, params.c_bar)
     acc = float(rp.value[rp.dirichlet].sum())
     crossing = 0.0
     for s in np.flatnonzero(~rp.dirichlet):
-        acc += float(phi_v(rp.y_tilde[s]))
+        acc += real_scalar(phi_v(rp.y_tilde[s]), "phi value")
         if rp.exited[s]:
             d = rp.d_tilde[s]
             g = float(real_array(problem.g(t, rp.p[s][None, :], b), "g", (1,))[0])
@@ -584,7 +587,7 @@ def consistency_residual(problem: Problem, phi, k: int, x, a, b,
             crossing += d * (l_term - math.sqrt(dt) * k_term)
     S = acc / (2 * ns) + dt * f
     H = -0.5 * float(np.trace(sg @ sg.T @ hess)) - float(np.dot(mu, grad)) - f
-    r = S - float(phi_v(x)) + dt * H
+    r = S - real_scalar(phi_v(x), "phi value") + dt * H
     if boundary:
         r += crossing / (2 * ns)
     return float(r)

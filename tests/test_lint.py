@@ -105,12 +105,11 @@ FLOAT_CONVERSION_ALLOWED = {
 }
 
 
-class _FloatConversions(ast.NodeVisitor):
-    """(function, line) of each np.asarray(..., dtype=float) or
-    np.array(..., dtype=float) call, dtype given by keyword or position."""
+class _CallSites(ast.NodeVisitor):
+    """(function, line) of each call node for which match(node) holds."""
 
-    def __init__(self):
-        self.scope, self.found = ["<module>"], []
+    def __init__(self, match):
+        self.match, self.scope, self.found = match, ["<module>"], []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -118,26 +117,65 @@ class _FloatConversions(ast.NodeVisitor):
         self.scope.pop()
 
     def visit_Call(self, node):
-        f = node.func
-        dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
-        if (isinstance(f, ast.Attribute) and f.attr in ("array", "asarray")
-                and isinstance(f.value, ast.Name) and f.value.id == "np"
-                and any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes)):
+        if self.match(node):
             self.found.append((self.scope[-1], node.lineno))
         self.generic_visit(node)
+
+
+def _call_sites(match) -> list:
+    """(file name, function, line) of each call in src/hjbsl that match
+    accepts."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        visitor = _CallSites(match)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += [(path.name, fn, line) for fn, line in visitor.found]
+    return found
+
+
+def _is_float_conversion(node) -> bool:
+    """np.asarray(..., dtype=float) or np.array(..., dtype=float), dtype
+    given by keyword or position."""
+    f = node.func
+    dtypes = [k.value for k in node.keywords if k.arg == "dtype"] + node.args[1:2]
+    return (isinstance(f, ast.Attribute) and f.attr in ("array", "asarray")
+            and isinstance(f.value, ast.Name) and f.value.id == "np"
+            and any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes))
 
 
 def test_float_conversion_only_through_real_array():
     # geometry.real_array is the one conversion of outside arrays: it
     # rejects complex, boolean and string entries and checks the shape,
     # where a float cast drops an imaginary part or reads a bool as a number
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        visitor = _FloatConversions()
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        found += [(path.name, fn, line) for fn, line in visitor.found]
+    found = _call_sites(_is_float_conversion)
     assert [f"{name}:{line} in {fn}" for name, fn, line in found
             if fn not in FLOAT_CONVERSION_ALLOWED] == [], \
         "float conversions outside geometry.real_array"
     # the allow-list names only functions that still convert
     assert set(FLOAT_CONVERSION_ALLOWED) <= {fn for _, fn, _ in found}
+
+
+# the functions that may call scheme._characteristics, with the reason
+CHARACTERISTICS_CALLERS = {
+    "build_node_table": "forms the rows of each build pass and checks the "
+                        "time_independent_dynamics flag on those same rows",
+    "consistency_residual": "the probe needs the raw characteristics of one "
+                            "point, evaluated exactly, not a built row",
+}
+
+
+def _calls_characteristics(node) -> bool:
+    f = node.func
+    return ((isinstance(f, ast.Name) and f.id == "_characteristics")
+            or (isinstance(f, ast.Attribute) and f.attr == "_characteristics"))
+
+
+def test_characteristics_formed_only_where_rows_are_built():
+    # a row depends on mu and sigma only through its characteristics, so the
+    # pass that forms them is where the shared-store flag is checked; a
+    # separate whole-mesh check would form them again
+    found = _call_sites(_calls_characteristics)
+    assert [f"{name}:{line} in {fn}" for name, fn, line in found
+            if fn not in CHARACTERISTICS_CALLERS] == [], \
+        "scheme._characteristics called outside build_node_table and consistency_residual"
+    assert set(CHARACTERISTICS_CALLERS) <= {fn for _, fn, _ in found}

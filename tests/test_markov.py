@@ -24,7 +24,15 @@ from hjbsl.markov import (
 )
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
-from hjbsl.scheme import Operator, Problem, SchemeParams, slot_product, sweep, whole_steps
+from hjbsl.scheme import (
+    Operator,
+    Problem,
+    SchemeParams,
+    apply_S,
+    slot_product,
+    sweep,
+    whole_steps,
+)
 from test_geometry import boundary_kind, scan_crossing
 
 
@@ -170,15 +178,70 @@ def test_policy_cost_time_dependent_dynamics():
 
 
 def test_time_independent_dynamics_flag_is_checked():
-    # the flag on time-dependent dynamics would share the t=0.75 rows with
-    # every step; the sweep and the chain refuse it
+    # the flag on time-dependent dynamics would share the t=0 rows with
+    # every step; the sweep, the chain and the one-step readers refuse it,
+    # at any step they read first
     pr = _time_dependent_problem(time_independent_dynamics=True)
     mesh = build_interval_mesh(0.0, 1.0, 0.125)
     params = SchemeParams(dt=0.25, c_bar=0.2)
-    with pytest.raises(BadParams):
+    msg = "characteristics differ between t=0 and t=0.75"
+    with pytest.raises(BadParams, match=msg):
         sweep(pr, mesh, params)
-    with pytest.raises(BadParams):
+    with pytest.raises(BadParams, match=msg):
         policy_cost(pr, mesh, TRIVIAL_POLICY, 0, 2, params)
+    for k in (0, 3):
+        with pytest.raises(BadParams, match=msg):
+            apply_S(pr, mesh, np.zeros(mesh.n_vertices), k, 2, params)
+        with pytest.raises(BadParams, match=msg):
+            transition_law(pr, mesh, k, 2, 0.0, 0.0, params)
+
+
+@pytest.mark.parametrize("T, times", [(1.0, [0.0, 0.75]), (0.25, [0.0])])
+def test_shared_store_is_built_at_the_first_step_time(T, times):
+    """With the flag set, each build pass forms its rows' characteristics at
+    the first step time and checks them at the last, whichever step is read
+    first; with one step there is no second time to check."""
+    seen = []
+
+    def mu(t, X, a):
+        seen.append(t)
+        return np.full((len(X), 1), 0.25)
+
+    pr = replace(_time_dependent_problem(time_independent_dynamics=True), T=T, mu=mu)
+    mesh = build_interval_mesh(0.0, 1.0, 0.125)
+    op = Operator(pr, mesh, SchemeParams(dt=0.25, c_bar=0.2))
+    op.rows(op.N - 1, [0], [4])
+    assert seen == times
+    op.rows(0)
+    assert seen == times * 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo", None])
+@pytest.mark.parametrize("odd, even", [
+    ((np.int64(0), 0), (np.uint64(0), np.uint64(0))),
+    ((np.array(0), 0), (np.False_, np.uint8(0)))])
+def test_policy_of_integers_of_mixed_types(mode, odd, even):
+    """Integer pairs of numpy types, int64 at some vertices and uint64 at
+    others (which numpy promotes together to float64), or 0-d arrays and
+    numpy bools, give the costs of the same pairs as Python ints, in policy
+    costs (mode) and in the sojourn (None).  A bad pair among them is the
+    one named."""
+    bench = make_test1(0.05)
+    mesh = build_interval_mesh(0.0, 1.0, 0.25)
+    params = SchemeParams(dt=0.25, c_bar=bench.c_bar)
+
+    def mixed(bad=None):
+        return lambda m, i: bad if i == 1 and bad else odd if i % 2 else even
+
+    def run(policy):
+        if mode is None:
+            return estimate_sojourn(bench.problem, mesh, policy, params, n_paths=20, seed=5)
+        return policy_cost(bench.problem, mesh, policy, 0, 2, params, mode=mode,
+                           n_paths=20, seed=5)
+
+    assert run(mixed()) == run(TRIVIAL_POLICY)
+    with pytest.raises(BadParams, match=r"vertex 1: \(np.int64\(1\), 0\) is not"):
+        run(mixed((np.int64(1), 0)))
 
 
 def _tiny_instances():

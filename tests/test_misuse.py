@@ -14,6 +14,7 @@ from hjbsl.geometry import (
     Interval,
     NormalField,
     RectWithHole,
+    RotatedNormalField,
     layer_distance,
     oblique_projection,
 )
@@ -26,7 +27,7 @@ from hjbsl.mesh import (
     read_mesh,
     write_mesh,
 )
-from hjbsl.problems import make_test1, make_test2, make_test3
+from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
     SchemeParams,
     apply_S,
@@ -105,6 +106,18 @@ def with_handle(**handles):
 
 # the probe (value, gradient, hessian) of sin on the interval
 SIN_PROBE = (lambda x: math.sin(x[0]), np.cos, lambda x: -np.sin(x)[None, :])
+
+
+def probe_with(value=SIN_PROBE[0], hessian=SIN_PROBE[2], k=0):
+    """consistency_residual of test1 at x = 0.5 and step k, with the probe's
+    value or Hessian handle replaced."""
+    return lambda tmp: consistency_residual(TEST1.problem, (value, SIN_PROBE[1], hessian), k,
+                                            [0.5], 0.0, 0.0, PARAMS)
+
+
+def monte_carlo(seed):
+    return lambda tmp: policy_cost(TEST1.problem, unit_mesh(), stay, 0, 0, PARAMS,
+                                   mode="monte_carlo", n_paths=2, seed=seed)
 
 
 def case(name, error, call, match=None):
@@ -312,12 +325,56 @@ CASES = [
                                      0.0, 0.0, PARAMS)),
     case("estimate_sojourn-n_paths-not-integer", BadParams,
          lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS, n_paths=2.5)),
+    # integers that were read as another number, or were not checked: a
+    # bool, a float, a negative or too large seed, and steps outside 0..N-1
+    case("Problem-n_sigma-bool", BadParams,
+         lambda tmp: dataclasses.replace(TEST1.problem, n_sigma=True), match="^n_sigma "),
+    *[case(f"policy_cost-seed-{label}", BadParams, monte_carlo(seed), match="^seed ")
+      for label, seed in (("float", 1.5), ("bool", True), ("negative", -1),
+                          ("string", "x"), ("above-2**64-1", 2 ** 64))],
+    case("estimate_sojourn-seed-negative", BadParams,
+         lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS, n_paths=2,
+                                      seed=-1), match="^seed "),
+    case("get_benchmark-n_a-float", BadParams,
+         lambda tmp: get_benchmark("test2_oblique", n_a=2.5), match="^n_a "),
+    case("get_benchmark-n_a-bool", BadParams,
+         lambda tmp: get_benchmark("test3_exit", n_a=True), match="^n_a "),
+    case("apply_S-step-float", BadParams,
+         lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(5), 1.5, 1, PARAMS),
+         match="^step k "),
+    case("transition_law-step-float", BadParams,
+         lambda tmp: transition_law(TEST1.problem, unit_mesh(), 1.5, 1, 0.0, 0.0, PARAMS),
+         match="^step k "),
+    case("consistency_residual-step-negative", BadParams, probe_with(k=-3),
+         match="^step k "),
+    case("consistency_residual-step-N", BadParams, probe_with(k=4), match="^step k "),
+    # mesh and probe input that raised bare errors or lost an imaginary part
+    case("Mesh-ragged-simplices", BadParams,
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2], [0, 1]], [1, 1, 1]), match="^simplices "),
+    case("consistency_residual-hessian-complex", BadParams,
+         probe_with(hessian=lambda x: np.array([[-math.sin(x[0]) + 1j]])),
+         match="^phi hessian "),
+    case("consistency_residual-hessian-2x2-in-1D", BadParams,
+         probe_with(hessian=lambda x: -math.sin(x[0]) * np.eye(2)),
+         match="^phi hessian of shape"),
+    case("consistency_residual-value-string", BadParams, probe_with(value=lambda x: "a"),
+         match="^phi value "),
+    # a field of the wrong dimension and benchmark scalars
+    case("RotatedNormalField-on-an-interval", BadParams,
+         lambda tmp: RotatedNormalField(Interval(0.0, 1.0), 0.1), match="2D"),
+    case("RotatedNormalField-angle-string", BadParams,
+         lambda tmp: RotatedNormalField(Disk(), "0.1"), match="^angle "),
+    *[case(f"get_benchmark-eps-{label}", BadParams,
+           lambda tmp, eps=eps: get_benchmark("test1_eps", eps=eps), match="^eps ")
+      for label, eps in (("nan", math.nan), ("inf", math.inf), ("string", "0.1"))],
     # policy pairs: out of range, negative, of floats, or folding into
     # another pair's code, on test3 with four controls a and one b
     *[case(f"{name}-policy-{label}", BadParams, call(pair), match="integer pair")
       for label, pair in (("ia-too-large", (4, 0)), ("ia-negative", (-1, 0)),
                           ("ib-too-large", (0, 1)), ("ib-negative", (1, -1)),
-                          ("ia-float", (1.0, 0)), ("not-a-pair", (1, 0, 0)))
+                          ("ia-float", (1.0, 0)), ("not-a-pair", (1, 0, 0)),
+                          ("ia-one-element-array", (np.array([1]), 0)),
+                          ("ib-list", (1, [0])))
       for name, call in (
           ("policy_cost-exact",
            lambda pair: lambda tmp: policy_cost(*exit_chain(), steer_to(pair), 0, 7,

@@ -399,10 +399,10 @@ def test_sweep_calls_each_handle_once_per_table(name, dx, dt):
     # each step's apply calls f once per control a and g once per control b
     assert calls["f"] == N * len(pr.controls_a)
     assert 0 < calls["g"] <= N * len(pr.controls_b)
-    # one call per control a in each build pass, the store being shared by
-    # all steps and each pair having its own control a, plus the flag
-    # check's two calls per control a
-    assert calls["mu"] == calls["sigma"] == pairs + 2 * len(pr.controls_a)
+    # the store is shared by all steps and each pair has its own control a:
+    # each build pass calls once per control a at the first step time, and
+    # once more at the last, where it checks the flag on its own rows
+    assert calls["mu"] == calls["sigma"] == 2 * pairs
 
 
 def test_handles_of_the_wrong_shape_are_rejected():
