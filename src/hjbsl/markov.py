@@ -32,6 +32,8 @@ from .scheme import (
 
 # most policies dp_oracle enumerates
 ENUMERATION_LIMIT = 1e6
+# most uniforms (paths times steps) a Monte Carlo draw matrix holds: 800 MB
+DRAW_LIMIT = 1e8
 # draw matrices a chain model keeps: a Monte Carlo cost's and a sojourn's
 DRAW_MEMO = 2
 # largest seed: a seed is the first word of a Philox key of 64-bit words
@@ -80,12 +82,23 @@ class _ChainModel(Operator):
         checked once for all of them: BadParams unless every pair (ia, ib)
         holds integers, ia in 0..len(controls_a)-1 and ib in
         0..len(controls_b)-1.  policy is a callable policy(m, j) or a
-        nested sequence read as policy[m][j]."""
+        nested sequence read as policy[m][j]; BadParams naming the step and
+        the vertex when that lookup finds no pair."""
         if callable(policy):
             pairs = [policy(m, j) for j in nodes.tolist()]
         else:
-            step = policy[m]
-            pairs = [step[j] for j in nodes.tolist()]
+            try:
+                step = policy[m]
+                pairs = [step[j] for j in nodes.tolist()]
+            except LookupError:
+                # name the first vertex whose pair is missing
+                for j in nodes.tolist():
+                    try:
+                        policy[m][j]
+                    except LookupError:
+                        raise BadParams(f"policy has no pair at step {m}, "
+                                        f"vertex {j}") from None
+                raise
         na, nb = len(self.problem.controls_a), self.nb
         # _is_pair defines a pair; this vectorised test accepts only pairs it
         # accepts, fast
@@ -161,7 +174,8 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
     """Cost J_{k,i}(pi): running dt*f, crossing costs, terminal psi.
 
     exact mode propagates the full distribution vector and returns a float;
-    monte_carlo simulates n_paths >= 2 chains and returns (mean, stderr).
+    monte_carlo simulates n_paths >= 2 chains and returns (mean, stderr);
+    TooLarge when their draws would exceed DRAW_LIMIT uniforms.
     """
     model = _chain_model(problem, mesh, params)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
@@ -171,9 +185,18 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
     if mode == "monte_carlo":
         check_integer("n_paths", n_paths, 2)
         seed = check_integer("seed", seed, 0, SEED_MAX)
+        _check_draws(n_paths, model.N - k)
         vals = _simulate_paths(model, policy, k, i, seed, n_paths)[0]
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     raise BadParams(f"unknown mode {mode!r}")
+
+
+def _check_draws(n_paths: int, steps: int):
+    """TooLarge, before anything is allocated, unless n_paths paths of
+    steps draws each fit DRAW_LIMIT uniforms."""
+    if n_paths * steps > DRAW_LIMIT:
+        raise TooLarge(f"{n_paths} paths of {steps} steps exceed the Monte Carlo "
+                       f"draw limit of {DRAW_LIMIT:g} uniforms")
 
 
 def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
@@ -318,11 +341,13 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
 
     Gamma_m(a) holds the vertices with at least one exiting characteristic.
     Returns (mean, stderr) over n_paths >= 2 simulated chains started at the
-    vertex closest to the domain barycenter.
+    vertex closest to the domain barycenter; TooLarge when their draws
+    would exceed DRAW_LIMIT uniforms.
     """
     check_integer("n_paths", n_paths, 2)
     seed = check_integer("seed", seed, 0, SEED_MAX)
     model = _chain_model(problem, mesh, params)
+    _check_draws(n_paths, model.N)
     center = mesh.vertices.mean(axis=0)
     start = int(np.argmin(np.linalg.norm(mesh.vertices - center, axis=1)))
     counts = _layer_steps(model, policy, start, seed, n_paths).astype(float)

@@ -363,12 +363,12 @@ def control_groups(controls: list, index, X) -> list:
 
 
 def per_control(name: str, handle, t: float, groups: list, n: int) -> np.ndarray:
-    """handle(t, points, control) for each (control, rows, points) of
-    control_groups, written to those rows of an (n,) result: one call per
-    group."""
+    """handle(t, points, control) for each (control, rows, points) group,
+    written to those rows (an index array or a slice) of an (n,) result:
+    one call per group, each result checked to hold one number per point."""
     out = np.empty(n)
     for control, sel, X in groups:
-        out[sel] = real_array(handle(t, X, control), name, (len(sel),))
+        out[sel] = real_array(handle(t, X, control), name, (len(X),))
     return out
 
 
@@ -423,7 +423,8 @@ class Operator:
                                               self.S, self.mesh.dim)
         rows = self._rows
         if codes is None:
-            if rows.built.all():
+            # stacked terms are formed only once every row is built
+            if rows.stacked is not None or rows.built.all():
                 return rows
             codes, nodes = self._every_row
         codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
@@ -444,16 +445,14 @@ class Operator:
         return rows
 
     def _terms(self, rows: Rows, codes, nodes) -> tuple:
-        """S's pieces other than P on the built rows [codes[r], nodes[r]]:
-        their mean Dirichlet datum, their oblique exits as (row r,
-        d_tilde/(2*Ns)), and the control_groups of the rows' vertices for f
-        and of the exits' projection points for g."""
-        pr = self.problem
+        """S's pieces other than P and f on the built rows [codes[r],
+        nodes[r]]: their mean Dirichlet datum, their oblique exits as (row r,
+        d_tilde/(2*Ns)), and the control_groups of the exits' projection
+        points for g."""
         refl_d = rows.refl_d[codes, nodes]
         r, s = np.nonzero(refl_d)
         return (rows.const[codes, nodes].sum(axis=1) / self.S, r, refl_d[r, s] / self.S,
-                control_groups(pr.controls_a, codes // self.nb, self.mesh.vertices[nodes]),
-                control_groups(pr.controls_b, codes[r] % self.nb,
+                control_groups(self.problem.controls_b, codes[r] % self.nb,
                                rows.refl_p[codes[r], nodes[r], s]))
 
     def apply(self, m: int, U, codes=None, nodes=None) -> tuple:
@@ -461,26 +460,42 @@ class Operator:
         in stacked order when codes is None.  Returns (S[U], the f values
         used, P restricted to those rows); makes one f call per control a
         over the rows' vertices and one g call per control b over their
-        oblique exits.  On every row P is a csr_matrix, formed with the
-        other terms, control groups included, once per store; on gathered
-        rows it is their Rows.slots, with no csr_matrix formed."""
+        oblique exits, with no g call or crossings when there are none.  On
+        every row P is a csr_matrix and control a's f rows its pair-major
+        block [ia*nb*n, (ia+1)*nb*n), formed with the other terms once per
+        store; on gathered rows P is their Rows.slots, with no csr_matrix
+        formed, and f goes through control_groups."""
         rows = self.rows(m, codes, nodes)
         pr, t = self.problem, self.times[m]
         if codes is None:
             if rows.stacked is None:
-                rows.stacked = (rows.matrix(*self._every_row),
+                # each control's own copy of the vertices, as a handle may
+                # change its points
+                block = self.nb * self.mesh.n_vertices
+                f_groups = [(a, slice(ia * block, (ia + 1) * block),
+                             np.tile(self.mesh.vertices, (self.nb, 1)))
+                            for ia, a in enumerate(pr.controls_a)]
+                rows.stacked = (rows.matrix(*self._every_row), f_groups,
                                 *self._terms(rows, *self._every_row))
-            P, *terms = rows.stacked
-            PU = P @ U
+            P, f_groups, *terms = rows.stacked
+            v = P @ U
         else:
             codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
             P, terms = rows.slots(codes, nodes), self._terms(rows, codes, nodes)
-            PU = slot_product(P, U)
-        const, r, d, f_groups, g_groups = terms
-        f = per_control("f", pr.f, t, f_groups, len(PU))
-        g = per_control("g", pr.g, t, g_groups, len(r))
-        crossings = np.bincount(r, weights=d * g, minlength=len(PU))
-        return PU + const + crossings + self.params.dt * f, f, P
+            f_groups = control_groups(pr.controls_a, codes // self.nb,
+                                      self.mesh.vertices[nodes])
+            v = slot_product(P, U)
+        const, r, d, g_groups = terms
+        f = per_control("f", pr.f, t, f_groups, len(v))
+        # added left to right as P @ U + const + crossings + dt*f; no
+        # crossings means adding +0.0, a no-op since v is never -0.0 (its
+        # sums start from +0.0)
+        v += const
+        if len(r):
+            g = per_control("g", pr.g, t, g_groups, len(r))
+            v += np.bincount(r, weights=d * g, minlength=len(v))
+        v += self.params.dt * f
+        return v, f, P
 
 
 @dataclass
@@ -518,22 +533,26 @@ class ValueFunction:
 
 def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     """Backward recursion U_N = Psi, U_k = inf_{a,b} S_{k}[U_{k+1}]: the
-    minimum over the pair blocks of the stacked rows.  Unstable once a value
-    is not finite or exceeds the blow-up guard 1e3*(max|psi| + T*max|f| + 1),
-    max|f| taken over the steps swept so far."""
+    minimum over the pair blocks of the stacked rows, written in place.
+    Unstable once a value is not finite or exceeds the blow-up guard
+    1e3*(max|psi| + T*max|f| + 1), max|f| taken over the steps swept so far;
+    both are tested on the one reduction max|U_k| per step."""
     N = whole_steps(problem.T, params.dt)
     op = Operator(problem, mesh, params)
     n = mesh.n_vertices
     W = np.empty((N + 1, n))
     W[N] = real_array(problem.psi(mesh.vertices), "psi", (n,))
-    max_psi = float(np.max(np.abs(W[N])))
+    max_psi = float(np.abs(W[N]).max())
     max_f = 0.0
     for k in range(N - 1, -1, -1):
         v, f, _ = op.apply(k, W[k + 1])
-        max_f = max(max_f, float(np.max(np.abs(f))))
-        W[k] = v.reshape(op.n_pairs, n).min(axis=0)
+        max_f = max(max_f, float(np.abs(f).max()))
+        v.reshape(op.n_pairs, n).min(axis=0, out=W[k])
         guard = 1e3 * (max_psi + problem.T * max_f + 1.0)
-        if not np.all(np.isfinite(W[k])) or np.max(np.abs(W[k])) > guard:
+        # one reduction: a NaN or an inf fails the first test whatever the
+        # guard, so this raises exactly when a value is not finite or above it
+        top = float(np.abs(W[k]).max())
+        if not top < math.inf or top > guard:
             raise Unstable(f"values exceeded the blow-up guard {guard:.3g} "
                            f"at step {k}")
     values = W if problem.orientation == "backward" else W[::-1].copy()

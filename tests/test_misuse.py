@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hjbsl.errors import BadParams, RegularityViolation
+from hjbsl.errors import BadParams, RegularityViolation, TooLarge
 from hjbsl.geometry import (
     Disk,
     Domain,
@@ -325,6 +325,22 @@ CASES = [
                                      0.0, 0.0, PARAMS)),
     case("estimate_sojourn-n_paths-not-integer", BadParams,
          lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS, n_paths=2.5)),
+    # more Monte Carlo draws than the fixed limit, refused before any is made
+    case("policy_cost-n_paths-too-many", TooLarge,
+         lambda tmp: policy_cost(TEST1.problem, unit_mesh(), stay, 0, 0, PARAMS,
+                                 mode="monte_carlo", n_paths=10 ** 12), match="draw limit"),
+    case("estimate_sojourn-n_paths-too-many", TooLarge,
+         lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS,
+                                      n_paths=10 ** 12), match="draw limit"),
+    # a nested-sequence policy with no pair for a step or a vertex the
+    # chain from vertex 2 reaches
+    *[case(f"policy_cost-policy-{label}", BadParams,
+           lambda tmp, policy=policy: policy_cost(TEST1.problem, unit_mesh(), policy, 0, 2,
+                                                  PARAMS), match=match)
+      for label, policy, match in (
+          ("one-step", [[(0, 0)] * 5], "^policy has no pair at step 1, vertex "),
+          ("dict-of-one-step", {0: [(0, 0)] * 5}, "^policy has no pair at step 1, vertex "),
+          ("two-vertices", [[(0, 0)] * 2] * 4, "^policy has no pair at step 0, vertex 2$"))],
     # integers that were read as another number, or were not checked: a
     # bool, a float, a negative or too large seed, and steps outside 0..N-1
     case("Problem-n_sigma-bool", BadParams,

@@ -45,6 +45,7 @@ from hjbsl.scheme import (
     consistency_residual,
     control_groups,
     n_steps,
+    step_time,
     sweep,
 )
 from test_geometry import boundary_kind, scan_crossing
@@ -320,6 +321,30 @@ def test_sweep_blowup_guard():
                              params).values).all()
     with pytest.raises(Unstable, match=r"guard 1e\+03 at step 99$"):
         sweep(interval_problem(sigma=0.3, g=const_rows(1e9)), mesh, params)
+
+
+def planted(handle, value):
+    """handle with value in place of its result at the first row."""
+    def changed(*args):
+        out = np.array(handle(*args), dtype=float)
+        out[0] = value
+        return out
+    return changed
+
+
+@pytest.mark.parametrize("name, value", [
+    *[(h, v) for h in ("f", "g") for v in (math.inf, -math.inf, math.nan)],
+    ("psi", math.inf), ("psi", math.nan)])
+def test_sweep_guard_catches_non_finite_handle_output(name, value):
+    """A value that is not finite at one point of f, g or psi makes a value
+    that is not finite at the first step, which raises whatever the guard
+    is: an infinite f or psi makes the guard itself infinite, and a NaN psi
+    makes it NaN."""
+    bench = get_benchmark("test1_eps", eps=0.05)
+    pr = dataclasses.replace(bench.problem, **{name: planted(getattr(bench.problem, name),
+                                                             value)})
+    with pytest.raises(Unstable, match=r"at step 9$"):
+        sweep(pr, build_interval_mesh(0.0, 1.0, 0.1), SchemeParams(dt=0.1, c_bar=bench.c_bar))
 
 
 @pytest.mark.parametrize("make", [
@@ -915,18 +940,54 @@ def test_sweep_value_is_the_cost_of_its_argmin_policy(name, dx, dt):
 
 
 @pytest.mark.parametrize("name, dx, dt", [("test2_oblique", 0.25, 0.25),
-                                          ("test3_exit", 0.2, 0.1)])
+                                          ("test3_exit", 0.2, 0.1),
+                                          ("test1_eps", 0.05, 0.05),
+                                          ("test2_oblique-two-b", 0.25, 0.25)])
 def test_stacked_and_gathered_applies_agree_bitwise(name, dx, dt):
     """The stacked terms kept on the store, control groups included, give
-    what the gathered path forms afresh from the same rows."""
-    bench = get_benchmark(name)
+    what the gathered path forms afresh from the same rows, and f receives
+    each control a's rows in stacked order on both: with two controls b
+    (which change g), the vertices once per control b."""
+    bench = get_benchmark(name.removesuffix("-two-b"), eps=0.05)
+    pr = bench.problem
+    if name.endswith("-two-b"):
+        pr = dataclasses.replace(pr, controls_b=[0.0, 1.0],
+                                 g=lambda t, P, b, g=pr.g: g(t, P, b) + b)
+    calls = []
+    pr = dataclasses.replace(pr, f=lambda t, X, a, f=pr.f: calls.append((a, X.copy()))
+                             or f(t, X, a))
     mesh = build_mesh_for(bench, dx)
-    op = Operator(bench.problem, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+    op = Operator(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
     codes, nodes = np.divmod(np.arange(op.n_pairs * mesh.n_vertices), mesh.n_vertices)
+    blocks = [(a, mesh.vertices[nodes[codes // op.nb == ia]])
+              for ia, a in enumerate(pr.controls_a)]
+    assert all(len(X) == op.nb * mesh.n_vertices for _, X in blocks)
     U = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_vertices)
     for m in range(min(op.N, 4)):
+        calls.clear()
         stacked = op.apply(m, U)
         gathered = op.apply(m, U, codes, nodes)
         assert np.array_equal(stacked[0], gathered[0])
         assert np.array_equal(stacked[1], gathered[1])
+        assert len(calls) == 2 * len(blocks)
+        assert all(a is b and np.array_equal(X, Y)
+                   for (a, X), (b, Y) in zip(calls, blocks + blocks))
         U = stacked[0].reshape(op.n_pairs, -1).min(axis=0)
+
+
+def test_sweep_with_one_store_per_step_equals_the_shared_store():
+    """test3_exit's dynamics do not depend on time, so the flag off (a store
+    built at every step, in passes of whole pairs) sweeps the values of the
+    flag on bit for bit; no step is served another step's store."""
+    bench = get_benchmark("test3_exit")
+    mesh = build_mesh_for(bench, 0.2)
+    params = SchemeParams(dt=0.1, c_bar=bench.c_bar)
+    calls = []
+    off = dataclasses.replace(bench.problem, time_independent_dynamics=False,
+                              mu=lambda t, X, a, mu=bench.problem.mu: calls.append(t)
+                              or mu(t, X, a))
+    values = sweep(off, mesh, params).values
+    assert np.array_equal(values, sweep(bench.problem, mesh, params).values)
+    # each step's store calls mu once per control a, at its own time
+    N, na = n_steps(off.T, 0.1), len(off.controls_a)
+    assert sorted(calls) == sorted(step_time(off, k, 0.1) for k in range(N) for _ in range(na))
