@@ -32,8 +32,12 @@ from .scheme import (
 
 # most policies dp_oracle enumerates
 ENUMERATION_LIMIT = 1e6
-# most uniforms (paths times steps) a Monte Carlo draw matrix holds: 800 MB
+# most 8-byte words (800 MB) the paths of one Monte Carlo run hold
 DRAW_LIMIT = 1e8
+# words a path holds besides its draws and one step's cumulative slot
+# masses: its state, cost and layer count and its share of a step's
+# temporaries
+PATH_WORDS = 32
 # draw matrices a chain model keeps: a Monte Carlo cost's and a sojourn's
 DRAW_MEMO = 2
 # largest seed: a seed is the first word of a Philox key of 64-bit words
@@ -69,8 +73,9 @@ class _ChainModel(Operator):
         key = (seed, n_paths, steps)
         mat = self._draws.pop(key, None)
         if mat is None:
-            mat = np.array([np.random.Generator(np.random.Philox(key=[seed, p])).random(steps)
-                            for p in range(n_paths)]).reshape(n_paths, steps)
+            mat = np.empty((n_paths, steps))
+            for p in range(n_paths):
+                np.random.Generator(np.random.Philox(key=[seed, p])).random(out=mat[p])
             mat.flags.writeable = False
         self._draws[key] = mat
         if len(self._draws) > DRAW_MEMO:
@@ -175,7 +180,7 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
 
     exact mode propagates the full distribution vector and returns a float;
     monte_carlo simulates n_paths >= 2 chains and returns (mean, stderr);
-    TooLarge when their draws would exceed DRAW_LIMIT uniforms.
+    TooLarge when their paths would exceed DRAW_LIMIT words.
     """
     model = _chain_model(problem, mesh, params)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
@@ -185,18 +190,19 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
     if mode == "monte_carlo":
         check_integer("n_paths", n_paths, 2)
         seed = check_integer("seed", seed, 0, SEED_MAX)
-        _check_draws(n_paths, model.N - k)
+        _check_draws(model, n_paths, model.N - k)
         vals = _simulate_paths(model, policy, k, i, seed, n_paths)[0]
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     raise BadParams(f"unknown mode {mode!r}")
 
 
-def _check_draws(n_paths: int, steps: int):
+def _check_draws(model: _ChainModel, n_paths: int, steps: int):
     """TooLarge, before anything is allocated, unless n_paths paths of
-    steps draws each fit DRAW_LIMIT uniforms."""
-    if n_paths * steps > DRAW_LIMIT:
+    steps steps fit DRAW_LIMIT words: each path holds its steps draws, the
+    cumulative masses of its row's slots and PATH_WORDS more."""
+    if n_paths * (steps + model.S * (model.mesh.dim + 1) + PATH_WORDS) > DRAW_LIMIT:
         raise TooLarge(f"{n_paths} paths of {steps} steps exceed the Monte Carlo "
-                       f"draw limit of {DRAW_LIMIT:g} uniforms")
+                       f"draw limit of {DRAW_LIMIT:g} words")
 
 
 def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
@@ -341,13 +347,13 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
 
     Gamma_m(a) holds the vertices with at least one exiting characteristic.
     Returns (mean, stderr) over n_paths >= 2 simulated chains started at the
-    vertex closest to the domain barycenter; TooLarge when their draws
-    would exceed DRAW_LIMIT uniforms.
+    vertex closest to the domain barycenter; TooLarge when their paths
+    would exceed DRAW_LIMIT words.
     """
     check_integer("n_paths", n_paths, 2)
     seed = check_integer("seed", seed, 0, SEED_MAX)
     model = _chain_model(problem, mesh, params)
-    _check_draws(n_paths, model.N)
+    _check_draws(model, n_paths, model.N)
     center = mesh.vertices.mean(axis=0)
     start = int(np.argmin(np.linalg.norm(mesh.vertices - center, axis=1)))
     counts = _layer_steps(model, policy, start, seed, n_paths).astype(float)

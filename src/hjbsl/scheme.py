@@ -424,7 +424,7 @@ class Operator:
         rows = self._rows
         if codes is None:
             # stacked terms are formed only once every row is built
-            if rows.stacked is not None or rows.built.all():
+            if rows.stacked is not None:
                 return rows
             codes, nodes = self._every_row
         codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
@@ -460,11 +460,10 @@ class Operator:
         in stacked order when codes is None.  Returns (S[U], the f values
         used, P restricted to those rows); makes one f call per control a
         over the rows' vertices and one g call per control b over their
-        oblique exits, with no g call or crossings when there are none.  On
-        every row P is a csr_matrix and control a's f rows its pair-major
-        block [ia*nb*n, (ia+1)*nb*n), formed with the other terms once per
-        store; on gathered rows P is their Rows.slots, with no csr_matrix
-        formed, and f goes through control_groups."""
+        oblique exits.  On every row P is a csr_matrix and control a's f
+        rows its pair-major block [ia*nb*n, (ia+1)*nb*n), formed with the
+        other terms once per store; on gathered rows P is their Rows.slots,
+        with no csr_matrix formed, and f goes through control_groups."""
         rows = self.rows(m, codes, nodes)
         pr, t = self.problem, self.times[m]
         if codes is None:
@@ -487,13 +486,10 @@ class Operator:
             v = slot_product(P, U)
         const, r, d, g_groups = terms
         f = per_control("f", pr.f, t, f_groups, len(v))
-        # added left to right as P @ U + const + crossings + dt*f; no
-        # crossings means adding +0.0, a no-op since v is never -0.0 (its
-        # sums start from +0.0)
+        # added left to right as P @ U + const + crossings + dt*f
         v += const
-        if len(r):
-            g = per_control("g", pr.g, t, g_groups, len(r))
-            v += np.bincount(r, weights=d * g, minlength=len(v))
+        v += np.bincount(r, weights=d * per_control("g", pr.g, t, g_groups, len(r)),
+                         minlength=len(v))
         v += self.params.dt * f
         return v, f, P
 

@@ -329,6 +329,10 @@ CASES = [
     case("policy_cost-n_paths-too-many", TooLarge,
          lambda tmp: policy_cost(TEST1.problem, unit_mesh(), stay, 0, 0, PARAMS,
                                  mode="monte_carlo", n_paths=10 ** 12), match="draw limit"),
+    # at k = N the paths walk no step but each still holds its state and cost
+    case("policy_cost-n_paths-too-many-at-horizon", TooLarge,
+         lambda tmp: policy_cost(TEST1.problem, unit_mesh(), stay, 4, 0, PARAMS,
+                                 mode="monte_carlo", n_paths=10 ** 12), match="draw limit"),
     case("estimate_sojourn-n_paths-too-many", TooLarge,
          lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS,
                                       n_paths=10 ** 12), match="draw limit"),
