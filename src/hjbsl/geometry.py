@@ -71,7 +71,12 @@ def real_scalar(v, what: str) -> float:
 def as_point(x, dim: int, what: str = "point") -> np.ndarray:
     """x as a float array (dim,) by real_array's rule; one number is a
     point when dim is 1.  BadParams for any other shape."""
-    a = real_array(x, what)
+    return point_shape(real_array(x, what), dim, what)
+
+
+def point_shape(a: np.ndarray, dim: int, what: str = "point") -> np.ndarray:
+    """as_point of a float array a that real_array made: a itself when of
+    shape (dim,), one number as a point when dim is 1, else BadParams."""
     if a.shape != (dim,):
         if a.shape or dim != 1:
             raise BadParams(f"{what} of shape {a.shape}, expected ({dim},)")

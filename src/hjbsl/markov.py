@@ -88,19 +88,20 @@ class _ChainModel(Operator):
         holds integers, ia in 0..len(controls_a)-1 and ib in
         0..len(controls_b)-1.  policy is a callable policy(m, j) or a
         nested sequence read as policy[m][j]; BadParams naming the step and
-        the vertex when that lookup finds no pair."""
+        the vertex when that lookup finds no pair, or when the policy or its
+        step is not subscriptable."""
         if callable(policy):
             pairs = [policy(m, j) for j in nodes.tolist()]
         else:
             try:
                 step = policy[m]
                 pairs = [step[j] for j in nodes.tolist()]
-            except LookupError:
+            except (LookupError, TypeError):
                 # name the first vertex whose pair is missing
                 for j in nodes.tolist():
                     try:
                         policy[m][j]
-                    except LookupError:
+                    except (LookupError, TypeError):
                         raise BadParams(f"policy has no pair at step {m}, "
                                         f"vertex {j}") from None
                 raise

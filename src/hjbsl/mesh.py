@@ -10,7 +10,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .errors import BadParams, LocationFailure, OutsideDomain, RegularityViolation
 from .geometry import (
@@ -305,7 +304,10 @@ class Mesh:
         """Vertex indices and P1 weights at p_dx(x); weights are a convex
         combination summing to one.  One point is located by the grid pass
         of locate_many without its batch set-up, and a grid miss as there."""
-        x = as_point(x, self.dim)
+        return self._point_weights(as_point(x, self.dim))
+
+    def _point_weights(self, x):
+        """interpolation_weights at a point x (dim,) that as_point made."""
         coords = x.tolist()
         if self.domain is not None and not self.domain._distance(coords) <= TOL_BOUNDARY:
             raise OutsideDomain(f"point {x!r} outside the closed domain")
@@ -314,8 +316,14 @@ class Mesh:
         return self.simplices[simplex], bary
 
     def interpolate(self, nodal, x) -> float:
+        """P1 value of nodal (n_vertices,) at p_dx(x)."""
         nodal = real_array(nodal, "nodal values", (self.n_vertices,))
-        verts, w = self.interpolation_weights(x)
+        return self._interpolate_point(nodal, as_point(x, self.dim))
+
+    def _interpolate_point(self, nodal, x) -> float:
+        """interpolate of float nodal values (n_vertices,) at a point x
+        (dim,) that as_point made, neither checked again."""
+        verts, w = self._point_weights(x)
         return float(np.dot(nodal[verts], w))
 
     def interpolate_many(self, nodal, X) -> np.ndarray:
@@ -449,7 +457,7 @@ def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
         th = offset + 2.0 * math.pi * np.arange(n_j) / n_j
         pts.append(center + j * dr * np.column_stack([np.cos(th), np.sin(th)]))
     vertices = np.vstack([np.atleast_2d(p) for p in pts])
-    return _delaunay_mesh(vertices, Delaunay(vertices).simplices, domain, MIN_SHAPE_DISK)
+    return _delaunay_mesh(vertices, _triangulate(vertices), domain, MIN_SHAPE_DISK)
 
 
 def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,
@@ -474,10 +482,18 @@ def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,
     th = 2.0 * math.pi * np.arange(n_h) / n_h
     ring = hc + hr * np.column_stack([np.cos(th), np.sin(th)])
     vertices = np.vstack([grid[keep], ring])
-    simplices = Delaunay(vertices).simplices
+    simplices = _triangulate(vertices)
     bary = vertices[simplices].mean(axis=1)
     return _delaunay_mesh(vertices, simplices[np.linalg.norm(bary - hc, axis=1) > hr],
                           domain, MIN_SHAPE_RECT_WITH_HOLE)
+
+
+def _triangulate(vertices) -> np.ndarray:
+    """The Delaunay triangles (m, 3) of the points vertices (n, 2).
+    scipy.spatial is imported here and nowhere else, so only a mesher that
+    triangulates loads it (README, "Footprint")."""
+    from scipy.spatial import Delaunay
+    return Delaunay(vertices).simplices
 
 
 def _delaunay_mesh(vertices, simplices, domain: Domain, least: float) -> Mesh:

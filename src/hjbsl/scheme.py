@@ -23,6 +23,7 @@ from .geometry import (
     ObliqueField,
     as_point,
     oblique_projection_many,
+    point_shape,
     real_array,
     real_scalar,
 )
@@ -524,7 +525,8 @@ class ValueFunction:
         x = real_array(x, "point or rows x")
         if x.ndim == 2:
             return self.mesh.interpolate_many(nodal, x)
-        return self.mesh.interpolate(nodal, x)
+        # x is converted once, and nodal is the sweep's own float row
+        return self.mesh._interpolate_point(nodal, point_shape(x, self.mesh.dim))
 
 
 def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:

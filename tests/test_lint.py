@@ -20,6 +20,36 @@ def test_no_assert_statements_in_library():
     assert not found, f"assert statements in src/hjbsl: {found}"
 
 
+def _imports_of(node, module: str) -> bool:
+    """node imports module or one of its submodules."""
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return False
+    return any(n == module or n.startswith(module + ".") for n in names)
+
+
+def test_triangulation_imported_only_where_a_mesh_is_triangulated():
+    # scipy.spatial costs about 15 MB of resident memory; a 1D solve, which
+    # triangulates nothing, must not load it (README, "Footprint")
+    at_top, found, in_helper = [], [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        at_top += [f"{path.name}:{node.lineno}" for node in tree.body
+                   if _imports_of(node, "scipy.spatial")]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _imports_of(node, "scipy.spatial")]
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_triangulate":
+                in_helper += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                              if _imports_of(node, "scipy.spatial")]
+    assert at_top == [], f"module-level scipy.spatial imports in src/hjbsl: {at_top}"
+    assert len(found) == 1 and found == in_helper, \
+        f"scipy.spatial imports in src/hjbsl: {found}, in mesh._triangulate: {in_helper}"
+
+
 def test_no_unused_imports_in_library():
     # __init__.py imports to re-export; every other module uses what it imports
     found = []
@@ -42,7 +72,13 @@ def test_no_unused_imports_in_library():
 
 
 # defined but read only from outside src/hjbsl, with the reason
-UNREFERENCED_ALLOWED = {}
+UNREFERENCED_ALLOWED = {
+    "Mesh.interpolate": "public one-point P1 value that checks its input; the "
+                        "library's own query checks x once and calls the unchecked "
+                        "Mesh._interpolate_point",
+    "Mesh.interpolation_weights": "public one-point weights that check the point; "
+                                  "the library calls the unchecked Mesh._point_weights",
+}
 
 
 def _is_dunder(name: str) -> bool:

@@ -419,13 +419,15 @@ def test_clip_normalize_forms_agree_bitwise(rows):
 
 
 def test_one_point_query_counts_per_layer(monkeypatch):
-    """A query inside a grid cell makes one Mesh.interpolation_weights call
-    and no Mesh._locate_miss call, a grid miss one of each; the miss goes
-    to the two scans without a second grid pass."""
+    """A query inside a grid cell makes one Mesh._point_weights call and no
+    Mesh._locate_miss call, a grid miss one of each; the miss goes to the
+    two scans without a second grid pass.  The query checks its input once,
+    so it calls neither checked public method."""
     bench = get_benchmark("test1_eps", eps=0.05)
     m = build_mesh_for(bench, 0.1)
     vf = sweep(bench.problem, m, SchemeParams(dt=0.1, c_bar=bench.c_bar))
-    calls = {"interpolation_weights": 0, "_locate_miss": 0, "_locate_one": 0, "_scan": 0}
+    calls = {"interpolate": 0, "interpolation_weights": 0, "_point_weights": 0,
+             "_locate_miss": 0, "_locate_one": 0, "_scan": 0}
 
     def counted(name):
         method = getattr(Mesh, name)
@@ -441,10 +443,10 @@ def test_one_point_query_counts_per_layer(monkeypatch):
     # scans, the second at the nearest boundary-face point
     for x, n_fallback, n_scans in (([0.37], 0, 0), (m.vertices[4], 0, 0),
                                    (_miss_point(m), 1, 2)):
-        calls.update(interpolation_weights=0, _locate_miss=0, _locate_one=0, _scan=0)
+        calls.update(dict.fromkeys(calls, 0))
         vf(0.0, x)
-        assert calls == {"interpolation_weights": 1, "_locate_miss": n_fallback,
-                         "_locate_one": 1, "_scan": n_scans}, x
+        assert calls == {"interpolate": 0, "interpolation_weights": 0, "_point_weights": 1,
+                         "_locate_miss": n_fallback, "_locate_one": 1, "_scan": n_scans}, x
 
 
 @pytest.mark.parametrize("name", sorted(LOC_MESHES))

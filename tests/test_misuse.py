@@ -337,14 +337,16 @@ CASES = [
          lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS,
                                       n_paths=10 ** 12), match="draw limit"),
     # a nested-sequence policy with no pair for a step or a vertex the
-    # chain from vertex 2 reaches
+    # chain from vertex 2 reaches, or one that cannot be subscripted
     *[case(f"policy_cost-policy-{label}", BadParams,
            lambda tmp, policy=policy: policy_cost(TEST1.problem, unit_mesh(), policy, 0, 2,
                                                   PARAMS), match=match)
       for label, policy, match in (
           ("one-step", [[(0, 0)] * 5], "^policy has no pair at step 1, vertex "),
           ("dict-of-one-step", {0: [(0, 0)] * 5}, "^policy has no pair at step 1, vertex "),
-          ("two-vertices", [[(0, 0)] * 2] * 4, "^policy has no pair at step 0, vertex 2$"))],
+          ("two-vertices", [[(0, 0)] * 2] * 4, "^policy has no pair at step 0, vertex 2$"),
+          ("an-integer", 5, "^policy has no pair at step 0, vertex 2$"),
+          ("steps-of-None", [None] * 4, "^policy has no pair at step 0, vertex 2$"))],
     # integers that were read as another number, or were not checked: a
     # bool, a float, a negative or too large seed, and steps outside 0..N-1
     case("Problem-n_sigma-bool", BadParams,
