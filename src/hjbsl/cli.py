@@ -315,9 +315,9 @@ def _verify(seed: int) -> int:
     op = Operator(bench.problem, mesh, SchemeParams(dt=0.05, c_bar=bench.c_bar))
     U = rng.uniform(-1, 1, mesh.n_vertices)
     V = U + rng.uniform(0, 1, mesh.n_vertices)
-    SU, _, P = op.apply(0, U)
+    SU, _, (_, probs) = op.apply(0, U)
     # a row's mass: its transition probabilities plus its absorbed branches
-    mass = np.asarray(P.sum(axis=1)).ravel() + op.rows(0).dirichlet.mean(axis=-1).ravel()
+    mass = probs.sum(axis=1) + op.rows(0).dirichlet.mean(axis=-1).ravel()
     _report("transition row sums to 1", np.abs(mass - 1.0).max() <= 1e-12, failures)
     _report("one-step operator monotone", np.all(SU <= op.apply(0, V)[0] + 1e-12), failures)
 

@@ -87,7 +87,12 @@ def point_shape(a: np.ndarray, dim: int, what: str = "point") -> np.ndarray:
 def as_rows(X, dim: int, what: str = "points") -> np.ndarray:
     """X as a float array (m, dim) by real_array's rule; one point (dim,)
     is one row.  BadParams for any other shape."""
-    a = real_array(X, what)
+    return rows_shape(real_array(X, what), dim, what)
+
+
+def rows_shape(a: np.ndarray, dim: int, what: str = "points") -> np.ndarray:
+    """as_rows of a float array a that real_array made: a itself when of
+    shape (m, dim), one point (dim,) as one row, else BadParams."""
     if a.ndim != 2 or a.shape[1] != dim:
         if a.shape != (dim,):
             raise BadParams(f"{what} of shape {a.shape}, expected (m, {dim})")

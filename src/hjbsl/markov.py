@@ -169,7 +169,9 @@ def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
     op = Operator(replace(problem, controls_a=[a], controls_b=[b]), mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
-    probs = op.rows(k, [0], [i]).matrix([0], [i]).toarray()[0]
+    verts, probs = op.rows(k, [0], [i]).slots([0], [i])
+    # a vertex's slots added in slot order
+    probs = np.bincount(verts[0], weights=probs[0], minlength=mesh.n_vertices)
     idx = np.flatnonzero(probs)
     return TransitionLaw(indices=idx, probs=probs[idx])
 
@@ -227,8 +229,8 @@ def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
 
 def _move(verts, probs, w, n: int) -> np.ndarray:
     """P[rows].T @ w for the rows' slots (verts, probs) of Operator.apply:
-    each slot's probs*w added to its vertex in slot order, as scipy's
-    transposed CSR product adds them, so the two agree bitwise."""
+    each slot's probs*w added to its vertex in row and slot order, as a
+    transposed CSR product adds them."""
     return np.bincount(verts.ravel(), weights=(probs * w[:, None]).ravel(), minlength=n)
 
 

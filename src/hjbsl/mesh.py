@@ -30,7 +30,7 @@ BARY_TOL = 1e-10
 # candidates and gathered barycentric planes, (dim+1)^2 floats per pair,
 # are formed per chunk, so this bounds the temporaries of a whole
 # build_node_table pass (README, "Point location")
-LOCATE_CHUNK = 4096
+LOCATE_CHUNK = 8192
 # side of a location grid cell, in mesh sizes; measured over 0.25 to 2 on
 # the benchmark meshes (README, "Point location")
 CELL_WIDTH = 0.5
@@ -330,13 +330,18 @@ class Mesh:
         """P1 values at p_dx(x) for each row x of X (m, dim), equal to
         interpolate at each row, with one locate_many call."""
         X = as_rows(X, self.dim)
+        return self._interpolate_rows(real_array(nodal, "nodal values", (self.n_vertices,)), X)
+
+    def _interpolate_rows(self, nodal, X) -> np.ndarray:
+        """interpolate_many of float nodal values (n_vertices,) at rows X
+        (m, dim) that as_rows made, neither converted again; OutsideDomain
+        or BadParams unless every row is finite and in the closed domain."""
         if self.domain is not None:
             out = ~(self.domain.signed_distance_many(X) <= TOL_BOUNDARY)
             if out.any():
                 raise OutsideDomain(f"point {X[out.argmax()]!r} outside the closed domain")
         if not np.isfinite(X).all():
             raise BadParams("points with coordinates that are not finite")
-        nodal = real_array(nodal, "nodal values", (self.n_vertices,))
         simplex, bary = self.locate_many(X)
         return row_dots(nodal[self.simplices[simplex]], bary)
 

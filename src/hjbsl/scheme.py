@@ -14,7 +14,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import BadParams, LocationFailure, OutsideTube, Unstable
 from .geometry import (
@@ -26,6 +25,7 @@ from .geometry import (
     point_shape,
     real_array,
     real_scalar,
+    rows_shape,
 )
 from .mesh import Mesh
 
@@ -248,12 +248,12 @@ class Rows:
     """Every control pair's rows over all mesh vertices at one step key.
 
     [c, j] is the row of vertex j under pair code c = ia*len(controls_b) + ib,
-    and row c*n + j of the stacked operator; built marks the rows written
-    so far.  Each of a row's 2*Ns branches holds the simplex vertices and P1
-    weights of its landing point.  A Dirichlet branch has zero weights and
-    its exit datum in const; an oblique exit has its crossing distance
-    d_tilde in refl_d (0 off the oblique exits) and its boundary
-    projection point in refl_p.
+    and row c*n + j of the stacked operator, which is the arrays' flat row
+    order; built marks the rows written so far.  Each of a row's 2*Ns
+    branches holds the simplex vertices and P1 weights of its landing point.
+    A Dirichlet branch has zero weights and its exit datum in const; an
+    oblique exit has its crossing distance d_tilde in refl_d (0 off the
+    oblique exits) and its boundary projection point in refl_p.
 
     For the Monte Carlo draw, slot q = s*(dim+1) + v of a row's flattened
     (branch, simplex vertex) grid is drawn when a uniform draw times
@@ -283,18 +283,19 @@ class Rows:
         return (self.verts[codes, nodes].reshape(len(codes), -1),
                 self.weights[codes, nodes].reshape(len(codes), -1) / S)
 
-    def matrix(self, codes, nodes) -> csr_matrix:
-        """The slots of the rows [codes[r], nodes[r]] as a csr_matrix."""
-        verts, probs = self.slots(codes, nodes)
-        return csr_matrix((probs.ravel(), verts.ravel(),
-                           np.arange(0, probs.size + 1, probs.shape[1])),
-                          shape=(len(codes), self.built.shape[1]))
+    def stacked_slots(self) -> tuple:
+        """The slots of every row in stacked order, slot-major: (vertex,
+        entry) arrays, each C-contiguous (2*Ns*(dim+1), pairs*n), whose
+        transposes are the slots of every row."""
+        rows = self.built.size
+        return (self.verts.reshape(rows, -1).T.copy(),
+                (self.weights.reshape(rows, -1) / self.const.shape[2]).T.copy())
 
 
 def slot_product(slots: tuple, U) -> np.ndarray:
-    """P[rows] @ U for the rows' slots (verts, probs) of Rows.slots, each
-    row's products added left to right from zero as scipy's CSR product
-    adds them, so the two agree bitwise."""
+    """P[rows] @ U for the rows' slots (verts, probs) of Rows.slots: each
+    row's products added slot by slot from zero, one column at a time, as
+    stacked_product adds them, so the two agree bitwise on any row count."""
     verts, probs = slots
     out = np.zeros(len(verts))
     for column in (probs * U[verts]).T:
@@ -302,19 +303,34 @@ def slot_product(slots: tuple, U) -> np.ndarray:
     return out
 
 
+def stacked_product(slots: tuple, U) -> np.ndarray:
+    """P @ U on every row for the slot-major slots (verts, probs) of
+    Rows.stacked_slots and float U (n,), added slot by slot from zero as a
+    CSR product adds them: numpy reduces the leading axis of a C-contiguous
+    block (take's order) row by row once it has two columns or more, as
+    every store has, but sums one row pairwise; gathered rows use
+    slot_product."""
+    verts, probs = slots
+    out = U.take(verts)
+    out *= probs
+    return np.add.reduce(out, axis=0, initial=0.0)
+
+
 def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
-                     rows: Rows, times: list, codes, nodes):
+                     rows: Rows, times: list, flat):
     """The only path from characteristics to classified, located branches:
-    the rows [codes[r], nodes[r]] at time times[0], each given once,
-    formed, classified and located in one batched pass and written to the
-    store.  Characteristics take one mu and one sigma call per control a
-    among the rows and per time, classification one _classify_many call and
-    location one locate_many call.  A row depends on mu and sigma only
-    through its characteristics, so BadParams unless those at times[1:]
-    equal those at times[0], which the rows then serve."""
+    the store's rows at the ascending flat indices flat (flat row c*n + j is
+    the row [c, j]) at time times[0], formed, classified and located in one
+    batched pass and written to the store, as one slice when they are
+    consecutive.  Characteristics take one mu and one sigma call per
+    control a among the rows and per time, classification one
+    _classify_many call and location one locate_many call.  A row depends
+    on mu and sigma only through its characteristics, so BadParams unless
+    those at times[1:] equal those at times[0], which the rows then serve."""
     nb = len(problem.controls_b)
-    n, dim = len(nodes), mesh.dim
+    n, dim = len(flat), mesh.dim
     S = 2 * problem.n_sigma
+    codes, nodes = np.divmod(flat, mesh.n_vertices)
     V = mesh.vertices[nodes]
     Y = np.empty((n, S, dim))
     for a, sel, X in control_groups(problem.controls_a, codes // nb, V):
@@ -331,26 +347,39 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
     check_weights(bary)
     verts = np.zeros((n * S, dim + 1), dtype=int)
     weights = np.zeros((n * S, dim + 1))
-    verts[located] = mesh.simplices[simplex]
+    verts[located] = mesh.simplices.take(simplex, axis=0)
     weights[located] = bary
-    mass = weights.copy()
-    mass[rp.dirichlet, 0] = 1.0
-    rows.verts[codes, nodes] = verts.reshape(n, S, dim + 1)
-    rows.weights[codes, nodes] = weights.reshape(n, S, dim + 1)
-    rows.const[codes, nodes] = rp.value.reshape(n, S)
-    rows.dirichlet[codes, nodes] = rp.dirichlet.reshape(n, S)
-    rows.refl_d[codes, nodes] = rp.d_tilde.reshape(n, S)
-    rows.refl_p[codes, nodes] = rp.p.reshape(n, S, dim)
-    rows.cum[codes, nodes] = np.cumsum(mass.reshape(n, -1), axis=1)
-    rows.layer[codes, nodes] = rp.exited.reshape(n, S).any(axis=1)
-    rows.built[codes, nodes] = True
+    # the slot masses, a Dirichlet branch's all on its first slot
+    cum = weights.copy()
+    cum[rp.dirichlet, 0] = 1.0
+    cum = cum.reshape(n, -1)
+    exits = rp.exited.reshape(n, S)
+    layer = exits[:, 0].copy()
+    # each row's running sums and any() column by column, not as numpy's
+    # slow accumulations along a short last axis; the sums are cumsum's
+    for k in range(1, cum.shape[1]):
+        cum[:, k] += cum[:, k - 1]
+    for k in range(1, S):
+        layer |= exits[:, k]
+    # whole pairs over all vertices, as every sweep pass is, are one slice
+    at = slice(flat[0], flat[-1] + 1) if flat[-1] - flat[0] == n - 1 else flat
+    out = {"verts": verts, "weights": weights, "const": rp.value,
+           "dirichlet": rp.dirichlet, "refl_d": rp.d_tilde, "refl_p": rp.p,
+           "cum": cum, "layer": layer}
+    for name, value in out.items():
+        store = getattr(rows, name)
+        store.reshape((-1,) + store.shape[2:])[at] = value.reshape((n,) + store.shape[2:])
+    rows.built.reshape(-1)[at] = True
 
 
 def control_groups(controls: list, index, X) -> list:
     """The rows of X by control: (controls[i], the rows r with index[r] == i,
     X at those rows) for each i that occurs in index, in ascending i: one
-    stable argsort of index, split by its counts."""
+    stable argsort of index, split by its counts, or no sort when one i
+    occurs.  X's rows are always a copy, as the caller may change X."""
     counts = np.bincount(index)
+    if len(counts) and counts[-1] == len(index):
+        return [(controls[len(counts) - 1], np.arange(len(index)), X.copy())]
     # numpy's stable sort of one-byte keys is a radix sort
     order = np.argsort(index.astype(np.uint8) if len(counts) <= 256 else index,
                        kind="stable")
@@ -403,9 +432,6 @@ class Operator:
         # a shared store's build times: the first step time, then the last
         # when there are two steps or more
         self._shared_times = self.times[::max(self.N - 1, 1)]
-        # (pair code, vertex) of every row, in stacked order
-        self._every_row = np.divmod(np.arange(self.n_pairs * mesh.n_vertices),
-                                    mesh.n_vertices)
         self._key = self._rows = None
 
     def rows(self, m: int, codes=None, nodes=None) -> Rows:
@@ -423,48 +449,55 @@ class Operator:
             self._key, self._rows = key, Rows(self.n_pairs, self.mesh.n_vertices,
                                               self.S, self.mesh.dim)
         rows = self._rows
+        n = self.mesh.n_vertices
         if codes is None:
             # stacked terms are formed only once every row is built
             if rows.stacked is not None:
                 return rows
-            codes, nodes = self._every_row
-        codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
-        missing = ~rows.built[codes, nodes]
-        if missing.any():
-            n = self.mesh.n_vertices
             # each missing row once, in (pair code, vertex) order
-            c, j = np.divmod(np.unique(codes[missing] * n + nodes[missing]), n)
+            flat = np.flatnonzero(~rows.built.reshape(-1))
+        else:
+            codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
+            missing = ~rows.built[codes, nodes]
+            if not missing.any():
+                return rows
+            flat = np.unique(codes[missing] * n + nodes[missing])
+        if len(flat):
             # the end of each pair's rows, and the end of the next pair's
-            ends = np.append(np.flatnonzero(np.diff(c)) + 1, len(c)).tolist()
+            ends = np.append(np.flatnonzero(np.diff(flat // n)) + 1, len(flat)).tolist()
             lo = 0
             for end, after in zip(ends, ends[1:] + [math.inf]):
                 if after - lo > PASS_ROWS:
                     build_node_table(self.problem, self.mesh, self.params, rows,
                                      self._shared_times if key is None else [self.times[m]],
-                                     c[lo:end], j[lo:end])
+                                     flat[lo:end])
                     lo = end
         return rows
 
-    def _terms(self, rows: Rows, codes, nodes) -> tuple:
-        """S's pieces other than P and f on the built rows [codes[r],
-        nodes[r]]: their mean Dirichlet datum, their oblique exits as (row r,
-        d_tilde/(2*Ns)), and the control_groups of the exits' projection
-        points for g."""
-        refl_d = rows.refl_d[codes, nodes]
-        r, s = np.nonzero(refl_d)
-        return (rows.const[codes, nodes].sum(axis=1) / self.S, r, refl_d[r, s] / self.S,
-                control_groups(self.problem.controls_b, codes[r] % self.nb,
-                               rows.refl_p[codes[r], nodes[r], s]))
+    def _terms(self, rows: Rows, flat) -> tuple:
+        """S's pieces other than P and f on the built rows at the flat
+        indices flat, or on every row when flat is slice(None): their mean
+        Dirichlet datum, their oblique exits as (row r, d_tilde/(2*Ns)), and
+        the control_groups of the exits' projection points for g."""
+        S = self.S
+        refl_d = rows.refl_d.reshape(-1, S)[flat]
+        r, s = np.divmod(np.flatnonzero(refl_d), S)
+        exits = r if isinstance(flat, slice) else flat[r]
+        return (rows.const.reshape(-1, S)[flat].sum(axis=1) / S, r, refl_d[r, s] / S,
+                control_groups(self.problem.controls_b,
+                               exits // self.mesh.n_vertices % self.nb,
+                               rows.refl_p.reshape(-1, S, self.mesh.dim)[exits, s]))
 
     def apply(self, m: int, U, codes=None, nodes=None) -> tuple:
         """S[U] at step m on the rows [codes[r], nodes[r]], or on every row
         in stacked order when codes is None.  Returns (S[U], the f values
         used, P restricted to those rows); makes one f call per control a
         over the rows' vertices and one g call per control b over their
-        oblique exits.  On every row P is a csr_matrix and control a's f
-        rows its pair-major block [ia*nb*n, (ia+1)*nb*n), formed with the
-        other terms once per store; on gathered rows P is their Rows.slots,
-        with no csr_matrix formed, and f goes through control_groups."""
+        oblique exits.  P is the rows' slots (verts, probs) as Rows.slots
+        gives them.  On every row they, control a's f rows (its pair-major
+        block [ia*nb*n, (ia+1)*nb*n)) and the other terms are formed once
+        per store and P @ U is stacked_product; on gathered rows it is
+        slot_product, and f goes through control_groups."""
         rows = self.rows(m, codes, nodes)
         pr, t = self.problem, self.times[m]
         if codes is None:
@@ -475,13 +508,14 @@ class Operator:
                 f_groups = [(a, slice(ia * block, (ia + 1) * block),
                              np.tile(self.mesh.vertices, (self.nb, 1)))
                             for ia, a in enumerate(pr.controls_a)]
-                rows.stacked = (rows.matrix(*self._every_row), f_groups,
-                                *self._terms(rows, *self._every_row))
-            P, f_groups, *terms = rows.stacked
-            v = P @ U
+                rows.stacked = (rows.stacked_slots(), f_groups,
+                                *self._terms(rows, slice(None)))
+            (verts, probs), f_groups, *terms = rows.stacked
+            P, v = (verts.T, probs.T), stacked_product((verts, probs), U)
         else:
             codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
-            P, terms = rows.slots(codes, nodes), self._terms(rows, codes, nodes)
+            P = rows.slots(codes, nodes)
+            terms = self._terms(rows, codes * self.mesh.n_vertices + nodes)
             f_groups = control_groups(pr.controls_a, codes // self.nb,
                                       self.mesh.vertices[nodes])
             v = slot_product(P, U)
@@ -522,10 +556,10 @@ class ValueFunction:
         if not -1e-9 <= s <= N + 1e-9:
             raise BadParams(f"time {t!r} outside [0, {N * self.dt:g}]")
         nodal = self.values[int(math.floor(s + 1e-9))]
+        # x is converted once, and nodal is the sweep's own float row
         x = real_array(x, "point or rows x")
         if x.ndim == 2:
-            return self.mesh.interpolate_many(nodal, x)
-        # x is converted once, and nodal is the sweep's own float row
+            return self.mesh._interpolate_rows(nodal, rows_shape(x, self.mesh.dim))
         return self.mesh._interpolate_point(nodal, point_shape(x, self.mesh.dim))
 
 

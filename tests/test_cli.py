@@ -195,5 +195,9 @@ def test_main_solve_and_verify(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert len(out.read_text().splitlines()) == 11
-    assert main(["verify"]) == 0
     capsys.readouterr()
+    assert main(["verify"]) == 0
+    # the row mass is read from every row's slot probabilities
+    printed = capsys.readouterr().out.splitlines()
+    assert "PASS  transition row sums to 1" in printed
+    assert not [line for line in printed if line.startswith("FAIL")]

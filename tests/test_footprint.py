@@ -1,4 +1,5 @@
-"""What a fresh process loads: a 1D solve never imports the triangulation."""
+"""What a fresh process loads: a 1D solve imports no part of scipy, and
+only a triangulated mesh loads scipy.spatial."""
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import hjbsl
 
 SRC = str(Path(hjbsl.__file__).resolve().parent.parent)
 
-LOADED = 'print("scipy.spatial" in sys.modules)\n'
+# the scipy modules loaded so far, comma-separated, or "-" for none
+LOADED = 'print(",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")) or "-")\n'
 # every 1D entry a solve goes through: import, mesh build, sweep, one
 # query, an exact policy cost and a sojourn estimate
 ONE_D = ("import sys\n"
@@ -29,17 +31,23 @@ TWO_D = ("import sys\n"
          "hjbsl.build_disk_mesh((0.0, 0.0), 1.0, 0.5)\n" + LOADED)
 
 
-def spatial_loaded(code: str) -> list:
-    """Whether scipy.spatial is in sys.modules at each print of code, run
-    in a fresh interpreter that imports hjbsl from this source tree."""
+def scipy_loaded(code: str) -> list:
+    """The scipy modules in sys.modules at each print of code, as a list of
+    names per print, run in a fresh interpreter that imports hjbsl from this
+    source tree."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    return [line == "True" for line in run.stdout.split()]
+    return [[] if line == "-" else line.split(",") for line in run.stdout.split()]
 
 
 @pytest.mark.parametrize("code, loaded", [(ONE_D, [False, False]), (TWO_D, [True])],
                          ids=["interval-solve", "disk-mesh"])
 def test_scipy_spatial_loads_only_when_a_mesh_is_triangulated(code, loaded):
-    assert spatial_loaded(code) == loaded
+    assert ["scipy.spatial" in names for names in scipy_loaded(code)] == loaded
+
+
+def test_import_and_a_1d_solve_load_no_scipy():
+    # after import hjbsl, and after the 1D build, sweep, query and chain calls
+    assert scipy_loaded(ONE_D) == [[], []]

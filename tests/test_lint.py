@@ -21,9 +21,10 @@ def test_no_assert_statements_in_library():
 
 
 def _imports_of(node, module: str) -> bool:
-    """node imports module or one of its submodules."""
+    """node imports module or one of its submodules, also as `from
+    package import module`."""
     if isinstance(node, ast.ImportFrom):
-        names = [node.module or ""]
+        names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
     elif isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
     else:
@@ -48,6 +49,15 @@ def test_triangulation_imported_only_where_a_mesh_is_triangulated():
     assert at_top == [], f"module-level scipy.spatial imports in src/hjbsl: {at_top}"
     assert len(found) == 1 and found == in_helper, \
         f"scipy.spatial imports in src/hjbsl: {found}, in mesh._triangulate: {in_helper}"
+
+
+def test_no_sparse_matrix_import_in_library():
+    # the operator's product is numpy's; scipy.sparse alone costs about 22 MB
+    # of resident memory (README, "Footprint")
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if _imports_of(node, "scipy.sparse")]
+    assert found == [], f"scipy.sparse imports in src/hjbsl: {found}"
 
 
 def test_no_unused_imports_in_library():
@@ -78,6 +88,9 @@ UNREFERENCED_ALLOWED = {
                         "Mesh._interpolate_point",
     "Mesh.interpolation_weights": "public one-point weights that check the point; "
                                   "the library calls the unchecked Mesh._point_weights",
+    "Mesh.interpolate_many": "public row P1 values that check their input; the "
+                             "library's own row query converts X once and calls the "
+                             "unchecked Mesh._interpolate_rows",
 }
 
 

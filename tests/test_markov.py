@@ -30,6 +30,7 @@ from hjbsl.scheme import (
     SchemeParams,
     apply_S,
     slot_product,
+    stacked_product,
     sweep,
     whole_steps,
 )
@@ -539,29 +540,30 @@ def test_sojourn_calls_neither_f_nor_g():
     assert got == estimate_sojourn(pr, mesh, STEER, params, n_paths=40, seed=3)
 
 
-def test_exact_cost_builds_no_csr_matrix(monkeypatch):
+def test_exact_cost_forms_no_stacked_slots(monkeypatch):
     pr, mesh, params = _exit_chain()
-    built = _counting(monkeypatch, scheme, "csr_matrix")
+    formed = _counting(monkeypatch, scheme.Rows, "stacked_slots")
     markov._latest.entry = None
     exact = policy_cost(pr, mesh, STEER, 0, 7, params)
-    assert built == []
+    assert formed == []
     # the cost of the same policy read backward through every vertex's row
     assert abs(exact - _policy_values(_ChainModel(pr, mesh, params), STEER)[7]) <= 1e-12
-    assert built == []
+    assert formed == []
 
 
-def test_sweep_forms_one_csr_matrix_per_store(monkeypatch):
-    """The stacked apply keeps its CSR on the store: one per step, and one
-    for the whole sweep when the dynamics are time-independent."""
-    built = _counting(monkeypatch, scheme, "csr_matrix")
+def test_sweep_forms_stacked_slots_once_per_store(monkeypatch):
+    """The stacked apply keeps its slot-major slots on the store: formed once
+    per step, and once for the whole sweep when the dynamics are
+    time-independent."""
+    formed = _counting(monkeypatch, scheme.Rows, "stacked_slots")
     pr, mesh, params = _exit_chain()
     N = whole_steps(pr.T, params.dt)
     assert pr.time_independent_dynamics
     sweep(pr, mesh, params)
-    assert len(built) == 1
-    built.clear()
+    assert len(formed) == 1
+    formed.clear()
     sweep(replace(pr, time_independent_dynamics=False), mesh, params)
-    assert len(built) == N
+    assert len(formed) == N
 
 
 def test_draw_memo_keeps_a_monte_carlo_and_a_sojourn_matrix(monkeypatch):
@@ -593,20 +595,62 @@ def test_layer_walk_counts_equal_simulate_paths(name):
     assert np.array_equal(_layer_steps(model, policy, 5, 9, 200), layers)
 
 
-@pytest.mark.parametrize("name", ["test2_oblique", "test3_exit"])
+def _csr(slots, n: int):
+    """The rows' slots (verts, probs) as a scipy CSR matrix of n columns,
+    duplicate vertices kept, as the reference product."""
+    from scipy.sparse import csr_matrix
+    verts, probs = slots
+    return csr_matrix((probs.ravel(), verts.ravel(),
+                       np.arange(0, probs.size + 1, probs.shape[1])),
+                      shape=(len(verts), n))
+
+
+def _bitwise_equal(a, b) -> bool:
+    """a and b hold the same float64 bits: -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# the benchmark problems at their perfbench workloads' (dx, dt)
+BENCH_STORES = {"test1_eps": (0.001, 0.001), "test2_oblique": (0.125, 0.125),
+                "test3_exit": (0.1, 0.05)}
+
+
+@pytest.mark.parametrize("name", ["test2_oblique", "test3_exit", "test1_eps"])
 def test_slot_product_and_move_equal_scipy_bitwise(name):
-    """The gathered apply's slot sums and the exact cost's bincount move
-    give scipy's P[rows] @ U and P[rows].T @ w bit for bit."""
-    bench = get_benchmark(name)
-    mesh = build_mesh_for(bench, {"test2_oblique": 0.25, "test3_exit": 0.2}[name])
-    op = Operator(bench.problem, mesh, SchemeParams(dt=0.1, c_bar=bench.c_bar))
-    rng = np.random.default_rng(11)
+    """The stacked apply's product on every store of a benchmark problem,
+    the gathered apply's slot sums (12 slots a row on test3_exit, one row
+    at a time among them) and the exact cost's bincount move give scipy's
+    P @ U, P[rows] @ U and P[rows].T @ w bit for bit.  With U <= 0, a row
+    with no located branch (test3_exit has such rows) must read 0.0, as a
+    sum started from zero does, not -0.0."""
+    bench = get_benchmark(name, eps=0.05)
+    dx, dt = BENCH_STORES[name]
+    mesh = build_mesh_for(bench, dx)
     n = mesh.n_vertices
-    for _ in range(20):
-        nodes = rng.choice(n, size=40, replace=False)
-        codes = rng.integers(0, op.n_pairs, size=40)
-        rows = op.rows(0, codes, nodes)
-        P, slots = rows.matrix(codes, nodes), rows.slots(codes, nodes)
-        U, w = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, 40)
-        assert np.array_equal(slot_product(slots, U), P @ U)
-        assert np.array_equal(_move(*slots, w, n), P.T @ w)
+    rng = np.random.default_rng(11)
+    # one shared store, and on test2_oblique one store per step
+    flags = [True, False] if name == "test2_oblique" else [True]
+    for flag in flags:
+        pr = replace(bench.problem, time_independent_dynamics=flag)
+        op = Operator(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+        for m in range(op.N):
+            U = rng.uniform(-1.0, 1.0, n)
+            _, _, (verts, probs) = op.apply(m, U)
+            stacked = op.rows(m).stacked[0]
+            assert all(a.flags.c_contiguous for a in stacked)
+            assert np.array_equal(verts, stacked[0].T) and np.array_equal(probs, stacked[1].T)
+            for V in (U, -np.abs(U)):
+                assert _bitwise_equal(stacked_product(stacked, V), _csr((verts, probs), n) @ V)
+    K = op.S * (mesh.dim + 1)
+    assert K == {"test1_eps": 4, "test2_oblique": 6, "test3_exit": 12}[name]
+    for size in (40, 1):
+        for _ in range(20):
+            nodes = rng.choice(n, size=size, replace=False)
+            codes = rng.integers(0, op.n_pairs, size=size)
+            rows = op.rows(0, codes, nodes)
+            slots = rows.slots(codes, nodes)
+            P = _csr(slots, n)
+            U, w = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, size)
+            for V in (U, -np.abs(U)):
+                assert _bitwise_equal(slot_product(slots, V), P @ V)
+            assert _bitwise_equal(_move(*slots, w, n), P.T @ w)
