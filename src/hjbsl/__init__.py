@@ -57,7 +57,6 @@ from .scheme import (
     SchemeParams,
     ValueFunction,
     apply_S,
-    apply_S_control,
     consistency_residual,
     sweep,
 )

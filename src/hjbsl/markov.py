@@ -58,12 +58,14 @@ class TransitionLaw:
 class _ChainModel(Operator):
     """The scheme operator with the chain's terminal cost psi at every
     vertex, its policy lookup and its latest Monte Carlo draws; like sweep,
-    it solves the whole horizon."""
+    it solves the whole horizon, and BadParams when psi is not finite."""
 
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
         whole_steps(problem.T, params.dt)
         super().__init__(problem, mesh, params)
         self.psi = real_array(problem.psi(mesh.vertices), "psi", (mesh.n_vertices,))
+        if not np.isfinite(self.psi).all():
+            raise BadParams("psi returned a value that is not finite")
         self._draws = {}
 
     def draws(self, seed: int, n_paths: int, steps: int) -> np.ndarray:
@@ -277,20 +279,18 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
 def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
                     n_paths: int):
     """n_paths chain trajectories from vertex i at step k (see _walk);
-    returns (costs, boundary-layer step counts).  Each step makes one f
-    call per control a over the live states and one g call per control b
-    over the drawn reflections.
+    returns (costs, boundary-layer step counts).  Each step takes f on the
+    live states' rows from Operator.running_cost, as the applies do, and
+    makes one g call per control b over the drawn reflections.
     """
-    pr, mesh, nb, dt = model.problem, model.mesh, model.nb, model.params.dt
+    pr, nb, dt = model.problem, model.nb, model.params.dt
     state = np.full(n_paths, i)
     cost = np.zeros(n_paths)
     layer = np.zeros(n_paths, dtype=int)
     for m, live, uniq, inv, ucode, rows, slot in _walk(model, policy, k, state, seed):
         t = model.times[m]
         code, here, s = slot
-        groups = control_groups(pr.controls_a, ucode // nb, mesh.vertices[uniq])
-        f = per_control("f", pr.f, t, groups, len(uniq))
-        cost[live] += dt * f[inv]
+        cost[live] += dt * model.running_cost(m, ucode, uniq)[inv]
         layer[live] += rows.layer[code, here]
         absorbed = rows.dirichlet[slot]
         refl_d = rows.refl_d[slot]

@@ -135,6 +135,7 @@ def make_test2(bc: str = "neumann", n_a: int = 16) -> Benchmark:
         orientation="forward",
         exact_solution=exact,
         time_independent_dynamics=True,
+        control_free_cost=True,
     )
     name = "test2_neumann" if bc == "neumann" else "test2_oblique"
     return Benchmark(name=name, problem=problem, c_bar=0.25)
@@ -159,6 +160,7 @@ def make_test3(n_a: int = 16) -> Benchmark:
         controls_a=unit_circle_controls(n_a), controls_b=[0.0],
         orientation="forward",
         time_independent_dynamics=True,
+        control_free_cost=True,
     )
     return Benchmark(name="test3_exit", problem=problem, c_bar=0.25)
 

@@ -50,6 +50,8 @@ class Problem:
     'backward' means psi is the terminal datum and values are reported at
     t=0; 'forward' means psi is the initial datum, the sweep runs in
     reversed time internally, and values are reported at t=T.
+    control_free_cost promises that f does not read its control a, so one
+    f call serves every control (Operator.running_cost checks it).
     """
 
     domain: Domain
@@ -66,6 +68,7 @@ class Problem:
     orientation: str = "backward"
     exact_solution: callable = None   # (t, X) -> (n,)
     time_independent_dynamics: bool = False
+    control_free_cost: bool = False
 
     def __post_init__(self):
         self.T = real_scalar(self.T, "T")
@@ -219,13 +222,6 @@ def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
     return float(op.apply(k, U, codes, np.full(op.n_pairs, i))[0].min())
 
 
-def apply_S_control(problem: Problem, mesh: Mesh, next_values, k: int,
-                    i: int, a, b, params: SchemeParams) -> float:
-    """One-step operator S_{k,i}[Phi](a,b)."""
-    return apply_S(replace(problem, controls_a=[a], controls_b=[b]), mesh,
-                   next_values, k, i, params)
-
-
 def check_weights(weights: np.ndarray):
     """Raise LocationFailure unless every row of weights (..., dim+1) is a
     convex combination: entries >= 0 summing to 1 within WEIGHT_TOL; a NaN
@@ -259,7 +255,8 @@ class Rows:
     (branch, simplex vertex) grid is drawn when a uniform draw times
     cum[c, j, -1] falls below cum[c, j, q] and not below cum[c, j, q-1]; a
     Dirichlet branch puts its whole mass on its first slot.  layer marks
-    the rows with an exiting branch.
+    the rows with an exiting branch.  f_checked marks a store on which
+    Operator.running_cost checked control_free_cost.
     """
 
     def __init__(self, P: int, n: int, S: int, dim: int):
@@ -273,6 +270,7 @@ class Rows:
         self.cum = np.zeros((P, n, S * (dim + 1)))
         self.layer = np.zeros((P, n), dtype=bool)
         self.stacked = None     # every row's terms, once all are built
+        self.f_checked = False
 
     def slots(self, codes, nodes) -> tuple:
         """The rows [codes[r], nodes[r]] of the stacked (pairs*n, n)
@@ -394,8 +392,12 @@ def control_groups(controls: list, index, X) -> list:
 
 def per_control(name: str, handle, t: float, groups: list, n: int) -> np.ndarray:
     """handle(t, points, control) for each (control, rows, points) group,
-    written to those rows (an index array or a slice) of an (n,) result:
-    one call per group, each result checked to hold one number per point."""
+    written to those rows (ascending, as an index array or a slice) of an
+    (n,) result: one call per group, each result checked to hold one number
+    per point.  A group of all n rows is the result itself."""
+    if len(groups) == 1 and len(groups[0][2]) == n:
+        control, _, X = groups[0]
+        return real_array(handle(t, X, control), name, (n,))
     out = np.empty(n)
     for control, sel, X in groups:
         out[sel] = real_array(handle(t, X, control), name, (len(X),))
@@ -410,7 +412,8 @@ class Operator:
 
     P being the stacked (pairs*n, n) substochastic matrix, const the mean
     Dirichlet datum of the row's branches and crossings their mean
-    d_tilde*g.  Rows are built as readers reach them into one Rows store
+    d_tilde*g; f is running_cost's, the one path by which the sweep and
+    the chain call f.  Rows are built as readers reach them into one Rows store
     per step key: the step, or None when time_independent_dynamics shares
     one store across steps, built at the first step time whichever step is
     read first; each build pass checks the flag on its own rows at the last
@@ -433,6 +436,7 @@ class Operator:
         # when there are two steps or more
         self._shared_times = self.times[::max(self.N - 1, 1)]
         self._key = self._rows = None
+        self._f_groups = None   # every row's f groups and their row count
 
     def rows(self, m: int, codes=None, nodes=None) -> Rows:
         """The store at step m with row [codes[r], nodes[r]] built for each
@@ -491,42 +495,68 @@ class Operator:
     def apply(self, m: int, U, codes=None, nodes=None) -> tuple:
         """S[U] at step m on the rows [codes[r], nodes[r]], or on every row
         in stacked order when codes is None.  Returns (S[U], the f values
-        used, P restricted to those rows); makes one f call per control a
-        over the rows' vertices and one g call per control b over their
-        oblique exits.  P is the rows' slots (verts, probs) as Rows.slots
-        gives them.  On every row they, control a's f rows (its pair-major
-        block [ia*nb*n, (ia+1)*nb*n)) and the other terms are formed once
-        per store and P @ U is stacked_product; on gathered rows it is
-        slot_product, and f goes through control_groups."""
+        of running_cost, P restricted to those rows); makes one g call per
+        control b over the rows' oblique exits.  P is the rows' slots
+        (verts, probs) as Rows.slots gives them.  On every row they and the
+        other terms are formed once per store and P @ U is
+        stacked_product; on gathered rows it is slot_product."""
         rows = self.rows(m, codes, nodes)
         pr, t = self.problem, self.times[m]
         if codes is None:
             if rows.stacked is None:
-                # each control's own copy of the vertices, as a handle may
-                # change its points
-                block = self.nb * self.mesh.n_vertices
-                f_groups = [(a, slice(ia * block, (ia + 1) * block),
-                             np.tile(self.mesh.vertices, (self.nb, 1)))
-                            for ia, a in enumerate(pr.controls_a)]
-                rows.stacked = (rows.stacked_slots(), f_groups,
-                                *self._terms(rows, slice(None)))
-            (verts, probs), f_groups, *terms = rows.stacked
+                rows.stacked = (rows.stacked_slots(), *self._terms(rows, slice(None)))
+            (verts, probs), *terms = rows.stacked
             P, v = (verts.T, probs.T), stacked_product((verts, probs), U)
         else:
             codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
             P = rows.slots(codes, nodes)
             terms = self._terms(rows, codes * self.mesh.n_vertices + nodes)
-            f_groups = control_groups(pr.controls_a, codes // self.nb,
-                                      self.mesh.vertices[nodes])
             v = slot_product(P, U)
         const, r, d, g_groups = terms
-        f = per_control("f", pr.f, t, f_groups, len(v))
+        f = self.running_cost(m, codes, nodes)
         # added left to right as P @ U + const + crossings + dt*f
         v += const
         v += np.bincount(r, weights=d * per_control("g", pr.g, t, g_groups, len(r)),
                          minlength=len(v))
-        v += self.params.dt * f
+        if len(f) == len(v):
+            v += self.params.dt * f
+        else:
+            # one pair-major block of f stands for every control a's
+            blocks = v.reshape(-1, len(f))
+            blocks += self.params.dt * f
         return v, f, P
+
+    def running_cost(self, m: int, codes=None, nodes=None) -> np.ndarray:
+        """f at step m on the rows [codes[r], nodes[r]] of the store rows(m,
+        ...) gave last, or on every row: control a's pair-major block
+        [ia*nb*n, (ia+1)*nb*n) is one call on its own copy of the vertices
+        tiled nb times, as a handle may change its points, and gathered rows
+        one call per control a among them.  With control_free_cost each is
+        one call, every row's on the first block alone, and a store's first
+        use checks the promise: BadParams unless f(t, mesh.vertices, a) is
+        the same for every a, NaN equal to NaN."""
+        pr, t = self.problem, self.times[m]
+        free = pr.control_free_cost
+        if free and not self._rows.f_checked:
+            first, *rest = [real_array(pr.f(t, self.mesh.vertices.copy(), a), "f",
+                                       (self.mesh.n_vertices,)) for a in pr.controls_a]
+            for ia, other in enumerate(rest, 1):
+                if not np.array_equal(first, other, equal_nan=True):
+                    raise BadParams(f"control_free_cost is set, but f at t={t:g} differs "
+                                    f"between controls a 0 and {ia}")
+            self._rows.f_checked = True
+        if codes is None:
+            if self._f_groups is None:
+                block = self.nb * self.mesh.n_vertices
+                groups = [(a, slice(ia * block, (ia + 1) * block),
+                           np.tile(self.mesh.vertices, (self.nb, 1)))
+                          for ia, a in enumerate(pr.controls_a[:1] if free else pr.controls_a)]
+                self._f_groups = (groups, len(groups) * block)
+            return per_control("f", pr.f, t, *self._f_groups)
+        X = self.mesh.vertices[nodes]
+        groups = ([(pr.controls_a[0], slice(None), X)] if free else
+                  control_groups(pr.controls_a, codes // self.nb, X))
+        return per_control("f", pr.f, t, groups, len(X))
 
 
 @dataclass
@@ -566,15 +596,19 @@ class ValueFunction:
 def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     """Backward recursion U_N = Psi, U_k = inf_{a,b} S_{k}[U_{k+1}]: the
     minimum over the pair blocks of the stacked rows, written in place.
-    Unstable once a value is not finite or exceeds the blow-up guard
-    1e3*(max|psi| + T*max|f| + 1), max|f| taken over the steps swept so far;
-    both are tested on the one reduction max|U_k| per step."""
+    BadParams when psi is not finite.  Unstable once a value is not finite
+    or exceeds the blow-up guard 1e3*(max|psi| + T*max|f| + 1), max|f|
+    taken over the steps swept so far; both are tested on the one
+    reduction max|U_k| per step."""
     N = whole_steps(problem.T, params.dt)
     op = Operator(problem, mesh, params)
     n = mesh.n_vertices
     W = np.empty((N + 1, n))
     W[N] = real_array(problem.psi(mesh.vertices), "psi", (n,))
     max_psi = float(np.abs(W[N]).max())
+    # a NaN fails the test too
+    if not max_psi < math.inf:
+        raise BadParams("psi returned a value that is not finite")
     max_f = 0.0
     for k in range(N - 1, -1, -1):
         v, f, _ = op.apply(k, W[k + 1])

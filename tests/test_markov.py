@@ -540,6 +540,37 @@ def test_sojourn_calls_neither_f_nor_g():
     assert got == estimate_sojourn(pr, mesh, STEER, params, n_paths=40, seed=3)
 
 
+@pytest.mark.parametrize("name, dx, dt", [("test2_oblique", 0.25, 0.25),
+                                          ("test3_exit", 0.2, 0.1)])
+def test_control_free_cost_changes_no_result(name, dx, dt):
+    """control_free_cost on (as test2 and test3 set it) and off give the same
+    sweep values, exact and Monte Carlo costs and sojourns bit for bit.  The
+    Monte Carlo runs first on a fresh model, where the walker makes the
+    store's check: one f call per control a on every vertex."""
+    bench = get_benchmark(name)
+    mesh = build_mesh_for(bench, dx)
+    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
+    assert bench.problem.control_free_cost
+    results = []
+    for free in (True, False):
+        calls = []
+        pr = replace(bench.problem, control_free_cost=free,
+                     f=lambda t, X, a, f=bench.problem.f: calls.append((a, len(X)))
+                     or f(t, X, a))
+        markov._latest.entry = None
+        fresh = [policy_cost(pr, mesh, STEER, 0, i, params, mode="monte_carlo", n_paths=40,
+                             seed=3) for i in (0, 7)]
+        if free:
+            assert calls[:len(pr.controls_a)] == [(a, mesh.n_vertices) for a in pr.controls_a]
+        exact = [policy_cost(pr, mesh, STEER, 0, i, params) for i in (0, 7)]
+        warm = [policy_cost(pr, mesh, STEER, 0, i, params, mode="monte_carlo", n_paths=40,
+                            seed=3) for i in (0, 7)]
+        sojourn = estimate_sojourn(pr, mesh, STEER, params, n_paths=40, seed=3)
+        results.append([sweep(pr, mesh, params).values, np.array(fresh), np.array(exact),
+                        np.array(warm), np.array(sojourn)])
+    assert all(np.array_equal(on, off) for on, off in zip(*results))
+
+
 def test_exact_cost_forms_no_stacked_slots(monkeypatch):
     pr, mesh, params = _exit_chain()
     formed = _counting(monkeypatch, scheme.Rows, "stacked_slots")

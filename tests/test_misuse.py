@@ -31,7 +31,6 @@ from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
     SchemeParams,
     apply_S,
-    apply_S_control,
     consistency_residual,
     sweep,
 )
@@ -61,6 +60,13 @@ def steer_to(pair):
     """A policy that gives pair at odd vertices from step 1 on, a good pair
     elsewhere."""
     return lambda m, i: pair if m and i % 2 else (i % 4, 0)
+
+
+def reads_a():
+    """test3 with four controls a, control_free_cost set, and an f that reads
+    a: each control's own constant cost."""
+    assert TEST3.problem.control_free_cost
+    return dataclasses.replace(TEST3.problem, f=lambda t, X, a: np.full(len(X), a[0]))
 
 
 def unit_mesh():
@@ -247,21 +253,31 @@ CASES = [
          with_handle(psi=lambda X: np.full(len(X), "a")), match="^psi "),
     case("sweep-mu-bool", BadParams,
          with_handle(mu=lambda t, X, a: np.ones((len(X), 1), dtype=bool)), match="^mu "),
+    # a terminal cost that is not finite, refused by the chain as by sweep
+    case("policy_cost-psi-not-finite", BadParams,
+         lambda tmp: policy_cost(dataclasses.replace(TEST1.problem,
+                                                     psi=lambda X: np.full(len(X), math.inf)),
+                                 unit_mesh(), stay, 0, 2, PARAMS),
+         match="^psi returned a value that is not finite"),
+    # control_free_cost set on test3, whose f then reads its control a
+    *[case(f"{name}-control_free_cost-f-reads-a", BadParams, call,
+           match="^control_free_cost is set")
+      for name, call in (
+          ("sweep", lambda tmp: sweep(reads_a(), exit_chain()[1], EXIT_PARAMS)),
+          ("policy_cost-exact",
+           lambda tmp: policy_cost(reads_a(), exit_chain()[1], stay, 0, 7, EXIT_PARAMS)),
+          ("policy_cost-monte_carlo",
+           lambda tmp: policy_cost(reads_a(), exit_chain()[1], stay, 0, 7, EXIT_PARAMS,
+                                   mode="monte_carlo", n_paths=10)))],
     case("FunctionField-complex", BadParams,
          lambda tmp: FunctionField(lambda P, b: P + 0j)(np.ones((2, 2)), None),
          match="^gamma "),
     case("apply_S-next_values-too-many", BadParams,
          lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(10), 0, 1, PARAMS),
          match="next_values of shape"),
-    case("apply_S_control-next_values-too-many", BadParams,
-         lambda tmp: apply_S_control(TEST1.problem, unit_mesh(), np.zeros(10), 0, 1,
-                                     0.0, 0.0, PARAMS), match="next_values of shape"),
     case("apply_S-next_values-complex", BadParams,
          lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(5, dtype=complex), 0, 1,
                              PARAMS), match="next_values"),
-    case("apply_S_control-next_values-complex", BadParams,
-         lambda tmp: apply_S_control(TEST1.problem, unit_mesh(), np.zeros(5, dtype=complex),
-                                     0, 1, 0.0, 0.0, PARAMS), match="next_values"),
     case("Mesh-complex-vertices", BadParams,
          lambda tmp: Mesh(np.array(TRIANGLE, dtype=complex), [[0, 1, 2]], [1, 1, 1]),
          match="vertices"),
@@ -320,9 +336,8 @@ CASES = [
          lambda tmp: transition_law(TEST1.problem, unit_mesh(), 0, 99, 0.0, 0.0, PARAMS)),
     case("apply_S-vertex-negative", BadParams,
          lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(5), 0, -1, PARAMS)),
-    case("apply_S_control-vertex-too-large", BadParams,
-         lambda tmp: apply_S_control(TEST1.problem, unit_mesh(), np.zeros(5), 0, 99,
-                                     0.0, 0.0, PARAMS)),
+    case("apply_S-vertex-too-large", BadParams,
+         lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(5), 0, 99, PARAMS)),
     case("estimate_sojourn-n_paths-not-integer", BadParams,
          lambda tmp: estimate_sojourn(TEST1.problem, unit_mesh(), stay, PARAMS, n_paths=2.5)),
     # more Monte Carlo draws than the fixed limit, refused before any is made

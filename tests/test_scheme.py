@@ -40,7 +40,6 @@ from hjbsl.scheme import (
     _characteristics,
     _classify_many,
     apply_S,
-    apply_S_control,
     check_weights,
     consistency_residual,
     control_groups,
@@ -162,29 +161,32 @@ def test_reflect_outside_tube():
         classify(pr, [0.9], [1.5], 16.0, 0.5)
 
 
+def one_pair(pr, a=0.0, b=0.0):
+    """pr with the one control pair (a, b): apply_S is then S_{k,i}[Phi](a,b)."""
+    return dataclasses.replace(pr, controls_a=[a], controls_b=[b])
+
+
 def test_apply_S_control_zero_and_constant():
-    pr = interval_problem(sigma=0.3, mu=-1.0)
+    pr = one_pair(interval_problem(sigma=0.3, mu=-1.0))
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     params = SchemeParams(dt=0.01, c_bar=0.2)
     zero = np.zeros(mesh.n_vertices)
-    assert apply_S_control(pr, mesh, zero, 0, 2, 0.0, 0.0, params) == \
-        pytest.approx(0.0, abs=1e-14)
+    assert apply_S(pr, mesh, zero, 0, 2, params) == pytest.approx(0.0, abs=1e-14)
     const = np.full(mesh.n_vertices, 2.5)
-    assert apply_S_control(pr, mesh, const, 0, 2, 0.0, 0.0, params) == \
-        pytest.approx(2.5, abs=1e-12)
+    assert apply_S(pr, mesh, const, 0, 2, params) == pytest.approx(2.5, abs=1e-12)
     # the horizon T = 1 has steps 0..99
     for k in (-1, 100):
         with pytest.raises(BadParams):
-            apply_S_control(pr, mesh, zero, k, 2, 0.0, 0.0, params)
+            apply_S(pr, mesh, zero, k, 2, params)
 
 
 def test_apply_S_control_affine_no_exit():
-    pr = interval_problem(sigma=0.1, mu=0.5, f=const_rows(1.0))
+    pr = one_pair(interval_problem(sigma=0.1, mu=0.5, f=const_rows(1.0)))
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     params = SchemeParams(dt=0.01, c_bar=0.2)
     nodal = 2.0 * mesh.vertices[:, 0] + 0.3
     x = 0.5
-    got = apply_S_control(pr, mesh, nodal, 0, 2, 0.0, 0.0, params)
+    got = apply_S(pr, mesh, nodal, 0, 2, params)
     want = 2.0 * (x + 0.01 * 0.5) + 0.3 + 0.01 * 1.0
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -196,10 +198,10 @@ def test_apply_S_min_and_tie_break():
     params = SchemeParams(dt=0.1, c_bar=0.2)
     zero = np.zeros(mesh.n_vertices)
     assert apply_S(pr, mesh, zero, 0, 2, params) == pytest.approx(0.0, abs=1e-14)
-    # singleton control set reduces to apply_S_control
+    # a singleton control set is its one pair's operator
     pr1 = interval_problem(sigma=0.2)
     got = apply_S(pr1, mesh, zero, 0, 2, params)
-    assert got == apply_S_control(pr1, mesh, zero, 0, 2, 0.0, 0.0, params)
+    assert got == apply_S(one_pair(pr1), mesh, zero, 0, 2, params)
 
 
 def test_monotone_and_commutation_randomized():
@@ -336,14 +338,16 @@ def planted(handle, value):
     *[(h, v) for h in ("f", "g") for v in (math.inf, -math.inf, math.nan)],
     ("psi", math.inf), ("psi", math.nan)])
 def test_sweep_guard_catches_non_finite_handle_output(name, value):
-    """A value that is not finite at one point of f, g or psi makes a value
-    that is not finite at the first step, which raises whatever the guard
-    is: an infinite f or psi makes the guard itself infinite, and a NaN psi
-    makes it NaN."""
+    """A value that is not finite at one point of f or g makes a value that
+    is not finite at the first step, which raises whatever the guard is: an
+    infinite f makes the guard itself infinite.  A psi that is not finite
+    is refused before the first step, from the max|psi| the guard uses."""
     bench = get_benchmark("test1_eps", eps=0.05)
     pr = dataclasses.replace(bench.problem, **{name: planted(getattr(bench.problem, name),
                                                              value)})
-    with pytest.raises(Unstable, match=r"at step 9$"):
+    error, match = ((BadParams, "^psi returned a value that is not finite$") if name == "psi"
+                    else (Unstable, r"at step 9$"))
+    with pytest.raises(error, match=match):
         sweep(pr, build_interval_mesh(0.0, 1.0, 0.1), SchemeParams(dt=0.1, c_bar=bench.c_bar))
 
 
@@ -410,24 +414,30 @@ def test_sweep_rejects_dt_larger_than_horizon():
                                            ("test3_exit", 0.2, 0.1)])
 def test_sweep_calls_each_handle_once_per_table(name, dx, dt):
     bench = get_benchmark(name)
-    pr = bench.problem
-    calls = dict.fromkeys(("f", "g", "mu", "sigma", "psi"), 0)
-    for h in calls:
-        def counted(*args, h=h, handle=getattr(pr, h)):
-            calls[h] += 1
-            return handle(*args)
-        setattr(pr, h, counted)
-    sweep(pr, build_mesh_for(bench, dx), SchemeParams(dt=dt, c_bar=bench.c_bar))
-    N = n_steps(pr.T, dt)
-    pairs = len(pr.controls_a) * len(pr.controls_b)
-    assert calls["psi"] == 1
-    # each step's apply calls f once per control a and g once per control b
-    assert calls["f"] == N * len(pr.controls_a)
-    assert 0 < calls["g"] <= N * len(pr.controls_b)
-    # the store is shared by all steps and each pair has its own control a:
-    # each build pass calls once per control a at the first step time, and
-    # once more at the last, where it checks the flag on its own rows
-    assert calls["mu"] == calls["sigma"] == 2 * pairs
+    mesh = build_mesh_for(bench, dx)
+    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
+    assert bench.problem.control_free_cost
+    for free in (True, False):
+        pr = dataclasses.replace(bench.problem, control_free_cost=free)
+        calls = dict.fromkeys(("f", "g", "mu", "sigma", "psi"), 0)
+        for h in calls:
+            def counted(*args, h=h, handle=getattr(pr, h)):
+                calls[h] += 1
+                return handle(*args)
+            setattr(pr, h, counted)
+        sweep(pr, mesh, params)
+        N, na = n_steps(pr.T, dt), len(pr.controls_a)
+        pairs = na * len(pr.controls_b)
+        assert calls["psi"] == 1
+        # each step's apply calls f once, after the shared store's one check
+        # of control_free_cost (one call per control a), or with the field off
+        # once per control a; and g once per control b
+        assert calls["f"] == (N + na if free else N * na)
+        assert 0 < calls["g"] <= N * len(pr.controls_b)
+        # the store is shared by all steps and each pair has its own control
+        # a: each build pass calls once per control a at the first step time,
+        # and once more at the last, where it checks the flag on its own rows
+        assert calls["mu"] == calls["sigma"] == 2 * pairs
 
 
 def test_handles_of_the_wrong_shape_are_rejected():
@@ -946,34 +956,53 @@ def test_sweep_value_is_the_cost_of_its_argmin_policy(name, dx, dt):
                                           ("test2_oblique-two-b", 0.25, 0.25)])
 def test_stacked_and_gathered_applies_agree_bitwise(name, dx, dt):
     """The stacked terms kept on the store, control groups included, give
-    what the gathered path forms afresh from the same rows, and f receives
-    each control a's rows in stacked order on both: with two controls b
-    (which change g), the vertices once per control b."""
+    what the gathered path forms afresh from the same rows.  With
+    control_free_cost off, f receives each control a's rows in stacked order
+    on both: with two controls b (which change g), the vertices once per
+    control b.  With it on (test2 and test3 set it), the store's first use
+    checks it with one call per control a on the vertices; then every row
+    is the first control's block alone and the gathered rows one call, and
+    S[U] is bitwise that of the field off."""
     bench = get_benchmark(name.removesuffix("-two-b"), eps=0.05)
-    pr = bench.problem
+    base = bench.problem
     if name.endswith("-two-b"):
-        pr = dataclasses.replace(pr, controls_b=[0.0, 1.0],
-                                 g=lambda t, P, b, g=pr.g: g(t, P, b) + b)
-    calls = []
-    pr = dataclasses.replace(pr, f=lambda t, X, a, f=pr.f: calls.append((a, X.copy()))
-                             or f(t, X, a))
+        base = dataclasses.replace(base, controls_b=[0.0, 1.0],
+                                   g=lambda t, P, b, g=base.g: g(t, P, b) + b)
     mesh = build_mesh_for(bench, dx)
-    op = Operator(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
-    codes, nodes = np.divmod(np.arange(op.n_pairs * mesh.n_vertices), mesh.n_vertices)
-    blocks = [(a, mesh.vertices[nodes[codes // op.nb == ia]])
-              for ia, a in enumerate(pr.controls_a)]
-    assert all(len(X) == op.nb * mesh.n_vertices for _, X in blocks)
-    U = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_vertices)
-    for m in range(min(op.N, 4)):
-        calls.clear()
-        stacked = op.apply(m, U)
-        gathered = op.apply(m, U, codes, nodes)
-        assert np.array_equal(stacked[0], gathered[0])
-        assert np.array_equal(stacked[1], gathered[1])
-        assert len(calls) == 2 * len(blocks)
-        assert all(a is b and np.array_equal(X, Y)
-                   for (a, X), (b, Y) in zip(calls, blocks + blocks))
-        U = stacked[0].reshape(op.n_pairs, -1).min(axis=0)
+    values = {}
+    for free in sorted({False, base.control_free_cost}):
+        calls = []
+        pr = dataclasses.replace(base, control_free_cost=free,
+                                 f=lambda t, X, a, f=base.f: calls.append((a, X.copy()))
+                                 or f(t, X, a))
+        op = Operator(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+        codes, nodes = np.divmod(np.arange(op.n_pairs * mesh.n_vertices), mesh.n_vertices)
+        blocks = [(a, mesh.vertices[nodes[codes // op.nb == ia]])
+                  for ia, a in enumerate(pr.controls_a)]
+        assert all(len(X) == op.nb * mesh.n_vertices for _, X in blocks)
+        if free:
+            # the check's calls, then the first block and the gathered rows
+            check = [(a, mesh.vertices) for a in pr.controls_a]
+            want = [check + blocks[:1] + [(pr.controls_a[0], mesh.vertices[nodes])]]
+            want += [blocks[:1] + [(pr.controls_a[0], mesh.vertices[nodes])]] * 3
+        else:
+            want = [blocks + blocks] * 4
+        U = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_vertices)
+        values[free] = []
+        for m in range(min(op.N, 4)):
+            calls.clear()
+            stacked = op.apply(m, U)
+            gathered = op.apply(m, U, codes, nodes)
+            assert np.array_equal(stacked[0], gathered[0])
+            # with the field on, the first block stands for every control's
+            reps = len(pr.controls_a) if free else 1
+            assert np.array_equal(np.tile(stacked[1], reps), gathered[1])
+            assert len(calls) == len(want[m])
+            assert all(a is b and np.array_equal(X, Y) for (a, X), (b, Y) in zip(calls, want[m]))
+            values[free].append(stacked[0])
+            U = stacked[0].reshape(op.n_pairs, -1).min(axis=0)
+    assert all(np.array_equal(on, off) for on, off in zip(values[base.control_free_cost],
+                                                          values[False]))
 
 
 def test_sweep_with_one_store_per_step_equals_the_shared_store():
