@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import BadParams, TooLarge
-from .geometry import real_array
 from .mesh import Mesh
 from .scheme import (
     Operator,
@@ -27,6 +26,7 @@ from .scheme import (
     check_integer,
     control_groups,
     per_control,
+    terminal_values,
     whole_steps,
 )
 
@@ -63,9 +63,7 @@ class _ChainModel(Operator):
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
         whole_steps(problem.T, params.dt)
         super().__init__(problem, mesh, params)
-        self.psi = real_array(problem.psi(mesh.vertices), "psi", (mesh.n_vertices,))
-        if not np.isfinite(self.psi).all():
-            raise BadParams("psi returned a value that is not finite")
+        self.psi = terminal_values(problem, mesh)
         self._draws = {}
 
     def draws(self, seed: int, n_paths: int, steps: int) -> np.ndarray:
@@ -171,7 +169,7 @@ def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
     op = Operator(replace(problem, controls_a=[a], controls_b=[b]), mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
-    verts, probs = op.rows(k, [0], [i]).slots([0], [i])
+    verts, probs = op.rows(k).slots([0], [i])
     # a vertex's slots added in slot order
     probs = np.bincount(verts[0], weights=probs[0], minlength=mesh.n_vertices)
     idx = np.flatnonzero(probs)
@@ -245,8 +243,8 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
     step while it lives, as when it is simulated alone.  At each step m
     with a live path, yields (m, live, uniq, inv, ucode, rows, slot) before
     the move: the live paths, the distinct vertices uniq they occupy with
-    here = uniq[inv], the pair codes ucode of uniq, the store with their
-    rows built, and the drawn (code, here, branch) of each path as slot.
+    here = uniq[inv], the pair codes ucode of uniq, the step's store, and
+    the drawn (code, here, branch) of each path as slot.
     """
     n, width = model.mesh.n_vertices, model.mesh.dim + 1
     draws = model.draws(seed, len(state), model.N - k)
@@ -263,7 +261,7 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
         position[uniq] = np.arange(len(uniq))
         inv = position[here]
         ucode = model.code(m, policy, uniq)
-        rows = model.rows(m, ucode, uniq)
+        rows = model.rows(m)
         code = ucode[inv]
         cum = rows.cum[code, here]
         q = np.count_nonzero(cum[:, :-1] <= (draws[live, m - k] * cum[:, -1])[:, None],
@@ -272,7 +270,7 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
         yield m, live, uniq, inv, ucode, rows, slot
         absorbed = rows.dirichlet[slot]
         state[live] = np.where(absorbed, -1,
-                               rows.verts.reshape(rows.built.shape + (-1,))[code, here, q])
+                               rows.verts.reshape(rows.layer.shape + (-1,))[code, here, q])
         live = live[~absorbed]
 
 

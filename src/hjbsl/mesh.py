@@ -18,7 +18,6 @@ from .geometry import (
     Domain,
     Interval,
     RectWithHole,
-    as_point,
     as_rows,
     real_array,
     real_scalar,
@@ -300,14 +299,11 @@ class Mesh:
         q = a + t[:, None] * ab
         return q[np.argmin(np.linalg.norm(x - q, axis=1))]
 
-    def interpolation_weights(self, x):
-        """Vertex indices and P1 weights at p_dx(x); weights are a convex
-        combination summing to one.  One point is located by the grid pass
-        of locate_many without its batch set-up, and a grid miss as there."""
-        return self._point_weights(as_point(x, self.dim))
-
     def _point_weights(self, x):
-        """interpolation_weights at a point x (dim,) that as_point made."""
+        """Vertex indices and P1 weights, a convex combination summing to
+        one, at p_dx(x) for a point x (dim,) that as_point made: located by
+        the grid pass of locate_many without its batch set-up, and a grid
+        miss as there; OutsideDomain unless x is in the closed domain."""
         coords = x.tolist()
         if self.domain is not None and not self.domain._distance(coords) <= TOL_BOUNDARY:
             raise OutsideDomain(f"point {x!r} outside the closed domain")
@@ -315,27 +311,16 @@ class Mesh:
                          or self._locate_miss(x))
         return self.simplices[simplex], bary
 
-    def interpolate(self, nodal, x) -> float:
-        """P1 value of nodal (n_vertices,) at p_dx(x)."""
-        nodal = real_array(nodal, "nodal values", (self.n_vertices,))
-        return self._interpolate_point(nodal, as_point(x, self.dim))
-
     def _interpolate_point(self, nodal, x) -> float:
-        """interpolate of float nodal values (n_vertices,) at a point x
-        (dim,) that as_point made, neither checked again."""
+        """P1 value of float nodal values (n_vertices,) at p_dx(x) for a
+        point x (dim,) that as_point made, neither checked again."""
         verts, w = self._point_weights(x)
         return float(np.dot(nodal[verts], w))
 
-    def interpolate_many(self, nodal, X) -> np.ndarray:
-        """P1 values at p_dx(x) for each row x of X (m, dim), equal to
-        interpolate at each row, with one locate_many call."""
-        X = as_rows(X, self.dim)
-        return self._interpolate_rows(real_array(nodal, "nodal values", (self.n_vertices,)), X)
-
     def _interpolate_rows(self, nodal, X) -> np.ndarray:
-        """interpolate_many of float nodal values (n_vertices,) at rows X
-        (m, dim) that as_rows made, neither converted again; OutsideDomain
-        or BadParams unless every row is finite and in the closed domain."""
+        """_interpolate_point at each row x of X (m, dim) that as_rows made,
+        with one locate_many call; OutsideDomain or BadParams unless every
+        row is finite and in the closed domain."""
         if self.domain is not None:
             out = ~(self.domain.signed_distance_many(X) <= TOL_BOUNDARY)
             if out.any():

@@ -51,7 +51,8 @@ class Problem:
     t=0; 'forward' means psi is the initial datum, the sweep runs in
     reversed time internally, and values are reported at t=T.
     control_free_cost promises that f does not read its control a, so one
-    f call serves every control (Operator.running_cost checks it).
+    f call serves every control (Operator.running_cost checks it).  The
+    points kept across steps and the vertices psi reads are read-only.
     """
 
     domain: Domain
@@ -245,22 +246,20 @@ class Rows:
 
     [c, j] is the row of vertex j under pair code c = ia*len(controls_b) + ib,
     and row c*n + j of the stacked operator, which is the arrays' flat row
-    order; built marks the rows written so far.  Each of a row's 2*Ns
-    branches holds the simplex vertices and P1 weights of its landing point.
-    A Dirichlet branch has zero weights and its exit datum in const; an
-    oblique exit has its crossing distance d_tilde in refl_d (0 off the
-    oblique exits) and its boundary projection point in refl_p.
+    order.  Each of a row's 2*Ns branches holds the simplex vertices and P1
+    weights of its landing point.  A Dirichlet branch has zero weights and
+    its exit datum in const; an oblique exit has its crossing distance
+    d_tilde in refl_d (0 off the oblique exits) and its boundary projection
+    point in refl_p.
 
     For the Monte Carlo draw, slot q = s*(dim+1) + v of a row's flattened
     (branch, simplex vertex) grid is drawn when a uniform draw times
     cum[c, j, -1] falls below cum[c, j, q] and not below cum[c, j, q-1]; a
     Dirichlet branch puts its whole mass on its first slot.  layer marks
-    the rows with an exiting branch.  f_checked marks a store on which
-    Operator.running_cost checked control_free_cost.
+    the rows with an exiting branch.
     """
 
     def __init__(self, P: int, n: int, S: int, dim: int):
-        self.built = np.zeros((P, n), dtype=bool)
         self.verts = np.zeros((P, n, S, dim + 1), dtype=int)
         self.weights = np.zeros((P, n, S, dim + 1))
         self.const = np.zeros((P, n, S))
@@ -269,8 +268,7 @@ class Rows:
         self.refl_p = np.zeros((P, n, S, dim))
         self.cum = np.zeros((P, n, S * (dim + 1)))
         self.layer = np.zeros((P, n), dtype=bool)
-        self.stacked = None     # every row's terms, once all are built
-        self.f_checked = False
+        self.stacked = None     # every row's terms, at the first every-row apply
 
     def slots(self, codes, nodes) -> tuple:
         """The rows [codes[r], nodes[r]] of the stacked (pairs*n, n)
@@ -285,7 +283,7 @@ class Rows:
         """The slots of every row in stacked order, slot-major: (vertex,
         entry) arrays, each C-contiguous (2*Ns*(dim+1), pairs*n), whose
         transposes are the slots of every row."""
-        rows = self.built.size
+        rows = self.layer.size
         return (self.verts.reshape(rows, -1).T.copy(),
                 (self.weights.reshape(rows, -1) / self.const.shape[2]).T.copy())
 
@@ -315,21 +313,19 @@ def stacked_product(slots: tuple, U) -> np.ndarray:
 
 
 def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
-                     rows: Rows, times: list, flat):
+                     rows: Rows, times: list, pairs: range):
     """The only path from characteristics to classified, located branches:
-    the store's rows at the ascending flat indices flat (flat row c*n + j is
-    the row [c, j]) at time times[0], formed, classified and located in one
-    batched pass and written to the store, as one slice when they are
-    consecutive.  Characteristics take one mu and one sigma call per
-    control a among the rows and per time, classification one
+    the store's rows of the pair codes pairs over every vertex at time
+    times[0], formed, classified and located in one batched pass and
+    written to the store as one slice.  Characteristics take one mu and one
+    sigma call per control a among the pairs and per time, classification one
     _classify_many call and location one locate_many call.  A row depends
     on mu and sigma only through its characteristics, so BadParams unless
     those at times[1:] equal those at times[0], which the rows then serve."""
     nb = len(problem.controls_b)
-    n, dim = len(flat), mesh.dim
-    S = 2 * problem.n_sigma
-    codes, nodes = np.divmod(flat, mesh.n_vertices)
-    V = mesh.vertices[nodes]
+    dim, S = mesh.dim, 2 * problem.n_sigma
+    codes = np.repeat(np.arange(pairs.start, pairs.stop), mesh.n_vertices)
+    n, V = len(codes), np.tile(mesh.vertices, (len(pairs), 1))
     Y = np.empty((n, S, dim))
     for a, sel, X in control_groups(problem.controls_a, codes // nb, V):
         Y[sel] = first = _characteristics(problem, times[0], X, a, params.dt)
@@ -359,15 +355,28 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
         cum[:, k] += cum[:, k - 1]
     for k in range(1, S):
         layer |= exits[:, k]
-    # whole pairs over all vertices, as every sweep pass is, are one slice
-    at = slice(flat[0], flat[-1] + 1) if flat[-1] - flat[0] == n - 1 else flat
     out = {"verts": verts, "weights": weights, "const": rp.value,
            "dirichlet": rp.dirichlet, "refl_d": rp.d_tilde, "refl_p": rp.p,
            "cum": cum, "layer": layer}
     for name, value in out.items():
         store = getattr(rows, name)
-        store.reshape((-1,) + store.shape[2:])[at] = value.reshape((n,) + store.shape[2:])
-    rows.built.reshape(-1)[at] = True
+        store[pairs.start:pairs.stop] = value.reshape((len(pairs),) + store.shape[1:])
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only: points kept across steps, which a handle that
+    writes its input must not change."""
+    a.flags.writeable = False
+    return a
+
+
+def terminal_values(problem: Problem, mesh: Mesh) -> np.ndarray:
+    """psi at every vertex, called on a read-only view of mesh.vertices:
+    BadParams unless it returns one finite number per vertex."""
+    psi = real_array(problem.psi(read_only(mesh.vertices.view())), "psi", (mesh.n_vertices,))
+    if not np.isfinite(psi).all():
+        raise BadParams("psi returned a value that is not finite")
+    return psi
 
 
 def control_groups(controls: list, index, X) -> list:
@@ -413,13 +422,13 @@ class Operator:
     P being the stacked (pairs*n, n) substochastic matrix, const the mean
     Dirichlet datum of the row's branches and crossings their mean
     d_tilde*g; f is running_cost's, the one path by which the sweep and
-    the chain call f.  Rows are built as readers reach them into one Rows store
-    per step key: the step, or None when time_independent_dynamics shares
-    one store across steps, built at the first step time whichever step is
-    read first; each build pass checks the flag on its own rows at the last
-    step time.  Only the latest key's store is kept, so a reader walks the
-    steps in order.  Rows classify with problem.domain and locate with the
-    mesh, which must discretize it.
+    the chain call f.  Each step key has one Rows store, built whole at its
+    first read (rows): the key is the step, or None when
+    time_independent_dynamics shares one store across steps, built at the
+    first step time whichever step is read first; each build pass checks
+    the flag on its own rows at the last step time.  Only the latest key's
+    store is kept, so a reader walks the steps in order.  Rows classify with
+    problem.domain and locate with the mesh, which must discretize it.
     """
 
     def __init__(self, problem: Problem, mesh: Mesh, params: SchemeParams):
@@ -437,52 +446,35 @@ class Operator:
         self._shared_times = self.times[::max(self.N - 1, 1)]
         self._key = self._rows = None
         self._f_groups = None   # every row's f groups and their row count
+        # control_free_cost checked, or nothing to check
+        self._f_checked = not problem.control_free_cost
 
-    def rows(self, m: int, codes=None, nodes=None) -> Rows:
-        """The store at step m with row [codes[r], nodes[r]] built for each
-        r, every row when codes is None.  The missing rows are built in
-        passes of whole pairs, in ascending pair code: each pass is one
-        build_node_table call on as many pairs as fit PASS_ROWS rows, and on
-        at least one pair."""
+    def rows(self, m: int) -> Rows:
+        """The store at step m, built whole at its first read: every pair
+        over every vertex, in passes of whole pairs in ascending pair code,
+        each one build_node_table call on as many pairs as fit PASS_ROWS
+        rows and on at least one.  The store is kept only once complete, so
+        a pass that raises leaves none."""
         if not 0 <= m < self.N:
             raise BadParams(f"step {m} outside 0..{self.N - 1}")
         key = None if self.problem.time_independent_dynamics else m
         if self._rows is None or key != self._key:
             # release the previous step's store before allocating this one
             self._rows = None
-            self._key, self._rows = key, Rows(self.n_pairs, self.mesh.n_vertices,
-                                              self.S, self.mesh.dim)
-        rows = self._rows
-        n = self.mesh.n_vertices
-        if codes is None:
-            # stacked terms are formed only once every row is built
-            if rows.stacked is not None:
-                return rows
-            # each missing row once, in (pair code, vertex) order
-            flat = np.flatnonzero(~rows.built.reshape(-1))
-        else:
-            codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
-            missing = ~rows.built[codes, nodes]
-            if not missing.any():
-                return rows
-            flat = np.unique(codes[missing] * n + nodes[missing])
-        if len(flat):
-            # the end of each pair's rows, and the end of the next pair's
-            ends = np.append(np.flatnonzero(np.diff(flat // n)) + 1, len(flat)).tolist()
-            lo = 0
-            for end, after in zip(ends, ends[1:] + [math.inf]):
-                if after - lo > PASS_ROWS:
-                    build_node_table(self.problem, self.mesh, self.params, rows,
-                                     self._shared_times if key is None else [self.times[m]],
-                                     flat[lo:end])
-                    lo = end
-        return rows
+            rows = Rows(self.n_pairs, self.mesh.n_vertices, self.S, self.mesh.dim)
+            times = self._shared_times if key is None else [self.times[m]]
+            step = max(1, PASS_ROWS // self.mesh.n_vertices)
+            for lo in range(0, self.n_pairs, step):
+                build_node_table(self.problem, self.mesh, self.params, rows, times,
+                                 range(lo, min(lo + step, self.n_pairs)))
+            self._key, self._rows = key, rows
+        return self._rows
 
     def _terms(self, rows: Rows, flat) -> tuple:
-        """S's pieces other than P and f on the built rows at the flat
-        indices flat, or on every row when flat is slice(None): their mean
-        Dirichlet datum, their oblique exits as (row r, d_tilde/(2*Ns)), and
-        the control_groups of the exits' projection points for g."""
+        """S's pieces other than P and f on the rows at the flat indices
+        flat, or on every row when flat is slice(None): their mean Dirichlet
+        datum, their oblique exits as (row r, d_tilde/(2*Ns)), and the
+        control_groups of the exits' projection points for g."""
         S = self.S
         refl_d = rows.refl_d.reshape(-1, S)[flat]
         r, s = np.divmod(np.flatnonzero(refl_d), S)
@@ -498,13 +490,15 @@ class Operator:
         of running_cost, P restricted to those rows); makes one g call per
         control b over the rows' oblique exits.  P is the rows' slots
         (verts, probs) as Rows.slots gives them.  On every row they and the
-        other terms are formed once per store and P @ U is
-        stacked_product; on gathered rows it is slot_product."""
-        rows = self.rows(m, codes, nodes)
+        other terms are formed once per store, the g points read-only, and
+        P @ U is stacked_product; on gathered rows it is slot_product."""
+        rows = self.rows(m)
         pr, t = self.problem, self.times[m]
         if codes is None:
             if rows.stacked is None:
                 rows.stacked = (rows.stacked_slots(), *self._terms(rows, slice(None)))
+                for _, _, P in rows.stacked[-1]:
+                    read_only(P)
             (verts, probs), *terms = rows.stacked
             P, v = (verts.T, probs.T), stacked_product((verts, probs), U)
         else:
@@ -527,29 +521,29 @@ class Operator:
         return v, f, P
 
     def running_cost(self, m: int, codes=None, nodes=None) -> np.ndarray:
-        """f at step m on the rows [codes[r], nodes[r]] of the store rows(m,
-        ...) gave last, or on every row: control a's pair-major block
-        [ia*nb*n, (ia+1)*nb*n) is one call on its own copy of the vertices
-        tiled nb times, as a handle may change its points, and gathered rows
-        one call per control a among them.  With control_free_cost each is
-        one call, every row's on the first block alone, and a store's first
-        use checks the promise: BadParams unless f(t, mesh.vertices, a) is
-        the same for every a, NaN equal to NaN."""
+        """f at step m on the rows [codes[r], nodes[r]], or on every row:
+        control a's pair-major block [ia*nb*n, (ia+1)*nb*n) is one call on
+        the operator's read-only copy of the vertices tiled nb times, kept
+        across steps, and gathered rows one call per control a among them.
+        With control_free_cost each is one call, every row's on the first
+        block alone, and the operator's first call checks the promise:
+        BadParams unless f(t, mesh.vertices, a) is the same for every a, NaN
+        equal to NaN."""
         pr, t = self.problem, self.times[m]
         free = pr.control_free_cost
-        if free and not self._rows.f_checked:
+        if not self._f_checked:
             first, *rest = [real_array(pr.f(t, self.mesh.vertices.copy(), a), "f",
                                        (self.mesh.n_vertices,)) for a in pr.controls_a]
             for ia, other in enumerate(rest, 1):
                 if not np.array_equal(first, other, equal_nan=True):
                     raise BadParams(f"control_free_cost is set, but f at t={t:g} differs "
                                     f"between controls a 0 and {ia}")
-            self._rows.f_checked = True
+            self._f_checked = True
         if codes is None:
             if self._f_groups is None:
                 block = self.nb * self.mesh.n_vertices
                 groups = [(a, slice(ia * block, (ia + 1) * block),
-                           np.tile(self.mesh.vertices, (self.nb, 1)))
+                           read_only(np.tile(self.mesh.vertices, (self.nb, 1))))
                           for ia, a in enumerate(pr.controls_a[:1] if free else pr.controls_a)]
                 self._f_groups = (groups, len(groups) * block)
             return per_control("f", pr.f, t, *self._f_groups)
@@ -604,11 +598,8 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     op = Operator(problem, mesh, params)
     n = mesh.n_vertices
     W = np.empty((N + 1, n))
-    W[N] = real_array(problem.psi(mesh.vertices), "psi", (n,))
+    W[N] = terminal_values(problem, mesh)
     max_psi = float(np.abs(W[N]).max())
-    # a NaN fails the test too
-    if not max_psi < math.inf:
-        raise BadParams("psi returned a value that is not finite")
     max_f = 0.0
     for k in range(N - 1, -1, -1):
         v, f, _ = op.apply(k, W[k + 1])

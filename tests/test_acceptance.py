@@ -156,7 +156,7 @@ def test_criterion_5d_interpolation_and_rows():
     for dx in dxs:
         m = build_disk_mesh((0.0, 0.0), 1.0, dx)
         nodal = np.sin(m.vertices[:, 0]) * np.sin(m.vertices[:, 1])
-        errs.append(max(abs(m.interpolate(nodal, x)
+        errs.append(max(abs(m._interpolate_point(nodal, x)
                             - math.sin(x[0]) * math.sin(x[1])) for x in pts))
     slope = _fitted_slope(dxs, errs)
 

@@ -1,4 +1,5 @@
-"""Frozen nodal values at report_index for coarse levels of every benchmark.
+"""Frozen nodal values at report_index for coarse levels of every benchmark,
+and frozen Markov-chain results under one fixed policy on three of them.
 
 Refactors of the location, classification or apply layers must reproduce
 these values to GOLDEN_ATOL.  Regenerate only in a change that means to
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from hjbsl.cli import build_mesh_for
+from hjbsl.markov import estimate_sojourn, policy_cost
 from hjbsl.problems import get_benchmark
 from hjbsl.scheme import SchemeParams, sweep
 
@@ -32,17 +34,48 @@ CASES = {
     "test2_oblique_dx0125": ("test2_oblique", 0.0, 0.125, 0.125),
 }
 
+# chain cases, on CASES names: the policy (j % n_a, 0) at every step, costs
+# from two vertices, SEED for every draw
+CHAIN_CASES = ("test1_eps005", "test2_oblique", "test3_exit")
+SEED = 3
+MC_PATHS = 50
+SOJOURN_PATHS = 20
 
-def _solve(case):
+
+def _setup(case):
     name, eps, dx, dt = CASES[case]
     bench = get_benchmark(name, eps=eps)
-    mesh = build_mesh_for(bench, dx)
-    vf = sweep(bench.problem, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+    return bench, build_mesh_for(bench, dx), SchemeParams(dt=dt, c_bar=bench.c_bar)
+
+
+def _solve(case):
+    bench, mesh, params = _setup(case)
+    vf = sweep(bench.problem, mesh, params)
     return vf.values[vf.report_index]
+
+
+def _chain(case):
+    """[exact cost, MC mean, MC stderr] from vertices 0 and n // 2, then
+    the sojourn's (mean, stderr)."""
+    bench, mesh, params = _setup(case)
+    pr = bench.problem
+    na = len(pr.controls_a)
+
+    def policy(m, j):
+        return (j % na, 0)
+
+    out = []
+    for i in (0, mesh.n_vertices // 2):
+        out.append(policy_cost(pr, mesh, policy, 0, i, params))
+        out.extend(policy_cost(pr, mesh, policy, 0, i, params, mode="monte_carlo",
+                               n_paths=MC_PATHS, seed=SEED))
+    out.extend(estimate_sojourn(pr, mesh, policy, params, SOJOURN_PATHS, seed=SEED))
+    return np.array(out)
 
 
 def freeze():
     data = {case: _solve(case).tolist() for case in CASES}
+    data["chain"] = {case: _chain(case).tolist() for case in CHAIN_CASES}
     GOLDEN_PATH.write_text(json.dumps(data, indent=1) + "\n")
 
 
@@ -50,6 +83,14 @@ def freeze():
 def test_golden_values(case):
     expected = np.array(json.loads(GOLDEN_PATH.read_text())[case])
     got = _solve(case)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= GOLDEN_ATOL
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_golden_chain_results(case):
+    expected = np.array(json.loads(GOLDEN_PATH.read_text())["chain"][case])
+    got = _chain(case)
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) <= GOLDEN_ATOL
 

@@ -81,19 +81,6 @@ def test_no_unused_imports_in_library():
     assert not found, f"unused imports in src/hjbsl: {found}"
 
 
-# defined but read only from outside src/hjbsl, with the reason
-UNREFERENCED_ALLOWED = {
-    "Mesh.interpolate": "public one-point P1 value that checks its input; the "
-                        "library's own query checks x once and calls the unchecked "
-                        "Mesh._interpolate_point",
-    "Mesh.interpolation_weights": "public one-point weights that check the point; "
-                                  "the library calls the unchecked Mesh._point_weights",
-    "Mesh.interpolate_many": "public row P1 values that check their input; the "
-                             "library's own row query converts X once and calls the "
-                             "unchecked Mesh._interpolate_rows",
-}
-
-
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
@@ -128,10 +115,8 @@ def _unreferenced_definitions() -> list:
 
 def test_no_unreferenced_definitions_in_library():
     found = _unreferenced_definitions()
-    assert [q for q in found if q not in UNREFERENCED_ALLOWED] == [], \
+    assert found == [], \
         f"functions, classes, constants or methods no module of src/hjbsl refers to: {found}"
-    # the allow-list names only what is still unreferenced
-    assert set(UNREFERENCED_ALLOWED) <= set(found)
 
 
 def test_no_private_constructor_arguments():

@@ -201,7 +201,8 @@ def test_time_independent_dynamics_flag_is_checked():
 def test_shared_store_is_built_at_the_first_step_time(T, times):
     """With the flag set, each build pass forms its rows' characteristics at
     the first step time and checks them at the last, whichever step is read
-    first; with one step there is no second time to check."""
+    first; with one step there is no second time to check.  A second read
+    builds nothing."""
     seen = []
 
     def mu(t, X, a):
@@ -211,10 +212,10 @@ def test_shared_store_is_built_at_the_first_step_time(T, times):
     pr = replace(_time_dependent_problem(time_independent_dynamics=True), T=T, mu=mu)
     mesh = build_interval_mesh(0.0, 1.0, 0.125)
     op = Operator(pr, mesh, SchemeParams(dt=0.25, c_bar=0.2))
-    op.rows(op.N - 1, [0], [4])
+    op.rows(op.N - 1)
     assert seen == times
     op.rows(0)
-    assert seen == times * 2
+    assert seen == times
 
 
 @pytest.mark.parametrize("mode", ["exact", "monte_carlo", None])
@@ -349,7 +350,7 @@ def _reference_path(model, policy, k, i, seed, path):
         t = model.times[m]
         ia, ib = policy(m, state) if callable(policy) else policy[m][state]
         c = ia * nb + ib
-        rows = model.rows(m, np.array([c]), np.array([state]))
+        rows = model.rows(m)
         weights, dirichlet = rows.weights[c, state], rows.dirichlet[c, state]
         refl_d = rows.refl_d[c, state]
         mass = weights.copy()
@@ -461,6 +462,28 @@ def test_chain_calls_share_one_model(monkeypatch):
     assert model.draws(3, 40, model.N) is draws and not draws.flags.writeable
     # bitwise the results of a fresh model per call
     assert first == fresh and again == fresh
+
+
+def test_policy_cost_builds_its_store_whole_once(monkeypatch):
+    """A cold policy_cost on test3_exit (one shared store, 16 pairs, 223
+    vertices) builds the whole store in 2 passes of whole pairs, though its
+    distribution reaches few rows; a warm one builds none."""
+    bench = get_benchmark("test3_exit")
+    mesh = build_mesh_for(bench, 0.1)
+    params = SchemeParams(dt=0.05, c_bar=bench.c_bar)
+    passes = []
+    build = scheme.build_node_table
+    monkeypatch.setattr(scheme, "build_node_table",
+                        lambda *args: passes.append(args[-1]) or build(*args))
+    markov._latest.entry = None
+
+    def policy(m, j):
+        return (j % 16, 0)
+
+    cold = policy_cost(bench.problem, mesh, policy, 0, 7, params)
+    assert passes == [range(0, 9), range(9, 16)]
+    assert policy_cost(bench.problem, mesh, policy, 0, 7, params) == cold
+    assert len(passes) == 2
 
 
 @pytest.mark.parametrize("change", ["reassign-mu", "replace", "mesh", "dt", "c_bar",
@@ -678,7 +701,7 @@ def test_slot_product_and_move_equal_scipy_bitwise(name):
         for _ in range(20):
             nodes = rng.choice(n, size=size, replace=False)
             codes = rng.integers(0, op.n_pairs, size=size)
-            rows = op.rows(0, codes, nodes)
+            rows = op.rows(0)
             slots = rows.slots(codes, nodes)
             P = _csr(slots, n)
             U, w = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, size)

@@ -23,11 +23,17 @@ from hjbsl.mesh import (
     write_mesh,
 )
 from hjbsl.problems import get_benchmark
-from hjbsl.scheme import Operator, SchemeParams, sweep
+from hjbsl.scheme import Operator, SchemeParams, ValueFunction, sweep
 from test_geometry import boundary_kind
 
 RECT = dict(bounds=(-1.0, 1.0, -0.5, 0.5), hole_center=(-0.5, 0.0),
             hole_radius=0.2)
+
+
+def query(m, nodal, x):
+    """The checked P1 query vf(0, x) of nodal values (n_vertices,) on m."""
+    return ValueFunction(values=np.array(nodal, dtype=float)[None], dt=1.0, mesh=m,
+                         problem=None)(0.0, x)
 
 
 def test_interval_mesh_examples():
@@ -102,7 +108,7 @@ def test_partition_of_unity():
         x = rng.uniform(-1.0, 1.0, size=2)
         if np.linalg.norm(x) > 1.0:
             continue
-        verts, w = m.interpolation_weights(x)
+        verts, w = m._point_weights(x)
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         n += 1
@@ -129,9 +135,9 @@ def test_locate_examples():
 def test_interpolation_examples():
     m = build_interval_mesh(0.0, 1.0, 0.25)
     const = np.full(m.n_vertices, 3.7)
-    assert m.interpolate(const, np.array([0.3])) == pytest.approx(3.7)
+    assert query(m, const, np.array([0.3])) == pytest.approx(3.7)
     lin = m.vertices[:, 0].copy()
-    assert m.interpolate(lin, np.array([0.3])) == pytest.approx(0.3)
+    assert query(m, lin, np.array([0.3])) == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -140,7 +146,7 @@ def test_interpolation_quadratic_error(k):
     m = build_interval_mesh(0.0, 1.0, dx)
     nodal = m.vertices[:, 0] ** 2
     xs = np.linspace(0.0, 1.0, 1000)
-    err = max(abs(m.interpolate(nodal, np.array([x])) - x * x) for x in xs)
+    err = max(abs(query(m, nodal, np.array([x])) - x * x) for x in xs)
     assert err <= dx * dx / 4.0 + 1e-12
 
 
@@ -156,7 +162,7 @@ def test_interpolation_rate_on_disk():
     for dx in dxs:
         m = build_disk_mesh((0.0, 0.0), 1.0, dx)
         nodal = np.sin(m.vertices[:, 0]) * np.sin(m.vertices[:, 1])
-        errs.append(max(abs(m.interpolate(nodal, x)
+        errs.append(max(abs(query(m, nodal, x)
                             - math.sin(x[0]) * math.sin(x[1])) for x in pts))
     slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
     assert slope >= 1.8
@@ -169,7 +175,7 @@ def test_interpolation_monotone():
     V = U + rng.uniform(0.0, 1.0, m.n_vertices)
     for _ in range(200):
         x = rng.uniform(-0.7, 0.7, size=2)
-        assert m.interpolate(U, x) <= m.interpolate(V, x) + 1e-12
+        assert query(m, U, x) <= query(m, V, x) + 1e-12
 
 
 def test_project_examples():
@@ -180,13 +186,13 @@ def test_project_examples():
     v = md.vertices[7]
     assert np.allclose(_landing(md, v[None, :])[0], v)
     with pytest.raises(OutsideDomain):
-        md.interpolation_weights(np.array([1.5, 0.0]))
+        md._point_weights(np.array([1.5, 0.0]))
     # arc midpoint outside the polygon lands on the nearest chord
     bnd = md.vertices[md.boundary_tags > 0]
     th = np.sort(np.arctan2(bnd[:, 1], bnd[:, 0]))
     mid = 0.5 * (th[0] + th[1])
     x = np.array([math.cos(mid), math.sin(mid)])
-    verts, w = md.interpolation_weights(x)
+    verts, w = md._point_weights(x)
     q = w @ md.vertices[verts]
     assert md._scan(x) is None
     assert np.linalg.norm(q) < 1.0
@@ -196,24 +202,21 @@ def test_project_examples():
 def test_interpolation_rejects_misshapen_input():
     m = build_interval_mesh(0.0, 1.0, 0.25)
     nodal = np.zeros(m.n_vertices)
-    # two coordinates on a 1D mesh are not two points
-    for x in ([0.5, 0.2], np.zeros((1, 1))):
+    # two coordinates on a 1D mesh are not two points, nor rows of width 2
+    for x in ([0.5, 0.2], np.zeros((1, 2))):
         with pytest.raises(BadParams):
-            m.interpolate(nodal, x)
-    for bad in (np.zeros(m.n_vertices - 1), np.zeros(m.n_vertices + 1)):
-        with pytest.raises(BadParams):
-            m.interpolate(bad, [0.5])
+            query(m, nodal, x)
     md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
     with pytest.raises(BadParams):
-        md.interpolation_weights([0.1])
+        query(md, np.zeros(md.n_vertices), [0.1])
     # without a domain to reject them, coordinates that are not finite
     free = copy.copy(m)
     free.domain = None
     for x in ([math.nan], [math.inf], [-math.inf]):
         with pytest.raises(BadParams):
-            free.interpolate(nodal, x)
+            query(free, nodal, x)
         with pytest.raises(BadParams):
-            free.interpolate_many(nodal, [[0.5], x])
+            query(free, nodal, [[0.5], x])
 
 
 def test_mesh_io_roundtrip(tmp_path):
@@ -377,7 +380,7 @@ def test_interpolation_weights_match_locate_many(name):
     simplex, bary = m.locate_many(pts)
     scanned = 0
     for x, t, b in zip(pts, simplex, bary):
-        verts, w = m.interpolation_weights(x)
+        verts, w = m._point_weights(x)
         assert np.array_equal(verts, m.simplices[t]), x
         assert np.array_equal(w, b), x
         ref = m._scan(x)
@@ -386,7 +389,7 @@ def test_interpolation_weights_match_locate_many(name):
             scanned += 1
     assert scanned >= 0.9 * len(pts)
     with pytest.raises(OutsideDomain):
-        m.interpolation_weights(m.vertices.max(axis=0) + m.mesh_size)
+        m._point_weights(m.vertices.max(axis=0) + m.mesh_size)
 
 
 # a barycentric before the clip: a clipped negative, an exact zero of
@@ -421,13 +424,11 @@ def test_clip_normalize_forms_agree_bitwise(rows):
 def test_one_point_query_counts_per_layer(monkeypatch):
     """A query inside a grid cell makes one Mesh._point_weights call and no
     Mesh._locate_miss call, a grid miss one of each; the miss goes to the
-    two scans without a second grid pass.  The query checks its input once,
-    so it calls neither checked public method."""
+    two scans without a second grid pass."""
     bench = get_benchmark("test1_eps", eps=0.05)
     m = build_mesh_for(bench, 0.1)
     vf = sweep(bench.problem, m, SchemeParams(dt=0.1, c_bar=bench.c_bar))
-    calls = {"interpolate": 0, "interpolation_weights": 0, "_point_weights": 0,
-             "_locate_miss": 0, "_locate_one": 0, "_scan": 0}
+    calls = {"_point_weights": 0, "_locate_miss": 0, "_locate_one": 0, "_scan": 0}
 
     def counted(name):
         method = getattr(Mesh, name)
@@ -445,8 +446,8 @@ def test_one_point_query_counts_per_layer(monkeypatch):
                                    (_miss_point(m), 1, 2)):
         calls.update(dict.fromkeys(calls, 0))
         vf(0.0, x)
-        assert calls == {"interpolate": 0, "interpolation_weights": 0, "_point_weights": 1,
-                         "_locate_miss": n_fallback, "_locate_one": 1, "_scan": n_scans}, x
+        assert calls == {"_point_weights": 1, "_locate_miss": n_fallback, "_locate_one": 1,
+                         "_scan": n_scans}, x
 
 
 @pytest.mark.parametrize("name", sorted(LOC_MESHES))

@@ -146,14 +146,6 @@ CASES = [
                           ("time-bool", True, [0.5]))],
     case("vf-rows-ragged", BadParams,
          lambda tmp: unit_vf()(0.0, [[0.5], [0.25, 0.5]]), match="not an array"),
-    case("interpolate-nodal-strings", BadParams,
-         lambda tmp: unit_mesh().interpolate(["a"] * 5, [0.5]), match="real numbers"),
-    case("interpolate_many-nodal-strings", BadParams,
-         lambda tmp: unit_mesh().interpolate_many(["a"] * 5, [[0.5]]),
-         match="real numbers"),
-    case("interpolate-nodal-complex", BadParams,
-         lambda tmp: unit_mesh().interpolate(np.zeros(5, dtype=complex), [0.5]),
-         match="real numbers"),
     # a mesh of another domain
     case("sweep-mesh-of-a-shorter-interval", BadParams,
          lambda tmp: sweep(TEST1.problem, half_mesh(), PARAMS)),

@@ -440,6 +440,52 @@ def test_sweep_calls_each_handle_once_per_table(name, dx, dt):
         assert calls["mu"] == calls["sigma"] == 2 * pairs
 
 
+def test_control_free_cost_is_checked_once_per_operator():
+    """With one store per step the promise is checked at the first step
+    time alone: N + n_a f calls per sweep, as with a shared store."""
+    bench = get_benchmark("test3_exit")
+    pr = dataclasses.replace(bench.problem, time_independent_dynamics=False)
+    assert pr.control_free_cost
+    calls, f = [], pr.f
+    pr.f = lambda *args: calls.append(args[0]) or f(*args)
+    sweep(pr, build_mesh_for(bench, 0.2), SchemeParams(dt=0.1, c_bar=bench.c_bar))
+    assert len(calls) == n_steps(pr.T, 0.1) + len(pr.controls_a) == 46
+
+
+def _writes_its_points(handle, name):
+    """handle, first shifting the points it is given in place (scaling
+    them, for g)."""
+    def written(*args):
+        points = args[0] if name == "psi" else args[1]
+        if name == "g":
+            points *= 0.5
+        else:
+            points += 0.01
+        return handle(*args)
+    return written
+
+
+@pytest.mark.parametrize("name, reader", [
+    ("f", "sweep"), ("g", "sweep"), ("psi", "sweep"), ("psi", "policy_cost")])
+def test_handles_that_write_their_points_are_refused(name, reader):
+    """The points kept across steps (every row's f points, the stacked g
+    points) and the vertices psi reads are read-only, so a handle that
+    writes its input raises and changes neither the mesh nor a later
+    step."""
+    bench = get_benchmark("test2_oblique" if name == "g" else "test1_eps", eps=0.05)
+    mesh = build_mesh_for(bench, 0.25)
+    params = SchemeParams(dt=0.25, c_bar=bench.c_bar)
+    pr = bench.problem
+    pr = dataclasses.replace(pr, **{name: _writes_its_points(getattr(pr, name), name)})
+    before = mesh.vertices.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        if reader == "sweep":
+            sweep(pr, mesh, params)
+        else:
+            policy_cost(pr, mesh, lambda m, j: (0, 0), 0, 1, params)
+    assert np.array_equal(mesh.vertices, before)
+
+
 def test_handles_of_the_wrong_shape_are_rejected():
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     params = SchemeParams(dt=0.25, c_bar=0.3)
@@ -635,15 +681,18 @@ def test_build_node_table_rejects_bad_weights(monkeypatch):
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     params = SchemeParams(dt=0.1, c_bar=0.25)
     rows = Operator(pr, mesh, params).rows(0)
-    assert rows.built.all()
     assert np.allclose(rows.weights.sum(axis=3), 1.0)
 
     def bad_locate(points):
         return np.zeros(len(points), dtype=int), np.full((len(points), 2), 0.6)
 
     monkeypatch.setattr(mesh, "locate_many", bad_locate)
+    op = Operator(pr, mesh, params)
     with pytest.raises(LocationFailure):
-        Operator(pr, mesh, params).rows(0)
+        op.rows(0)
+    # the failed pass left no store behind: a second read builds again
+    with pytest.raises(LocationFailure):
+        op.rows(0)
 
 
 # -- batched classification against the scalar routing rules --
@@ -792,29 +841,6 @@ PIPELINE_CASES = _pipeline_cases()
 ROW_FIELDS = ("verts", "weights", "const", "dirichlet", "refl_d", "refl_p", "cum", "layer")
 
 
-@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
-def test_build_node_table_subset_equals_full_rows(name):
-    # the rows a reader reaches, built alone, equal those of the full store
-    bench, mesh, dt = PIPELINE_CASES[name]
-    pr = bench.problem
-    params = SchemeParams(dt=dt, c_bar=bench.c_bar)
-    rng = np.random.default_rng(4)
-    P, n = len(pr.controls_a) * len(pr.controls_b), mesh.n_vertices
-    nodes = rng.choice(n, size=n // 2, replace=False)
-    codes = rng.integers(P, size=len(nodes))
-    full = Operator(pr, mesh, params).rows(0)
-    part = Operator(pr, mesh, params).rows(0, codes, nodes)
-    built = np.zeros((P, n), dtype=bool)
-    built[codes, nodes] = True
-    assert np.array_equal(part.built, built)
-    for field in ROW_FIELDS:
-        got, want = getattr(part, field), getattr(full, field)
-        assert np.array_equal(got[codes, nodes], want[codes, nodes]), field
-        assert not got[~built].any(), field
-    assert part.refl_d.any()
-    assert part.dirichlet.any() == pr.domain.has_dirichlet
-
-
 def _disk_two_fields():
     """test2_oblique with two controls b whose fields differ, given as a
     FunctionField, so that the disk's Newton projection runs per control b."""
@@ -835,17 +861,20 @@ BATCH_CASES = dict(PIPELINE_CASES, disk_two_fields=_disk_two_fields())
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
-def test_rows_built_in_passes_equal_rows_built_pair_by_pair(name):
+def test_rows_built_in_passes_equal_rows_built_pair_by_pair(monkeypatch, name):
     """A store built in passes of several pairs equals one built one pair
-    at a time in reverse pair order, bit for bit."""
+    per pass, bit for bit."""
     bench, mesh, dt = BATCH_CASES[name]
     params = SchemeParams(dt=dt, c_bar=bench.c_bar)
-    n = mesh.n_vertices
     full = Operator(bench.problem, mesh, params).rows(0)
+    monkeypatch.setattr(scheme, "PASS_ROWS", 1)
+    passes = []
+    build = scheme.build_node_table
+    monkeypatch.setattr(scheme, "build_node_table",
+                        lambda *args: passes.append(args[-1]) or build(*args))
     op = Operator(bench.problem, mesh, params)
-    for c in range(op.n_pairs - 1, -1, -1):
-        alone = op.rows(0, np.full(n, c), np.arange(n))
-    assert alone.built.all()
+    alone = op.rows(0)
+    assert passes == [range(c, c + 1) for c in range(op.n_pairs)]
     for field in ROW_FIELDS:
         assert np.array_equal(getattr(alone, field), getattr(full, field)), field
     assert full.refl_d.any()
@@ -861,8 +890,8 @@ def test_rows_built_in_passes_equal_rows_built_pair_by_pair(name):
 def test_sweep_builds_whole_pairs_in_bounded_passes(monkeypatch, name, dx, dt,
                                                     n_vertices, passes):
     """Each row of a time-independent sweep is built once, by passes of
-    whole pairs within PASS_ROWS rows: ceil(pairs / floor(PASS_ROWS / n))
-    build_node_table calls."""
+    whole pairs within PASS_ROWS rows in ascending pair code:
+    ceil(pairs / floor(PASS_ROWS / n)) build_node_table calls."""
     bench = get_benchmark(name)
     mesh = build_mesh_for(bench, dx)
     pr = bench.problem
@@ -871,23 +900,13 @@ def test_sweep_builds_whole_pairs_in_bounded_passes(monkeypatch, name, dx, dt,
     assert n == n_vertices
     calls = []
     build = scheme.build_node_table
-
-    def counted(*args):
-        # a pass's rows are flat store indices c*n + j
-        calls.append(np.divmod(args[-1], n))
-        return build(*args)
-
-    monkeypatch.setattr(scheme, "build_node_table", counted)
+    monkeypatch.setattr(scheme, "build_node_table",
+                        lambda *args: calls.append(args[-1]) or build(*args))
     sweep(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
     assert len(calls) == math.ceil(pairs / (PASS_ROWS // n)) == passes
-    built = np.zeros((pairs, n), dtype=int)
-    for codes, nodes in calls:
-        assert len(codes) <= PASS_ROWS
-        # whole pairs: every vertex of each pair the pass touches
-        per_pair = np.bincount(codes)
-        assert (per_pair[per_pair > 0] == n).all()
-        np.add.at(built, (codes, nodes), 1)
-    assert (built == 1).all()
+    # each pass a pair range of at most PASS_ROWS rows, together every pair once
+    assert all(len(r) * n <= PASS_ROWS for r in calls)
+    assert [c for r in calls for c in r] == list(range(pairs))
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
