@@ -293,10 +293,10 @@ def main(argv=None) -> int:
 
 def _verify(seed: int) -> int:
     """Fast sanity slice of the property suites, on every row of one
-    assembled operator; exit 0 iff all pass."""
+    assembled operator per boundary kind: test1's 1D one, test2_oblique's
+    with oblique reflection and test3_exit's with Dirichlet absorption;
+    exit 0 iff all pass."""
     from .geometry import Disk, RotatedNormalField, oblique_projection_many
-    from .mesh import build_interval_mesh
-    from .problems import make_test1
     from .scheme import Operator
 
     rng = np.random.default_rng(seed)
@@ -310,16 +310,20 @@ def _verify(seed: int) -> int:
                                  r_max=math.inf)
     _report("oblique projection residual <= 1e-10", pr.residual.max() <= 1e-10, failures)
 
-    bench = make_test1(0.05)
-    mesh = build_interval_mesh(0.0, 1.0, 0.05)
-    op = Operator(bench.problem, mesh, SchemeParams(dt=0.05, c_bar=bench.c_bar))
-    U = rng.uniform(-1, 1, mesh.n_vertices)
-    V = U + rng.uniform(0, 1, mesh.n_vertices)
-    SU, _, (_, probs) = op.apply(0, U)
-    # a row's mass: its transition probabilities plus its absorbed branches
-    mass = probs.sum(axis=1) + op.rows(0).dirichlet.mean(axis=-1).ravel()
-    _report("transition row sums to 1", np.abs(mass - 1.0).max() <= 1e-12, failures)
-    _report("one-step operator monotone", np.all(SU <= op.apply(0, V)[0] + 1e-12), failures)
+    for name, dx, dt in (("test1_eps", 0.05, 0.05), ("test2_oblique", 0.25, 0.25),
+                         ("test3_exit", 0.2, 0.1)):
+        bench = get_benchmark(name, eps=0.05)
+        mesh = build_mesh_for(bench, dx)
+        op = Operator(bench.problem, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+        U = rng.uniform(-1, 1, mesh.n_vertices)
+        V = U + rng.uniform(0, 1, mesh.n_vertices)
+        SU, _, (_, probs) = op.apply(0, U)
+        # a row's mass: its transition probabilities plus its absorbed branches
+        mass = probs.sum(axis=1) + op.rows(0).dirichlet.mean(axis=-1).ravel()
+        _report(f"{name} dx {dx}: transition row sums to 1",
+                np.abs(mass - 1.0).max() <= 1e-12, failures)
+        _report(f"{name} dx {dx}: one-step operator monotone",
+                np.all(SU <= op.apply(0, V)[0] + 1e-12), failures)
 
     return 1 if failures else 0
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import BadParams, LocationFailure, OutsideDomain, RegularityViolation
+from .errors import BadParams, LocationFailure, RegularityViolation
 from .geometry import (
     TOL_BOUNDARY,
     Disk,
@@ -43,25 +43,17 @@ MIN_SHAPE_RECT_WITH_HOLE = 0.01
 # a simplex of measure at most ZERO_MEASURE*mesh_size^dim is degenerate
 ZERO_MEASURE = 1e-13
 
-TAG_INTERIOR = 0
-TAG_OBLIQUE = 1
-TAG_DIRICHLET = 2
-
 
 class Mesh:
     """Simplices (m, dim+1) of vertex indices over vertices (n, dim), dim 1
-    or 2, with P1 interpolation.  The mesh computes its mesh_size (largest
-    simplex diameter), shape_constant and, when boundary_tags (TAG_* per
-    vertex) is None, the tags from domain on first read.  BadParams for
-    input of the wrong shape, a vertex that is not real numbers or not
-    finite, a tag that is not a TAG_*, an index that is not an integer or is
-    out of range, a location grid of more than
-    MAX_CELLS_PER_SIMPLEX cells per simplex or a domain the mesh does not
-    discretize (check_domain); RegularityViolation for a simplex of zero
-    measure."""
+    or 2, with P1 interpolation; the domain is the problem's.  The mesh
+    computes its mesh_size (largest simplex diameter) and shape_constant.
+    BadParams for input of the wrong shape, a vertex that is not real
+    numbers or not finite, an index that is not an integer or is out of
+    range, or a location grid of more than MAX_CELLS_PER_SIMPLEX cells per
+    simplex; RegularityViolation for a simplex of zero measure."""
 
-    def __init__(self, vertices, simplices, boundary_tags=None,
-                 domain: Domain | None = None):
+    def __init__(self, vertices, simplices):
         self.vertices = real_array(vertices, "vertices")
         if self.vertices.shape[1:] not in ((1,), (2,)) or not np.isfinite(self.vertices).all():
             raise BadParams("vertices must be (n, 1) or (n, 2) finite coordinates")
@@ -78,27 +70,9 @@ class Mesh:
         if not ((self.simplices >= 0) & (self.simplices < self.n_vertices)).all():
             raise BadParams(f"a simplex vertex index is outside 0..{self.n_vertices - 1}")
         self.mesh_size, self.shape_constant = _mesh_metrics(self.vertices, self.simplices)
-        self.domain = domain
         self._build_bary_planes()
         self._build_cells()
         self._build_boundary_edges()
-        if domain is not None:
-            self.check_domain(domain)
-        elif boundary_tags is None:
-            raise BadParams("a mesh needs boundary_tags or a domain")
-        if boundary_tags is not None:
-            tags = real_array(boundary_tags, "boundary_tags", (self.n_vertices,))
-            if not np.isin(tags, (TAG_INTERIOR, TAG_OBLIQUE, TAG_DIRICHLET)).all():
-                raise BadParams("boundary_tags must each be TAG_INTERIOR, TAG_OBLIQUE "
-                                "or TAG_DIRICHLET")
-            # shadows the cached property
-            self.boundary_tags = tags.astype(int)
-
-    @functools.cached_property
-    def boundary_tags(self) -> np.ndarray:
-        """TAG_* per vertex: the given tags, else the domain's, computed on
-        first read."""
-        return _tags_from_domain(self.domain, self.vertices)
 
     # -- construction helpers -------------------------------------------------
 
@@ -299,32 +273,19 @@ class Mesh:
         q = a + t[:, None] * ab
         return q[np.argmin(np.linalg.norm(x - q, axis=1))]
 
-    def _point_weights(self, x):
+    def _point_weights(self, coords):
         """Vertex indices and P1 weights, a convex combination summing to
-        one, at p_dx(x) for a point x (dim,) that as_point made: located by
-        the grid pass of locate_many without its batch set-up, and a grid
-        miss as there; OutsideDomain unless x is in the closed domain."""
-        coords = x.tolist()
-        if self.domain is not None and not self.domain._distance(coords) <= TOL_BOUNDARY:
-            raise OutsideDomain(f"point {x!r} outside the closed domain")
+        one, at p_dx(x) for a point x given as a list coords of dim Python
+        floats, unchecked: located by the grid pass of locate_many without
+        its batch set-up, and a grid miss as there."""
         simplex, bary = (self._locate_one(coords, self._cell_row(coords))
-                         or self._locate_miss(x))
+                         or self._locate_miss(np.array(coords)))
         return self.simplices[simplex], bary
 
-    def _interpolate_point(self, nodal, x) -> float:
-        """P1 value of float nodal values (n_vertices,) at p_dx(x) for a
-        point x (dim,) that as_point made, neither checked again."""
-        verts, w = self._point_weights(x)
-        return float(np.dot(nodal[verts], w))
-
     def _interpolate_rows(self, nodal, X) -> np.ndarray:
-        """_interpolate_point at each row x of X (m, dim) that as_rows made,
-        with one locate_many call; OutsideDomain or BadParams unless every
-        row is finite and in the closed domain."""
-        if self.domain is not None:
-            out = ~(self.domain.signed_distance_many(X) <= TOL_BOUNDARY)
-            if out.any():
-                raise OutsideDomain(f"point {X[out.argmax()]!r} outside the closed domain")
+        """P1 values of float nodal values (n_vertices,) at p_dx(x) for each
+        row x of X (m, dim) that as_rows made, with one locate_many call, as
+        _point_weights gives them; BadParams unless every row is finite."""
         if not np.isfinite(X).all():
             raise BadParams("points with coordinates that are not finite")
         simplex, bary = self.locate_many(X)
@@ -408,14 +369,6 @@ def _mesh_metrics(vertices, simplices):
     return mesh_size, float(min((inradius / mesh_size).min(), 0.999))
 
 
-def _tags_from_domain(domain: Domain, vertices) -> np.ndarray:
-    tags = np.full(len(vertices), TAG_INTERIOR, dtype=int)
-    on = np.flatnonzero(np.abs(domain.signed_distance_many(vertices)) <= TOL_BOUNDARY)
-    dirichlet, _ = domain.boundary_kind_many(vertices[on])
-    tags[on] = np.where(dirichlet, TAG_DIRICHLET, TAG_OBLIQUE)
-    return tags
-
-
 def build_interval_mesh(a: float, b: float, dx: float) -> Mesh:
     """Uniform grid on [a, b] with spacing at most dx."""
     domain = Interval(a, b)
@@ -425,7 +378,7 @@ def build_interval_mesh(a: float, b: float, dx: float) -> Mesh:
     n_cells = int(math.ceil((b - a) / dx - 1e-12))
     xs = np.linspace(a, b, n_cells + 1)
     simplices = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
-    return Mesh(xs[:, None], simplices, domain=domain)
+    return Mesh(xs[:, None], simplices)
 
 
 def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
@@ -447,15 +400,13 @@ def build_disk_mesh(center, radius: float, dx: float) -> Mesh:
         th = offset + 2.0 * math.pi * np.arange(n_j) / n_j
         pts.append(center + j * dr * np.column_stack([np.cos(th), np.sin(th)]))
     vertices = np.vstack([np.atleast_2d(p) for p in pts])
-    return _delaunay_mesh(vertices, _triangulate(vertices), domain, MIN_SHAPE_DISK)
+    return _delaunay_mesh(vertices, _triangulate(vertices), MIN_SHAPE_DISK)
 
 
-def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,
-                              **domain_kwargs) -> Mesh:
+def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float) -> Mesh:
     """Structured grid plus a snapped ring on the hole circle, Delaunay
     triangulated with hole triangles removed."""
-    domain = RectWithHole(bounds=bounds, hole_center=hole_center,
-                          hole_radius=hole_radius, **domain_kwargs)
+    domain = RectWithHole(bounds=bounds, hole_center=hole_center, hole_radius=hole_radius)
     xmin, xmax, ymin, ymax = domain.bounds
     if not (0 < dx < min(xmax - xmin, ymax - ymin)):
         raise BadParams("dx out of range for the rectangle")
@@ -475,7 +426,7 @@ def build_rect_with_hole_mesh(bounds, hole_center, hole_radius, dx: float,
     simplices = _triangulate(vertices)
     bary = vertices[simplices].mean(axis=1)
     return _delaunay_mesh(vertices, simplices[np.linalg.norm(bary - hc, axis=1) > hr],
-                          domain, MIN_SHAPE_RECT_WITH_HOLE)
+                          MIN_SHAPE_RECT_WITH_HOLE)
 
 
 def _triangulate(vertices) -> np.ndarray:
@@ -486,10 +437,10 @@ def _triangulate(vertices) -> np.ndarray:
     return Delaunay(vertices).simplices
 
 
-def _delaunay_mesh(vertices, simplices, domain: Domain, least: float) -> Mesh:
+def _delaunay_mesh(vertices, simplices, least: float) -> Mesh:
     """The Mesh of the simplices of area above 1e-13, Delaunay's slivers
     dropped; RegularityViolation if its shape constant is below least."""
-    mesh = Mesh(vertices, simplices[_measures(vertices[simplices]) > 1e-13], domain=domain)
+    mesh = Mesh(vertices, simplices[_measures(vertices[simplices]) > 1e-13])
     if mesh.shape_constant < least:
         raise RegularityViolation(f"shape constant {mesh.shape_constant:.3g} "
                                   f"below {least:.3g}")
@@ -497,30 +448,34 @@ def _delaunay_mesh(vertices, simplices, domain: Domain, least: float) -> Mesh:
 
 
 def write_mesh(mesh: Mesh, path):
-    """Line-oriented text format: header, vertices with tags, simplices."""
+    """Text format hjbmesh 2: header, vertex coordinates, simplices."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"hjbmesh 1 {mesh.dim} {mesh.n_vertices} {len(mesh.simplices)}\n")
-        for v, tag in zip(mesh.vertices, mesh.boundary_tags):
-            coords = " ".join(repr(float(c)) for c in v)
-            fh.write(f"{coords} {tag}\n")
+        fh.write(f"hjbmesh 2 {mesh.dim} {mesh.n_vertices} {len(mesh.simplices)}\n")
+        for v in mesh.vertices:
+            fh.write(" ".join(repr(float(c)) for c in v) + "\n")
         for s in mesh.simplices:
             fh.write(" ".join(str(int(i)) for i in s) + "\n")
 
 
-def read_mesh(path, domain: Domain | None = None) -> Mesh:
-    """The Mesh that write_mesh wrote to path; BadParams if it does not parse."""
+def read_mesh(path) -> Mesh:
+    """The Mesh that write_mesh wrote to path; BadParams if it does not
+    parse, is of another format version or has lines past the header's
+    counts."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().split()
-            if len(header) != 5 or header[0] != "hjbmesh" or header[1] != "1":
-                raise BadParams(f"bad mesh header in {path}")
+            if len(header) != 5 or header[0] != "hjbmesh" or header[1] != "2":
+                raise BadParams(f"bad mesh header in {path}: {' '.join(header[:2])!r}, "
+                                f"expected 'hjbmesh 2' (the format version)")
             dim, nv, ns = int(header[2]), int(header[3]), int(header[4])
             # islice stops at the end of the file, whatever the header claims
-            rows = [line.split() for line in itertools.islice(fh, nv)]
-            vertices = np.array([r[:dim] for r in rows], dtype=float).reshape(nv, dim)
-            tags = np.array([r[dim] for r in rows], dtype=int)
+            vertices = np.array([line.split() for line in itertools.islice(fh, nv)],
+                                dtype=float).reshape(nv, dim)
             simplices = np.array([line.split() for line in itertools.islice(fh, ns)],
                                  dtype=int).reshape(ns, dim + 1)
+            if any(line.strip() for line in fh):
+                raise BadParams(f"mesh file {path} has lines past its {nv} vertices "
+                                f"and {ns} simplices")
     except (ValueError, IndexError) as exc:
         raise BadParams(f"malformed mesh file {path}: {exc}") from None
-    return Mesh(vertices, simplices, tags, domain)
+    return Mesh(vertices, simplices)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadParams, LocationFailure, OutsideTube, Unstable
+from .errors import BadParams, LocationFailure, OutsideDomain, OutsideTube, Unstable
 from .geometry import (
     TOL_BOUNDARY,
     Domain,
@@ -574,7 +574,9 @@ class ValueFunction:
         """P1 value at x of the step whose time is the largest at or below
         t; BadParams unless t lies in [0, N*dt] up to 1e-9*dt.  A point x
         (dim,) gives a float, rows x (m, dim) an (m,) array of the same
-        values.  BadParams unless t is one real number and x real numbers."""
+        values.  BadParams unless t is one real number and x real numbers;
+        OutsideDomain unless every point lies in problem.domain, closed up
+        to TOL_BOUNDARY."""
         s = real_scalar(t, "time") / self.dt
         N = len(self.values) - 1
         if not -1e-9 <= s <= N + 1e-9:
@@ -582,9 +584,18 @@ class ValueFunction:
         nodal = self.values[int(math.floor(s + 1e-9))]
         # x is converted once, and nodal is the sweep's own float row
         x = real_array(x, "point or rows x")
+        dom = self.problem.domain
         if x.ndim == 2:
-            return self.mesh._interpolate_rows(nodal, rows_shape(x, self.mesh.dim))
-        return self.mesh._interpolate_point(nodal, point_shape(x, self.mesh.dim))
+            x = rows_shape(x, self.mesh.dim)
+            out = ~(dom.signed_distance_many(x) <= TOL_BOUNDARY)
+            if out.any():
+                raise OutsideDomain(f"point {x[out.argmax()]!r} outside the closed domain")
+            return self.mesh._interpolate_rows(nodal, x)
+        coords = point_shape(x, self.mesh.dim).tolist()
+        if not dom._distance(coords) <= TOL_BOUNDARY:
+            raise OutsideDomain(f"point {coords!r} outside the closed domain")
+        verts, w = self.mesh._point_weights(coords)
+        return float(np.dot(nodal[verts], w))
 
 
 def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:

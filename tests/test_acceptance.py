@@ -156,8 +156,9 @@ def test_criterion_5d_interpolation_and_rows():
     for dx in dxs:
         m = build_disk_mesh((0.0, 0.0), 1.0, dx)
         nodal = np.sin(m.vertices[:, 0]) * np.sin(m.vertices[:, 1])
-        errs.append(max(abs(m._interpolate_point(nodal, x)
-                            - math.sin(x[0]) * math.sin(x[1])) for x in pts))
+        P = np.array(pts)
+        errs.append(np.abs(m._interpolate_rows(nodal, P)
+                           - np.sin(P[:, 0]) * np.sin(P[:, 1])).max())
     slope = _fitted_slope(dxs, errs)
 
     bench = make_test1(0.05)

@@ -197,7 +197,10 @@ def test_main_solve_and_verify(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 11
     capsys.readouterr()
     assert main(["verify"]) == 0
-    # the row mass is read from every row's slot probabilities
+    # the row mass is read from every row's slot probabilities, on a 1D
+    # operator, an oblique one and one with Dirichlet absorption
     printed = capsys.readouterr().out.splitlines()
-    assert "PASS  transition row sums to 1" in printed
+    for operator in ("test1_eps dx 0.05", "test2_oblique dx 0.25", "test3_exit dx 0.2"):
+        assert f"PASS  {operator}: transition row sums to 1" in printed
+        assert f"PASS  {operator}: one-step operator monotone" in printed
     assert not [line for line in printed if line.startswith("FAIL")]

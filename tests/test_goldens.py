@@ -2,10 +2,14 @@
 and frozen Markov-chain results under one fixed policy on three of them.
 
 Refactors of the location, classification or apply layers must reproduce
-these values to GOLDEN_ATOL.  Regenerate only in a change that means to
-alter the solver's outputs:
+these values to GOLDEN_ATOL.  Freezing writes only the entries that
+goldens.json lacks, from the current solver, and leaves every entry it has
+as it is:
 
     PYTHONPATH=src python tests/test_goldens.py --freeze
+
+To regenerate an entry, in a change that means to alter the solver's
+outputs, delete it from goldens.json first.
 """
 import json
 import sys
@@ -74,8 +78,16 @@ def _chain(case):
 
 
 def freeze():
-    data = {case: _solve(case).tolist() for case in CASES}
-    data["chain"] = {case: _chain(case).tolist() for case in CHAIN_CASES}
+    """Add the nodal and chain entries that GOLDEN_PATH lacks; the entries
+    it has are written back as they were read, bit for bit."""
+    data = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    for case in CASES:
+        if case not in data:
+            data[case] = _solve(case).tolist()
+    chain = data.setdefault("chain", {})
+    for case in CHAIN_CASES:
+        if case not in chain:
+            chain[case] = _chain(case).tolist()
     GOLDEN_PATH.write_text(json.dumps(data, indent=1) + "\n")
 
 
@@ -93,6 +105,22 @@ def test_golden_chain_results(case):
     got = _chain(case)
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)) <= GOLDEN_ATOL
+
+
+def test_freeze_adds_missing_entries_and_keeps_the_rest(tmp_path, monkeypatch):
+    """Freezing a copy of the goldens that lacks a nodal and a chain case
+    adds those two from the solver and leaves every other entry equal to
+    the committed one, float for float."""
+    kept = json.loads(GOLDEN_PATH.read_text())
+    del kept["test1_eps0"], kept["chain"]["test1_eps005"]
+    path = tmp_path / "goldens.json"
+    path.write_text(json.dumps(kept, indent=1) + "\n")
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_PATH", path)
+    freeze()
+    frozen = json.loads(path.read_text())
+    assert frozen.pop("test1_eps0") == _solve("test1_eps0").tolist()
+    assert frozen["chain"].pop("test1_eps005") == _chain("test1_eps005").tolist()
+    assert frozen == kept
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import copy
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 
 from hjbsl.cli import build_mesh_for
 from hjbsl.errors import BadParams, OutsideDomain
-from hjbsl.geometry import TOL_BOUNDARY, Disk
+from hjbsl.geometry import TOL_BOUNDARY, Disk, Domain, Interval, RectWithHole
 from hjbsl.mesh import (
     CELL_WIDTH,
     MAX_CELLS_PER_SIMPLEX,
     Mesh,
-    TAG_DIRICHLET,
     _clip_normalize,
     _clip_normalize_one,
     build_disk_mesh,
@@ -24,16 +24,23 @@ from hjbsl.mesh import (
 )
 from hjbsl.problems import get_benchmark
 from hjbsl.scheme import Operator, SchemeParams, ValueFunction, sweep
-from test_geometry import boundary_kind
 
 RECT = dict(bounds=(-1.0, 1.0, -0.5, 0.5), hole_center=(-0.5, 0.0),
             hole_radius=0.2)
+UNIT = Interval(0.0, 1.0)
+DISK = Disk((0.0, 0.0), 1.0)
 
 
-def query(m, nodal, x):
-    """The checked P1 query vf(0, x) of nodal values (n_vertices,) on m."""
+def query(m, domain, nodal, x):
+    """The checked P1 query vf(0, x) of nodal values (n_vertices,) on m,
+    for a problem posed on domain."""
     return ValueFunction(values=np.array(nodal, dtype=float)[None], dt=1.0, mesh=m,
-                         problem=None)(0.0, x)
+                         problem=types.SimpleNamespace(domain=domain))(0.0, x)
+
+
+def boundary_vertices(m):
+    """The vertices of the faces of exactly one simplex."""
+    return m.vertices[np.unique(m._boundary_edges)]
 
 
 def test_interval_mesh_examples():
@@ -48,7 +55,7 @@ def test_interval_mesh_examples():
 
 def test_disk_mesh_boundary_snap():
     m = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
-    r = np.linalg.norm(m.vertices[m.boundary_tags > 0], axis=1)
+    r = np.linalg.norm(boundary_vertices(m), axis=1)
     assert np.max(np.abs(r - 1.0)) <= 1e-12
     with pytest.raises(BadParams):
         build_disk_mesh((0.0, 0.0), 1.0, 1.0)
@@ -75,18 +82,17 @@ def test_rect_with_hole_mesh():
     on_hole = np.abs(hole - 0.2) <= 1e-6
     assert on_hole.any()
     assert np.max(np.abs(hole[on_hole] - 0.2)) <= 1e-12
-    # door endpoints are present and tagged dirichlet
+    # door endpoints are present, on the domain's Dirichlet portion
     for corner in ([-1.0, 0.2], [-1.0, -0.2]):
         idx = np.where(np.linalg.norm(m.vertices - corner, axis=1) <= 1e-12)[0]
         assert len(idx) == 1
-        assert m.boundary_tags[idx[0]] == TAG_DIRICHLET
+        assert RectWithHole(**RECT).boundary_kind_many(m.vertices[idx])[0].all()
 
 
 def test_boundary_vertices_on_boundary():
-    for m in (build_disk_mesh((0.0, 0.0), 1.0, 0.25),
-              build_rect_with_hole_mesh(dx=0.1, **RECT)):
-        for i in np.nonzero(m.boundary_tags > 0)[0]:
-            assert abs(m.domain.signed_distance(m.vertices[i])) <= 1e-9
+    for m, dom in ((build_disk_mesh((0.0, 0.0), 1.0, 0.25), DISK),
+                   (build_rect_with_hole_mesh(dx=0.1, **RECT), RectWithHole(**RECT))):
+        assert np.abs(dom.signed_distance_many(boundary_vertices(m))).max() <= 1e-9
 
 
 def test_at_most_one_boundary_face_per_simplex():
@@ -108,7 +114,7 @@ def test_partition_of_unity():
         x = rng.uniform(-1.0, 1.0, size=2)
         if np.linalg.norm(x) > 1.0:
             continue
-        verts, w = m._point_weights(x)
+        verts, w = m._point_weights(x.tolist())
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         n += 1
@@ -135,9 +141,9 @@ def test_locate_examples():
 def test_interpolation_examples():
     m = build_interval_mesh(0.0, 1.0, 0.25)
     const = np.full(m.n_vertices, 3.7)
-    assert query(m, const, np.array([0.3])) == pytest.approx(3.7)
+    assert query(m, UNIT, const, np.array([0.3])) == pytest.approx(3.7)
     lin = m.vertices[:, 0].copy()
-    assert query(m, lin, np.array([0.3])) == pytest.approx(0.3)
+    assert query(m, UNIT, lin, np.array([0.3])) == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -146,7 +152,7 @@ def test_interpolation_quadratic_error(k):
     m = build_interval_mesh(0.0, 1.0, dx)
     nodal = m.vertices[:, 0] ** 2
     xs = np.linspace(0.0, 1.0, 1000)
-    err = max(abs(query(m, nodal, np.array([x])) - x * x) for x in xs)
+    err = max(abs(query(m, UNIT, nodal, np.array([x])) - x * x) for x in xs)
     assert err <= dx * dx / 4.0 + 1e-12
 
 
@@ -162,7 +168,7 @@ def test_interpolation_rate_on_disk():
     for dx in dxs:
         m = build_disk_mesh((0.0, 0.0), 1.0, dx)
         nodal = np.sin(m.vertices[:, 0]) * np.sin(m.vertices[:, 1])
-        errs.append(max(abs(query(m, nodal, x)
+        errs.append(max(abs(query(m, DISK, nodal, x)
                             - math.sin(x[0]) * math.sin(x[1])) for x in pts))
     slope = np.polyfit(np.log(dxs), np.log(errs), 1)[0]
     assert slope >= 1.8
@@ -175,7 +181,7 @@ def test_interpolation_monotone():
     V = U + rng.uniform(0.0, 1.0, m.n_vertices)
     for _ in range(200):
         x = rng.uniform(-0.7, 0.7, size=2)
-        assert query(m, U, x) <= query(m, V, x) + 1e-12
+        assert query(m, DISK, U, x) <= query(m, DISK, V, x) + 1e-12
 
 
 def test_project_examples():
@@ -186,17 +192,25 @@ def test_project_examples():
     v = md.vertices[7]
     assert np.allclose(_landing(md, v[None, :])[0], v)
     with pytest.raises(OutsideDomain):
-        md._point_weights(np.array([1.5, 0.0]))
+        query(md, DISK, np.zeros(md.n_vertices), [1.5, 0.0])
     # arc midpoint outside the polygon lands on the nearest chord
-    bnd = md.vertices[md.boundary_tags > 0]
+    bnd = boundary_vertices(md)
     th = np.sort(np.arctan2(bnd[:, 1], bnd[:, 0]))
     mid = 0.5 * (th[0] + th[1])
     x = np.array([math.cos(mid), math.sin(mid)])
-    verts, w = md._point_weights(x)
+    verts, w = md._point_weights(x.tolist())
     q = w @ md.vertices[verts]
     assert md._scan(x) is None
     assert np.linalg.norm(q) < 1.0
     assert np.linalg.norm(x - q) <= 0.5 ** 2
+
+
+class Everywhere(Domain):
+    """A 1D domain whose signed distance is -1 at every point."""
+    kind, dim = "everywhere", 1
+
+    def signed_distance_many(self, X):
+        return np.full(len(X), -1.0)
 
 
 def test_interpolation_rejects_misshapen_input():
@@ -205,32 +219,55 @@ def test_interpolation_rejects_misshapen_input():
     # two coordinates on a 1D mesh are not two points, nor rows of width 2
     for x in ([0.5, 0.2], np.zeros((1, 2))):
         with pytest.raises(BadParams):
-            query(m, nodal, x)
+            query(m, UNIT, nodal, x)
     md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
     with pytest.raises(BadParams):
-        query(md, np.zeros(md.n_vertices), [0.1])
-    # without a domain to reject them, coordinates that are not finite
-    free = copy.copy(m)
-    free.domain = None
+        query(md, DISK, np.zeros(md.n_vertices), [0.1])
+    # the problem's domain rejects coordinates that are not finite, and
+    # behind a domain that takes every point the mesh still does
     for x in ([math.nan], [math.inf], [-math.inf]):
-        with pytest.raises(BadParams):
-            query(free, nodal, x)
-        with pytest.raises(BadParams):
-            query(free, nodal, [[0.5], x])
+        for domain, error in ((UNIT, OutsideDomain), (Everywhere(), BadParams)):
+            with pytest.raises(error):
+                query(m, domain, nodal, x)
+            with pytest.raises(error):
+                query(m, domain, nodal, [[0.5], x])
 
 
 def test_mesh_io_roundtrip(tmp_path):
     m = build_disk_mesh((0.0, 0.0), 1.0, 0.4)
     path = tmp_path / "disk.mesh"
     write_mesh(m, path)
-    m2 = read_mesh(path, domain=Disk((0.0, 0.0), 1.0))
+    m2 = read_mesh(path)
     assert np.array_equal(m.vertices, m2.vertices)
     assert np.array_equal(m.simplices, m2.simplices)
-    assert np.array_equal(m.boundary_tags, m2.boundary_tags)
     bad = tmp_path / "bad.mesh"
     bad.write_text("nope 1 2 3\n")
     with pytest.raises(BadParams):
         read_mesh(bad)
+
+
+@pytest.mark.parametrize("bench, dx, dt, outside", [
+    ("test1_eps", 0.05, 0.05, [[5.0], [-3.0]]),
+    ("test3_exit", 0.2, 0.1, [[-0.5, 0.0], [5.0, 0.0]]),
+], ids=["test1_eps", "test3_exit"])
+def test_read_mesh_is_swept_on_the_problems_domain(bench, dx, dt, outside, tmp_path):
+    """A mesh read back from its file sweeps to the values of the mesh it
+    was written from, and its queries check points against the problem's
+    domain: a point outside it raises OutsideDomain, alone or among rows."""
+    b = get_benchmark(bench, eps=0.05)
+    built = build_mesh_for(b, dx)
+    path = tmp_path / "m.mesh"
+    write_mesh(built, path)
+    params = SchemeParams(dt=dt, c_bar=b.c_bar)
+    vf = sweep(b.problem, read_mesh(path), params)
+    assert np.array_equal(vf.values, sweep(b.problem, built, params).values)
+    inside = built.vertices[0].tolist()
+    vf(0.0, inside)
+    for x in outside:
+        with pytest.raises(OutsideDomain):
+            vf(0.0, x)
+        with pytest.raises(OutsideDomain):
+            vf(0.0, [inside, x])
 
 
 LOC_MESHES = {
@@ -238,6 +275,7 @@ LOC_MESHES = {
     "disk": build_disk_mesh((0.0, 0.0), 1.0, 0.25),
     "rect": build_rect_with_hole_mesh(dx=0.2, **RECT),
 }
+LOC_DOMAINS = {"interval": UNIT, "disk": DISK, "rect": RectWithHole(**RECT)}
 
 
 def _off_polygon(name, u, delta):
@@ -275,7 +313,7 @@ def test_locate_many_matches_one_point(name, data):
     lo, hi = m.vertices.min(axis=0), m.vertices.max(axis=0)
     coord = st.tuples(*[st.floats(float(a), float(b)) for a, b in zip(lo, hi)])
     interior = [p for p in data.draw(st.lists(coord, max_size=20))
-                if m.domain.signed_distance(np.array(p)) <= 0.0]
+                if LOC_DOMAINS[name].signed_distance(np.array(p)) <= 0.0]
     vertex_ids = data.draw(st.lists(st.integers(0, m.n_vertices - 1), max_size=8))
     edges = [m.simplices[t, list(ij)] for t, ij in data.draw(st.lists(
         st.tuples(st.integers(0, len(m.simplices) - 1),
@@ -315,9 +353,13 @@ def test_locate_many_batches_beyond_one_chunk(monkeypatch):
 
 
 # the benchmark workloads' meshes: interval_fine, rect_exit, disk_oblique
-SCAN_MESHES = dict(LOC_MESHES, **{
-    f"{bench}-{dx}": build_mesh_for(get_benchmark(bench, eps=0.05), dx)
-    for bench, dx in (("test1_eps", 0.001), ("test3_exit", 0.1), ("test2_oblique", 0.125))})
+SCAN_BENCHES = {f"{bench}-{dx}": (get_benchmark(bench, eps=0.05), dx)
+                for bench, dx in (("test1_eps", 0.001), ("test3_exit", 0.1),
+                                  ("test2_oblique", 0.125))}
+SCAN_MESHES = dict(LOC_MESHES, **{name: build_mesh_for(b, dx)
+                                  for name, (b, dx) in SCAN_BENCHES.items()})
+SCAN_DOMAINS = dict(LOC_DOMAINS, **{name: b.problem.domain
+                                    for name, (b, _) in SCAN_BENCHES.items()})
 
 
 def _scan_points(m):
@@ -371,16 +413,16 @@ def _miss_point(m):
 def test_interpolation_weights_match_locate_many(name):
     """The one-point grid pass picks locate_many's simplex and weights, bit
     for bit, and so does the whole-mesh scan wherever it finds a simplex."""
-    m = SCAN_MESHES[name]
+    m, dom = SCAN_MESHES[name], SCAN_DOMAINS[name]
     miss = _miss_point(m)
     assert m._scan(miss) is None
     pts = np.concatenate([_scan_points(m), [miss]])
     # moved boundary vertices may leave the closed domain
-    pts = pts[m.domain.signed_distance_many(pts) <= TOL_BOUNDARY]
+    pts = pts[dom.signed_distance_many(pts) <= TOL_BOUNDARY]
     simplex, bary = m.locate_many(pts)
     scanned = 0
     for x, t, b in zip(pts, simplex, bary):
-        verts, w = m._point_weights(x)
+        verts, w = m._point_weights(x.tolist())
         assert np.array_equal(verts, m.simplices[t]), x
         assert np.array_equal(w, b), x
         ref = m._scan(x)
@@ -389,7 +431,7 @@ def test_interpolation_weights_match_locate_many(name):
             scanned += 1
     assert scanned >= 0.9 * len(pts)
     with pytest.raises(OutsideDomain):
-        m._point_weights(m.vertices.max(axis=0) + m.mesh_size)
+        query(m, dom, np.zeros(m.n_vertices), m.vertices.max(axis=0) + m.mesh_size)
 
 
 # a barycentric before the clip: a clipped negative, an exact zero of
@@ -451,7 +493,7 @@ def test_one_point_query_counts_per_layer(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(LOC_MESHES))
-def test_boundary_edges_and_tags_match_face_count(name):
+def test_boundary_edges_match_face_count(name):
     m = LOC_MESHES[name]
     # reference: count every face in a dict, keep the faces seen once in
     # order of first occurrence
@@ -462,10 +504,6 @@ def test_boundary_edges_and_tags_match_face_count(name):
             faces[f] = faces.get(f, 0) + 1
     expected = np.array([f for f, cnt in faces.items() if cnt == 1], dtype=int)
     assert np.array_equal(m._boundary_edges, expected)
-    tags = [0 if abs(m.domain.signed_distance(v)) > 1e-9
-            else 2 if boundary_kind(m.domain, v)[0] == "dirichlet" else 1
-            for v in m.vertices]
-    assert np.array_equal(m.boundary_tags, tags)
 
 
 @pytest.mark.parametrize("bench", ["test1_eps", "test2_oblique", "test3_exit"])

@@ -41,8 +41,9 @@ TEST3 = make_test3(n_a=4)
 EXIT_PARAMS = SchemeParams(dt=0.1, c_bar=TEST3.c_bar)
 # test1 is posed on [0, 1] with T = 1, so four steps of 0.25
 PARAMS = SchemeParams(dt=0.25, c_bar=TEST1.c_bar)
+DISK_PARAMS = SchemeParams(dt=0.125, c_bar=TEST2.c_bar)
 TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-VERTEX_LINES = ["0.0 0.0 1", "1.0 0.0 1", "0.0 1.0 1"]
+VERTEX_LINES = ["0.0 0.0", "1.0 0.0", "0.0 1.0"]
 
 
 def stay(m, i):
@@ -89,13 +90,20 @@ def half_mesh():
     return build_interval_mesh(0.0, 0.5, 0.05)
 
 
-def mesh_file(tmp_path, vertex_lines, simplex_lines, n_simplices=None):
-    """A 2D hjbmesh file; its header counts n_simplices when given."""
+def mesh_file(tmp_path, vertex_lines, simplex_lines, n_simplices=None, trailing=(),
+              version=2):
+    """A 2D hjbmesh file of the given format version; its header counts
+    n_simplices when given, and the trailing lines follow what it counts."""
     n_s = len(simplex_lines) if n_simplices is None else n_simplices
     path = tmp_path / "m.mesh"
-    path.write_text("\n".join([f"hjbmesh 1 2 {len(vertex_lines)} {n_s}",
-                               *vertex_lines, *simplex_lines]) + "\n")
+    path.write_text("\n".join([f"hjbmesh {version} 2 {len(vertex_lines)} {n_s}",
+                               *vertex_lines, *simplex_lines, *trailing]) + "\n")
     return path
+
+
+def on_disk(center):
+    """test2's problem posed on the unit disk about center."""
+    return dataclasses.replace(TEST2.problem, domain=Disk(center, 1.0))
 
 
 def disk_file(tmp_path):
@@ -150,56 +158,68 @@ CASES = [
     case("sweep-mesh-of-a-shorter-interval", BadParams,
          lambda tmp: sweep(TEST1.problem, half_mesh(), PARAMS)),
     case("sweep-mesh-of-a-shifted-disk", BadParams,
-         lambda tmp: sweep(TEST2.problem, build_disk_mesh((0.2, 0.0), 1.0, 0.5),
-                           SchemeParams(dt=0.125, c_bar=TEST2.c_bar))),
+         lambda tmp: sweep(TEST2.problem, build_disk_mesh((0.2, 0.0), 1.0, 0.5), DISK_PARAMS)),
     case("policy_cost-mesh-of-another-domain", BadParams,
          lambda tmp: policy_cost(TEST1.problem, half_mesh(), stay, 0, 0, PARAMS)),
     case("transition_law-mesh-of-another-domain", BadParams,
          lambda tmp: transition_law(TEST1.problem, half_mesh(), 0, 0, 0.0, 0.0, PARAMS)),
     # derived values and caches are not constructor arguments
     case("Mesh-mesh_size", TypeError,
-         lambda tmp: Mesh(vertices=TRIANGLE, simplices=[[0, 1, 2]], boundary_tags=[1, 1, 1],
+         lambda tmp: Mesh(vertices=TRIANGLE, simplices=[[0, 1, 2]],
                           mesh_size=1.5, shape_constant=0.2), match="mesh_size"),
     case("Mesh-_cell_size", TypeError,
-         lambda tmp: Mesh(vertices=TRIANGLE, simplices=[[0, 1, 2]], boundary_tags=[1, 1, 1],
+         lambda tmp: Mesh(vertices=TRIANGLE, simplices=[[0, 1, 2]],
                           _cell_size=1.0, mesh_size=1.5, shape_constant=0.2),
          match="_cell_size"),
     # what the Mesh constructor rejects
     case("Mesh-nan-vertex", BadParams,
-         lambda tmp: Mesh([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]], [[0, 1, 2]], [1, 1, 1])),
+         lambda tmp: Mesh([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]], [[0, 1, 2]])),
     case("Mesh-inf-vertex", BadParams,
-         lambda tmp: Mesh([[0.0, 0.0], [math.inf, 0.0], [0.0, 1.0]], [[0, 1, 2]], [1, 1, 1])),
+         lambda tmp: Mesh([[0.0, 0.0], [math.inf, 0.0], [0.0, 1.0]], [[0, 1, 2]])),
     case("Mesh-simplex-too-narrow", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1]], [1, 1, 1])),
+         lambda tmp: Mesh(TRIANGLE, [[0, 1]])),
     case("Mesh-simplex-too-wide", BadParams,
-         lambda tmp: Mesh([[0.0], [1.0]], [[0, 1, 1]], [1, 1])),
+         lambda tmp: Mesh([[0.0], [1.0]], [[0, 1, 1]])),
     case("Mesh-index-too-large", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1, 3]], [1, 1, 1])),
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 3]])),
     case("Mesh-index-negative", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1, -1]], [1, 1, 1])),
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, -1]])),
     case("Mesh-index-not-integer", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2.7]], [1, 1, 1]), match="integers"),
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2.7]]), match="integers"),
     # two unit triangles 1e6 apart need about 2.0e12 grid cells; the count
     # is checked before the grid is made
     case("Mesh-location-grid-too-large", BadParams,
          lambda tmp: Mesh(TRIANGLE + [[1e6, 1e6], [1e6 + 1.0, 1e6], [1e6, 1e6 + 1.0]],
-                          [[0, 1, 2], [3, 4, 5]], [1] * 6), match="cells"),
+                          [[0, 1, 2], [3, 4, 5]]), match="cells"),
     case("Mesh-degenerate-simplex", RegularityViolation,
-         lambda tmp: Mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]], [1, 1, 1])),
+         lambda tmp: Mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0, 1, 2]])),
     case("Mesh-of-another-domain", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2]], domain=Disk((5.0, 0.0), 1.0))),
+         lambda tmp: sweep(on_disk((5.0, 0.0)), Mesh(TRIANGLE, [[0, 1, 2]]), DISK_PARAMS),
+         match="discretize"),
     case("Mesh-2d-of-an-interval", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2]], domain=Interval(0.0, 1.0))),
+         lambda tmp: sweep(TEST1.problem, Mesh(TRIANGLE, [[0, 1, 2]]), PARAMS),
+         match="2D mesh of a 1D"),
     # what read_mesh rejects
     case("read_mesh-nan-vertex", BadParams,
-         lambda tmp: read_mesh(mesh_file(tmp, ["0.0 0.0 1", "nan 0.0 1", "0.0 1.0 1"],
-                                         ["0 1 2"]))),
+         lambda tmp: read_mesh(mesh_file(tmp, ["0.0 0.0", "nan 0.0", "0.0 1.0"], ["0 1 2"]))),
     case("read_mesh-truncated", BadParams,
          lambda tmp: read_mesh(mesh_file(tmp, VERTEX_LINES, [], n_simplices=1))),
     case("read_mesh-index-out-of-range", BadParams,
          lambda tmp: read_mesh(mesh_file(tmp, VERTEX_LINES, ["0 1 7"]))),
     case("read_mesh-of-another-domain", BadParams,
-         lambda tmp: read_mesh(disk_file(tmp), Disk((0.2, 0.0), 1.0))),
+         lambda tmp: sweep(on_disk((0.2, 0.0)), read_mesh(disk_file(tmp)), DISK_PARAMS),
+         match="discretize"),
+    # lines past the header's counts: a header that undercounts its
+    # simplices used to drop triangles silently
+    case("read_mesh-extra-vertex-line", BadParams,
+         lambda tmp: read_mesh(mesh_file(tmp, VERTEX_LINES, ["0 1 2"], trailing=["0.5 0.5"])),
+         match="past"),
+    case("read_mesh-extra-simplex-line", BadParams,
+         lambda tmp: read_mesh(mesh_file(tmp, VERTEX_LINES, ["0 1 2"], trailing=["0 1 2"])),
+         match="past"),
+    case("read_mesh-version-1", BadParams,
+         lambda tmp: read_mesh(mesh_file(tmp, VERTEX_LINES, ["0 1 2"], version=1)),
+         match="'hjbmesh 1'"),
     # a one-point signed distance of a point with the wrong number of
     # coordinates: the interval read the first and ignored the rest
     case("signed_distance-interval-two-coordinates", BadParams,
@@ -271,18 +291,14 @@ CASES = [
          lambda tmp: apply_S(TEST1.problem, unit_mesh(), np.zeros(5, dtype=complex), 0, 1,
                              PARAMS), match="next_values"),
     case("Mesh-complex-vertices", BadParams,
-         lambda tmp: Mesh(np.array(TRIANGLE, dtype=complex), [[0, 1, 2]], [1, 1, 1]),
+         lambda tmp: Mesh(np.array(TRIANGLE, dtype=complex), [[0, 1, 2]]),
          match="vertices"),
     case("Mesh-string-vertices", BadParams,
-         lambda tmp: Mesh([["a", "0"], ["1", "0"], ["0", "1"]], [[0, 1, 2]], [1, 1, 1]),
+         lambda tmp: Mesh([["a", "0"], ["1", "0"], ["0", "1"]], [[0, 1, 2]]),
          match="vertices"),
     case("Mesh-bool-vertices", BadParams,
-         lambda tmp: Mesh([[False, False], [True, False], [False, True]], [[0, 1, 2]],
-                          [1, 1, 1]), match="vertices"),
-    case("Mesh-tag-not-integer", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2]], [1.7, 1, 1]), match="boundary_tags"),
-    case("Mesh-tag-unknown", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2]], [9, 1, 1]), match="boundary_tags"),
+         lambda tmp: Mesh([[False, False], [True, False], [False, True]], [[0, 1, 2]]),
+         match="vertices"),
     # scalar arguments that are strings, bools or infinite
     case("RectWithHole-infinite-bound", BadParams,
          lambda tmp: RectWithHole(bounds=(-1, math.inf, -0.5, 0.5)), match="bounds"),
@@ -379,7 +395,7 @@ CASES = [
     case("consistency_residual-step-N", BadParams, probe_with(k=4), match="^step k "),
     # mesh and probe input that raised bare errors or lost an imaginary part
     case("Mesh-ragged-simplices", BadParams,
-         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2], [0, 1]], [1, 1, 1]), match="^simplices "),
+         lambda tmp: Mesh(TRIANGLE, [[0, 1, 2], [0, 1]]), match="^simplices "),
     case("consistency_residual-hessian-complex", BadParams,
          probe_with(hessian=lambda x: np.array([[-math.sin(x[0]) + 1j]])),
          match="^phi hessian "),
