@@ -25,11 +25,6 @@ from .geometry import (
 )
 
 BARY_TOL = 1e-10
-# (point, candidate simplex) pairs per chunk of locate_many; a chunk's
-# candidates and gathered barycentric planes, (dim+1)^2 floats per pair,
-# are formed per chunk, so this bounds the temporaries of a whole
-# build_node_table pass (README, "Point location")
-LOCATE_CHUNK = 8192
 # side of a location grid cell, in mesh sizes; measured over 0.25 to 2 on
 # the benchmark meshes (README, "Point location")
 CELL_WIDTH = 0.5
@@ -150,19 +145,10 @@ class Mesh:
 
     # -- queries --------------------------------------------------------------
 
-    def _cell_candidates(self, points):
-        """Candidate rows (m, K) of the points' grid cells.
-
-        A point off the grid lies outside every simplex's bounding box, so
-        any row serves it: the flat index is clipped into the table instead
-        of each coordinate.
-        """
-        c = np.floor(points / self._cell_size).astype(int) - self._cell_origin
-        return self._cell_table.take(c @ self._cell_strides, axis=0, mode="clip")
-
     def _cell_row(self, coords):
-        """The row of _cell_candidates for one point given as a list coords
-        of dim Python floats, indexed with Python scalars."""
+        """The grid cell's row of _cell_table for one point given as a list
+        coords of dim Python floats, indexed with Python scalars as
+        _locate_in_cells indexes an array of points."""
         c = 0
         try:
             for xi, o, s in zip(coords, self._cell_origin, self._cell_strides):
@@ -175,24 +161,33 @@ class Mesh:
         """_locate_one on each row of points with its grid cell's
         candidates; simplex -1 on a miss.
 
-        Points are processed in chunks of at most LOCATE_CHUNK (point,
-        candidate) pairs, their candidates and barycentrics formed per
-        chunk, which bounds the temporaries.
+        Candidate column j is formed only for the points that no earlier
+        column holds, so the temporaries scale with the unresolved points.
+        The last column is the miss sentinel, which holds every finite
+        point.  A point off the grid lies outside every simplex's bounding
+        box, so any row serves it: the flat cell index is clipped into the
+        table instead of each coordinate.
         """
-        m = len(points)
-        simplex = np.empty(m, dtype=int)
-        bary = np.empty((m, self.dim + 1))
-        rows = max(1, LOCATE_CHUNK // self._cell_table.shape[1])
-        for c0 in range(0, m, rows):
-            sl = slice(c0, c0 + rows)
-            cand = self._cell_candidates(points[sl])
-            lam = _affine_sum(self._bary_planes.take(cand, axis=2),
-                              [points[sl, k, None] for k in range(self.dim)])
-            pick = np.arange(len(cand)), _first_inside(lam)
-            simplex[sl] = cand[pick]
-            bary[sl] = _clip_normalize(lam[:, pick[0], pick[1]]).T
+        c = np.floor(points / self._cell_size).astype(int) - self._cell_origin
+        cell = np.clip(c @ self._cell_strides, 0, len(self._cell_table) - 1)
+        todo = np.arange(len(points))
+        coords = [points[:, k] for k in range(self.dim)]
+        simplex = np.full(len(points), len(self.simplices))
+        lam = np.empty((self.dim + 1, len(points)))
+        for column in self._cell_table.T:
+            cand = column.take(cell)
+            lam_j = _affine_sum(self._bary_planes, cand, coords)
+            inside = (lam_j >= -BARY_TOL).all(axis=0)
+            hit = todo[inside]
+            simplex[hit] = cand[inside]
+            lam[:, hit] = lam_j[:, inside]
+            out = np.flatnonzero(~inside)
+            if not len(out):
+                break
+            todo, cell = todo.take(out), cell.take(out)
+            coords = [x.take(out) for x in coords]
         simplex[simplex == len(self.simplices)] = -1
-        return simplex, bary
+        return simplex, np.ascontiguousarray(_clip_normalize(lam).T)
 
     @functools.cached_property
     def _bary_rows(self) -> list:
@@ -221,8 +216,8 @@ class Mesh:
     def _scan(self, x):
         """_locate_one over the whole mesh, vectorised: the lowest-index
         simplex holding x."""
-        lam = _affine_sum(self._bary_planes, x.tolist())
-        k = _first_inside(lam)
+        lam = _affine_sum(self._bary_planes, np.arange(len(self.simplices) + 1), x.tolist())
+        k = (lam >= -BARY_TOL).all(axis=0).argmax()
         if k == len(self.simplices):
             return None
         return int(k), _clip_normalize(lam[:, k])
@@ -298,25 +293,19 @@ class Mesh:
         return _measures(self.vertices[self.simplices])
 
 
-def _affine_sum(planes, coords):
-    """Barycentrics (dim+1, ...) of the gathered _bary_planes planes
-    (dim+1, dim+1, ...) at the point coordinates coords (one per dimension,
-    each broadcasting against planes[:, 0]): planes[:, 0]*x_0 (+
-    planes[:, 1]*x_1) + planes[:, dim], added in that order."""
+def _affine_sum(planes, cand, coords):
+    """Barycentrics (dim+1, len(cand)) of the simplices cand of the
+    _bary_planes planes (dim+1, dim+1, simplices) at the point coordinates
+    coords (one per dimension, each one number or one per candidate):
+    planes[:, 0, cand]*x_0 (+ planes[:, 1, cand]*x_1) + planes[:, dim, cand],
+    added in that order, each plane gathered as it is added, so one
+    gathered plane is held at a time."""
     d = len(coords)
-    lam = planes[:, 0] * coords[0]
+    lam = planes[:, 0].take(cand, axis=1) * coords[0]
     for k in range(1, d):
-        lam += planes[:, k] * coords[k]
-    lam += planes[:, d]
+        lam += planes[:, k].take(cand, axis=1) * coords[k]
+    lam += planes[:, d].take(cand, axis=1)
     return lam
-
-
-def _first_inside(lam):
-    """Position along the candidate axis (the last) of the first candidate
-    whose barycentrics lam (dim+1, ..., K) are all >= -BARY_TOL.
-    Candidates are listed in ascending simplex index, so a point on a
-    shared face goes to the lowest index."""
-    return (lam >= -BARY_TOL).all(axis=0).argmax(axis=-1)
 
 
 def _clip_normalize(lam):

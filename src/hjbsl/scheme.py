@@ -31,10 +31,6 @@ from .mesh import Mesh
 
 # tolerance on the unit sum of each branch's interpolation weights
 WEIGHT_TOL = 1e-12
-# most rows (vertex, pair) of one build_node_table pass, unless one pair has
-# more; each row has 2*N_sigma branches, located in mesh.LOCATE_CHUNK chunks
-# (README, "One operator")
-PASS_ROWS = 2048
 PULLED_OUTSIDE = ("reflected point left the domain; dt too large "
                   "for the drift/diffusion magnitudes")
 
@@ -241,6 +237,7 @@ def check_weights(weights: np.ndarray):
                               f"not convex combinations")
 
 
+@dataclass(eq=False)
 class Rows:
     """Every control pair's rows over all mesh vertices at one step key.
 
@@ -259,16 +256,15 @@ class Rows:
     the rows with an exiting branch.
     """
 
-    def __init__(self, P: int, n: int, S: int, dim: int):
-        self.verts = np.zeros((P, n, S, dim + 1), dtype=int)
-        self.weights = np.zeros((P, n, S, dim + 1))
-        self.const = np.zeros((P, n, S))
-        self.dirichlet = np.zeros((P, n, S), dtype=bool)
-        self.refl_d = np.zeros((P, n, S))
-        self.refl_p = np.zeros((P, n, S, dim))
-        self.cum = np.zeros((P, n, S * (dim + 1)))
-        self.layer = np.zeros((P, n), dtype=bool)
-        self.stacked = None     # every row's terms, at the first every-row apply
+    verts: np.ndarray        # (pairs, n, S, dim+1) int
+    weights: np.ndarray      # (pairs, n, S, dim+1)
+    const: np.ndarray        # (pairs, n, S)
+    dirichlet: np.ndarray    # (pairs, n, S) bool
+    refl_d: np.ndarray       # (pairs, n, S)
+    refl_p: np.ndarray       # (pairs, n, S, dim)
+    cum: np.ndarray          # (pairs, n, S*(dim+1))
+    layer: np.ndarray        # (pairs, n) bool
+    stacked: tuple = None    # every row's terms, at the first every-row apply
 
     def slots(self, codes, nodes) -> tuple:
         """The rows [codes[r], nodes[r]] of the stacked (pairs*n, n)
@@ -313,19 +309,19 @@ def stacked_product(slots: tuple, U) -> np.ndarray:
 
 
 def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
-                     rows: Rows, times: list, pairs: range):
+                     times: list) -> Rows:
     """The only path from characteristics to classified, located branches:
-    the store's rows of the pair codes pairs over every vertex at time
-    times[0], formed, classified and located in one batched pass and
-    written to the store as one slice.  Characteristics take one mu and one
-    sigma call per control a among the pairs and per time, classification one
+    the store of every pair over every vertex at time times[0], formed,
+    classified and located in one batched pass.  Characteristics take one
+    mu and one sigma call per control a and per time, classification one
     _classify_many call and location one locate_many call.  A row depends
     on mu and sigma only through its characteristics, so BadParams unless
     those at times[1:] equal those at times[0], which the rows then serve."""
     nb = len(problem.controls_b)
+    n_pairs = len(problem.controls_a) * nb
     dim, S = mesh.dim, 2 * problem.n_sigma
-    codes = np.repeat(np.arange(pairs.start, pairs.stop), mesh.n_vertices)
-    n, V = len(codes), np.tile(mesh.vertices, (len(pairs), 1))
+    codes = np.repeat(np.arange(n_pairs), mesh.n_vertices)
+    n, V = len(codes), np.tile(mesh.vertices, (n_pairs, 1))
     Y = np.empty((n, S, dim))
     for a, sel, X in control_groups(problem.controls_a, codes // nb, V):
         Y[sel] = first = _characteristics(problem, times[0], X, a, params.dt)
@@ -335,6 +331,8 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
                                 f"differ between t={times[0]:g} and t={t:g}")
     rp = _classify_many(problem, np.repeat(V, S, axis=0), Y.reshape(-1, dim),
                         np.repeat(codes % nb, S), params.dt, params.c_bar)
+    # classification copied the characteristics; release them before location
+    del Y
     # non-Dirichlet branches land in the closed domain
     located = ~rp.dirichlet
     simplex, bary = mesh.locate_many(rp.y_tilde[located])
@@ -355,12 +353,12 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
         cum[:, k] += cum[:, k - 1]
     for k in range(1, S):
         layer |= exits[:, k]
-    out = {"verts": verts, "weights": weights, "const": rp.value,
-           "dirichlet": rp.dirichlet, "refl_d": rp.d_tilde, "refl_p": rp.p,
-           "cum": cum, "layer": layer}
-    for name, value in out.items():
-        store = getattr(rows, name)
-        store[pairs.start:pairs.stop] = value.reshape((len(pairs),) + store.shape[1:])
+    branches = (n_pairs, mesh.n_vertices, S)
+    return Rows(verts=verts.reshape(branches + (-1,)),
+                weights=weights.reshape(branches + (-1,)),
+                const=rp.value.reshape(branches), dirichlet=rp.dirichlet.reshape(branches),
+                refl_d=rp.d_tilde.reshape(branches), refl_p=rp.p.reshape(branches + (-1,)),
+                cum=cum.reshape(branches[:2] + (-1,)), layer=layer.reshape(branches[:2]))
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -425,8 +423,8 @@ class Operator:
     the chain call f.  Each step key has one Rows store, built whole at its
     first read (rows): the key is the step, or None when
     time_independent_dynamics shares one store across steps, built at the
-    first step time whichever step is read first; each build pass checks
-    the flag on its own rows at the last step time.  Only the latest key's
+    first step time whichever step is read first; the build checks the
+    flag on its rows at the last step time.  Only the latest key's
     store is kept, so a reader walks the steps in order.  Rows classify with
     problem.domain and locate with the mesh, which must discretize it.
     """
@@ -450,24 +448,18 @@ class Operator:
         self._f_checked = not problem.control_free_cost
 
     def rows(self, m: int) -> Rows:
-        """The store at step m, built whole at its first read: every pair
-        over every vertex, in passes of whole pairs in ascending pair code,
-        each one build_node_table call on as many pairs as fit PASS_ROWS
-        rows and on at least one.  The store is kept only once complete, so
-        a pass that raises leaves none."""
+        """The store at step m, built whole at its first read by one
+        build_node_table call.  The store is kept only once built, so a
+        build that raises leaves none."""
         if not 0 <= m < self.N:
             raise BadParams(f"step {m} outside 0..{self.N - 1}")
         key = None if self.problem.time_independent_dynamics else m
         if self._rows is None or key != self._key:
-            # release the previous step's store before allocating this one
+            # release the previous step's store before building this one
             self._rows = None
-            rows = Rows(self.n_pairs, self.mesh.n_vertices, self.S, self.mesh.dim)
             times = self._shared_times if key is None else [self.times[m]]
-            step = max(1, PASS_ROWS // self.mesh.n_vertices)
-            for lo in range(0, self.n_pairs, step):
-                build_node_table(self.problem, self.mesh, self.params, rows, times,
-                                 range(lo, min(lo + step, self.n_pairs)))
-            self._key, self._rows = key, rows
+            self._rows = build_node_table(self.problem, self.mesh, self.params, times)
+            self._key = key
         return self._rows
 
     def _terms(self, rows: Rows, flat) -> tuple:
@@ -561,6 +553,10 @@ class ValueFunction:
     dt: float
     mesh: Mesh
     problem: Problem
+
+    def __post_init__(self):
+        if self.mesh.dim != self.problem.domain.dim:
+            raise BadParams(f"a {self.mesh.dim}D mesh of a {self.problem.domain.dim}D domain")
 
     @property
     def times(self) -> np.ndarray:

@@ -191,7 +191,7 @@ def test_float_conversion_only_through_real_array():
 
 # the functions that may call scheme._characteristics, with the reason
 CHARACTERISTICS_CALLERS = {
-    "build_node_table": "forms the rows of each build pass and checks the "
+    "build_node_table": "forms the rows of each store and checks the "
                         "time_independent_dynamics flag on those same rows",
     "consistency_residual": "the probe needs the raw characteristics of one "
                             "point, evaluated exactly, not a built row",
@@ -206,7 +206,7 @@ def _calls_characteristics(node) -> bool:
 
 def test_characteristics_formed_only_where_rows_are_built():
     # a row depends on mu and sigma only through its characteristics, so the
-    # pass that forms them is where the shared-store flag is checked; a
+    # build that forms them is where the shared-store flag is checked; a
     # separate whole-mesh check would form them again
     found = _call_sites(_calls_characteristics)
     assert [f"{name}:{line} in {fn}" for name, fn, line in found

@@ -199,7 +199,7 @@ def test_time_independent_dynamics_flag_is_checked():
 
 @pytest.mark.parametrize("T, times", [(1.0, [0.0, 0.75]), (0.25, [0.0])])
 def test_shared_store_is_built_at_the_first_step_time(T, times):
-    """With the flag set, each build pass forms its rows' characteristics at
+    """With the flag set, the store's build forms its rows' characteristics at
     the first step time and checks them at the last, whichever step is read
     first; with one step there is no second time to check.  A second read
     builds nothing."""
@@ -466,24 +466,24 @@ def test_chain_calls_share_one_model(monkeypatch):
 
 def test_policy_cost_builds_its_store_whole_once(monkeypatch):
     """A cold policy_cost on test3_exit (one shared store, 16 pairs, 223
-    vertices) builds the whole store in 2 passes of whole pairs, though its
-    distribution reaches few rows; a warm one builds none."""
+    vertices) builds the whole store in one call, though its distribution
+    reaches few rows; a warm one builds none."""
     bench = get_benchmark("test3_exit")
     mesh = build_mesh_for(bench, 0.1)
     params = SchemeParams(dt=0.05, c_bar=bench.c_bar)
-    passes = []
+    stores = []
     build = scheme.build_node_table
     monkeypatch.setattr(scheme, "build_node_table",
-                        lambda *args: passes.append(args[-1]) or build(*args))
+                        lambda *args: stores.append(build(*args)) or stores[-1])
     markov._latest.entry = None
 
     def policy(m, j):
         return (j % 16, 0)
 
     cold = policy_cost(bench.problem, mesh, policy, 0, 7, params)
-    assert passes == [range(0, 9), range(9, 16)]
+    assert len(stores) == 1 and stores[0].layer.shape == (16, 223)
     assert policy_cost(bench.problem, mesh, policy, 0, 7, params) == cold
-    assert len(passes) == 2
+    assert len(stores) == 1
 
 
 @pytest.mark.parametrize("change", ["reassign-mu", "replace", "mesh", "dt", "c_bar",

@@ -341,15 +341,27 @@ def test_locate_many_matches_one_point(name, data):
         assert t == _lowest_simplex_with(m, [a, b])
 
 
-def test_locate_many_batches_beyond_one_chunk(monkeypatch):
+def test_locate_many_resolves_each_candidate_column():
+    """Each barycenter lands in its own simplex.  A point that its cell's
+    column 0 holds, one that only a later column holds and a grid miss,
+    which only the sentinel column holds, each get _scan's pick."""
     m = LOC_MESHES["disk"]
-    pts = m.barycenters()
-    whole = m.locate_many(pts)
-    monkeypatch.setattr("hjbsl.mesh.LOCATE_CHUNK", 1)
-    one_by_one = m.locate_many(pts)
-    assert np.array_equal(whole[0], np.arange(len(m.simplices)))
-    assert np.array_equal(whole[0], one_by_one[0])
-    assert np.array_equal(whole[1], one_by_one[1])
+    centers = m.barycenters()
+    assert np.array_equal(m.locate_many(centers)[0], np.arange(len(m.simplices)))
+    column = np.array([m._cell_row(x.tolist()).tolist().index(t)
+                       for t, x in enumerate(centers)])
+    assert column.min() == 0 and column.max() > 0
+    # a boundary edge's midpoint pushed out onto the circle: in the disk, off
+    # the polygon
+    mid = m.vertices[m._boundary_edges[0]].mean(axis=0)
+    miss = mid / np.linalg.norm(mid)
+    assert m._scan(miss) is None
+    pts = np.array([centers[column.argmin()], centers[column.argmax()], miss])
+    assert m._locate_in_cells(pts)[0].tolist() == [column.argmin(), column.argmax(), -1]
+    for x, t, lam in zip(pts, *m.locate_many(pts)):
+        ref_simplex, ref_bary = m._scan(x) or m._scan(_polygon_point(m, x))
+        assert t == ref_simplex
+        assert np.array_equal(lam, ref_bary)
 
 
 # the benchmark workloads' meshes: interval_fine, rect_exit, disk_oblique

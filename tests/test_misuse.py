@@ -30,6 +30,7 @@ from hjbsl.mesh import (
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
     SchemeParams,
+    ValueFunction,
     apply_S,
     consistency_residual,
     sweep,
@@ -163,6 +164,13 @@ CASES = [
          lambda tmp: policy_cost(TEST1.problem, half_mesh(), stay, 0, 0, PARAMS)),
     case("transition_law-mesh-of-another-domain", BadParams,
          lambda tmp: transition_law(TEST1.problem, half_mesh(), 0, 0, 0.0, 0.0, PARAMS)),
+    # a hand-built value function whose mesh and problem differ in dimension,
+    # queried at one point and as rows
+    *[case(f"ValueFunction-1d-mesh-of-a-disk-{form}", BadParams,
+           lambda tmp, x=x: ValueFunction(np.zeros((2, 5)), 0.25, unit_mesh(),
+                                          TEST2.problem)(0.0, x),
+           match="^a 1D mesh of a 2D domain$")
+      for form, x in (("point", [0.5]), ("rows", [[0.5]]))],
     # derived values and caches are not constructor arguments
     case("Mesh-mesh_size", TypeError,
          lambda tmp: Mesh(vertices=TRIANGLE, simplices=[[0, 1, 2]],

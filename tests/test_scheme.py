@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,6 @@ from hjbsl.markov import _ChainModel, _policy_values, dp_oracle, policy_cost
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
-    PASS_ROWS,
     Operator,
     Problem,
     SchemeParams,
@@ -435,8 +435,8 @@ def test_sweep_calls_each_handle_once_per_table(name, dx, dt):
         assert calls["f"] == (N + na if free else N * na)
         assert 0 < calls["g"] <= N * len(pr.controls_b)
         # the store is shared by all steps and each pair has its own control
-        # a: each build pass calls once per control a at the first step time,
-        # and once more at the last, where it checks the flag on its own rows
+        # a: the store's build calls once per control a at the first step
+        # time, and once more at the last, where it checks the flag on its rows
         assert calls["mu"] == calls["sigma"] == 2 * pairs
 
 
@@ -690,7 +690,7 @@ def test_build_node_table_rejects_bad_weights(monkeypatch):
     op = Operator(pr, mesh, params)
     with pytest.raises(LocationFailure):
         op.rows(0)
-    # the failed pass left no store behind: a second read builds again
+    # the failed build left no store behind: a second read builds again
     with pytest.raises(LocationFailure):
         op.rows(0)
 
@@ -861,52 +861,64 @@ BATCH_CASES = dict(PIPELINE_CASES, disk_two_fields=_disk_two_fields())
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
-def test_rows_built_in_passes_equal_rows_built_pair_by_pair(monkeypatch, name):
-    """A store built in passes of several pairs equals one built one pair
-    per pass, bit for bit."""
+def test_rows_built_in_passes_equal_rows_built_pair_by_pair(name):
+    """The store that one build makes of every pair equals, pair by pair and
+    bit for bit, the stores of the problems restricted to that one pair."""
     bench, mesh, dt = BATCH_CASES[name]
+    pr = bench.problem
     params = SchemeParams(dt=dt, c_bar=bench.c_bar)
-    full = Operator(bench.problem, mesh, params).rows(0)
-    monkeypatch.setattr(scheme, "PASS_ROWS", 1)
-    passes = []
-    build = scheme.build_node_table
-    monkeypatch.setattr(scheme, "build_node_table",
-                        lambda *args: passes.append(args[-1]) or build(*args))
-    op = Operator(bench.problem, mesh, params)
-    alone = op.rows(0)
-    assert passes == [range(c, c + 1) for c in range(op.n_pairs)]
-    for field in ROW_FIELDS:
-        assert np.array_equal(getattr(alone, field), getattr(full, field)), field
+    full = Operator(pr, mesh, params).rows(0)
+    nb = len(pr.controls_b)
+    for c in range(len(pr.controls_a) * nb):
+        one = dataclasses.replace(pr, controls_a=[pr.controls_a[c // nb]],
+                                  controls_b=[pr.controls_b[c % nb]])
+        alone = Operator(one, mesh, params).rows(0)
+        for field in ROW_FIELDS:
+            assert np.array_equal(getattr(alone, field)[0], getattr(full, field)[c]), field
     assert full.refl_d.any()
     if name == "disk_two_fields":
         # the two fields project the same exits to different points
-        nb = len(bench.problem.controls_b)
         assert full.refl_d[0::nb].any() and full.refl_d[1::nb].any()
         assert not np.array_equal(full.refl_p[0::nb], full.refl_p[1::nb])
 
 
-@pytest.mark.parametrize("name, dx, dt, n_vertices, passes", [
-    ("test3_exit", 0.1, 0.05, 223, 2), ("test2_oblique", 0.125, 0.125, 347, 4)])
-def test_sweep_builds_whole_pairs_in_bounded_passes(monkeypatch, name, dx, dt,
-                                                    n_vertices, passes):
-    """Each row of a time-independent sweep is built once, by passes of
-    whole pairs within PASS_ROWS rows in ascending pair code:
-    ceil(pairs / floor(PASS_ROWS / n)) build_node_table calls."""
+@pytest.mark.parametrize("name, dx, dt, n_vertices", [
+    ("test3_exit", 0.1, 0.05, 223), ("test2_oblique", 0.125, 0.125, 347)])
+def test_sweep_builds_its_shared_store_in_one_call(monkeypatch, name, dx, dt, n_vertices):
+    """A time-independent sweep builds its one store, every pair over every
+    vertex, with one build_node_table call."""
     bench = get_benchmark(name)
     mesh = build_mesh_for(bench, dx)
     pr = bench.problem
-    pairs = len(pr.controls_a) * len(pr.controls_b)
-    n = mesh.n_vertices
-    assert n == n_vertices
-    calls = []
+    assert pr.time_independent_dynamics and mesh.n_vertices == n_vertices
+    stores = []
     build = scheme.build_node_table
     monkeypatch.setattr(scheme, "build_node_table",
-                        lambda *args: calls.append(args[-1]) or build(*args))
+                        lambda *args: stores.append(build(*args)) or stores[-1])
     sweep(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
-    assert len(calls) == math.ceil(pairs / (PASS_ROWS // n)) == passes
-    # each pass a pair range of at most PASS_ROWS rows, together every pair once
-    assert all(len(r) * n <= PASS_ROWS for r in calls)
-    assert [c for r in calls for c in r] == list(range(pairs))
+    assert len(stores) == 1
+    assert stores[0].layer.shape == (len(pr.controls_a) * len(pr.controls_b), n_vertices)
+
+
+@pytest.mark.parametrize("name, eps, dx, dt", [
+    ("test1_eps", 0.05, 0.001, 0.001), ("test3_exit", 0.0, 0.1, 0.05),
+    ("test2_oblique", 0.0, 0.125, 0.125)],
+    ids=["interval_fine", "rect_exit", "disk_oblique"])
+def test_store_build_peaks_within_its_budget(name, eps, dx, dt):
+    """A cold store build on each benchmark mesh peaks, under tracemalloc,
+    at most 2.5 times the finished store's bytes above that store."""
+    bench = get_benchmark(name, eps=eps)
+    op = Operator(bench.problem, build_mesh_for(bench, dx),
+                  SchemeParams(dt=dt, c_bar=bench.c_bar))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = op.rows(0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    store = sum(getattr(rows, field).nbytes for field in ROW_FIELDS)
+    assert peak - store <= 2.5 * store
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
@@ -1026,8 +1038,8 @@ def test_stacked_and_gathered_applies_agree_bitwise(name, dx, dt):
 
 def test_sweep_with_one_store_per_step_equals_the_shared_store():
     """test3_exit's dynamics do not depend on time, so the flag off (a store
-    built at every step, in passes of whole pairs) sweeps the values of the
-    flag on bit for bit; no step is served another step's store."""
+    built at every step) sweeps the values of the flag on bit for bit; no
+    step is served another step's store."""
     bench = get_benchmark("test3_exit")
     mesh = build_mesh_for(bench, 0.2)
     params = SchemeParams(dt=0.1, c_bar=bench.c_bar)
