@@ -225,9 +225,14 @@ def _config_from_args(args) -> StudyConfig:
         cfg = load_config(args.config)
         cfg.out = args.out
         return cfg
+    ladder = []
+    for entry in args.dx_ladder.split(","):
+        try:
+            ladder.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"--dx-ladder entry {entry!r} is not a number") from None
     return StudyConfig(
-        benchmark=args.benchmark, eps=args.eps,
-        dx_ladder=[float(v) for v in args.dx_ladder.split(",")],
+        benchmark=args.benchmark, eps=args.eps, dx_ladder=ladder,
         dt_rule=args.dt_rule, c_bar=args.cbar,
         n_a=args.na, out=args.out)
 
@@ -295,10 +300,12 @@ def _verify(seed: int) -> int:
     """Fast sanity slice of the property suites, on every row of one
     assembled operator per boundary kind: test1's 1D one, test2_oblique's
     with oblique reflection and test3_exit's with Dirichlet absorption;
-    exit 0 iff all pass."""
+    exit 0 iff all pass.  ConfigError for a negative seed."""
     from .geometry import Disk, RotatedNormalField, oblique_projection_many
     from .scheme import Operator
 
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     failures = []
 
@@ -319,7 +326,7 @@ def _verify(seed: int) -> int:
         V = U + rng.uniform(0, 1, mesh.n_vertices)
         SU, _, (_, probs) = op.apply(0, U)
         # a row's mass: its transition probabilities plus its absorbed branches
-        mass = probs.sum(axis=1) + op.rows(0).dirichlet.mean(axis=-1).ravel()
+        mass = probs.sum(axis=0) + op.rows(0).dirichlet.mean(axis=1)
         _report(f"{name} dx {dx}: transition row sums to 1",
                 np.abs(mass - 1.0).max() <= 1e-12, failures)
         _report(f"{name} dx {dx}: one-step operator monotone",

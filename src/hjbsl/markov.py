@@ -83,9 +83,9 @@ class _ChainModel(Operator):
         return mat
 
     def code(self, m: int, policy, nodes: np.ndarray) -> np.ndarray:
-        """The pair code of each vertex of nodes under policy at step m,
-        checked once for all of them: BadParams unless every pair (ia, ib)
-        holds integers, ia in 0..len(controls_a)-1 and ib in
+        """The pair code of each vertex of nodes under policy at step m, as
+        intp, checked once for all of them: BadParams unless every pair
+        (ia, ib) holds integers, ia in 0..len(controls_a)-1 and ib in
         0..len(controls_b)-1.  policy is a callable policy(m, j) or a
         nested sequence read as policy[m][j]; BadParams naming the step and
         the vertex when that lookup finds no pair, or when the policy or its
@@ -114,7 +114,8 @@ class _ChainModel(Operator):
             a, b = np.array(ia), np.array(ib)
             if (a.ndim == b.ndim == 1 and a.dtype.kind in "biu" and b.dtype.kind in "biu"
                     and min(ia) >= 0 and min(ib) >= 0 and max(ia) < na and max(ib) < nb):
-                return a * nb + b
+                # intp, so that code * n + node stays an integer row
+                return (a * nb + b).astype(np.intp)
         except (TypeError, ValueError):
             pass
         # the fast test also fails on some integer pairs: numpy promotes
@@ -123,7 +124,7 @@ class _ChainModel(Operator):
             if not _is_pair(pair, na, nb):
                 raise BadParams(f"policy at step {m}, vertex {nodes[r]}: {pair!r} is not "
                                 f"an integer pair (ia, ib) in 0..{na - 1} x 0..{nb - 1}")
-        return np.array([int(i) * nb + int(j) for i, j in pairs], dtype=int)
+        return np.array([int(i) * nb + int(j) for i, j in pairs], dtype=np.intp)
 
 
 # this thread's latest chain model, with the inputs it was built from
@@ -169,9 +170,9 @@ def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
     op = Operator(replace(problem, controls_a=[a], controls_b=[b]), mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
-    verts, probs = op.rows(k).slots([0], [i])
+    verts, probs = op.rows(k).slots([i])
     # a vertex's slots added in slot order
-    probs = np.bincount(verts[0], weights=probs[0], minlength=mesh.n_vertices)
+    probs = np.bincount(verts[:, 0], weights=probs[:, 0], minlength=mesh.n_vertices)
     idx = np.flatnonzero(probs)
     return TransitionLaw(indices=idx, probs=probs[idx])
 
@@ -219,8 +220,8 @@ def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
             break   # every path was absorbed at a Dirichlet exit
         w = rho[nodes]
         # the expected one-step cost is the operator applied to zero
-        cost, _, (verts, probs) = model.apply(m, np.zeros(n), model.code(m, policy, nodes),
-                                              nodes)
+        flat = model.code(m, policy, nodes) * n + nodes
+        cost, _, (verts, probs) = model.apply(m, np.zeros(n), flat)
         total += float(w @ cost)
         rho = _move(verts, probs, w, n)
     J = np.flatnonzero(rho)
@@ -228,10 +229,10 @@ def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
 
 
 def _move(verts, probs, w, n: int) -> np.ndarray:
-    """P[rows].T @ w for the rows' slots (verts, probs) of Operator.apply:
+    """P[rows].T @ w for the rows' columns (verts, probs) of Operator.apply:
     each slot's probs*w added to its vertex in row and slot order, as a
     transposed CSR product adds them."""
-    return np.bincount(verts.ravel(), weights=(probs * w[:, None]).ravel(), minlength=n)
+    return np.bincount(verts.T.ravel(), weights=(probs * w).T.ravel(), minlength=n)
 
 
 def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
@@ -241,10 +242,10 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
 
     Path p draws from its own Philox(key=[seed, p]) stream, one uniform per
     step while it lives, as when it is simulated alone.  At each step m
-    with a live path, yields (m, live, uniq, inv, ucode, rows, slot) before
-    the move: the live paths, the distinct vertices uniq they occupy with
-    here = uniq[inv], the pair codes ucode of uniq, the step's store, and
-    the drawn (code, here, branch) of each path as slot.
+    with a live path, yields (m, live, inv, urow, rows, slot) before the
+    move: the live paths, the stacked rows urow of the distinct vertices
+    they occupy under the policy, path p's at urow[inv[p]], the step's
+    store, and the drawn (row, branch) of each path as slot.
     """
     n, width = model.mesh.n_vertices, model.mesh.dim + 1
     draws = model.draws(seed, len(state), model.N - k)
@@ -260,17 +261,15 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
         seen[uniq] = False
         position[uniq] = np.arange(len(uniq))
         inv = position[here]
-        ucode = model.code(m, policy, uniq)
+        urow = model.code(m, policy, uniq) * n + uniq
         rows = model.rows(m)
-        code = ucode[inv]
-        cum = rows.cum[code, here]
-        q = np.count_nonzero(cum[:, :-1] <= (draws[live, m - k] * cum[:, -1])[:, None],
-                             axis=1)
-        slot = (code, here, q // width)
-        yield m, live, uniq, inv, ucode, rows, slot
+        r = urow[inv]
+        cum = rows.cum.take(r, axis=1)
+        q = np.count_nonzero(cum[:-1] <= draws[live, m - k] * cum[-1], axis=0)
+        slot = (r, q // width)
+        yield m, live, inv, urow, rows, slot
         absorbed = rows.dirichlet[slot]
-        state[live] = np.where(absorbed, -1,
-                               rows.verts.reshape(rows.layer.shape + (-1,))[code, here, q])
+        state[live] = np.where(absorbed, -1, rows.verts[q, r])
         live = live[~absorbed]
 
 
@@ -282,19 +281,20 @@ def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
     makes one g call per control b over the drawn reflections.
     """
     pr, nb, dt = model.problem, model.nb, model.params.dt
+    n = model.mesh.n_vertices
     state = np.full(n_paths, i)
     cost = np.zeros(n_paths)
     layer = np.zeros(n_paths, dtype=int)
-    for m, live, uniq, inv, ucode, rows, slot in _walk(model, policy, k, state, seed):
+    for m, live, inv, urow, rows, slot in _walk(model, policy, k, state, seed):
         t = model.times[m]
-        code, here, s = slot
-        cost[live] += dt * model.running_cost(m, ucode, uniq)[inv]
-        layer[live] += rows.layer[code, here]
+        r, s = slot
+        cost[live] += dt * model.running_cost(m, urow)[inv]
+        layer[live] += rows.layer[r]
         absorbed = rows.dirichlet[slot]
         refl_d = rows.refl_d[slot]
         sel = np.flatnonzero(~absorbed & (refl_d != 0.0))
-        groups = control_groups(pr.controls_b, code[sel] % nb,
-                                rows.refl_p[code[sel], here[sel], s[sel]])
+        groups = control_groups(pr.controls_b, r[sel] // n % nb,
+                                rows.refl_p[r[sel], s[sel]])
         g = per_control("g", pr.g, t, groups, len(sel))
         cost[live[sel]] += refl_d[sel] * g
         cost[live[absorbed]] += rows.const[slot][absorbed]
@@ -307,9 +307,8 @@ def _layer_steps(model: _ChainModel, policy, i: int, seed: int, n_paths: int):
     """The boundary-layer step counts of _simulate_paths from vertex i at
     step 0, with no f or g call."""
     layer = np.zeros(n_paths, dtype=int)
-    for _, live, _, _, _, rows, (code, here, _) in _walk(model, policy, 0,
-                                                          np.full(n_paths, i), seed):
-        layer[live] += rows.layer[code, here]
+    for _, live, _, _, rows, (r, _) in _walk(model, policy, 0, np.full(n_paths, i), seed):
+        layer[live] += rows.layer[r]
     return layer
 
 
@@ -335,10 +334,11 @@ def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams) -> np.ndarray:
 
 def _policy_values(model: _ChainModel, policy) -> np.ndarray:
     """J_{0,i} for all i under one fixed policy (backward evaluation)."""
-    nodes = np.arange(model.mesh.n_vertices)
+    n = model.mesh.n_vertices
+    nodes = np.arange(n)
     J = model.psi.copy()
     for m in range(model.N - 1, -1, -1):
-        J = model.apply(m, J, model.code(m, policy, nodes), nodes)[0]
+        J = model.apply(m, J, model.code(m, policy, nodes) * n + nodes)[0]
     return J
 
 

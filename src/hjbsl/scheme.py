@@ -48,7 +48,8 @@ class Problem:
     reversed time internally, and values are reported at t=T.
     control_free_cost promises that f does not read its control a, so one
     f call serves every control (Operator.running_cost checks it).  The
-    points kept across steps and the vertices psi reads are read-only.
+    points kept across steps and the vertices mu, sigma and psi read are
+    read-only.
     """
 
     domain: Domain
@@ -215,8 +216,7 @@ def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
     U = real_array(next_values, "next_values", (mesh.n_vertices,))
-    codes = np.arange(op.n_pairs)
-    return float(op.apply(k, U, codes, np.full(op.n_pairs, i))[0].min())
+    return float(op.apply(k, U, np.arange(op.n_pairs) * mesh.n_vertices + i)[0].min())
 
 
 def check_weights(weights: np.ndarray):
@@ -241,67 +241,56 @@ def check_weights(weights: np.ndarray):
 class Rows:
     """Every control pair's rows over all mesh vertices at one step key.
 
-    [c, j] is the row of vertex j under pair code c = ia*len(controls_b) + ib,
-    and row c*n + j of the stacked operator, which is the arrays' flat row
-    order.  Each of a row's 2*Ns branches holds the simplex vertices and P1
-    weights of its landing point.  A Dirichlet branch has zero weights and
-    its exit datum in const; an oblique exit has its crossing distance
-    d_tilde in refl_d (0 off the oblique exits) and its boundary projection
-    point in refl_p.
+    Every array is indexed by stacked row r = c*n + j, the row of vertex j
+    under pair code c = ia*len(controls_b) + ib.  Each of a row's 2*Ns
+    branches holds the simplex vertices and P1 weights of its landing
+    point; slot q = s*(dim+1) + v is vertex v of branch s, and the row's P
+    entries are its slots' probs = weight/(2*Ns), duplicate vertices not
+    summed, held slot-major.  A Dirichlet branch has zero probs and its
+    exit datum in const; an oblique exit has its crossing distance d_tilde
+    in refl_d (0 off the oblique exits) and its boundary projection point
+    in refl_p.
 
-    For the Monte Carlo draw, slot q = s*(dim+1) + v of a row's flattened
-    (branch, simplex vertex) grid is drawn when a uniform draw times
-    cum[c, j, -1] falls below cum[c, j, q] and not below cum[c, j, q-1]; a
-    Dirichlet branch puts its whole mass on its first slot.  layer marks
-    the rows with an exiting branch.
+    For the Monte Carlo draw, slot q of row r is drawn when a uniform draw
+    times cum[-1, r] falls below cum[q, r] and not below cum[q-1, r], cum
+    being the running sums of the weights; a Dirichlet branch puts its
+    whole mass on its first slot.  layer marks the rows with an exiting
+    branch.
     """
 
-    verts: np.ndarray        # (pairs, n, S, dim+1) int
-    weights: np.ndarray      # (pairs, n, S, dim+1)
-    const: np.ndarray        # (pairs, n, S)
-    dirichlet: np.ndarray    # (pairs, n, S) bool
-    refl_d: np.ndarray       # (pairs, n, S)
-    refl_p: np.ndarray       # (pairs, n, S, dim)
-    cum: np.ndarray          # (pairs, n, S*(dim+1))
-    layer: np.ndarray        # (pairs, n) bool
-    stacked: tuple = None    # every row's terms, at the first every-row apply
+    verts: np.ndarray        # (K, pairs*n) int, K = 2*Ns*(dim+1)
+    probs: np.ndarray        # (K, pairs*n)
+    cum: np.ndarray          # (K, pairs*n)
+    const: np.ndarray        # (pairs*n, S)
+    dirichlet: np.ndarray    # (pairs*n, S) bool
+    refl_d: np.ndarray       # (pairs*n, S)
+    refl_p: np.ndarray       # (pairs*n, S, dim)
+    layer: np.ndarray        # (pairs*n,) bool
+    terms: tuple = None      # every row's terms, at the first every-row apply
 
-    def slots(self, codes, nodes) -> tuple:
-        """The rows [codes[r], nodes[r]] of the stacked (pairs*n, n)
-        operator P as (vertex, entry) arrays, each (rows, 2*Ns*(dim+1)), in
-        (branch, simplex vertex) slot order: entries weight/(2*Ns), with
-        duplicate vertices not summed."""
-        S = self.const.shape[2]
-        return (self.verts[codes, nodes].reshape(len(codes), -1),
-                self.weights[codes, nodes].reshape(len(codes), -1) / S)
-
-    def stacked_slots(self) -> tuple:
-        """The slots of every row in stacked order, slot-major: (vertex,
-        entry) arrays, each C-contiguous (2*Ns*(dim+1), pairs*n), whose
-        transposes are the slots of every row."""
-        rows = self.layer.size
-        return (self.verts.reshape(rows, -1).T.copy(),
-                (self.weights.reshape(rows, -1) / self.const.shape[2]).T.copy())
+    def slots(self, flat) -> tuple:
+        """The rows flat of the stacked (pairs*n, n) operator P as its
+        columns (verts, probs), each (K, rows)."""
+        return self.verts.take(flat, axis=1), self.probs.take(flat, axis=1)
 
 
 def slot_product(slots: tuple, U) -> np.ndarray:
     """P[rows] @ U for the rows' slots (verts, probs) of Rows.slots: each
-    row's products added slot by slot from zero, one column at a time, as
-    stacked_product adds them, so the two agree bitwise on any row count."""
+    row's products added slot by slot from zero, as stacked_product adds
+    them, so the two agree bitwise on any row count."""
     verts, probs = slots
-    out = np.zeros(len(verts))
-    for column in (probs * U[verts]).T:
-        out += column
+    out = np.zeros(verts.shape[1])
+    for row in probs * U[verts]:
+        out += row
     return out
 
 
 def stacked_product(slots: tuple, U) -> np.ndarray:
-    """P @ U on every row for the slot-major slots (verts, probs) of
-    Rows.stacked_slots and float U (n,), added slot by slot from zero as a
-    CSR product adds them: numpy reduces the leading axis of a C-contiguous
-    block (take's order) row by row once it has two columns or more, as
-    every store has, but sums one row pairwise; gathered rows use
-    slot_product."""
+    """P @ U on every row for the store's (verts, probs) and float U (n,),
+    added slot by slot from zero as a CSR product adds them: numpy reduces
+    the leading axis of a C-contiguous block (take's order) row by row once
+    it has two columns or more, as every store has, but sums one column
+    pairwise; gathered rows use slot_product."""
     verts, probs = slots
     out = U.take(verts)
     out *= probs
@@ -313,52 +302,55 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
     """The only path from characteristics to classified, located branches:
     the store of every pair over every vertex at time times[0], formed,
     classified and located in one batched pass.  Characteristics take one
-    mu and one sigma call per control a and per time, classification one
-    _classify_many call and location one locate_many call.  A row depends
-    on mu and sigma only through its characteristics, so BadParams unless
-    those at times[1:] equal those at times[0], which the rows then serve."""
-    nb = len(problem.controls_b)
-    n_pairs = len(problem.controls_a) * nb
+    mu and one sigma call per control a and per time, on a read-only view
+    of the vertices, classification one _classify_many call and location
+    one locate_many call.  A row depends on mu and sigma only through its
+    characteristics, so BadParams unless those at times[1:] equal those at
+    times[0], which the rows then serve."""
+    na, nb = len(problem.controls_a), len(problem.controls_b)
     dim, S = mesh.dim, 2 * problem.n_sigma
-    codes = np.repeat(np.arange(n_pairs), mesh.n_vertices)
-    n, V = len(codes), np.tile(mesh.vertices, (n_pairs, 1))
-    Y = np.empty((n, S, dim))
-    for a, sel, X in control_groups(problem.controls_a, codes // nb, V):
-        Y[sel] = first = _characteristics(problem, times[0], X, a, params.dt)
+    n = na * nb * mesh.n_vertices
+    X = read_only(mesh.vertices.view())
+    # a branch's characteristic does not depend on its pair's control b
+    Y = np.empty((na, nb, mesh.n_vertices, S, dim))
+    for ia, a in enumerate(problem.controls_a):
+        Y[ia] = first = _characteristics(problem, times[0], X, a, params.dt)
         for t in times[1:]:
             if not np.array_equal(first, _characteristics(problem, t, X, a, params.dt)):
                 raise BadParams(f"time_independent_dynamics is set, but the characteristics "
                                 f"differ between t={times[0]:g} and t={t:g}")
-    rp = _classify_many(problem, np.repeat(V, S, axis=0), Y.reshape(-1, dim),
-                        np.repeat(codes % nb, S), params.dt, params.c_bar)
+    # each branch's vertex and control b, in stacked row order
+    rp = _classify_many(problem, np.broadcast_to(X[:, None], Y.shape).reshape(-1, dim),
+                        Y.reshape(-1, dim),
+                        np.broadcast_to(np.arange(nb)[:, None, None], Y.shape[:-1]).ravel(),
+                        params.dt, params.c_bar)
     # classification copied the characteristics; release them before location
     del Y
+    dirichlet = rp.dirichlet.reshape(n, S)
     # non-Dirichlet branches land in the closed domain
-    located = ~rp.dirichlet
-    simplex, bary = mesh.locate_many(rp.y_tilde[located])
+    located = ~dirichlet
+    simplex, bary = mesh.locate_many(rp.y_tilde.reshape(n, S, dim)[located])
     check_weights(bary)
-    verts = np.zeros((n * S, dim + 1), dtype=int)
-    weights = np.zeros((n * S, dim + 1))
-    verts[located] = mesh.simplices.take(simplex, axis=0)
-    weights[located] = bary
+    verts = np.zeros((S * (dim + 1), n), dtype=int)
+    cum = np.zeros(verts.shape)
+    # the (row, branch, vertex) views of the slot-major arrays
+    branches = [a.reshape(S, dim + 1, n).transpose(2, 0, 1) for a in (verts, cum)]
+    branches[0][located] = mesh.simplices.take(simplex, axis=0)
+    branches[1][located] = bary
+    probs = cum / S
     # the slot masses, a Dirichlet branch's all on its first slot
-    cum = weights.copy()
-    cum[rp.dirichlet, 0] = 1.0
-    cum = cum.reshape(n, -1)
+    branches[1][dirichlet, 0] = 1.0
     exits = rp.exited.reshape(n, S)
     layer = exits[:, 0].copy()
-    # each row's running sums and any() column by column, not as numpy's
-    # slow accumulations along a short last axis; the sums are cumsum's
-    for k in range(1, cum.shape[1]):
-        cum[:, k] += cum[:, k - 1]
+    # the running sums and any() slot by slot, not as numpy's slow
+    # accumulations along a short last axis; the sums are cumsum's
+    for k in range(1, len(cum)):
+        cum[k] += cum[k - 1]
     for k in range(1, S):
         layer |= exits[:, k]
-    branches = (n_pairs, mesh.n_vertices, S)
-    return Rows(verts=verts.reshape(branches + (-1,)),
-                weights=weights.reshape(branches + (-1,)),
-                const=rp.value.reshape(branches), dirichlet=rp.dirichlet.reshape(branches),
-                refl_d=rp.d_tilde.reshape(branches), refl_p=rp.p.reshape(branches + (-1,)),
-                cum=cum.reshape(branches[:2] + (-1,)), layer=layer.reshape(branches[:2]))
+    return Rows(verts=verts, probs=probs, cum=cum, const=rp.value.reshape(n, S),
+                dirichlet=dirichlet, refl_d=rp.d_tilde.reshape(n, S),
+                refl_p=rp.p.reshape(n, S, dim), layer=layer)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -413,9 +405,9 @@ def per_control(name: str, handle, t: float, groups: list, n: int) -> np.ndarray
 
 class Operator:
     """The scheme's one-step operator at every step, read as a Markov chain:
-    on the row [c, j] of pair code c and vertex j,
+    on the stacked row r = c*n + j of pair code c and vertex j,
 
-        S[U] = (P @ U)[c*n + j] + const + crossings + dt*f,
+        S[U] = (P @ U)[r] + const + crossings + dt*f,
 
     P being the stacked (pairs*n, n) substochastic matrix, const the mean
     Dirichlet datum of the row's branches and crossings their mean
@@ -443,7 +435,8 @@ class Operator:
         # when there are two steps or more
         self._shared_times = self.times[::max(self.N - 1, 1)]
         self._key = self._rows = None
-        self._f_groups = None   # every row's f groups and their row count
+        # every row's f points, kept across steps
+        self._vertices = read_only(mesh.vertices.copy())
         # control_free_cost checked, or nothing to check
         self._f_checked = not problem.control_free_cost
 
@@ -463,85 +456,77 @@ class Operator:
         return self._rows
 
     def _terms(self, rows: Rows, flat) -> tuple:
-        """S's pieces other than P and f on the rows at the flat indices
-        flat, or on every row when flat is slice(None): their mean Dirichlet
-        datum, their oblique exits as (row r, d_tilde/(2*Ns)), and the
+        """S's pieces other than P and f on the stacked rows flat, or on
+        every row when flat is slice(None): their mean Dirichlet datum,
+        their oblique exits as (row r, d_tilde/(2*Ns)), and the
         control_groups of the exits' projection points for g."""
-        S = self.S
-        refl_d = rows.refl_d.reshape(-1, S)[flat]
-        r, s = np.divmod(np.flatnonzero(refl_d), S)
+        refl_d = rows.refl_d[flat]
+        r, s = np.nonzero(refl_d)
         exits = r if isinstance(flat, slice) else flat[r]
-        return (rows.const.reshape(-1, S)[flat].sum(axis=1) / S, r, refl_d[r, s] / S,
+        return (rows.const[flat].sum(axis=1) / self.S, r, refl_d[r, s] / self.S,
                 control_groups(self.problem.controls_b,
                                exits // self.mesh.n_vertices % self.nb,
-                               rows.refl_p.reshape(-1, S, self.mesh.dim)[exits, s]))
+                               rows.refl_p[exits, s]))
 
-    def apply(self, m: int, U, codes=None, nodes=None) -> tuple:
-        """S[U] at step m on the rows [codes[r], nodes[r]], or on every row
-        in stacked order when codes is None.  Returns (S[U], the f values
-        of running_cost, P restricted to those rows); makes one g call per
-        control b over the rows' oblique exits.  P is the rows' slots
-        (verts, probs) as Rows.slots gives them.  On every row they and the
-        other terms are formed once per store, the g points read-only, and
-        P @ U is stacked_product; on gathered rows it is slot_product."""
+    def apply(self, m: int, U, flat=None) -> tuple:
+        """S[U] at step m on the stacked rows flat, or on every row in
+        stacked order when flat is None.  Returns (S[U], the f values of
+        running_cost, P restricted to those rows as their columns (verts,
+        probs), each (K, rows)); makes one g call per control b over the
+        rows' oblique exits.  On every row the other terms are formed once
+        per store, the g points read-only, and P @ U is stacked_product; on
+        gathered rows it is slot_product."""
         rows = self.rows(m)
         pr, t = self.problem, self.times[m]
-        if codes is None:
-            if rows.stacked is None:
-                rows.stacked = (rows.stacked_slots(), *self._terms(rows, slice(None)))
-                for _, _, P in rows.stacked[-1]:
+        if flat is None:
+            if rows.terms is None:
+                rows.terms = self._terms(rows, slice(None))
+                for _, _, P in rows.terms[-1]:
                     read_only(P)
-            (verts, probs), *terms = rows.stacked
-            P, v = (verts.T, probs.T), stacked_product((verts, probs), U)
+            P, terms = (rows.verts, rows.probs), rows.terms
+            v = stacked_product(P, U)
         else:
-            codes, nodes = np.asarray(codes, dtype=int), np.asarray(nodes, dtype=int)
-            P = rows.slots(codes, nodes)
-            terms = self._terms(rows, codes * self.mesh.n_vertices + nodes)
+            flat = np.asarray(flat, dtype=int)
+            P, terms = rows.slots(flat), self._terms(rows, flat)
             v = slot_product(P, U)
         const, r, d, g_groups = terms
-        f = self.running_cost(m, codes, nodes)
+        f = self.running_cost(m, flat)
         # added left to right as P @ U + const + crossings + dt*f
         v += const
         v += np.bincount(r, weights=d * per_control("g", pr.g, t, g_groups, len(r)),
                          minlength=len(v))
-        if len(f) == len(v):
-            v += self.params.dt * f
+        if flat is None:
+            # f's row for control a stands for each of a's nb pair blocks
+            blocks = v.reshape(-1, self.nb, self.mesh.n_vertices)
+            blocks += self.params.dt * f[:, None]
         else:
-            # one pair-major block of f stands for every control a's
-            blocks = v.reshape(-1, len(f))
-            blocks += self.params.dt * f
+            v += self.params.dt * f
         return v, f, P
 
-    def running_cost(self, m: int, codes=None, nodes=None) -> np.ndarray:
-        """f at step m on the rows [codes[r], nodes[r]], or on every row:
-        control a's pair-major block [ia*nb*n, (ia+1)*nb*n) is one call on
-        the operator's read-only copy of the vertices tiled nb times, kept
-        across steps, and gathered rows one call per control a among them.
-        With control_free_cost each is one call, every row's on the first
-        block alone, and the operator's first call checks the promise:
-        BadParams unless f(t, mesh.vertices, a) is the same for every a, NaN
-        equal to NaN."""
-        pr, t = self.problem, self.times[m]
+    def running_cost(self, m: int, flat=None) -> np.ndarray:
+        """f at step m on the stacked rows flat, one call per control a
+        among them, or on every row as an (n_a, n) array whose row ia is one
+        call on the operator's read-only copy of the vertices.  With
+        control_free_cost each is one call, every row's a (1, n) array, and
+        the operator's first call checks the promise: BadParams unless
+        f(t, mesh.vertices, a) is the same for every a, NaN equal to NaN."""
+        pr, t, n = self.problem, self.times[m], self.mesh.n_vertices
         free = pr.control_free_cost
         if not self._f_checked:
-            first, *rest = [real_array(pr.f(t, self.mesh.vertices.copy(), a), "f",
-                                       (self.mesh.n_vertices,)) for a in pr.controls_a]
+            first, *rest = [real_array(pr.f(t, self._vertices, a), "f", (n,))
+                            for a in pr.controls_a]
             for ia, other in enumerate(rest, 1):
                 if not np.array_equal(first, other, equal_nan=True):
                     raise BadParams(f"control_free_cost is set, but f at t={t:g} differs "
                                     f"between controls a 0 and {ia}")
             self._f_checked = True
-        if codes is None:
-            if self._f_groups is None:
-                block = self.nb * self.mesh.n_vertices
-                groups = [(a, slice(ia * block, (ia + 1) * block),
-                           read_only(np.tile(self.mesh.vertices, (self.nb, 1))))
-                          for ia, a in enumerate(pr.controls_a[:1] if free else pr.controls_a)]
-                self._f_groups = (groups, len(groups) * block)
-            return per_control("f", pr.f, t, *self._f_groups)
-        X = self.mesh.vertices[nodes]
+        if flat is None:
+            controls = pr.controls_a[:1] if free else pr.controls_a
+            return np.array([real_array(pr.f(t, self._vertices, a), "f", (n,))
+                             for a in controls])
+        X = self.mesh.vertices[flat % n]
         groups = ([(pr.controls_a[0], slice(None), X)] if free else
-                  control_groups(pr.controls_a, codes // self.nb, X))
+                  control_groups(pr.controls_a, flat // (self.nb * n), X))
         return per_control("f", pr.f, t, groups, len(X))
 
 

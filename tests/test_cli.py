@@ -188,6 +188,16 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["study", "--dx-ladder", "0.1,abc"], "--dx-ladder entry 'abc' is not a number"),
+    (["study", "--dx-ladder", ",,"], "--dx-ladder entry '' is not a number"),
+    (["verify", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+], ids=["ladder-word", "ladder-empty", "verify-negative-seed"])
+def test_bad_command_line_values_are_config_errors(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_main_solve_and_verify(tmp_path, capsys):
     out = tmp_path / "sol.txt"
     code = main(["solve", "--benchmark", "test1_eps", "--dx", "0.1",

@@ -342,39 +342,49 @@ def _reference_path(model, policy, k, i, seed, path):
     calls at a time; returns (cost, boundary-layer step count)."""
     rng = np.random.Generator(np.random.Philox(key=[seed, path]))
     pr, mesh = model.problem, model.mesh
-    dt, nb = model.params.dt, len(pr.controls_b)
+    dt, nb, S = model.params.dt, len(pr.controls_b), model.S
     state = i
     cost = 0.0
     layer_steps = 0
     for m in range(k, model.N):
         t = model.times[m]
         ia, ib = policy(m, state) if callable(policy) else policy[m][state]
-        c = ia * nb + ib
+        r = (ia * nb + ib) * mesh.n_vertices + state
         rows = model.rows(m)
-        weights, dirichlet = rows.weights[c, state], rows.dirichlet[c, state]
-        refl_d = rows.refl_d[c, state]
-        mass = weights.copy()
-        mass[dirichlet, 0] = 1.0
+        probs, dirichlet = rows.probs[:, r].reshape(S, -1), rows.dirichlet[r]
+        refl_d = rows.refl_d[r]
+        # a Dirichlet branch's mass 1/(2*Ns) on its first slot; 2*Ns is a
+        # power of two here, so the draws are those of the weights' sums
+        mass = probs.copy()
+        mass[dirichlet, 0] = 1.0 / S
         cum = np.cumsum(mass.ravel())
         layer_steps += bool(dirichlet.any() or refl_d.any())
         cost += dt * float(pr.f(t, mesh.vertices[[state]], pr.controls_a[ia])[0])
         q = bisect.bisect(cum[:-1].tolist(), rng.random() * float(cum[-1]))
-        s = q // weights.shape[1]
+        s = q // probs.shape[1]
         if dirichlet[s]:
-            return cost + rows.const[c, state, s], layer_steps
+            return cost + rows.const[r, s], layer_steps
         if refl_d[s]:
-            p = rows.refl_p[c, state, s][None, :]
+            p = rows.refl_p[r, s][None, :]
             cost += refl_d[s] * float(pr.g(t, p, pr.controls_b[ib])[0])
-        state = int(rows.verts[c, state].ravel()[q])
+        state = int(rows.verts[q, r])
     return cost + float(pr.psi(mesh.vertices[[state]])[0]), layer_steps
 
 
-@pytest.mark.parametrize("name", ["test2_oblique", "test3_exit"])
+@pytest.mark.parametrize("name", ["test2_oblique", "test3_exit", "test2_oblique-two-b"])
 def test_simulate_paths_equals_reference_walker(name):
-    if name == "test2_oblique":
+    """Monte Carlo paths equal the reference walker's, path by path.  With
+    two controls b, which g reads, the policy picks b by vertex, and the
+    exact cost also equals the backward evaluation of the same policy."""
+    nb = 1
+    if name.startswith("test2_oblique"):
         bench = make_test2("oblique", n_a=8)
         mesh = build_disk_mesh((0.0, 0.0), 1.0, 0.25)
         dt = 0.125
+        if name.endswith("-two-b"):
+            nb, pr = 2, bench.problem
+            bench = replace(bench, problem=replace(
+                pr, controls_b=[0.0, 1.0], g=lambda t, P, b, g=pr.g: g(t, P, b) + b))
     else:
         bench = make_test3(n_a=8)
         dom = bench.problem.domain
@@ -383,7 +393,7 @@ def test_simulate_paths_equals_reference_walker(name):
         dt = 0.1
     params = SchemeParams(dt=dt, c_bar=bench.c_bar)
     # a feedback that varies with the vertex and the step
-    policy = lambda m, i: ((3 * i + m) % 8, 0)
+    policy = lambda m, i: ((3 * i + m) % 8, i % nb)
     model = _ChainModel(bench.problem, mesh, params)
     start = int(np.argmin(np.linalg.norm(mesh.vertices - mesh.vertices.mean(axis=0),
                                          axis=1)))
@@ -397,6 +407,9 @@ def test_simulate_paths_equals_reference_walker(name):
     assert layers.max() > 0
     if name == "test3_exit":
         assert costs.min() < bench.problem.T - 1e-9
+    if nb > 1:
+        exact = policy_cost(bench.problem, mesh, policy, 0, start, params)
+        assert abs(exact - _policy_values(model, policy)[start]) <= 1e-12
 
 
 def test_policy_cost_once_every_path_is_absorbed():
@@ -481,7 +494,7 @@ def test_policy_cost_builds_its_store_whole_once(monkeypatch):
         return (j % 16, 0)
 
     cold = policy_cost(bench.problem, mesh, policy, 0, 7, params)
-    assert len(stores) == 1 and stores[0].layer.shape == (16, 223)
+    assert len(stores) == 1 and stores[0].layer.shape == (16 * 223,)
     assert policy_cost(bench.problem, mesh, policy, 0, 7, params) == cold
     assert len(stores) == 1
 
@@ -594,30 +607,35 @@ def test_control_free_cost_changes_no_result(name, dx, dt):
     assert all(np.array_equal(on, off) for on, off in zip(*results))
 
 
-def test_exact_cost_forms_no_stacked_slots(monkeypatch):
+def _every_row_terms(monkeypatch):
+    """A counter of the Operator._terms calls on every row."""
+    calls = _counting(monkeypatch, scheme.Operator, "_terms")
+    return lambda: sum(isinstance(flat, slice) for _, _, flat in calls)
+
+
+def test_exact_cost_forms_no_every_row_terms(monkeypatch):
     pr, mesh, params = _exit_chain()
-    formed = _counting(monkeypatch, scheme.Rows, "stacked_slots")
+    formed = _every_row_terms(monkeypatch)
     markov._latest.entry = None
     exact = policy_cost(pr, mesh, STEER, 0, 7, params)
-    assert formed == []
+    assert formed() == 0
     # the cost of the same policy read backward through every vertex's row
     assert abs(exact - _policy_values(_ChainModel(pr, mesh, params), STEER)[7]) <= 1e-12
-    assert formed == []
+    assert formed() == 0
 
 
-def test_sweep_forms_stacked_slots_once_per_store(monkeypatch):
-    """The stacked apply keeps its slot-major slots on the store: formed once
-    per step, and once for the whole sweep when the dynamics are
+def test_sweep_forms_every_row_terms_once_per_store(monkeypatch):
+    """The stacked apply keeps its terms on the store: formed once per
+    step, and once for the whole sweep when the dynamics are
     time-independent."""
-    formed = _counting(monkeypatch, scheme.Rows, "stacked_slots")
+    formed = _every_row_terms(monkeypatch)
     pr, mesh, params = _exit_chain()
     N = whole_steps(pr.T, params.dt)
     assert pr.time_independent_dynamics
     sweep(pr, mesh, params)
-    assert len(formed) == 1
-    formed.clear()
+    assert formed() == 1
     sweep(replace(pr, time_independent_dynamics=False), mesh, params)
-    assert len(formed) == N
+    assert formed() == 1 + N
 
 
 def test_draw_memo_keeps_a_monte_carlo_and_a_sojourn_matrix(monkeypatch):
@@ -650,13 +668,13 @@ def test_layer_walk_counts_equal_simulate_paths(name):
 
 
 def _csr(slots, n: int):
-    """The rows' slots (verts, probs) as a scipy CSR matrix of n columns,
+    """The rows' columns (verts, probs) as a scipy CSR matrix of n columns,
     duplicate vertices kept, as the reference product."""
     from scipy.sparse import csr_matrix
     verts, probs = slots
-    return csr_matrix((probs.ravel(), verts.ravel(),
-                       np.arange(0, probs.size + 1, probs.shape[1])),
-                      shape=(len(verts), n))
+    return csr_matrix((probs.T.ravel(), verts.T.ravel(),
+                       np.arange(0, probs.size + 1, len(probs))),
+                      shape=(verts.shape[1], n))
 
 
 def _bitwise_equal(a, b) -> bool:
@@ -689,20 +707,20 @@ def test_slot_product_and_move_equal_scipy_bitwise(name):
         op = Operator(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
         for m in range(op.N):
             U = rng.uniform(-1.0, 1.0, n)
-            _, _, (verts, probs) = op.apply(m, U)
-            stacked = op.rows(m).stacked[0]
+            _, _, stacked = op.apply(m, U)
+            # every row's P is the store's own arrays
+            rows = op.rows(m)
+            assert stacked[0] is rows.verts and stacked[1] is rows.probs
             assert all(a.flags.c_contiguous for a in stacked)
-            assert np.array_equal(verts, stacked[0].T) and np.array_equal(probs, stacked[1].T)
             for V in (U, -np.abs(U)):
-                assert _bitwise_equal(stacked_product(stacked, V), _csr((verts, probs), n) @ V)
+                assert _bitwise_equal(stacked_product(stacked, V), _csr(stacked, n) @ V)
     K = op.S * (mesh.dim + 1)
     assert K == {"test1_eps": 4, "test2_oblique": 6, "test3_exit": 12}[name]
     for size in (40, 1):
         for _ in range(20):
             nodes = rng.choice(n, size=size, replace=False)
             codes = rng.integers(0, op.n_pairs, size=size)
-            rows = op.rows(0)
-            slots = rows.slots(codes, nodes)
+            slots = op.rows(0).slots(codes * n + nodes)
             P = _csr(slots, n)
             U, w = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, size)
             for V in (U, -np.abs(U)):

@@ -681,7 +681,9 @@ def test_build_node_table_rejects_bad_weights(monkeypatch):
     mesh = build_interval_mesh(0.0, 1.0, 0.25)
     params = SchemeParams(dt=0.1, c_bar=0.25)
     rows = Operator(pr, mesh, params).rows(0)
-    assert np.allclose(rows.weights.sum(axis=3), 1.0)
+    # each branch's probs sum to 1/(2*Ns)
+    S = 2 * pr.n_sigma
+    assert np.allclose(rows.probs.reshape(S, -1, rows.layer.size).sum(axis=1), 1.0 / S)
 
     def bad_locate(points):
         return np.zeros(len(points), dtype=int), np.full((len(points), 2), 0.6)
@@ -838,7 +840,9 @@ def _pipeline_cases():
 PIPELINE_CASES = _pipeline_cases()
 
 
-ROW_FIELDS = ("verts", "weights", "const", "dirichlet", "refl_d", "refl_p", "cum", "layer")
+ROW_FIELDS = ("verts", "probs", "cum", "const", "dirichlet", "refl_d", "refl_p", "layer")
+# the fields held slot-major, (K, pairs*n); the others lead with the row
+SLOT_FIELDS = ("verts", "probs", "cum")
 
 
 def _disk_two_fields():
@@ -868,18 +872,22 @@ def test_rows_built_in_passes_equal_rows_built_pair_by_pair(name):
     pr = bench.problem
     params = SchemeParams(dt=dt, c_bar=bench.c_bar)
     full = Operator(pr, mesh, params).rows(0)
-    nb = len(pr.controls_b)
+    n, nb = mesh.n_vertices, len(pr.controls_b)
     for c in range(len(pr.controls_a) * nb):
         one = dataclasses.replace(pr, controls_a=[pr.controls_a[c // nb]],
                                   controls_b=[pr.controls_b[c % nb]])
         alone = Operator(one, mesh, params).rows(0)
         for field in ROW_FIELDS:
-            assert np.array_equal(getattr(alone, field)[0], getattr(full, field)[c]), field
+            block = getattr(full, field).take(range(c * n, (c + 1) * n),
+                                              axis=int(field in SLOT_FIELDS))
+            assert np.array_equal(getattr(alone, field), block), field
     assert full.refl_d.any()
     if name == "disk_two_fields":
         # the two fields project the same exits to different points
-        assert full.refl_d[0::nb].any() and full.refl_d[1::nb].any()
-        assert not np.array_equal(full.refl_p[0::nb], full.refl_p[1::nb])
+        refl_d = full.refl_d.reshape(-1, nb, n, 2 * pr.n_sigma)
+        refl_p = full.refl_p.reshape(refl_d.shape + (mesh.dim,))
+        assert refl_d[:, 0].any() and refl_d[:, 1].any()
+        assert not np.array_equal(refl_p[:, 0], refl_p[:, 1])
 
 
 @pytest.mark.parametrize("name, dx, dt, n_vertices", [
@@ -897,7 +905,7 @@ def test_sweep_builds_its_shared_store_in_one_call(monkeypatch, name, dx, dt, n_
                         lambda *args: stores.append(build(*args)) or stores[-1])
     sweep(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
     assert len(stores) == 1
-    assert stores[0].layer.shape == (len(pr.controls_a) * len(pr.controls_b), n_vertices)
+    assert stores[0].layer.shape == (len(pr.controls_a) * len(pr.controls_b) * n_vertices,)
 
 
 @pytest.mark.parametrize("name, eps, dx, dt", [
@@ -919,6 +927,32 @@ def test_store_build_peaks_within_its_budget(name, eps, dx, dt):
         tracemalloc.stop()
     store = sum(getattr(rows, field).nbytes for field in ROW_FIELDS)
     assert peak - store <= 2.5 * store
+
+
+@pytest.mark.parametrize("name, eps, dx, dt", [
+    ("test1_eps", 0.05, 0.001, 0.001), ("test3_exit", 0.0, 0.1, 0.05),
+    ("test2_oblique", 0.0, 0.125, 0.125)],
+    ids=["interval_fine", "rect_exit", "disk_oblique"])
+def test_first_every_row_apply_keeps_p_once(name, eps, dx, dt):
+    """The every-row apply reads P from the store as it is: once the store
+    is built and f's control_free_cost check made, the first apply keeps,
+    under tracemalloc, at most a quarter of the store's bytes (its every-row
+    terms), not a second copy of P."""
+    bench = get_benchmark(name, eps=eps)
+    mesh = build_mesh_for(bench, dx)
+    op = Operator(bench.problem, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+    rows = op.rows(0)
+    op.running_cost(0)
+    U = np.zeros(mesh.n_vertices)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        op.apply(0, U)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    store = sum(getattr(rows, field).nbytes for field in ROW_FIELDS)
+    assert kept <= 0.25 * store
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
@@ -949,11 +983,11 @@ def test_assembled_operator_monotone_and_commutes_with_constants(name, dt, dx, c
     U = rng.uniform(-1.0, 1.0, mesh.n_vertices)
     V = U + rng.uniform(0.0, 1.0, mesh.n_vertices)
     SU, _, (_, probs) = op.apply(0, U)
-    assert probs.shape[0] == len(SU) and probs.min() >= 0.0
+    assert probs.shape[1] == len(SU) and probs.min() >= 0.0
     assert np.all(SU <= op.apply(0, V)[0] + 1e-12)
     rows = op.rows(0)
-    absorbed = rows.dirichlet.reshape(len(SU), -1).mean(axis=1)
-    assert np.max(np.abs(probs.sum(axis=1) + absorbed - 1.0)) <= 1e-12
+    absorbed = rows.dirichlet.mean(axis=1)
+    assert np.max(np.abs(probs.sum(axis=0) + absorbed - 1.0)) <= 1e-12
     assert absorbed.any() == bench.problem.domain.has_dirichlet
     assert np.max(np.abs(op.apply(0, U + c)[0] - (SU + c * (1.0 - absorbed)))) <= 1e-12
 
@@ -988,12 +1022,13 @@ def test_sweep_value_is_the_cost_of_its_argmin_policy(name, dx, dt):
 def test_stacked_and_gathered_applies_agree_bitwise(name, dx, dt):
     """The stacked terms kept on the store, control groups included, give
     what the gathered path forms afresh from the same rows.  With
-    control_free_cost off, f receives each control a's rows in stacked order
-    on both: with two controls b (which change g), the vertices once per
-    control b.  With it on (test2 and test3 set it), the store's first use
-    checks it with one call per control a on the vertices; then every row
-    is the first control's block alone and the gathered rows one call, and
-    S[U] is bitwise that of the field off."""
+    control_free_cost off, f receives the vertices once per control a on
+    every row, and each control a's rows in stacked order on gathered rows:
+    with two controls b (which change g), the vertices once per control b.
+    With it on (test2 and test3 set it), the store's first use checks it
+    with one call per control a on the vertices; then every row is the
+    first control's call alone and the gathered rows one call, and S[U] is
+    bitwise that of the field off."""
     bench = get_benchmark(name.removesuffix("-two-b"), eps=0.05)
     base = bench.problem
     if name.endswith("-two-b"):
@@ -1007,27 +1042,30 @@ def test_stacked_and_gathered_applies_agree_bitwise(name, dx, dt):
                                  f=lambda t, X, a, f=base.f: calls.append((a, X.copy()))
                                  or f(t, X, a))
         op = Operator(pr, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
-        codes, nodes = np.divmod(np.arange(op.n_pairs * mesh.n_vertices), mesh.n_vertices)
+        flat = np.arange(op.n_pairs * mesh.n_vertices)
+        codes, nodes = np.divmod(flat, mesh.n_vertices)
+        every = [(a, mesh.vertices) for a in pr.controls_a]
         blocks = [(a, mesh.vertices[nodes[codes // op.nb == ia]])
                   for ia, a in enumerate(pr.controls_a)]
         assert all(len(X) == op.nb * mesh.n_vertices for _, X in blocks)
         if free:
-            # the check's calls, then the first block and the gathered rows
-            check = [(a, mesh.vertices) for a in pr.controls_a]
-            want = [check + blocks[:1] + [(pr.controls_a[0], mesh.vertices[nodes])]]
-            want += [blocks[:1] + [(pr.controls_a[0], mesh.vertices[nodes])]] * 3
+            # the check's calls, then the first control's and the gathered rows
+            want = [every + every[:1] + [(pr.controls_a[0], mesh.vertices[nodes])]]
+            want += [every[:1] + [(pr.controls_a[0], mesh.vertices[nodes])]] * 3
         else:
-            want = [blocks + blocks] * 4
+            want = [every + blocks] * 4
         U = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_vertices)
         values[free] = []
         for m in range(min(op.N, 4)):
             calls.clear()
             stacked = op.apply(m, U)
-            gathered = op.apply(m, U, codes, nodes)
+            gathered = op.apply(m, U, flat)
             assert np.array_equal(stacked[0], gathered[0])
-            # with the field on, the first block stands for every control's
-            reps = len(pr.controls_a) if free else 1
-            assert np.array_equal(np.tile(stacked[1], reps), gathered[1])
+            # f's row ia stands for control a's rows; with the field on, the
+            # first control's stands for every control's
+            assert stacked[1].shape == (1 if free else len(pr.controls_a), mesh.n_vertices)
+            assert np.array_equal(stacked[1][0 if free else codes // op.nb, nodes],
+                                  gathered[1])
             assert len(calls) == len(want[m])
             assert all(a is b and np.array_equal(X, Y) for (a, X), (b, Y) in zip(calls, want[m]))
             values[free].append(stacked[0])
