@@ -334,12 +334,13 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
     verts = np.zeros((S * (dim + 1), n), dtype=int)
     cum = np.zeros(verts.shape)
     # the (row, branch, vertex) views of the slot-major arrays
-    branches = [a.reshape(S, dim + 1, n).transpose(2, 0, 1) for a in (verts, cum)]
-    branches[0][located] = mesh.simplices.take(simplex, axis=0)
-    branches[1][located] = bary
+    verts_rbv, cum_rbv = (a.reshape(S, dim + 1, n).transpose(2, 0, 1) for a in (verts, cum))
+    verts_rbv[located] = mesh.simplices.take(simplex, axis=0)
+    cum_rbv[located] = bary
+    # P's entries, from the weights before they become slot masses
     probs = cum / S
     # the slot masses, a Dirichlet branch's all on its first slot
-    branches[1][dirichlet, 0] = 1.0
+    cum_rbv[dirichlet, 0] = 1.0
     exits = rp.exited.reshape(n, S)
     layer = exits[:, 0].copy()
     # the running sums and any() slot by slot, not as numpy's slow
