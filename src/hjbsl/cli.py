@@ -43,8 +43,9 @@ class StudyConfig:
     out: str = None
 
     def __post_init__(self):
-        if not self.dx_ladder or any(dx <= 0 for dx in self.dx_ladder):
-            raise ConfigError("dx ladder must be nonempty and positive")
+        if not self.dx_ladder or not all(0 < dx < math.inf for dx in self.dx_ladder):
+            raise ConfigError(f"dx ladder must be nonempty, positive and finite, "
+                              f"got {self.dx_ladder!r}")
         if self.dt_rule not in ("dx", "dx/2"):
             raise ConfigError(f"unknown dt rule {self.dt_rule!r}")
 
@@ -297,11 +298,12 @@ def main(argv=None) -> int:
 
 
 def _verify(seed: int) -> int:
-    """Fast sanity slice of the property suites, on every row of one
+    """Fast sanity slice of the property suites: the disk's projection
+    along the normal and along the rotated field, then every row of one
     assembled operator per boundary kind: test1's 1D one, test2_oblique's
     with oblique reflection and test3_exit's with Dirichlet absorption;
     exit 0 iff all pass.  ConfigError for a negative seed."""
-    from .geometry import Disk, RotatedNormalField, oblique_projection_many
+    from .geometry import Disk, NormalField, RotatedNormalField, oblique_projection_many
     from .scheme import Operator
 
     if seed < 0:
@@ -312,10 +314,12 @@ def _verify(seed: int) -> int:
     disk = Disk((0.0, 0.0), 1.0)
     r = rng.uniform(0.6, 1.4, 500)
     th = rng.uniform(0.0, 2.0 * math.pi, 500)
-    pr = oblique_projection_many(disk, RotatedNormalField(disk, math.pi / 6), None,
-                                 np.column_stack([r * np.cos(th), r * np.sin(th)]),
-                                 r_max=math.inf)
-    _report("oblique projection residual <= 1e-10", pr.residual.max() <= 1e-10, failures)
+    X = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    for label, gamma in (("normal", NormalField(disk)),
+                         ("oblique", RotatedNormalField(disk, math.pi / 6))):
+        pr = oblique_projection_many(disk, gamma, None, X, r_max=math.inf)
+        _report(f"{label} projection residual <= 1e-10", pr.residual.max() <= 1e-10,
+                failures)
 
     for name, dx, dt in (("test1_eps", 0.05, 0.05), ("test2_oblique", 0.25, 0.25),
                          ("test3_exit", 0.2, 0.1)):

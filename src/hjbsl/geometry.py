@@ -29,7 +29,6 @@ N_BISECT = 60
 
 # outward normals of the RectWithHole faces 0-3
 _RECT_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
-_EYE2 = np.eye(2)
 _FLOAT = np.dtype(float)
 
 
@@ -477,10 +476,9 @@ def oblique_projection_many(domain: Domain, gamma: ObliqueField, b, X,
             raise BadParams("rect_with_hole supports the normal field only")
         return _rect_hole_normal_projection(domain, X)
     if isinstance(domain, Disk):
-        if isinstance(gamma, NormalField):
-            return _disk_normal_projection(domain, X)
-        if isinstance(gamma, RotatedNormalField):
-            return _disk_rotated_projection(domain, gamma, X)
+        if isinstance(gamma, (NormalField, RotatedNormalField)):
+            angle = gamma.angle if isinstance(gamma, RotatedNormalField) else 0.0
+            return _disk_projection(domain, angle, X)
         return oblique_projection_newton(domain, gamma, b, X)
     raise BadParams(f"unsupported domain kind {domain.kind!r}")
 
@@ -498,38 +496,30 @@ def _interval_projection(domain: Interval, X) -> ObliqueProjection:
     return _closed_form(p, ((X - p) / g)[:, 0], np.zeros(len(X)), g)
 
 
-def _disk_normal_projection(domain: Disk, X) -> ObliqueProjection:
-    v = X - domain.center
-    r = row_norms(v)
-    if (r == 0.0).any():
-        raise OutsideTube("center has no radial projection")
-    p = domain.center + domain.radius * v / r[:, None]
-    return _closed_form(p, r - domain.radius, np.zeros(len(r)),
-                        (p - domain.center) / domain.radius)
-
-
-def _disk_rotated_projection(domain: Disk, gamma: RotatedNormalField,
-                             X) -> ObliqueProjection:
-    """Closed-form solve for gamma = normal rotated by a fixed angle.
+def _disk_projection(domain: Disk, angle: float, X) -> ObliqueProjection:
+    """Closed-form solve for gamma = normal rotated clockwise by a fixed
+    angle, the normal itself at angle 0.
 
     With rho = |x - c| / r the algebraic distance solves
-    d^2 + 2 d cos(angle) + 1 = rho^2.
+    d^2 + 2 d cos(angle) + 1 = rho^2, and u = p - c solves (I + k R) u = x - c
+    with k = d / r and R the rotation; I + k R is a scaled rotation, so its
+    inverse is its transpose over its determinant.
     """
     v = X - domain.center
     rho = row_norms(v) / domain.radius
-    ca = math.cos(gamma.angle)
+    ca, sa = math.cos(angle), math.sin(angle)
     disc = ca * ca - 1.0 + rho * rho
-    if (disc < 0.0).any():
-        raise OutsideTube("point too deep inside for the rotated projection")
+    if not (disc > 0.0).all():
+        raise OutsideTube("point at the center or too deep inside for the projection")
     d = domain.radius * (-ca + np.sqrt(disc))
-    rot = gamma._rot
-    u = np.linalg.solve(_EYE2 + (d / domain.radius)[:, None, None] * rot,
-                        v[..., None])[..., 0]
+    k = d / domain.radius
+    a, s = 1.0 + k * ca, k * sa
+    u = np.column_stack([a * v[:, 0] - s * v[:, 1], s * v[:, 0] + a * v[:, 1]])
+    u /= (a * a + s * s)[:, None]
     p = domain.center + u
-    gp = (rot @ (u / domain.radius)[..., None])[..., 0]
-    res = row_norms(X - p - d[:, None] * gp)
-    gamma_p = (rot @ ((p - domain.center) / domain.radius)[..., None])[..., 0]
-    return _closed_form(p, d, res, gamma_p)
+    gp = np.column_stack([ca * u[:, 0] + sa * u[:, 1],
+                          ca * u[:, 1] - sa * u[:, 0]]) / domain.radius
+    return _closed_form(p, d, row_norms(X - p - d[:, None] * gp), gp)
 
 
 def _rect_hole_normal_projection(domain: RectWithHole, X) -> ObliqueProjection:

@@ -47,7 +47,9 @@ class Problem:
     t=0; 'forward' means psi is the initial datum, the sweep runs in
     reversed time internally, and values are reported at t=T.
     control_free_cost promises that f does not read its control a, so one
-    f call serves every control (Operator.running_cost checks it).  The
+    f call serves every control (Operator.running_cost checks it); it and
+    time_independent_dynamics are bools.  Each control set is any nonempty
+    sequence, an array included, and is held as a list.  The
     points kept across steps and the vertices mu, sigma and psi read are
     read-only.
     """
@@ -73,8 +75,18 @@ class Problem:
         if not 0 < self.T < math.inf:
             raise BadParams(f"T must be positive and finite, got {self.T!r}")
         check_integer("n_sigma", self.n_sigma, 1)
-        if not self.controls_a or not self.controls_b:
-            raise BadParams("control sets must be nonempty")
+        for name in ("controls_a", "controls_b"):
+            # a list, so that its controls stay the same objects across calls
+            try:
+                controls = list(getattr(self, name))
+            except TypeError:
+                raise BadParams(f"{name} must be a sequence of controls") from None
+            if not controls:
+                raise BadParams("control sets must be nonempty")
+            setattr(self, name, controls)
+        for name in ("time_independent_dynamics", "control_free_cost"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise BadParams(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.orientation not in ("backward", "forward"):
             raise BadParams(f"unknown orientation {self.orientation!r}")
 

@@ -119,7 +119,9 @@ def test_load_config_rejects_unread_keys(tmp_path):
     "[study]\nbenchmark = test1_eps\n",                  # no dx_ladder
     "[study]\nbenchmark = test1_eps\ndx_ladder = 0.1\neps = abc\n",
     "benchmark = test1_eps\n",                           # no section header
-], ids=["no_section", "no_benchmark", "no_dx_ladder", "bad_number", "no_header"])
+    "[study]\nbenchmark = test1_eps\ndx_ladder = nan\n",
+], ids=["no_section", "no_benchmark", "no_dx_ladder", "bad_number", "no_header",
+        "nan_dx"])
 def test_load_config_rejects_incomplete_or_malformed_files(tmp_path, text, capsys):
     path = tmp_path / "study.cfg"
     path.write_text(text)
@@ -192,7 +194,11 @@ def test_main_exit_codes(tmp_path, capsys):
     (["study", "--dx-ladder", "0.1,abc"], "--dx-ladder entry 'abc' is not a number"),
     (["study", "--dx-ladder", ",,"], "--dx-ladder entry '' is not a number"),
     (["verify", "--seed", "-1"], "--seed must be nonnegative, got -1"),
-], ids=["ladder-word", "ladder-empty", "verify-negative-seed"])
+    (["study", "--dx-ladder", "nan"], "dx ladder must be nonempty, positive and finite, "
+                                      "got [nan]"),
+    (["study", "--dx-ladder", "0.1,inf"], "dx ladder must be nonempty, positive and "
+                                          "finite, got [0.1, inf]"),
+], ids=["ladder-word", "ladder-empty", "verify-negative-seed", "ladder-nan", "ladder-inf"])
 def test_bad_command_line_values_are_config_errors(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -210,6 +216,8 @@ def test_main_solve_and_verify(tmp_path, capsys):
     # the row mass is read from every row's slot probabilities, on a 1D
     # operator, an oblique one and one with Dirichlet absorption
     printed = capsys.readouterr().out.splitlines()
+    for field in ("normal", "oblique"):
+        assert f"PASS  {field} projection residual <= 1e-10" in printed
     for operator in ("test1_eps dx 0.05", "test2_oblique dx 0.25", "test3_exit dx 0.2"):
         assert f"PASS  {operator}: transition row sums to 1" in printed
         assert f"PASS  {operator}: one-step operator monotone" in printed

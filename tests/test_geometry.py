@@ -125,17 +125,51 @@ def test_oblique_projection_rotated_disk():
     assert pr.residual <= 1e-10
 
 
-def test_closed_form_matches_newton():
-    gam = RotatedNormalField(DISK, math.pi / 6)
+ANGLES = [-math.pi / 3, -math.pi / 6, 0.0, math.pi / 6, 0.45 * math.pi]
+ANGLE_IDS = ["-60deg", "-30deg", "0deg", "30deg", "81deg"]
+
+
+@pytest.mark.parametrize("angle", ANGLES, ids=ANGLE_IDS)
+def test_closed_form_matches_newton(angle):
+    """The closed form against Newton, at points from r = 0.7 (or, for a
+    steep field, from just past |sin(angle)|, where the projection exists)
+    to r = 1.3."""
+    gam = RotatedNormalField(DISK, angle)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        r = rng.uniform(0.7, 1.3)
+        r = rng.uniform(max(0.7, abs(math.sin(angle)) + 1e-3), 1.3)
         th = rng.uniform(0.0, 2.0 * math.pi)
         x = np.array([r * math.cos(th), r * math.sin(th)])
         a = oblique_projection(DISK, gam, None, x)
         b = oblique_projection_newton(DISK, gam, None, x[None])
         assert np.allclose(a.p, b.p[0], atol=1e-9)
         assert a.d == pytest.approx(b.d[0], abs=1e-9)
+
+
+def test_normal_field_is_the_rotated_field_at_angle_zero():
+    """The normal field and the rotated one at angle 0 share one closed form,
+    so they project bit for bit alike."""
+    rng = np.random.default_rng(1)
+    r = rng.uniform(0.1, 1.9, 200)
+    th = rng.uniform(0.0, 2.0 * math.pi, 200)
+    X = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    a = oblique_projection_many(DISK, NormalField(DISK), None, X, r_max=math.inf)
+    b = oblique_projection_many(DISK, RotatedNormalField(DISK, 0.0), None, X,
+                                r_max=math.inf)
+    for field in ("p", "d", "gamma"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert a.residual.max() <= 1e-10
+
+
+@pytest.mark.parametrize("gamma, x", [
+    (NormalField(DISK), (0.0, 0.0)),
+    (RotatedNormalField(DISK, math.pi / 6), (0.3, 0.0)),
+], ids=["normal-center", "rotated-deep"])
+def test_disk_projection_rejects_points_without_one(gamma, x):
+    """No projection from the center along the normal, nor from inside the
+    circle of radius |sin(angle)| along a rotated field."""
+    with pytest.raises(OutsideTube):
+        oblique_projection(DISK, gamma, None, x, r_max=math.inf)
 
 
 def test_function_field_matches_rotated():

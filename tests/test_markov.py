@@ -499,6 +499,21 @@ def test_policy_cost_builds_its_store_whole_once(monkeypatch):
     assert len(stores) == 1
 
 
+def test_array_controls_share_one_model():
+    """Controls handed in as an array are held as a list, so the chain
+    model built on one call serves the next, with the numbers of list
+    controls."""
+    pr, mesh, params = _exit_chain()
+    arr = replace(pr, controls_a=np.array(pr.controls_a))
+    assert isinstance(arr.controls_a, list)
+    markov._latest.entry = None
+    first = policy_cost(arr, mesh, STEER, 0, 7, params)
+    model = _chain_model(arr, mesh, params)
+    assert policy_cost(arr, mesh, STEER, 0, 7, params) == first
+    assert _chain_model(arr, mesh, params) is model
+    assert first == _chain_calls(pr, mesh, params, fresh=True)[0]
+
+
 @pytest.mark.parametrize("change", ["reassign-mu", "replace", "mesh", "dt", "c_bar",
                                     "append-control"])
 def test_changed_inputs_get_a_fresh_model(change):

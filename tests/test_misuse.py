@@ -382,6 +382,16 @@ CASES = [
     # bool, a float, a negative or too large seed, and steps outside 0..N-1
     case("Problem-n_sigma-bool", BadParams,
          lambda tmp: dataclasses.replace(TEST1.problem, n_sigma=True), match="^n_sigma "),
+    # control sets tested by their length, flags that must be bools
+    case("Problem-controls_a-empty-array", BadParams,
+         lambda tmp: dataclasses.replace(TEST1.problem, controls_a=np.array([])),
+         match="^control sets must be nonempty"),
+    case("Problem-time_independent_dynamics-string", BadParams,
+         lambda tmp: dataclasses.replace(TEST1.problem, time_independent_dynamics="yes"),
+         match="^time_independent_dynamics must be a bool"),
+    case("Problem-control_free_cost-int", BadParams,
+         lambda tmp: dataclasses.replace(TEST1.problem, control_free_cost=1),
+         match="^control_free_cost must be a bool"),
     *[case(f"policy_cost-seed-{label}", BadParams, monte_carlo(seed), match="^seed ")
       for label, seed in (("float", 1.5), ("bool", True), ("negative", -1),
                           ("string", "x"), ("above-2**64-1", 2 ** 64))],
