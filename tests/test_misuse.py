@@ -386,6 +386,9 @@ CASES = [
     case("Problem-controls_a-empty-array", BadParams,
          lambda tmp: dataclasses.replace(TEST1.problem, controls_a=np.array([])),
          match="^control sets must be nonempty"),
+    case("Problem-controls_b-number", BadParams,
+         lambda tmp: dataclasses.replace(TEST1.problem, controls_b=1.0),
+         match="^controls_b must be a sequence"),
     case("Problem-time_independent_dynamics-string", BadParams,
          lambda tmp: dataclasses.replace(TEST1.problem, time_independent_dynamics="yes"),
          match="^time_independent_dynamics must be a bool"),
