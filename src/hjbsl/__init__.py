@@ -39,7 +39,6 @@ from .mesh import (
 )
 from .markov import (
     TransitionLaw,
-    dp_oracle,
     estimate_sojourn,
     policy_cost,
     transition_law,

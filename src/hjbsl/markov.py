@@ -1,5 +1,5 @@
-"""Markov-chain reading of the scheme: transition laws, policy costs, and
-brute-force / Monte-Carlo oracles for the backward sweep.
+"""Markov-chain reading of the scheme: transition laws, exact and Monte
+Carlo policy costs, and boundary-layer sojourns.
 
 Policies assign to each (step, vertex) a pair of indices into the
 discretized control lists.  The chain moves by drawing one of the 2*N_sigma
@@ -9,7 +9,6 @@ Every row of the chain is a row of the scheme's Operator.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import threading
@@ -23,6 +22,7 @@ from .scheme import (
     Operator,
     Problem,
     SchemeParams,
+    check_inputs,
     check_integer,
     control_groups,
     per_control,
@@ -30,12 +30,10 @@ from .scheme import (
     whole_steps,
 )
 
-# most policies dp_oracle enumerates
-ENUMERATION_LIMIT = 1e6
 # most 8-byte words (800 MB) the paths of one Monte Carlo run hold
 DRAW_LIMIT = 1e8
 # words a path holds besides its draws and one step's cumulative slot
-# masses: its state, cost and layer count and its share of a step's
+# masses: its state, its cost or layer count and its share of a step's
 # temporaries
 PATH_WORDS = 32
 # draw matrices a chain model keeps: a Monte Carlo cost's and a sojourn's
@@ -167,6 +165,7 @@ def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
     Rows are probability distributions; Dirichlet-absorbed branches make
     the row substochastic by their mass.
     """
+    check_inputs(mesh, params)
     op = Operator(replace(problem, controls_a=[a], controls_b=[b]), mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
@@ -186,6 +185,7 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
     monte_carlo simulates n_paths >= 2 chains and returns (mean, stderr);
     TooLarge when their paths would exceed DRAW_LIMIT words.
     """
+    check_inputs(mesh, params)
     model = _chain_model(problem, mesh, params)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
     k = check_integer("step k", k, 0, model.N)
@@ -195,7 +195,7 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
         check_integer("n_paths", n_paths, 2)
         seed = check_integer("seed", seed, 0, SEED_MAX)
         _check_draws(model, n_paths, model.N - k)
-        vals = _simulate_paths(model, policy, k, i, seed, n_paths)[0]
+        vals = _simulate_paths(model, policy, k, i, seed, n_paths)
         return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
     raise BadParams(f"unknown mode {mode!r}")
 
@@ -275,21 +275,18 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
 
 def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
                     n_paths: int):
-    """n_paths chain trajectories from vertex i at step k (see _walk);
-    returns (costs, boundary-layer step counts).  Each step takes f on the
-    live states' rows from Operator.running_cost, as the applies do, and
-    makes one g call per control b over the drawn reflections.
-    """
+    """The costs of n_paths chain trajectories from vertex i at step k (see
+    _walk).  Each step takes f on the live states' rows from
+    Operator.running_cost, as the applies do, and makes one g call per
+    control b over the drawn reflections."""
     pr, nb, dt = model.problem, model.nb, model.params.dt
     n = model.mesh.n_vertices
     state = np.full(n_paths, i)
     cost = np.zeros(n_paths)
-    layer = np.zeros(n_paths, dtype=int)
     for m, live, inv, urow, rows, slot in _walk(model, policy, k, state, seed):
         t = model.times[m]
         r, s = slot
         cost[live] += dt * model.running_cost(m, urow)[inv]
-        layer[live] += rows.layer[r]
         absorbed = rows.dirichlet[slot]
         refl_d = rows.refl_d[slot]
         sel = np.flatnonzero(~absorbed & (refl_d != 0.0))
@@ -300,46 +297,17 @@ def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
         cost[live[absorbed]] += rows.const[slot][absorbed]
     end = np.flatnonzero(state >= 0)
     cost[end] += model.psi[state[end]]
-    return cost, layer
+    return cost
 
 
 def _layer_steps(model: _ChainModel, policy, i: int, seed: int, n_paths: int):
-    """The boundary-layer step counts of _simulate_paths from vertex i at
-    step 0, with no f or g call."""
+    """The boundary-layer step counts of n_paths chain trajectories from
+    vertex i at step 0 (see _walk): the steps at which a path's row has an
+    exiting branch, with no f or g call."""
     layer = np.zeros(n_paths, dtype=int)
     for _, live, _, _, rows, (r, _) in _walk(model, policy, 0, np.full(n_paths, i), seed):
         layer[live] += rows.layer[r]
     return layer
-
-
-def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams) -> np.ndarray:
-    """Min over all policies of the exact cost at k=0, by enumeration;
-    TooLarge beyond ENUMERATION_LIMIT policies."""
-    model = _ChainModel(problem, mesh, params)
-    n = mesh.n_vertices
-    P = len(problem.controls_a) * len(problem.controls_b)
-    slots = n * model.N
-    if P ** slots > ENUMERATION_LIMIT:
-        raise TooLarge(f"{P}^{slots} policies exceed the enumeration limit")
-    nb = len(problem.controls_b)
-    pairs = [(ia, ib) for ia in range(len(problem.controls_a)) for ib in range(nb)]
-    best = np.full(n, np.inf)
-    for flat in itertools.product(range(P), repeat=slots):
-        policy = [[pairs[flat[m * n + j]] for j in range(n)]
-                  for m in range(model.N)]
-        vals = _policy_values(model, policy)
-        best = np.minimum(best, vals)
-    return best
-
-
-def _policy_values(model: _ChainModel, policy) -> np.ndarray:
-    """J_{0,i} for all i under one fixed policy (backward evaluation)."""
-    n = model.mesh.n_vertices
-    nodes = np.arange(n)
-    J = model.psi.copy()
-    for m in range(model.N - 1, -1, -1):
-        J = model.apply(m, J, model.code(m, policy, nodes) * n + nodes)[0]
-    return J
 
 
 def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
@@ -351,6 +319,7 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
     vertex closest to the domain barycenter; TooLarge when their paths
     would exceed DRAW_LIMIT words.
     """
+    check_inputs(mesh, params)
     check_integer("n_paths", n_paths, 2)
     seed = check_integer("seed", seed, 0, SEED_MAX)
     model = _chain_model(problem, mesh, params)

@@ -71,6 +71,12 @@ class Problem:
     control_free_cost: bool = False
 
     def __post_init__(self):
+        check_type("domain", self.domain, Domain)
+        check_type("gamma", self.gamma, ObliqueField)
+        for name in ("sigma", "mu", "f", "g", "psi", "exact_solution"):
+            handle = getattr(self, name)
+            if not (callable(handle) or name == "exact_solution" and handle is None):
+                raise BadParams(f"{name} must be callable, got {handle!r}")
         self.T = real_scalar(self.T, "T")
         if not 0 < self.T < math.inf:
             raise BadParams(f"T must be positive and finite, got {self.T!r}")
@@ -89,6 +95,19 @@ class Problem:
                 raise BadParams(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.orientation not in ("backward", "forward"):
             raise BadParams(f"unknown orientation {self.orientation!r}")
+
+
+def check_type(name: str, value, kind: type):
+    """BadParams unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise BadParams(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+
+
+def check_inputs(mesh: Mesh, params: SchemeParams):
+    """BadParams unless mesh is a Mesh and params a SchemeParams: what an
+    entry point checks before it reads either."""
+    check_type("mesh", mesh, Mesh)
+    check_type("params", params, SchemeParams)
 
 
 def check_integer(name: str, value, lo: int, hi=math.inf) -> int:
@@ -224,6 +243,7 @@ def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
             params: SchemeParams) -> float:
     """Minimum of S_{k,i}[Phi](a,b) over the finite control grid: the
     minimum of vertex i's rows under every pair."""
+    check_inputs(mesh, params)
     op = Operator(problem, mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
@@ -599,6 +619,7 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     or exceeds the blow-up guard 1e3*(max|psi| + T*max|f| + 1), max|f|
     taken over the steps swept so far; both are tested on the one
     reduction max|U_k| per step."""
+    check_inputs(mesh, params)
     N = whole_steps(problem.T, params.dt)
     op = Operator(problem, mesh, params)
     n = mesh.n_vertices
@@ -632,6 +653,7 @@ def consistency_residual(problem: Problem, phi, k: int, x, a, b,
     O(dt^{3/2}) in both cases.  A Dirichlet exit contributes its datum, as
     in the sweep.
     """
+    check_type("params", params, SchemeParams)
     phi_v, phi_g, phi_h = phi
     dt = params.dt
     k = check_integer("step k", k, 0, n_steps(problem.T, dt) - 1)

@@ -6,13 +6,13 @@ import numpy as np
 from hjbsl.cli import StudyConfig, run_study
 from hjbsl.geometry import Disk, RotatedNormalField, layer_distance, \
     oblique_projection
-from hjbsl.markov import estimate_sojourn, dp_oracle, transition_law
+from hjbsl.markov import estimate_sojourn, transition_law
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, \
     build_rect_with_hole_mesh
 from hjbsl.problems import make_test1, make_test3
 from hjbsl.scheme import SchemeParams, apply_S, consistency_residual, sweep
 
-from test_markov import _tiny_instances
+from test_markov import _tiny_instances, dp_oracle
 
 
 def _check(label, ok):

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import threading
 from dataclasses import replace
@@ -15,14 +16,12 @@ from hjbsl.markov import (
     _ChainModel,
     _layer_steps,
     _move,
-    _policy_values,
     _simulate_paths,
-    dp_oracle,
     estimate_sojourn,
     policy_cost,
     transition_law,
 )
-from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
+from hjbsl.mesh import Mesh, build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
     Operator,
@@ -272,6 +271,40 @@ def _tiny_instances():
     return insts
 
 
+# most policies dp_oracle enumerates
+ENUMERATION_LIMIT = 1e6
+
+
+def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams) -> np.ndarray:
+    """Min over all policies of the exact cost at k=0, by enumeration;
+    TooLarge beyond ENUMERATION_LIMIT policies."""
+    model = _ChainModel(problem, mesh, params)
+    n = mesh.n_vertices
+    P = len(problem.controls_a) * len(problem.controls_b)
+    slots = n * model.N
+    if P ** slots > ENUMERATION_LIMIT:
+        raise TooLarge(f"{P}^{slots} policies exceed the enumeration limit")
+    nb = len(problem.controls_b)
+    pairs = [(ia, ib) for ia in range(len(problem.controls_a)) for ib in range(nb)]
+    best = np.full(n, np.inf)
+    for flat in itertools.product(range(P), repeat=slots):
+        policy = [[pairs[flat[m * n + j]] for j in range(n)]
+                  for m in range(model.N)]
+        vals = _policy_values(model, policy)
+        best = np.minimum(best, vals)
+    return best
+
+
+def _policy_values(model: _ChainModel, policy) -> np.ndarray:
+    """J_{0,i} for all i under one fixed policy (backward evaluation)."""
+    n = model.mesh.n_vertices
+    nodes = np.arange(n)
+    J = model.psi.copy()
+    for m in range(model.N - 1, -1, -1):
+        J = model.apply(m, J, model.code(m, policy, nodes) * n + nodes)[0]
+    return J
+
+
 def test_dp_oracle_matches_sweep():
     mesh = build_interval_mesh(0.0, 1.0, 0.5)
     params = SchemeParams(dt=0.5, c_bar=0.2)
@@ -398,7 +431,8 @@ def test_simulate_paths_equals_reference_walker(name):
     start = int(np.argmin(np.linalg.norm(mesh.vertices - mesh.vertices.mean(axis=0),
                                          axis=1)))
     n_paths, seed = 200, 5
-    costs, layers = _simulate_paths(model, policy, 0, start, seed, n_paths)
+    costs = _simulate_paths(model, policy, 0, start, seed, n_paths)
+    layers = _layer_steps(model, policy, start, seed, n_paths)
     ref = [_reference_path(model, policy, 0, start, seed, p) for p in range(n_paths)]
     assert costs.tolist() == [c for c, _ in ref]
     assert layers.tolist() == [n for _, n in ref]
@@ -670,14 +704,14 @@ def test_draw_memo_keeps_a_monte_carlo_and_a_sojourn_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["test2_oblique", "test3_exit"])
-def test_layer_walk_counts_equal_simulate_paths(name):
+def test_layer_walk_counts_equal_reference_walker(name):
     bench = get_benchmark(name)
     mesh = build_mesh_for(bench, {"test2_oblique": 0.25, "test3_exit": 0.2}[name])
     params = SchemeParams(dt=0.1, c_bar=bench.c_bar)
     n_a = len(bench.problem.controls_a)
     policy = lambda m, i: ((3 * i + m) % n_a, 0)
     model = _ChainModel(bench.problem, mesh, params)
-    layers = _simulate_paths(model, policy, 0, 5, 9, 200)[1]
+    layers = np.array([_reference_path(model, policy, 0, 5, 9, p)[1] for p in range(200)])
     assert layers.max() > 0
     assert np.array_equal(_layer_steps(model, policy, 5, 9, 200), layers)
 

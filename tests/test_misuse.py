@@ -395,6 +395,41 @@ CASES = [
     case("Problem-control_free_cost-int", BadParams,
          lambda tmp: dataclasses.replace(TEST1.problem, control_free_cost=1),
          match="^control_free_cost must be a bool"),
+    # a domain, field or handle of the wrong kind, refused at construction
+    *[case(f"Problem-{name}-{label}", BadParams,
+           lambda tmp, name=name, value=value: dataclasses.replace(TEST3.problem,
+                                                                   **{name: value}),
+           match=match)
+      for name, label, value, match in (
+          ("domain", "string", "disk", "^domain must be of type Domain, got str$"),
+          ("gamma", "string", "normal", "^gamma must be of type ObliqueField, got str$"),
+          ("sigma", "None", None, "^sigma must be callable"),
+          ("psi", "number", 3, "^psi must be callable"),
+          ("exact_solution", "number", 1.0, "^exact_solution must be callable"))],
+    # a mesh or params of the wrong type, refused before either is read
+    *[case(f"{name}-{label}", BadParams,
+           lambda tmp, call=call, inputs=inputs: call(TEST3.problem, *inputs()), match=match)
+      for label, match, inputs in (
+          ("mesh-string", "^mesh must be of type Mesh, got str$",
+           lambda: ("mesh", EXIT_PARAMS)),
+          ("params-dict", "^params must be of type SchemeParams, got dict$",
+           lambda: (exit_chain()[1], {"dt": 0.1})))
+      for name, call in (
+          ("sweep", sweep),
+          ("policy_cost", lambda pr, mesh, params: policy_cost(pr, mesh, stay, 0, 7, params)),
+          ("estimate_sojourn",
+           lambda pr, mesh, params: estimate_sojourn(pr, mesh, stay, params, n_paths=10)))],
+    case("transition_law-mesh-None", BadParams,
+         lambda tmp: transition_law(exit_chain()[0], None, 0, 7, 0.0, 0.0, EXIT_PARAMS),
+         match="^mesh must be of type Mesh, got NoneType$"),
+    case("apply_S-params-tuple", BadParams,
+         lambda tmp: apply_S(*exit_chain(), np.zeros(5), 0, 7, (0.1, 0.25)),
+         match="^params must be of type SchemeParams, got tuple$"),
+    case("consistency_residual-params-dict", BadParams,
+         lambda tmp: consistency_residual(TEST3.problem, (lambda x: 0.0, np.zeros_like,
+                                                          lambda x: np.zeros((2, 2))),
+                                          0, [0.0, 0.0], 0.0, 0.0, {"dt": 0.1}),
+         match="^params must be of type SchemeParams, got dict$"),
     *[case(f"policy_cost-seed-{label}", BadParams, monte_carlo(seed), match="^seed ")
       for label, seed in (("float", 1.5), ("bool", True), ("negative", -1),
                           ("string", "x"), ("above-2**64-1", 2 ** 64))],

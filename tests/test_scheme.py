@@ -30,7 +30,7 @@ from hjbsl.geometry import (
     oblique_projection_many,
     oblique_projection_newton,
 )
-from hjbsl.markov import _ChainModel, _policy_values, dp_oracle, policy_cost
+from hjbsl.markov import _ChainModel, policy_cost
 from hjbsl.mesh import build_disk_mesh, build_interval_mesh, build_rect_with_hole_mesh
 from hjbsl.problems import get_benchmark, make_test1, make_test2, make_test3
 from hjbsl.scheme import (
@@ -48,6 +48,7 @@ from hjbsl.scheme import (
     sweep,
 )
 from test_geometry import boundary_kind, scan_crossing
+from test_markov import _policy_values
 
 
 def interval_problem(sigma=0.0, mu=0.0, f=None, g=None, psi=None, T=1.0,
@@ -389,13 +390,12 @@ _PHI = (lambda x: 0.0, lambda x: np.zeros(1), lambda x: np.zeros((1, 1)))
     lambda: oblique_projection_many(_DISK, NormalField(_DISK), None, _ROW, max_iter=50),
     lambda: oblique_projection_newton(_DISK, NormalField(_DISK), None, _ROW, tol=1e-12),
     lambda: oblique_projection_newton(_DISK, NormalField(_DISK), None, _ROW, max_iter=50),
-    lambda: dp_oracle(*_TINY, limit=1e6),
     lambda: consistency_residual(_TINY[0], mesh=None, phi=_PHI, k=0, x=[0.5], a=0.0, b=0.0,
                                  params=_TINY[2]),
 ], ids=["blowup_guard", "tube_radius", "layer_radius", "disk-min_shape_constant",
         "rect-min_shape_constant", "projection-tol", "projection-max_iter",
         "projection_many-tol", "projection_many-max_iter", "newton-tol",
-        "newton-max_iter", "dp_oracle-limit", "consistency-mesh"])
+        "newton-max_iter", "consistency-mesh"])
 def test_retired_settings_are_rejected(call):
     """The thresholds of the scheme's checks are fixed (README, "Fixed
     settings"): no call can set one, or switch its check off."""
