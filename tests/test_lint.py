@@ -3,6 +3,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import hjbsl
@@ -117,6 +118,18 @@ def test_no_unreferenced_definitions_in_library():
     found = _unreferenced_definitions()
     assert found == [], \
         f"functions, classes, constants or methods no module of src/hjbsl refers to: {found}"
+
+
+def test_readme_constants_match_the_library():
+    # every `module.NAME = value` the README cites, across its line breaks,
+    # names a constant of hjbsl.module with that value
+    text = " ".join((SRC.parents[1] / "README.md").read_text().split())
+    cited = re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*) = ([^`]+)`", text)
+    assert cited
+    wrong = [f"{module}.{name} = {value}" for module, name, value in cited
+             if getattr(importlib.import_module(f"hjbsl.{module}"), name, None)
+             != ast.literal_eval(value)]
+    assert wrong == [], f"README constants that differ from the library: {wrong}"
 
 
 def test_no_private_constructor_arguments():
