@@ -65,15 +65,16 @@ class _ChainModel(Operator):
         self._draws = {}
 
     def draws(self, seed: int, n_paths: int, steps: int) -> np.ndarray:
-        """The (n_paths, steps) uniforms whose row p is the start of the
-        Philox(key=[seed, p]) stream, read-only; the matrices of the
-        DRAW_MEMO latest (seed, n_paths, steps) are kept."""
+        """The (steps, n_paths) uniforms whose column p is the start of the
+        Philox(key=[seed, p]) stream, read-only and step-major, so that a
+        step reads one row; the matrices of the DRAW_MEMO latest (seed,
+        n_paths, steps) are kept."""
         key = (seed, n_paths, steps)
         mat = self._draws.pop(key, None)
         if mat is None:
-            mat = np.empty((n_paths, steps))
+            mat = np.empty((steps, n_paths))
             for p in range(n_paths):
-                np.random.Generator(np.random.Philox(key=[seed, p])).random(out=mat[p])
+                mat[:, p] = np.random.Generator(np.random.Philox(key=[seed, p])).random(steps)
             mat.flags.writeable = False
         self._draws[key] = mat
         if len(self._draws) > DRAW_MEMO:
@@ -165,7 +166,7 @@ def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
     Rows are probability distributions; Dirichlet-absorbed branches make
     the row substochastic by their mass.
     """
-    check_inputs(mesh, params)
+    check_inputs(problem, mesh, params)
     op = Operator(replace(problem, controls_a=[a], controls_b=[b]), mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
@@ -185,7 +186,7 @@ def policy_cost(problem: Problem, mesh: Mesh, policy, k: int, i: int,
     monte_carlo simulates n_paths >= 2 chains and returns (mean, stderr);
     TooLarge when their paths would exceed DRAW_LIMIT words.
     """
-    check_inputs(mesh, params)
+    check_inputs(problem, mesh, params)
     model = _chain_model(problem, mesh, params)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
     k = check_integer("step k", k, 0, model.N)
@@ -215,17 +216,17 @@ def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
     rho[i] = 1.0
     total = 0.0
     for m in range(k, model.N):
-        nodes = np.flatnonzero(rho)
+        nodes = rho.nonzero()[0]
         if not len(nodes):
             break   # every path was absorbed at a Dirichlet exit
-        w = rho[nodes]
+        w = rho.take(nodes)
         # the expected one-step cost is the operator applied to zero
         flat = model.code(m, policy, nodes) * n + nodes
-        cost, _, (verts, probs) = model.apply(m, np.zeros(n), flat)
+        cost, _, (verts, probs) = model.apply(m, None, flat)
         total += float(w @ cost)
         rho = _move(verts, probs, w, n)
-    J = np.flatnonzero(rho)
-    return float(total + rho[J] @ model.psi[J])
+    J = rho.nonzero()[0]
+    return float(total + rho.take(J) @ model.psi.take(J))
 
 
 def _move(verts, probs, w, n: int) -> np.ndarray:
@@ -255,22 +256,25 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
     for m in range(k, model.N):
         if not len(live):
             return
-        here = state[live]
+        here = state.take(live)
         seen[here] = True
-        uniq = np.flatnonzero(seen)
+        uniq = seen.nonzero()[0]
         seen[uniq] = False
         position[uniq] = np.arange(len(uniq))
-        inv = position[here]
+        inv = position.take(here)
         urow = model.code(m, policy, uniq) * n + uniq
         rows = model.rows(m)
-        r = urow[inv]
+        r = urow.take(inv)
         cum = rows.cum.take(r, axis=1)
-        q = np.count_nonzero(cum[:-1] <= draws[live, m - k] * cum[-1], axis=0)
+        q = (cum[:-1] <= draws[m - k].take(live) * cum[-1]).sum(axis=0)
         slot = (r, q // width)
         yield m, live, inv, urow, rows, slot
         absorbed = rows.dirichlet[slot]
-        state[live] = np.where(absorbed, -1, rows.verts[q, r])
-        live = live[~absorbed]
+        if absorbed.any():
+            state[live] = np.where(absorbed, -1, rows.verts[q, r])
+            live = live[~absorbed]
+        else:
+            state[live] = rows.verts[q, r]
 
 
 def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
@@ -286,17 +290,17 @@ def _simulate_paths(model: _ChainModel, policy, k: int, i: int, seed: int,
     for m, live, inv, urow, rows, slot in _walk(model, policy, k, state, seed):
         t = model.times[m]
         r, s = slot
-        cost[live] += dt * model.running_cost(m, urow)[inv]
+        cost[live] += dt * model.running_cost(m, urow).take(inv)
         absorbed = rows.dirichlet[slot]
         refl_d = rows.refl_d[slot]
-        sel = np.flatnonzero(~absorbed & (refl_d != 0.0))
-        groups = control_groups(pr.controls_b, r[sel] // n % nb,
-                                rows.refl_p[r[sel], s[sel]])
+        sel = (~absorbed & (refl_d != 0.0)).nonzero()[0]
+        rsel = r.take(sel)
+        groups = control_groups(pr.controls_b, rsel // n % nb, rows.refl_p[rsel, s.take(sel)])
         g = per_control("g", pr.g, t, groups, len(sel))
         cost[live[sel]] += refl_d[sel] * g
         cost[live[absorbed]] += rows.const[slot][absorbed]
-    end = np.flatnonzero(state >= 0)
-    cost[end] += model.psi[state[end]]
+    end = (state >= 0).nonzero()[0]
+    cost[end] += model.psi.take(state.take(end))
     return cost
 
 
@@ -306,7 +310,7 @@ def _layer_steps(model: _ChainModel, policy, i: int, seed: int, n_paths: int):
     exiting branch, with no f or g call."""
     layer = np.zeros(n_paths, dtype=int)
     for _, live, _, _, rows, (r, _) in _walk(model, policy, 0, np.full(n_paths, i), seed):
-        layer[live] += rows.layer[r]
+        layer[live] += rows.layer.take(r)
     return layer
 
 
@@ -319,7 +323,7 @@ def estimate_sojourn(problem: Problem, mesh: Mesh, policy,
     vertex closest to the domain barycenter; TooLarge when their paths
     would exceed DRAW_LIMIT words.
     """
-    check_inputs(mesh, params)
+    check_inputs(problem, mesh, params)
     check_integer("n_paths", n_paths, 2)
     seed = check_integer("seed", seed, 0, SEED_MAX)
     model = _chain_model(problem, mesh, params)

@@ -103,9 +103,10 @@ def check_type(name: str, value, kind: type):
         raise BadParams(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
 
 
-def check_inputs(mesh: Mesh, params: SchemeParams):
-    """BadParams unless mesh is a Mesh and params a SchemeParams: what an
-    entry point checks before it reads either."""
+def check_inputs(problem: Problem, mesh: Mesh, params: SchemeParams):
+    """BadParams unless problem is a Problem, mesh a Mesh and params a
+    SchemeParams: what an entry point checks before it reads any of them."""
+    check_type("problem", problem, Problem)
     check_type("mesh", mesh, Mesh)
     check_type("params", params, SchemeParams)
 
@@ -243,7 +244,7 @@ def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
             params: SchemeParams) -> float:
     """Minimum of S_{k,i}[Phi](a,b) over the finite control grid: the
     minimum of vertex i's rows under every pair."""
-    check_inputs(mesh, params)
+    check_inputs(problem, mesh, params)
     op = Operator(problem, mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
@@ -279,9 +280,10 @@ class Rows:
     point; slot q = s*(dim+1) + v is vertex v of branch s, and the row's P
     entries are its slots' probs = weight/(2*Ns), duplicate vertices not
     summed, held slot-major.  A Dirichlet branch has zero probs and its
-    exit datum in const; an oblique exit has its crossing distance d_tilde
-    in refl_d (0 off the oblique exits) and its boundary projection point
-    in refl_p.
+    exit datum in const, and const_mean is each row's const summed over
+    its branches and divided by 2*Ns; an oblique exit has its crossing
+    distance d_tilde in refl_d (0 off the oblique exits) and its boundary
+    projection point in refl_p.
 
     For the Monte Carlo draw, slot q of row r is drawn when a uniform draw
     times cum[-1, r] falls below cum[q, r] and not below cum[q-1, r], cum
@@ -294,6 +296,7 @@ class Rows:
     probs: np.ndarray        # (K, pairs*n)
     cum: np.ndarray          # (K, pairs*n)
     const: np.ndarray        # (pairs*n, S)
+    const_mean: np.ndarray   # (pairs*n,)
     dirichlet: np.ndarray    # (pairs*n, S) bool
     refl_d: np.ndarray       # (pairs*n, S)
     refl_p: np.ndarray       # (pairs*n, S, dim)
@@ -381,8 +384,9 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
         cum[k] += cum[k - 1]
     for k in range(1, S):
         layer |= exits[:, k]
-    return Rows(verts=verts, probs=probs, cum=cum, const=rp.value.reshape(n, S),
-                dirichlet=dirichlet, refl_d=rp.d_tilde.reshape(n, S),
+    const = rp.value.reshape(n, S)
+    return Rows(verts=verts, probs=probs, cum=cum, const=const,
+                const_mean=const.sum(axis=1) / S, dirichlet=dirichlet, refl_d=rp.d_tilde.reshape(n, S),
                 refl_p=rp.p.reshape(n, S, dim), layer=layer)
 
 
@@ -496,7 +500,7 @@ class Operator:
         refl_d = rows.refl_d[flat]
         r, s = np.nonzero(refl_d)
         exits = r if isinstance(flat, slice) else flat[r]
-        return (rows.const[flat].sum(axis=1) / self.S, r, refl_d[r, s] / self.S,
+        return (rows.const_mean[flat], r, refl_d[r, s] / self.S,
                 control_groups(self.problem.controls_b,
                                exits // self.mesh.n_vertices % self.nb,
                                rows.refl_p[exits, s]))
@@ -508,7 +512,8 @@ class Operator:
         probs), each (K, rows)); makes one g call per control b over the
         rows' oblique exits.  On every row the other terms are formed once
         per store, the g points read-only, and P @ U is stacked_product; on
-        gathered rows it is slot_product."""
+        gathered rows it is slot_product.  U None stands for zero: P @ U is
+        +0.0 on every row, as either product gives it, with no product."""
         rows = self.rows(m)
         pr, t = self.problem, self.times[m]
         if flat is None:
@@ -517,11 +522,12 @@ class Operator:
                 for _, _, P in rows.terms[-1]:
                     read_only(P)
             P, terms = (rows.verts, rows.probs), rows.terms
-            v = stacked_product(P, U)
+            product = stacked_product
         else:
             flat = np.asarray(flat, dtype=int)
             P, terms = rows.slots(flat), self._terms(rows, flat)
-            v = slot_product(P, U)
+            product = slot_product
+        v = np.zeros(P[0].shape[1]) if U is None else product(P, U)
         const, r, d, g_groups = terms
         f = self.running_cost(m, flat)
         # added left to right as P @ U + const + crossings + dt*f
@@ -565,7 +571,11 @@ class Operator:
 
 @dataclass
 class ValueFunction:
-    """Nodal values indexed by physical time: values[k] ~ u(k*dt)."""
+    """Nodal values indexed by physical time: values[k] ~ u(k*dt).
+    BadParams unless mesh is a Mesh of problem's dimension, problem a
+    Problem, dt a positive finite real and values a real 2-D array of at
+    least one row and one column per mesh vertex; a float array is kept,
+    not copied."""
 
     values: np.ndarray       # (N+1, n)
     dt: float
@@ -573,6 +583,16 @@ class ValueFunction:
     problem: Problem
 
     def __post_init__(self):
+        check_type("mesh", self.mesh, Mesh)
+        check_type("problem", self.problem, Problem)
+        self.dt = real_scalar(self.dt, "dt")
+        if not 0 < self.dt < math.inf:
+            raise BadParams(f"dt must be positive and finite, got {self.dt!r}")
+        self.values = real_array(self.values, "values")
+        if not (self.values.ndim == 2 and len(self.values) >= 1
+                and self.values.shape[1] == self.mesh.n_vertices):
+            raise BadParams(f"values of shape {self.values.shape}, expected (steps + 1, "
+                            f"{self.mesh.n_vertices})")
         if self.mesh.dim != self.problem.domain.dim:
             raise BadParams(f"a {self.mesh.dim}D mesh of a {self.problem.domain.dim}D domain")
 
@@ -619,7 +639,7 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
     or exceeds the blow-up guard 1e3*(max|psi| + T*max|f| + 1), max|f|
     taken over the steps swept so far; both are tested on the one
     reduction max|U_k| per step."""
-    check_inputs(mesh, params)
+    check_inputs(problem, mesh, params)
     N = whole_steps(problem.T, params.dt)
     op = Operator(problem, mesh, params)
     n = mesh.n_vertices
@@ -653,6 +673,7 @@ def consistency_residual(problem: Problem, phi, k: int, x, a, b,
     O(dt^{3/2}) in both cases.  A Dirichlet exit contributes its datum, as
     in the sweep.
     """
+    check_type("problem", problem, Problem)
     check_type("params", params, SchemeParams)
     phi_v, phi_g, phi_h = phi
     dt = params.dt

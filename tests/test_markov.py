@@ -17,6 +17,7 @@ from hjbsl.markov import (
     _layer_steps,
     _move,
     _simulate_paths,
+    _walk,
     estimate_sojourn,
     policy_cost,
     transition_law,
@@ -441,6 +442,12 @@ def test_simulate_paths_equals_reference_walker(name):
     assert layers.max() > 0
     if name == "test3_exit":
         assert costs.min() < bench.problem.T - 1e-9
+        # some steps absorb paths at a door and others none, so the walk's
+        # move runs both with and without the absorbed paths' compaction
+        live = [len(live) for _, live, *_ in _walk(model, policy, 0,
+                                                   np.full(n_paths, start), seed)]
+        absorbing = np.diff(live) < 0
+        assert absorbing.any() and not absorbing.all()
     if nb > 1:
         exact = policy_cost(bench.problem, mesh, policy, 0, start, params)
         assert abs(exact - _policy_values(model, policy)[start]) <= 1e-12
@@ -663,11 +670,13 @@ def _every_row_terms(monkeypatch):
 
 
 def test_exact_cost_forms_no_every_row_terms(monkeypatch):
+    """Nor any product: the exact cost applies S to zero, U None."""
     pr, mesh, params = _exit_chain()
     formed = _every_row_terms(monkeypatch)
+    products = _counting(monkeypatch, scheme, "slot_product")
     markov._latest.entry = None
     exact = policy_cost(pr, mesh, STEER, 0, 7, params)
-    assert formed() == 0
+    assert formed() == 0 and products == []
     # the cost of the same policy read backward through every vertex's row
     assert abs(exact - _policy_values(_ChainModel(pr, mesh, params), STEER)[7]) <= 1e-12
     assert formed() == 0
@@ -775,3 +784,76 @@ def test_slot_product_and_move_equal_scipy_bitwise(name):
             for V in (U, -np.abs(U)):
                 assert _bitwise_equal(slot_product(slots, V), P @ V)
             assert _bitwise_equal(_move(*slots, w, n), P.T @ w)
+
+
+@pytest.mark.parametrize("name", ["test1_eps", "test2_oblique", "test3_exit"])
+def test_apply_to_none_is_apply_to_zero_bitwise(name):
+    """U None stands for zero: S, f and the slots equal those of an apply to
+    np.zeros(n) bit for bit, on gathered rows (the Dirichlet and oblique
+    exit rows among them) and on every row, at the first and last step."""
+    bench = get_benchmark(name, eps=0.05)
+    dx, dt = BENCH_STORES[name]
+    mesh = build_mesh_for(bench, dx)
+    n = mesh.n_vertices
+    op = Operator(bench.problem, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+    rng = np.random.default_rng(5)
+    for m in (0, op.N - 1):
+        rows = op.rows(m)
+        exits = [np.flatnonzero(a.any(axis=1))[:20] for a in (rows.dirichlet, rows.refl_d)]
+        flat = np.concatenate([rng.choice(op.n_pairs * n, size=40, replace=False), *exits])
+        for sel in (flat, flat[:1], None):
+            got, want = op.apply(m, None, sel), op.apply(m, np.zeros(n), sel)
+            for a, b in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
+                assert _bitwise_equal(a, b)
+    if name == "test3_exit":
+        assert all(len(a) for a in exits)
+
+
+@pytest.mark.parametrize("name", ["test1_eps", "test2_oblique", "test3_exit"])
+def test_store_mean_datum_is_each_rows_mean_bitwise(name):
+    """const_mean holds what the gathered apply formed per step: the rows'
+    data summed over their branches and divided by 2*Ns, bit for bit on
+    every row and on gathered rows."""
+    bench = get_benchmark(name, eps=0.05)
+    dx, dt = BENCH_STORES[name]
+    mesh = build_mesh_for(bench, dx)
+    op = Operator(bench.problem, mesh, SchemeParams(dt=dt, c_bar=bench.c_bar))
+    rows = op.rows(0)
+    assert _bitwise_equal(rows.const_mean, rows.const.sum(axis=1) / op.S)
+    rng = np.random.default_rng(7)
+    hits = np.flatnonzero(rows.dirichlet.any(axis=1))
+    for flat in (rng.choice(len(rows.layer), size=50, replace=False), hits, hits[:1]):
+        assert _bitwise_equal(rows.const_mean[flat], rows.const[flat].sum(axis=1) / op.S)
+    assert (len(hits) > 0) == (name == "test3_exit")
+
+
+def test_policy_lookups_are_one_per_step_and_vertex_needed():
+    """The exact cost calls the policy once per (step, vertex carrying mass),
+    the mass propagated here through transition_law; a walk once per (step,
+    distinct occupied vertex)."""
+    bench = make_test1(0.05)
+    pr = bench.problem
+    mesh = build_interval_mesh(0.0, 1.0, 0.25)
+    params = SchemeParams(dt=0.25, c_bar=bench.c_bar)
+    calls = []
+    policy = lambda m, j: calls.append((m, j)) or (0, 0)
+    markov._latest.entry = None
+    policy_cost(pr, mesh, policy, 0, 2, params)
+    rho, carrying = np.zeros(mesh.n_vertices), []
+    rho[2] = 1.0
+    for m in range(whole_steps(pr.T, params.dt)):
+        carrying += [(m, j) for j in np.flatnonzero(rho).tolist()]
+        nxt = np.zeros_like(rho)
+        for j in np.flatnonzero(rho):
+            law = transition_law(pr, mesh, m, j, pr.controls_a[0], pr.controls_b[0], params)
+            nxt[law.indices] += rho[j] * law.probs
+        rho = nxt
+    assert calls == carrying and len(carrying) > whole_steps(pr.T, params.dt)
+    calls.clear()
+    policy_cost(pr, mesh, policy, 0, 2, params, mode="monte_carlo", n_paths=50, seed=4)
+    walked = calls.copy()
+    calls.clear()
+    state, occupied = np.full(50, 2), []
+    for m, live, *_ in _walk(_chain_model(pr, mesh, params), policy, 0, state, 4):
+        occupied += [(m, j) for j in np.unique(state[live]).tolist()]
+    assert walked == calls == occupied and len(occupied) > whole_steps(pr.T, params.dt)

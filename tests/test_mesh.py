@@ -1,6 +1,5 @@
 import copy
 import math
-import types
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from hjbsl.cli import build_mesh_for
 from hjbsl.errors import BadParams, OutsideDomain
-from hjbsl.geometry import TOL_BOUNDARY, Disk, Domain, Interval, RectWithHole
+from hjbsl.geometry import TOL_BOUNDARY, Disk, Domain, Interval, NormalField, RectWithHole
 from hjbsl.mesh import (
     CELL_WIDTH,
     MAX_CELLS_PER_SIMPLEX,
@@ -23,7 +22,7 @@ from hjbsl.mesh import (
     write_mesh,
 )
 from hjbsl.problems import get_benchmark
-from hjbsl.scheme import Operator, SchemeParams, ValueFunction, sweep
+from hjbsl.scheme import Operator, Problem, SchemeParams, ValueFunction, sweep
 
 RECT = dict(bounds=(-1.0, 1.0, -0.5, 0.5), hole_center=(-0.5, 0.0),
             hole_radius=0.2)
@@ -33,9 +32,13 @@ DISK = Disk((0.0, 0.0), 1.0)
 
 def query(m, domain, nodal, x):
     """The checked P1 query vf(0, x) of nodal values (n_vertices,) on m,
-    for a problem posed on domain."""
+    for a problem posed on domain whose handles the query never calls."""
+    unused = lambda *args: None
+    problem = Problem(domain=domain, T=1.0, n_sigma=1, sigma=unused, mu=unused, f=unused,
+                      g=unused, psi=unused, gamma=NormalField(domain), controls_a=[0.0],
+                      controls_b=[0.0])
     return ValueFunction(values=np.array(nodal, dtype=float)[None], dt=1.0, mesh=m,
-                         problem=types.SimpleNamespace(domain=domain))(0.0, x)
+                         problem=problem)(0.0, x)
 
 
 def boundary_vertices(m):

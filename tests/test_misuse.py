@@ -430,6 +430,41 @@ CASES = [
                                                           lambda x: np.zeros((2, 2))),
                                           0, [0.0, 0.0], 0.0, 0.0, {"dt": 0.1}),
          match="^params must be of type SchemeParams, got dict$"),
+    # a problem of the wrong type, refused first by every entry point
+    *[case(f"{name}-problem-string", BadParams, lambda tmp, call=call: call("problem"),
+           match="^problem must be of type Problem, got str$")
+      for name, call in (
+          ("sweep", lambda pr: sweep(pr, unit_mesh(), PARAMS)),
+          ("apply_S", lambda pr: apply_S(pr, unit_mesh(), np.zeros(5), 0, 0, PARAMS)),
+          ("policy_cost", lambda pr: policy_cost(pr, unit_mesh(), stay, 0, 0, PARAMS)),
+          ("estimate_sojourn",
+           lambda pr: estimate_sojourn(pr, unit_mesh(), stay, PARAMS, n_paths=2)),
+          ("transition_law",
+           lambda pr: transition_law(pr, unit_mesh(), 0, 0, 0.0, 0.0, PARAMS)),
+          ("consistency_residual",
+           lambda pr: consistency_residual(pr, SIN_PROBE, 0, [0.5], 0.0, 0.0, PARAMS)))],
+    # a hand-built value function, refused at construction
+    *[case(f"ValueFunction-{label}", BadParams,
+           lambda tmp, args=args: ValueFunction(*args()), match=match)
+      for label, match, args in (
+          ("mesh-string", "^mesh must be of type Mesh, got str$",
+           lambda: (np.zeros((2, 5)), 0.25, "mesh", TEST1.problem)),
+          ("problem-string", "^problem must be of type Problem, got str$",
+           lambda: (np.zeros((2, 5)), 0.25, unit_mesh(), "problem")),
+          ("dt-zero", "^dt must be positive and finite, got 0.0$",
+           lambda: (np.zeros((2, 5)), 0.0, unit_mesh(), TEST1.problem)),
+          ("dt-nan", "^dt must be positive and finite, got nan$",
+           lambda: (np.zeros((2, 5)), math.nan, unit_mesh(), TEST1.problem)),
+          ("dt-string", "^dt must be real numbers",
+           lambda: (np.zeros((2, 5)), "0.25", unit_mesh(), TEST1.problem)),
+          ("values-strings", "^values must be real numbers",
+           lambda: ([["a"] * 5] * 2, 0.25, unit_mesh(), TEST1.problem)),
+          ("values-one-dimensional", r"^values of shape \(5,\)",
+           lambda: (np.zeros(5), 0.25, unit_mesh(), TEST1.problem)),
+          ("values-no-rows", r"^values of shape \(0, 5\)",
+           lambda: (np.zeros((0, 5)), 0.25, unit_mesh(), TEST1.problem)),
+          ("values-a-column-per-vertex-too-many", r"^values of shape \(2, 7\)",
+           lambda: (np.zeros((2, 7)), 0.25, unit_mesh(), TEST1.problem)))],
     *[case(f"policy_cost-seed-{label}", BadParams, monte_carlo(seed), match="^seed ")
       for label, seed in (("float", 1.5), ("bool", True), ("negative", -1),
                           ("string", "x"), ("above-2**64-1", 2 ** 64))],
