@@ -386,8 +386,9 @@ def build_node_table(problem: Problem, mesh: Mesh, params: SchemeParams,
         layer |= exits[:, k]
     const = rp.value.reshape(n, S)
     return Rows(verts=verts, probs=probs, cum=cum, const=const,
-                const_mean=const.sum(axis=1) / S, dirichlet=dirichlet, refl_d=rp.d_tilde.reshape(n, S),
-                refl_p=rp.p.reshape(n, S, dim), layer=layer)
+                const_mean=const.sum(axis=1) / S, dirichlet=dirichlet,
+                refl_d=rp.d_tilde.reshape(n, S), refl_p=rp.p.reshape(n, S, dim),
+                layer=layer)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
