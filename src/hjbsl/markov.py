@@ -65,15 +65,16 @@ class _ChainModel(Operator):
         self._draws = {}
 
     def draws(self, seed: int, n_paths: int, steps: int) -> np.ndarray:
-        """The (n_paths, steps) uniforms whose row p is the start of the
-        Philox(key=[seed, p]) stream, read-only; the matrices of the
-        DRAW_MEMO latest (seed, n_paths, steps) are kept."""
+        """The (steps, n_paths) uniforms whose column p is the start of the
+        Philox(key=[seed, p]) stream, read-only and step-major, so that a
+        step reads one row; the matrices of the DRAW_MEMO latest (seed,
+        n_paths, steps) are kept."""
         key = (seed, n_paths, steps)
         mat = self._draws.pop(key, None)
         if mat is None:
-            mat = np.empty((n_paths, steps))
+            mat = np.empty((steps, n_paths))
             for p in range(n_paths):
-                np.random.Generator(np.random.Philox(key=[seed, p])).random(out=mat[p])
+                mat[:, p] = np.random.Generator(np.random.Philox(key=[seed, p])).random(steps)
             mat.flags.writeable = False
         self._draws[key] = mat
         if len(self._draws) > DRAW_MEMO:
@@ -265,7 +266,7 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
         rows = model.rows(m)
         r = urow.take(inv)
         cum = rows.cum.take(r, axis=1)
-        q = (cum[:-1] <= draws[live, m - k] * cum[-1]).sum(axis=0)
+        q = (cum[:-1] <= draws[m - k].take(live) * cum[-1]).sum(axis=0)
         slot = (r, q // width)
         yield m, live, inv, urow, rows, slot
         absorbed = rows.dirichlet[slot]

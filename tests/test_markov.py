@@ -444,9 +444,9 @@ def test_simulate_paths_equals_reference_walker(name):
         assert costs.min() < bench.problem.T - 1e-9
         # some steps absorb paths at a door and others none, so the walk's
         # move runs both with and without the absorbed paths' compaction
-        live = [len(live) for _, live, *_ in _walk(model, policy, 0,
-                                                   np.full(n_paths, start), seed)]
-        absorbing = np.diff(live) < 0
+        alive = [len(live) for _, live, *_ in _walk(model, policy, 0,
+                                                    np.full(n_paths, start), seed)]
+        absorbing = np.diff(alive) < 0
         assert absorbing.any() and not absorbing.all()
     if nb > 1:
         exact = policy_cost(bench.problem, mesh, policy, 0, start, params)
@@ -670,7 +670,8 @@ def _every_row_terms(monkeypatch):
 
 
 def test_exact_cost_forms_no_every_row_terms(monkeypatch):
-    """Nor any product: the exact cost applies S to zero, U None."""
+    """The exact cost forms no every-row terms and no product: it applies S
+    to zero, U None."""
     pr, mesh, params = _exit_chain()
     formed = _every_row_terms(monkeypatch)
     products = _counting(monkeypatch, scheme, "slot_product")
