@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import numbers
 import os
 import sys
 import time
@@ -43,9 +44,12 @@ class StudyConfig:
     out: str = None
 
     def __post_init__(self):
-        if not self.dx_ladder or not all(0 < dx < math.inf for dx in self.dx_ladder):
-            raise ConfigError(f"dx ladder must be nonempty, positive and finite, "
-                              f"got {self.dx_ladder!r}")
+        ladder = self.dx_ladder
+        if not (isinstance(ladder, (list, tuple)) and ladder
+                and all(isinstance(dx, numbers.Real) and not isinstance(dx, bool)
+                        and 0 < dx < math.inf for dx in ladder)):
+            raise ConfigError(f"dx ladder must be a nonempty list of positive finite "
+                              f"real numbers, got {ladder!r}")
         if self.dt_rule not in ("dx", "dx/2"):
             raise ConfigError(f"unknown dt rule {self.dt_rule!r}")
 

@@ -113,8 +113,9 @@ class _ChainModel(Operator):
             a, b = np.array(ia), np.array(ib)
             if (a.ndim == b.ndim == 1 and a.dtype.kind in "biu" and b.dtype.kind in "biu"
                     and min(ia) >= 0 and min(ib) >= 0 and max(ia) < na and max(ib) < nb):
-                # intp, so that code * n + node stays an integer row
-                return (a * nb + b).astype(np.intp)
+                # both intp before the product, which a narrow policy dtype
+                # (int8, uint8) would wrap
+                return a.astype(np.intp) * nb + b.astype(np.intp)
         except (TypeError, ValueError):
             pass
         # the fast test also fails on some integer pairs: numpy promotes
@@ -170,9 +171,9 @@ def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
     op = Operator(replace(problem, controls_a=[a], controls_b=[b]), mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
-    verts, probs = op.rows(k).slots([i])
+    rows = op.rows(k)
     # a vertex's slots added in slot order
-    probs = np.bincount(verts[:, 0], weights=probs[:, 0], minlength=mesh.n_vertices)
+    probs = np.bincount(rows.verts[:, i], weights=rows.probs[:, i], minlength=mesh.n_vertices)
     idx = np.flatnonzero(probs)
     return TransitionLaw(indices=idx, probs=probs[idx])
 

@@ -98,7 +98,7 @@ class Mesh:
         # 1 + (dim+1)*BARY_TOL about its barycenter, which reaches at most
         # dim*BARY_TOL*mesh_size past its bounding box; padding the box by
         # twice that puts every simplex that holds a point in the point's
-        # cell, so the grid resolves ties as _scan does
+        # cell, so the grid resolves ties as a whole-mesh scan would
         pad = 2.0 * self.dim * BARY_TOL * self.mesh_size
         verts = self.vertices[self.simplices.T]        # (dim+1, m, dim)
         lo = np.floor((verts.min(axis=0) - pad) / h)
@@ -200,7 +200,7 @@ class Mesh:
         (a list of dim Python floats) are all >= -BARY_TOL, or None if that
         is the sentinel.  The barycentrics are _affine_sum's and
         _clip_normalize's in Python floats, each product, sum and quotient
-        rounded as there, so the batch and the scan agree bitwise."""
+        rounded as there, so the two passes agree bitwise."""
         rows = self._bary_rows
         for s in cand.tolist():
             if len(coords) == 1:
@@ -213,33 +213,23 @@ class Mesh:
             return None
         return s, np.array(_clip_normalize_one(lam))
 
-    def _scan(self, x):
-        """_locate_one over the whole mesh, vectorised: the lowest-index
-        simplex holding x."""
-        lam = _affine_sum(self._bary_planes, np.arange(len(self.simplices) + 1), x.tolist())
-        k = (lam >= -BARY_TOL).all(axis=0).argmax()
-        if k == len(self.simplices):
-            return None
-        return int(k), _clip_normalize(lam[:, k])
-
     def _locate_miss(self, x):
-        """(simplex, barycentrics) of a grid miss x (dim,): the whole-mesh
-        scan's, else the nearest boundary-face point's."""
-        loc = self._scan(x)
-        if loc is None:
-            q = self._nearest_boundary_point(x)
-            loc = self._scan(q)
-            if loc is None:
-                raise LocationFailure(f"projection {q!r} not inside the mesh")
-        return loc
+        """(simplex, barycentrics) of a grid miss x (dim,), which no simplex
+        holds (the grid lists every simplex holding a point): the grid's at
+        the nearest boundary-face point q; LocationFailure if it misses q."""
+        q = self._nearest_boundary_point(x)
+        simplex, bary = self._locate_in_cells(q[None])
+        if simplex[0] < 0:
+            raise LocationFailure(f"projection {q!r} not inside the mesh")
+        return int(simplex[0]), bary[0]
 
     def locate_many(self, points):
         """Containing simplex and barycentrics of p_dx(x) for each row x.
 
         points is (m, dim) and lies in the closed domain.  Ties on shared
         faces go to the lowest simplex index.  Points with no grid-cell hit
-        fall back to a full scan, then to the nearest boundary-face point.
-        Returns (simplex (m,), bary (m, dim+1)).
+        go to the nearest boundary-face point (_locate_miss).  Returns
+        (simplex (m,), bary (m, dim+1)).
         """
         points = as_rows(points, self.dim)
         simplex, bary = self._locate_in_cells(points)

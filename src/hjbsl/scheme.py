@@ -243,13 +243,14 @@ def _classify_many(problem: Problem, X, Y, ib, dt: float,
 def apply_S(problem: Problem, mesh: Mesh, next_values, k: int, i: int,
             params: SchemeParams) -> float:
     """Minimum of S_{k,i}[Phi](a,b) over the finite control grid: the
-    minimum of vertex i's rows under every pair."""
+    minimum of vertex i's rows under every pair, read from the every-row
+    apply, as the sweep reads them."""
     check_inputs(problem, mesh, params)
     op = Operator(problem, mesh, params)
     k = check_integer("step k", k, 0, op.N - 1)
     i = check_integer("vertex", i, 0, mesh.n_vertices - 1)
     U = real_array(next_values, "next_values", (mesh.n_vertices,))
-    return float(op.apply(k, U, np.arange(op.n_pairs) * mesh.n_vertices + i)[0].min())
+    return float(op.apply(k, U)[0][i::mesh.n_vertices].min())
 
 
 def check_weights(weights: np.ndarray):
@@ -303,29 +304,13 @@ class Rows:
     layer: np.ndarray        # (pairs*n,) bool
     terms: tuple = None      # every row's terms, at the first every-row apply
 
-    def slots(self, flat) -> tuple:
-        """The rows flat of the stacked (pairs*n, n) operator P as its
-        columns (verts, probs), each (K, rows)."""
-        return self.verts.take(flat, axis=1), self.probs.take(flat, axis=1)
-
-
-def slot_product(slots: tuple, U) -> np.ndarray:
-    """P[rows] @ U for the rows' slots (verts, probs) of Rows.slots: each
-    row's products added slot by slot from zero, as stacked_product adds
-    them, so the two agree bitwise on any row count."""
-    verts, probs = slots
-    out = np.zeros(verts.shape[1])
-    for row in probs * U[verts]:
-        out += row
-    return out
-
 
 def stacked_product(slots: tuple, U) -> np.ndarray:
     """P @ U on every row for the store's (verts, probs) and float U (n,),
     added slot by slot from zero as a CSR product adds them: numpy reduces
     the leading axis of a C-contiguous block (take's order) row by row once
     it has two columns or more, as every store has, but sums one column
-    pairwise; gathered rows use slot_product."""
+    pairwise, so no gathered row is given a product."""
     verts, probs = slots
     out = U.take(verts)
     out *= probs
@@ -507,14 +492,17 @@ class Operator:
                                rows.refl_p[exits, s]))
 
     def apply(self, m: int, U, flat=None) -> tuple:
-        """S[U] at step m on the stacked rows flat, or on every row in
-        stacked order when flat is None.  Returns (S[U], the f values of
-        running_cost, P restricted to those rows as their columns (verts,
-        probs), each (K, rows)); makes one g call per control b over the
-        rows' oblique exits.  On every row the other terms are formed once
-        per store, the g points read-only, and P @ U is stacked_product; on
-        gathered rows it is slot_product.  U None stands for zero: P @ U is
-        +0.0 on every row, as either product gives it, with no product."""
+        """S[U] at step m on every row in stacked order, or S[0] on the
+        stacked rows flat, whose U must be None (BadParams): one gathered
+        row's product would not add its slots as the every-row one does.
+        Returns (S, the f values of running_cost, P restricted to those rows
+        as their columns (verts, probs), each (K, rows)); makes one g call
+        per control b over the rows' oblique exits.  On every row the other
+        terms are formed once per store, the g points read-only, and P @ U
+        is stacked_product, or +0.0 on every row with no product for U
+        None, as the product with zeros gives it."""
+        if flat is not None and U is not None:
+            raise BadParams("a gathered apply is S[0]: U must be None")
         rows = self.rows(m)
         pr, t = self.problem, self.times[m]
         if flat is None:
@@ -523,12 +511,11 @@ class Operator:
                 for _, _, P in rows.terms[-1]:
                     read_only(P)
             P, terms = (rows.verts, rows.probs), rows.terms
-            product = stacked_product
         else:
             flat = np.asarray(flat, dtype=int)
-            P, terms = rows.slots(flat), self._terms(rows, flat)
-            product = slot_product
-        v = np.zeros(P[0].shape[1]) if U is None else product(P, U)
+            P = rows.verts.take(flat, axis=1), rows.probs.take(flat, axis=1)
+            terms = self._terms(rows, flat)
+        v = np.zeros(P[0].shape[1]) if U is None else stacked_product(P, U)
         const, r, d, g_groups = terms
         f = self.running_cost(m, flat)
         # added left to right as P @ U + const + crossings + dt*f

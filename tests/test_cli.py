@@ -194,10 +194,10 @@ def test_main_exit_codes(tmp_path, capsys):
     (["study", "--dx-ladder", "0.1,abc"], "--dx-ladder entry 'abc' is not a number"),
     (["study", "--dx-ladder", ",,"], "--dx-ladder entry '' is not a number"),
     (["verify", "--seed", "-1"], "--seed must be nonnegative, got -1"),
-    (["study", "--dx-ladder", "nan"], "dx ladder must be nonempty, positive and finite, "
-                                      "got [nan]"),
-    (["study", "--dx-ladder", "0.1,inf"], "dx ladder must be nonempty, positive and "
-                                          "finite, got [0.1, inf]"),
+    (["study", "--dx-ladder", "nan"], "dx ladder must be a nonempty list of positive "
+                                      "finite real numbers, got [nan]"),
+    (["study", "--dx-ladder", "0.1,inf"], "dx ladder must be a nonempty list of positive "
+                                          "finite real numbers, got [0.1, inf]"),
 ], ids=["ladder-word", "ladder-empty", "verify-negative-seed", "ladder-nan", "ladder-inf"])
 def test_bad_command_line_values_are_config_errors(argv, message, capsys):
     assert main(argv) == 2

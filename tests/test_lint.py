@@ -132,6 +132,52 @@ def test_readme_constants_match_the_library():
     assert wrong == [], f"README constants that differ from the library: {wrong}"
 
 
+def _library_names() -> tuple:
+    """({module: its module-level names}, {class: its methods, dataclass
+    fields and self. attributes}) of src/hjbsl."""
+    modules, classes = {}, {}
+    for path in sorted(SRC.rglob("*.py")):
+        names = modules.setdefault(path.stem, set())
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if isinstance(node, ast.ClassDef):
+                members = classes.setdefault(node.name, set())
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        members.add(item.name)
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        members.add(item.target.id)
+                members.update(n.attr for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                               and isinstance(n.value, ast.Name) and n.value.id == "self")
+    return modules, classes
+
+
+def test_readme_citations_resolve():
+    # every `prefix.name` the README cites, across its line breaks and
+    # outside its code blocks, whose prefix is an hjbsl module or class names
+    # a module-level definition, a method, a dataclass field or a self.
+    # attribute; a module falls back to its own class (`mesh.vertices` is
+    # Mesh.vertices), and file names (`mesh.py`) are skipped
+    text = re.sub(r"```.*?```", "", (SRC.parents[1] / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", " ".join(text.split()))
+    modules, classes = _library_names()
+    checked, stale = 0, []
+    for prefix, name in (m.groups() for s in spans if (m := re.match(r"(\w+)\.(\w+)", s))):
+        if name == "py" or not (prefix in modules or prefix in classes):
+            continue
+        own = next((c for c in modules.get(prefix, ()) if c.lower() == prefix), None)
+        checked += 1
+        if name not in modules.get(prefix, set()) | classes.get(own or prefix, set()):
+            stale.append(f"{prefix}.{name}")
+    assert checked
+    assert stale == [], f"README citations of names src/hjbsl does not define: {stale}"
+
+
 def test_no_private_constructor_arguments():
     # derived values and caches are computed by their class, never passed in
     found = []

@@ -29,7 +29,6 @@ from hjbsl.scheme import (
     Problem,
     SchemeParams,
     apply_S,
-    slot_product,
     stacked_product,
     sweep,
     whole_steps,
@@ -246,6 +245,21 @@ def test_policy_of_integers_of_mixed_types(mode, odd, even):
         run(mixed((np.int64(1), 0)))
 
 
+@pytest.mark.parametrize("kind", [np.int8, np.uint8])
+def test_policy_of_narrow_integers_does_not_wrap(kind):
+    """Pairs of a one-byte integer type address the same rows as Python
+    ints, even where the pair code ia*len(controls_b) + ib (19*16 + 3 = 307
+    on test3 with 20 controls a and 16 controls b) exceeds the type's range:
+    wrapped, it read pair (3, 3)'s cost, 2.1411668803410557."""
+    bench = get_benchmark("test3_exit", n_a=20)
+    pr = replace(bench.problem, controls_b=[0.0] * 16)
+    mesh = build_mesh_for(bench, 0.2)
+    params = SchemeParams(dt=0.1, c_bar=bench.c_bar)
+    wide = policy_cost(pr, mesh, lambda m, i: (19, 3), 0, 7, params)
+    assert wide == pytest.approx(2.8522610996016815, abs=1e-12)
+    assert policy_cost(pr, mesh, lambda m, i: (kind(19), kind(3)), 0, 7, params) == wide
+
+
 def _tiny_instances():
     # two-control instances small enough for full policy enumeration
     insts = []
@@ -297,12 +311,13 @@ def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams) -> np.ndarray:
 
 
 def _policy_values(model: _ChainModel, policy) -> np.ndarray:
-    """J_{0,i} for all i under one fixed policy (backward evaluation)."""
+    """J_{0,i} for all i under one fixed policy (backward evaluation): each
+    vertex's row under its pair, gathered from the every-row apply."""
     n = model.mesh.n_vertices
     nodes = np.arange(n)
     J = model.psi.copy()
     for m in range(model.N - 1, -1, -1):
-        J = model.apply(m, J, model.code(m, policy, nodes) * n + nodes)[0]
+        J = model.apply(m, J)[0][model.code(m, policy, nodes) * n + nodes]
     return J
 
 
@@ -674,13 +689,12 @@ def test_exact_cost_forms_no_every_row_terms(monkeypatch):
     to zero, U None."""
     pr, mesh, params = _exit_chain()
     formed = _every_row_terms(monkeypatch)
-    products = _counting(monkeypatch, scheme, "slot_product")
+    products = _counting(monkeypatch, scheme, "stacked_product")
     markov._latest.entry = None
     exact = policy_cost(pr, mesh, STEER, 0, 7, params)
     assert formed() == 0 and products == []
     # the cost of the same policy read backward through every vertex's row
     assert abs(exact - _policy_values(_ChainModel(pr, mesh, params), STEER)[7]) <= 1e-12
-    assert formed() == 0
 
 
 def test_sweep_forms_every_row_terms_once_per_store(monkeypatch):
@@ -747,13 +761,13 @@ BENCH_STORES = {"test1_eps": (0.001, 0.001), "test2_oblique": (0.125, 0.125),
 
 
 @pytest.mark.parametrize("name", ["test2_oblique", "test3_exit", "test1_eps"])
-def test_slot_product_and_move_equal_scipy_bitwise(name):
-    """The stacked apply's product on every store of a benchmark problem,
-    the gathered apply's slot sums (12 slots a row on test3_exit, one row
-    at a time among them) and the exact cost's bincount move give scipy's
-    P @ U, P[rows] @ U and P[rows].T @ w bit for bit.  With U <= 0, a row
-    with no located branch (test3_exit has such rows) must read 0.0, as a
-    sum started from zero does, not -0.0."""
+def test_stacked_product_and_move_equal_scipy_bitwise(name):
+    """The stacked apply's product on every store of a benchmark problem
+    and the exact cost's bincount move on the gathered apply's columns (12
+    slots a row on test3_exit, one row at a time among them) give scipy's
+    P @ U and P[rows].T @ w bit for bit.  With U <= 0, a row with no
+    located branch (test3_exit has such rows) must read 0.0, as a sum
+    started from zero does, not -0.0."""
     bench = get_benchmark(name, eps=0.05)
     dx, dt = BENCH_STORES[name]
     mesh = build_mesh_for(bench, dx)
@@ -779,19 +793,17 @@ def test_slot_product_and_move_equal_scipy_bitwise(name):
         for _ in range(20):
             nodes = rng.choice(n, size=size, replace=False)
             codes = rng.integers(0, op.n_pairs, size=size)
-            slots = op.rows(0).slots(codes * n + nodes)
-            P = _csr(slots, n)
-            U, w = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, size)
-            for V in (U, -np.abs(U)):
-                assert _bitwise_equal(slot_product(slots, V), P @ V)
-            assert _bitwise_equal(_move(*slots, w, n), P.T @ w)
+            slots = op.apply(0, None, codes * n + nodes)[2]
+            w = rng.uniform(0.0, 1.0, size)
+            assert _bitwise_equal(_move(*slots, w, n), _csr(slots, n).T @ w)
 
 
 @pytest.mark.parametrize("name", ["test1_eps", "test2_oblique", "test3_exit"])
 def test_apply_to_none_is_apply_to_zero_bitwise(name):
-    """U None stands for zero: S, f and the slots equal those of an apply to
-    np.zeros(n) bit for bit, on gathered rows (the Dirichlet and oblique
-    exit rows among them) and on every row, at the first and last step."""
+    """U None stands for zero: on every row S, f and the slots equal those
+    of an apply to np.zeros(n) bit for bit, and on gathered rows (the
+    Dirichlet and oblique exit rows among them) S and the slots are those
+    rows of it, at the first and last step."""
     bench = get_benchmark(name, eps=0.05)
     dx, dt = BENCH_STORES[name]
     mesh = build_mesh_for(bench, dx)
@@ -802,10 +814,13 @@ def test_apply_to_none_is_apply_to_zero_bitwise(name):
         rows = op.rows(m)
         exits = [np.flatnonzero(a.any(axis=1))[:20] for a in (rows.dirichlet, rows.refl_d)]
         flat = np.concatenate([rng.choice(op.n_pairs * n, size=40, replace=False), *exits])
-        for sel in (flat, flat[:1], None):
-            got, want = op.apply(m, None, sel), op.apply(m, np.zeros(n), sel)
-            for a, b in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
-                assert _bitwise_equal(a, b)
+        got, want = op.apply(m, None), op.apply(m, np.zeros(n))
+        for a, b in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
+            assert _bitwise_equal(a, b)
+        for sel in (flat, flat[:1]):
+            S, _, slots = op.apply(m, None, sel)
+            assert _bitwise_equal(S, want[0][sel])
+            assert all(_bitwise_equal(a, b[:, sel]) for a, b in zip(slots, want[2]))
     if name == "test3_exit":
         assert all(len(a) for a in exits)
 

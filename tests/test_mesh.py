@@ -10,9 +10,11 @@ from hjbsl.cli import build_mesh_for
 from hjbsl.errors import BadParams, OutsideDomain
 from hjbsl.geometry import TOL_BOUNDARY, Disk, Domain, Interval, NormalField, RectWithHole
 from hjbsl.mesh import (
+    BARY_TOL,
     CELL_WIDTH,
     MAX_CELLS_PER_SIMPLEX,
     Mesh,
+    _affine_sum,
     _clip_normalize,
     _clip_normalize_one,
     build_disk_mesh,
@@ -39,6 +41,17 @@ def query(m, domain, nodal, x):
                       controls_b=[0.0])
     return ValueFunction(values=np.array(nodal, dtype=float)[None], dt=1.0, mesh=m,
                          problem=problem)(0.0, x)
+
+
+def _scan(mesh, x):
+    """Mesh._locate_one over the whole mesh, vectorised: the lowest-index
+    simplex holding x, or None; the independent reference of the grid's
+    pick."""
+    lam = _affine_sum(mesh._bary_planes, np.arange(len(mesh.simplices) + 1), x.tolist())
+    k = (lam >= -BARY_TOL).all(axis=0).argmax()
+    if k == len(mesh.simplices):
+        return None
+    return int(k), _clip_normalize(lam[:, k])
 
 
 def boundary_vertices(m):
@@ -125,17 +138,17 @@ def test_partition_of_unity():
 
 def test_locate_examples():
     m = build_interval_mesh(0.0, 1.0, 0.5)
-    simplex, bary = m._scan(np.array([0.25]))
+    simplex, bary = _scan(m, np.array([0.25]))
     assert simplex == 0
     assert np.allclose(bary, [0.5, 0.5])
     # shared vertex resolves to the lowest simplex index
-    simplex, bary = m._scan(np.array([0.5]))
+    simplex, bary = _scan(m, np.array([0.5]))
     assert simplex == 0
     assert np.max(bary) == pytest.approx(1.0)
 
     md = build_disk_mesh((0.0, 0.0), 1.0, 0.5)
     bc = md.barycenters()[3]
-    simplex, bary = md._scan(bc)
+    simplex, bary = _scan(md, bc)
     assert simplex == 3 or np.allclose(
         md.vertices[md.simplices[simplex]].mean(axis=0), bc)
     assert np.allclose(sorted(bary), [1 / 3] * 3, atol=1e-12)
@@ -203,7 +216,7 @@ def test_project_examples():
     x = np.array([math.cos(mid), math.sin(mid)])
     verts, w = md._point_weights(x.tolist())
     q = w @ md.vertices[verts]
-    assert md._scan(x) is None
+    assert _scan(md, x) is None
     assert np.linalg.norm(q) < 1.0
     assert np.linalg.norm(x - q) <= 0.5 ** 2
 
@@ -333,7 +346,7 @@ def test_locate_many_matches_one_point(name, data):
     assert np.all(bary >= 0.0)
     assert np.allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     for x, t, lam in zip(pts, simplex, bary):
-        ref_simplex, ref_bary = m._scan(x) or m._scan(_polygon_point(m, x))
+        ref_simplex, ref_bary = _scan(m, x) or _scan(m, _polygon_point(m, x))
         assert t == ref_simplex
         assert np.max(np.abs(lam - ref_bary)) <= 1e-12
     # shared vertices and faces resolve to the lowest simplex index
@@ -358,11 +371,11 @@ def test_locate_many_resolves_each_candidate_column():
     # the polygon
     mid = m.vertices[m._boundary_edges[0]].mean(axis=0)
     miss = mid / np.linalg.norm(mid)
-    assert m._scan(miss) is None
+    assert _scan(m, miss) is None
     pts = np.array([centers[column.argmin()], centers[column.argmax()], miss])
     assert m._locate_in_cells(pts)[0].tolist() == [column.argmin(), column.argmax(), -1]
     for x, t, lam in zip(pts, *m.locate_many(pts)):
-        ref_simplex, ref_bary = m._scan(x) or m._scan(_polygon_point(m, x))
+        ref_simplex, ref_bary = _scan(m, x) or _scan(m, _polygon_point(m, x))
         assert t == ref_simplex
         assert np.array_equal(lam, ref_bary)
 
@@ -406,7 +419,7 @@ def test_locate_many_matches_whole_mesh_scan(name, width, monkeypatch):
     simplex, bary = m.locate_many(pts)
     compared = 0
     for x, t, b in zip(pts, simplex, bary):
-        ref = m._scan(x)
+        ref = _scan(m, x)
         if ref is None:
             continue
         assert t == ref[0], x
@@ -430,7 +443,7 @@ def test_interpolation_weights_match_locate_many(name):
     for bit, and so does the whole-mesh scan wherever it finds a simplex."""
     m, dom = SCAN_MESHES[name], SCAN_DOMAINS[name]
     miss = _miss_point(m)
-    assert m._scan(miss) is None
+    assert _scan(m, miss) is None
     pts = np.concatenate([_scan_points(m), [miss]])
     # moved boundary vertices may leave the closed domain
     pts = pts[dom.signed_distance_many(pts) <= TOL_BOUNDARY]
@@ -440,7 +453,7 @@ def test_interpolation_weights_match_locate_many(name):
         verts, w = m._point_weights(x.tolist())
         assert np.array_equal(verts, m.simplices[t]), x
         assert np.array_equal(w, b), x
-        ref = m._scan(x)
+        ref = _scan(m, x)
         if ref is not None:
             assert ref[0] == t and np.array_equal(ref[1], b), x
             scanned += 1
@@ -480,12 +493,13 @@ def test_clip_normalize_forms_agree_bitwise(rows):
 
 def test_one_point_query_counts_per_layer(monkeypatch):
     """A query inside a grid cell makes one Mesh._point_weights call and no
-    Mesh._locate_miss call, a grid miss one of each; the miss goes to the
-    two scans without a second grid pass."""
+    Mesh._locate_miss call, a grid miss one of each; the miss makes one
+    grid pass at its nearest boundary-face point and no whole-mesh scan."""
     bench = get_benchmark("test1_eps", eps=0.05)
     m = build_mesh_for(bench, 0.1)
     vf = sweep(bench.problem, m, SchemeParams(dt=0.1, c_bar=bench.c_bar))
-    calls = {"_point_weights": 0, "_locate_miss": 0, "_locate_one": 0, "_scan": 0}
+    calls = {"_point_weights": 0, "_locate_miss": 0, "_locate_one": 0, "_locate_in_cells": 0,
+             "_nearest_boundary_point": 0}
 
     def counted(name):
         method = getattr(Mesh, name)
@@ -497,14 +511,14 @@ def test_one_point_query_counts_per_layer(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(Mesh, name, counted(name))
-    # a miss off the polygon makes one grid-cell pass and two whole-mesh
-    # scans, the second at the nearest boundary-face point
-    for x, n_fallback, n_scans in (([0.37], 0, 0), (m.vertices[4], 0, 0),
-                                   (_miss_point(m), 1, 2)):
+    # a miss off the polygon makes one one-point pass, then one batch grid
+    # pass at the nearest boundary-face point
+    for x, n_fallback in (([0.37], 0), (m.vertices[4], 0), (_miss_point(m), 1)):
         calls.update(dict.fromkeys(calls, 0))
         vf(0.0, x)
         assert calls == {"_point_weights": 1, "_locate_miss": n_fallback, "_locate_one": 1,
-                         "_scan": n_scans}, x
+                         "_locate_in_cells": n_fallback,
+                         "_nearest_boundary_point": n_fallback}, x
 
 
 @pytest.mark.parametrize("name", sorted(LOC_MESHES))

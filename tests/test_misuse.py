@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hjbsl.errors import BadParams, RegularityViolation, TooLarge
+from hjbsl.cli import StudyConfig
+from hjbsl.errors import BadParams, ConfigError, RegularityViolation, TooLarge
 from hjbsl.geometry import (
     Disk,
     Domain,
@@ -484,6 +485,12 @@ CASES = [
     case("consistency_residual-step-negative", BadParams, probe_with(k=-3),
          match="^step k "),
     case("consistency_residual-step-N", BadParams, probe_with(k=4), match="^step k "),
+    # study ladders that raised a bare TypeError, or a bool ladder that
+    # failed only in run_study
+    *[case(f"StudyConfig-dx_ladder-{label}", ConfigError,
+           lambda tmp, ladder=ladder: StudyConfig(benchmark="test1_eps", dx_ladder=ladder),
+           match="^dx ladder ")
+      for label, ladder in (("string-entry", ["0.1"]), ("number", 0.1), ("bool", [True]))],
     # mesh and probe input that raised bare errors or lost an imaginary part
     case("Mesh-ragged-simplices", BadParams,
          lambda tmp: Mesh(TRIANGLE, [[0, 1, 2], [0, 1]]), match="^simplices "),

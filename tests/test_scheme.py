@@ -582,12 +582,10 @@ def test_check_weights_rejects_non_convex_rows():
                 [[[0.25, 0.75, 0.0], [0.5, 0.5, math.inf]]]):
         with pytest.raises(LocationFailure):
             check_weights(np.array(bad))
-    # locate_many gives a row of NaN weights for a NaN point
+    # no simplex holds a NaN point, nor its nearest boundary-face point
     mesh = build_disk_mesh((0.0, 0.0), 1.0, 0.25)
-    with np.errstate(invalid="ignore"):
-        _, bary = mesh.locate_many([[math.nan, 0.0], [0.1, 0.1]])
-    with pytest.raises(LocationFailure):
-        check_weights(bary)
+    with np.errstate(invalid="ignore"), pytest.raises(LocationFailure):
+        mesh.locate_many([[math.nan, 0.0], [0.1, 0.1]])
 
 
 def _groups_by_passes(controls, index, X):
@@ -963,7 +961,17 @@ def test_apply_S_equals_one_step_sweep(name):
     vf = sweep(pr, mesh, params)
     psi = pr.psi(mesh.vertices)
     got = [apply_S(pr, mesh, psi, 0, i, params) for i in range(mesh.n_vertices)]
-    assert np.max(np.abs(np.array(got) - vf.values[vf.report_index])) <= 1e-12
+    assert np.array(got).tobytes() == vf.values[vf.report_index].tobytes()
+
+
+def test_gathered_apply_refuses_a_U():
+    """A gathered apply is S[0] and forms no product, so a U given to it
+    raises rather than being ignored."""
+    bench = make_test1(0.05)
+    mesh = build_interval_mesh(0.0, 1.0, 0.25)
+    op = Operator(bench.problem, mesh, SchemeParams(dt=0.25, c_bar=bench.c_bar))
+    with pytest.raises(BadParams, match="U must be None"):
+        op.apply(0, np.zeros(mesh.n_vertices), [1, 2])
 
 
 # -- structure of the assembled operator --
@@ -1021,14 +1029,15 @@ def test_sweep_value_is_the_cost_of_its_argmin_policy(name, dx, dt):
                                           ("test2_oblique-two-b", 0.25, 0.25)])
 def test_stacked_and_gathered_applies_agree_bitwise(name, dx, dt):
     """The stacked terms kept on the store, control groups included, give
-    what the gathered path forms afresh from the same rows.  With
-    control_free_cost off, f receives the vertices once per control a on
-    every row, and each control a's rows in stacked order on gathered rows:
-    with two controls b (which change g), the vertices once per control b.
-    With it on (test2 and test3 set it), the store's first use checks it
-    with one call per control a on the vertices; then every row is the
-    first control's call alone and the gathered rows one call, and S[U] is
-    bitwise that of the field off."""
+    what the gathered path forms afresh from the same rows: S[0] on every
+    row equals S[0] on the rows gathered.  With control_free_cost off, f
+    receives the vertices once per control a on every row, and each
+    control a's rows in stacked order on gathered rows: with two controls
+    b (which change g), the vertices once per control b.  With it on (test2
+    and test3 set it), the store's first use checks it with one call per
+    control a on the vertices; then every row is the first control's call
+    alone and the gathered rows one call, and S[U] is bitwise that of the
+    field off."""
     bench = get_benchmark(name.removesuffix("-two-b"), eps=0.05)
     base = bench.problem
     if name.endswith("-two-b"):
@@ -1049,18 +1058,20 @@ def test_stacked_and_gathered_applies_agree_bitwise(name, dx, dt):
                   for ia, a in enumerate(pr.controls_a)]
         assert all(len(X) == op.nb * mesh.n_vertices for _, X in blocks)
         if free:
-            # the check's calls, then the first control's and the gathered rows
-            want = [every + every[:1] + [(pr.controls_a[0], mesh.vertices[nodes])]]
-            want += [every[:1] + [(pr.controls_a[0], mesh.vertices[nodes])]] * 3
+            # the check's calls, then the first control's for each every-row
+            # apply and the gathered rows
+            want = [every + every[:1] * 2 + [(pr.controls_a[0], mesh.vertices[nodes])]]
+            want += [every[:1] * 2 + [(pr.controls_a[0], mesh.vertices[nodes])]] * 3
         else:
-            want = [every + blocks] * 4
+            want = [every + every + blocks] * 4
         U = np.random.default_rng(5).uniform(-1.0, 1.0, mesh.n_vertices)
         values[free] = []
         for m in range(min(op.N, 4)):
             calls.clear()
             stacked = op.apply(m, U)
-            gathered = op.apply(m, U, flat)
-            assert np.array_equal(stacked[0], gathered[0])
+            zero = op.apply(m, None)
+            gathered = op.apply(m, None, flat)
+            assert np.array_equal(zero[0], gathered[0])
             # f's row ia stands for control a's rows; with the field on, the
             # first control's stands for every control's
             assert stacked[1].shape == (1 if free else len(pr.controls_a), mesh.n_vertices)
