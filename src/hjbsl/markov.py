@@ -114,8 +114,8 @@ class _ChainModel(Operator):
             if (a.ndim == b.ndim == 1 and a.dtype.kind in "biu" and b.dtype.kind in "biu"
                     and min(ia) >= 0 and min(ib) >= 0 and max(ia) < na and max(ib) < nb):
                 # both intp before the product, which a narrow policy dtype
-                # (int8, uint8) would wrap; Python ints are intp already
-                return a.astype(np.intp, copy=False) * nb + b.astype(np.intp, copy=False)
+                # (int8, uint8) would wrap
+                return a.astype(np.intp) * nb + b.astype(np.intp)
         except (TypeError, ValueError):
             pass
         # the fast test also fails on some integer pairs: numpy promotes
