@@ -81,50 +81,55 @@ class _ChainModel(Operator):
             del self._draws[next(iter(self._draws))]
         return mat
 
-    def code(self, m: int, policy, nodes: np.ndarray) -> np.ndarray:
-        """The pair code of each vertex of nodes under policy at step m, as
-        intp, checked once for all of them: BadParams unless every pair
-        (ia, ib) holds integers, ia in 0..len(controls_a)-1 and ib in
-        0..len(controls_b)-1.  policy is a callable policy(m, j) or a
-        nested sequence read as policy[m][j]; BadParams naming the step and
-        the vertex when that lookup finds no pair, or when the policy or its
-        step is not subscriptable."""
-        if callable(policy):
-            pairs = [policy(m, j) for j in nodes.tolist()]
-        else:
+    def policy_rows(self, m: int, policy, nodes: np.ndarray) -> np.ndarray:
+        """The stacked row (ia*len(controls_b) + ib)*n + j of each vertex j
+        of nodes under its pair (ia, ib) at step m, as intp.  policy is a
+        callable policy(m, j) or a nested sequence read as step = policy[m]
+        once, then step[j].  The first vertex, in nodes' order, whose lookup
+        finds no pair (or finds the policy or its step not subscriptable)
+        or whose pair is not two integers (_integer) in
+        0..len(controls_a)-1 x 0..len(controls_b)-1 raises BadParams naming
+        the step and the vertex; no later vertex is looked up."""
+        na, nb, n = len(self.problem.controls_a), self.nb, self.mesh.n_vertices
+        call = callable(policy)
+        if not call:
             try:
                 step = policy[m]
-                pairs = [step[j] for j in nodes.tolist()]
             except (LookupError, TypeError):
-                # name the first vertex whose pair is missing
-                for j in nodes.tolist():
-                    try:
-                        policy[m][j]
-                    except (LookupError, TypeError):
-                        raise BadParams(f"policy has no pair at step {m}, "
-                                        f"vertex {j}") from None
-                raise
-        na, nb = len(self.problem.controls_a), self.nb
-        # _is_pair defines a pair; this vectorised test accepts only pairs it
-        # accepts, fast
-        try:
-            # pairs of unequal lengths raise
-            ia, ib = zip(*pairs, strict=True)
-            a, b = np.array(ia), np.array(ib)
-            if (a.ndim == b.ndim == 1 and a.dtype.kind in "biu" and b.dtype.kind in "biu"
-                    and min(ia) >= 0 and min(ib) >= 0 and max(ia) < na and max(ib) < nb):
-                # both intp before the product, which a narrow policy dtype
-                # (int8, uint8) would wrap
-                return a.astype(np.intp) * nb + b.astype(np.intp)
-        except (TypeError, ValueError):
-            pass
-        # the fast test also fails on some integer pairs: numpy promotes
-        # int64 with uint64 to float64
-        for r, pair in enumerate(pairs):
-            if not _is_pair(pair, na, nb):
-                raise BadParams(f"policy at step {m}, vertex {nodes[r]}: {pair!r} is not "
-                                f"an integer pair (ia, ib) in 0..{na - 1} x 0..{nb - 1}")
-        return np.array([int(i) * nb + int(j) for i, j in pairs], dtype=np.intp)
+                step = ()   # no step m: its first vertex has no pair
+        rows = []
+        for j in nodes.tolist():
+            if call:
+                pair = policy(m, j)
+            else:
+                try:
+                    pair = step[j]
+                except (LookupError, TypeError):
+                    raise BadParams(f"policy has no pair at step {m}, vertex {j}") from None
+            try:
+                ia, ib = pair
+            except (TypeError, ValueError):
+                ia = ib = None
+            if not (type(ia) is int and type(ib) is int and 0 <= ia < na and 0 <= ib < nb):
+                ia, ib = _integer(ia), _integer(ib)
+                if ia is None or ib is None or not (0 <= ia < na and 0 <= ib < nb):
+                    raise BadParams(f"policy at step {m}, vertex {j}: {pair!r} is not an "
+                                    f"integer pair (ia, ib) in 0..{na - 1} x 0..{nb - 1}")
+            rows.append((ia * nb + ib) * n + j)
+        return np.array(rows, dtype=np.intp)
+
+
+def _integer(v):
+    """int(v) if v is one integer, a 0-d value of integer or bool dtype (an
+    int, a bool, a numpy scalar or a 0-d array), else None.  As an int, a
+    narrow numpy integer (int8, uint8) cannot wrap in a row's product."""
+    try:
+        if isinstance(v, (int, np.integer, np.bool_)) or (
+                np.ndim(v) == 0 and np.asarray(v).dtype.kind in "biu"):
+            return int(v)
+    except (TypeError, ValueError):
+        pass
+    return None
 
 
 # this thread's latest chain model, with the inputs it was built from
@@ -146,18 +151,6 @@ def _chain_model(problem: Problem, mesh: Mesh, params: SchemeParams) -> _ChainMo
         _latest.entry = None
         _latest.entry = (objs, values, _ChainModel(problem, mesh, params))
     return _latest.entry[2]
-
-
-def _is_pair(pair, na: int, nb: int) -> bool:
-    """pair unpacks into (ia, ib), ia in 0..na-1 and ib in 0..nb-1, each one
-    integer: a 0-d value of integer or bool dtype (an int, a bool, a numpy
-    scalar or a 0-d array), as the fast test in _ChainModel.code reads it."""
-    try:
-        ia, ib = pair
-        ok = [np.ndim(v) == 0 and np.asarray(v).dtype.kind in "biu" for v in (ia, ib)]
-    except (TypeError, ValueError):
-        return False
-    return all(ok) and 0 <= ia < na and 0 <= ib < nb
 
 
 def transition_law(problem: Problem, mesh: Mesh, k: int, i: int, a, b,
@@ -222,8 +215,7 @@ def _exact_cost(model: _ChainModel, policy, k: int, i: int) -> float:
             break   # every path was absorbed at a Dirichlet exit
         w = rho.take(nodes)
         # the expected one-step cost is the operator applied to zero
-        flat = model.code(m, policy, nodes) * n + nodes
-        cost, _, (verts, probs) = model.apply(m, None, flat)
+        cost, _, (verts, probs) = model.apply(m, None, model.policy_rows(m, policy, nodes))
         total += float(w @ cost)
         rho = _move(verts, probs, w, n)
     J = rho.nonzero()[0]
@@ -263,7 +255,7 @@ def _walk(model: _ChainModel, policy, k: int, state: np.ndarray, seed: int):
         seen[uniq] = False
         position[uniq] = np.arange(len(uniq))
         inv = position.take(here)
-        urow = model.code(m, policy, uniq) * n + uniq
+        urow = model.policy_rows(m, policy, uniq)
         rows = model.rows(m)
         r = urow.take(inv)
         cum = rows.cum.take(r, axis=1)

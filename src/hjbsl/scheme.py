@@ -646,7 +646,7 @@ def sweep(problem: Problem, mesh: Mesh, params: SchemeParams) -> ValueFunction:
         if not top < math.inf or top > guard:
             raise Unstable(f"values exceeded the blow-up guard {guard:.3g} "
                            f"at step {k}")
-    values = W if problem.orientation == "backward" else W[::-1].copy()
+    values = W if problem.orientation == "backward" else W[::-1]
     return ValueFunction(values=values, dt=params.dt, mesh=mesh, problem=problem)
 
 

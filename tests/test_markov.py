@@ -1,4 +1,5 @@
 import bisect
+import enum
 import itertools
 import math
 import threading
@@ -313,12 +314,97 @@ def dp_oracle(problem: Problem, mesh: Mesh, params: SchemeParams) -> np.ndarray:
 def _policy_values(model: _ChainModel, policy) -> np.ndarray:
     """J_{0,i} for all i under one fixed policy (backward evaluation): each
     vertex's row under its pair, gathered from the every-row apply."""
-    n = model.mesh.n_vertices
-    nodes = np.arange(n)
+    nodes = np.arange(model.mesh.n_vertices)
     J = model.psi.copy()
     for m in range(model.N - 1, -1, -1):
-        J = model.apply(m, J)[0][model.code(m, policy, nodes) * n + nodes]
+        J = model.apply(m, J)[0][model.policy_rows(m, policy, nodes)]
     return J
+
+
+def _is_pair(pair, na: int, nb: int) -> bool:
+    """The reference pair rule: pair unpacks into (ia, ib), ia in 0..na-1
+    and ib in 0..nb-1, each one integer: a 0-d value of integer or bool
+    dtype (an int, a bool, a numpy scalar or a 0-d array)."""
+    try:
+        ia, ib = pair
+        ok = [np.ndim(v) == 0 and np.asarray(v).dtype.kind in "biu" for v in (ia, ib)]
+    except (TypeError, ValueError):
+        return False
+    return all(ok) and 0 <= ia < na and 0 <= ib < nb
+
+
+class _Side(enum.IntEnum):
+    LEFT = 0
+    RIGHT = 1
+
+
+class _Indexable:
+    """Not an integer, though operator.index reads it as 1."""
+
+    def __index__(self):
+        return 1
+
+
+# each value v of the pair rule as (v, 0) and (0, v), with whether it is an
+# integer in range for two controls a and two controls b
+PAIR_VALUES = [
+    (1, True), (True, True), (np.int8(1), True), (np.uint8(1), True),
+    (np.int64(1), True), (np.uint64(1), True), (np.True_, True), (np.array(0), True),
+    (_Side.RIGHT, True), (np.array(0.0), False), (1.0, False), (np.float64(1), False),
+    ("1", False), (None, False), (np.array([0]), False), (_Indexable(), False),
+    (2, False), (-1, False), (np.int8(-1), False), (np.uint8(255), False),
+    (np.uint64(2 ** 64 - 1), False), (2 ** 70, False), (np.array(-1), False),
+]
+PAIRS = ([((v, 0), ok) for v, ok in PAIR_VALUES] + [((0, v), ok) for v, ok in PAIR_VALUES]
+         + [((0,), False), ((0, 0, 0), False), ("01", False), (5, False),
+            ({0: "a", 1: "b"}, True), ({0: "a"}, False), (np.array([1, 1]), True),
+            ([np.int8(1), np.uint64(1)], True)])
+
+
+@pytest.mark.parametrize("lookup", ["callable", "nested"])
+@pytest.mark.parametrize("pair, ok", PAIRS)
+def test_policy_rows_accept_exactly_the_reference_pairs(pair, ok, lookup):
+    """policy_rows accepts a pair exactly when _is_pair does, and gives the
+    row (int(ia)*nb + int(ib))*n + j of each vertex j, as intp; a refused
+    pair raises BadParams naming it and its vertex."""
+    bench = make_test1(0.05)
+    pr = replace(bench.problem, controls_a=[0.0] * 2, controls_b=[0.0] * 2)
+    mesh = build_interval_mesh(0.0, 1.0, 0.25)
+    model = _ChainModel(pr, mesh, SchemeParams(dt=0.25, c_bar=bench.c_bar))
+    step = [(1, 1), (0, 1), (1, 0), pair, (1, 1)]
+    policy = (lambda m, j: step[j]) if lookup == "callable" else [step]
+    nodes = np.array([1, 3, 4])
+    assert _is_pair(pair, 2, 2) == ok
+    if ok:
+        ia, ib = pair
+        rows = model.policy_rows(0, policy, nodes)
+        assert rows.dtype == np.intp
+        assert rows.tolist() == [1 * 5 + 1, (int(ia) * 2 + int(ib)) * 5 + 3, 3 * 5 + 4]
+    else:
+        with pytest.raises(BadParams, match=r"^policy at step 0, vertex 3: .* is not an "
+                                            r"integer pair \(ia, ib\) in 0\.\.1 x 0\.\.1$"):
+            model.policy_rows(0, policy, nodes)
+
+
+@pytest.mark.parametrize("lookup", ["callable", "nested"])
+def test_policy_is_not_looked_up_past_the_first_bad_vertex(lookup):
+    """A step reads its vertices in ascending order and stops at the first
+    one with a bad pair: no later vertex is looked up."""
+    bench = make_test1(0.05)
+    mesh = build_interval_mesh(0.0, 1.0, 0.25)
+    model = _ChainModel(bench.problem, mesh, SchemeParams(dt=0.25, c_bar=bench.c_bar))
+    seen = []
+
+    class Step(list):
+        def __getitem__(self, j):
+            seen.append(j)
+            return super().__getitem__(j)
+
+    step = Step([(0, 0), (0, 0), (1, 0), (0, 0), (0, 0)])
+    policy = (lambda m, j: step[j]) if lookup == "callable" else {2: step}
+    with pytest.raises(BadParams, match=r"^policy at step 2, vertex 2: \(1, 0\) is not"):
+        model.policy_rows(2, policy, np.arange(5))
+    assert seen == [0, 1, 2]
 
 
 def test_dp_oracle_matches_sweep():

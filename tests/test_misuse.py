@@ -378,7 +378,15 @@ CASES = [
           ("dict-of-one-step", {0: [(0, 0)] * 5}, "^policy has no pair at step 1, vertex "),
           ("two-vertices", [[(0, 0)] * 2] * 4, "^policy has no pair at step 0, vertex 2$"),
           ("an-integer", 5, "^policy has no pair at step 0, vertex 2$"),
-          ("steps-of-None", [None] * 4, "^policy has no pair at step 0, vertex 2$"))],
+          ("steps-of-None", [None] * 4, "^policy has no pair at step 0, vertex 2$"),
+          # step 1 reads vertices 0, 1 and 2 in that order; the first of
+          # them with no pair or a bad pair is named
+          ("bad-pair-before-a-missing-one",
+           [[(0, 0)] * 5, [(0, 0), (0, 9)], [(0, 0)] * 5, [(0, 0)] * 5],
+           r"^policy at step 1, vertex 1: \(0, 9\) is not an integer pair"),
+          ("missing-pair-before-a-bad-one",
+           [[(0, 0)] * 5, {0: (0, 0), 2: (0, 9)}, [(0, 0)] * 5, [(0, 0)] * 5],
+           "^policy has no pair at step 1, vertex 1$"))],
     # integers that were read as another number, or were not checked: a
     # bool, a float, a negative or too large seed, and steps outside 0..N-1
     case("Problem-n_sigma-bool", BadParams,

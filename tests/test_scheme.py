@@ -46,6 +46,7 @@ from hjbsl.scheme import (
     n_steps,
     step_time,
     sweep,
+    terminal_values,
 )
 from test_geometry import boundary_kind, scan_crossing
 from test_markov import _policy_values
@@ -255,6 +256,25 @@ def test_sweep_forward_orientation_indexing():
     assert np.allclose(vf.values[0], 0.0)
     assert np.allclose(vf.values[-1], 1.0, atol=1e-12)
     assert vf.report_index == len(vf.values) - 1
+
+
+@pytest.mark.parametrize("name", ["test2_oblique", "test3_exit"])
+def test_forward_sweep_values_are_a_reversed_view(name):
+    """A forward sweep reports the array it filled, reversed in place: its
+    values are bitwise the step-by-step minimum of the every-row apply,
+    read in reversed order, and share that array's memory, not a copy."""
+    bench = get_benchmark(name)
+    mesh = build_mesh_for(bench, 0.25)
+    params = SchemeParams(dt=0.125, c_bar=bench.c_bar)
+    vf = sweep(bench.problem, mesh, params)
+    op = Operator(bench.problem, mesh, params)
+    W = [terminal_values(bench.problem, mesh)]
+    for k in range(op.N - 1, -1, -1):
+        W.append(op.apply(k, W[-1])[0].reshape(op.n_pairs, -1).min(axis=0))
+    assert bench.problem.orientation == "forward"
+    assert vf.values.tobytes() == np.array(W).tobytes()
+    assert vf.values.base is not None and np.shares_memory(vf.values, vf.values.base)
+    assert vf.values.base.shape == vf.values.shape
 
 
 def test_value_function_rejects_bad_queries():
